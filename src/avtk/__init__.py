@@ -9,13 +9,12 @@ bounded searches) is carried out exactly over Z and Q.
 
 __version__ = "0.1.0"
 
-from .scalars import FormalScalar, GeneratorSet, ScalarFraction, parse_scalar
+from .scalars import FormalScalar, GeneratorSet, parse_scalar
 from .torus import PolarisedTorus, SubvarietyEmbedding, TorsionPoint
 
 __all__ = [
     "FormalScalar",
     "GeneratorSet",
-    "ScalarFraction",
     "parse_scalar",
     "PolarisedTorus",
     "SubvarietyEmbedding",

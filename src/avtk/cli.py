@@ -8,9 +8,9 @@ violation, 3 a bounded search that found nothing (also used by demos
 whose expected outcome is a bounded negative), 4 an isomorphism search
 with no homomorphisms at all, 5 a failed assertion.
 
-The environment variable AVTK_THREADS caps the worker count used by the
-bounded searches; the default is single-threaded, and results do not
-depend on the setting.
+The environment variable AVTK_THREADS sets the worker count used by the
+bounded searches, at most the CPU count; the default is single-threaded,
+and results do not depend on the setting.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import DocumentError, PreconditionError, ScalarParseError
 from .homs import complementary_subvariety, hom_module, idempotent, isom_search
 from .ppsearch import admissible_family, obstruction_check, pp_search
 from .torus import isogeny_degree, restricted_polarisation
-from .verdicts import Found, NoHoms, NotFoundUpToBound
+from .verdicts import Found, NoHoms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -348,10 +348,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         payload, inputs, code = _run_command(args)
-    except (ScalarParseError, DocumentError, json.JSONDecodeError) as exc:
+    except (ScalarParseError, DocumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"avtk: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, a directory, no permission
         print(f"avtk: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as exc:

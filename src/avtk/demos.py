@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .homs import complementary_subvariety, hom_module, idempotent, isom_search
 from .intlinalg import det, matmul, span_equal, transpose
 from .ppsearch import admissible_family, obstruction_check, pp_search
-from .scalars import GeneratorSet, render_scalar
+from .scalars import GeneratorSet
 from .torus import (
     PolarisedTorus,
     SubvarietyEmbedding,

@@ -48,19 +48,29 @@ def digest(obj) -> str:
 
 # -- tori ----------------------------------------------------------------------
 
-def torus_to_doc(T: PolarisedTorus, assumptions: str = "") -> dict:
+def torus_to_doc(T: PolarisedTorus) -> dict:
     return {
         "generators": list(T.gens.names),
         "dim": T.dim,
         "periods": [[render_scalar(x) for x in row] for row in T.periods],
         "gram": [list(row) for row in T.gram],
-        "assumptions": assumptions,
+        "assumptions": T.assumptions,
     }
+
+
+def _is_matrix(value, m, n) -> bool:
+    """Is value a list of m lists of n entries each?"""
+    return (
+        isinstance(value, list)
+        and len(value) == m
+        and all(isinstance(row, list) and len(row) == n for row in value)
+    )
 
 
 def torus_from_doc(doc: dict) -> PolarisedTorus:
     """Build a torus from its document, inferring the standard pairing
-    from a [Z | D] frame when no gram matrix is given."""
+    from a [Z | D] frame when no gram matrix is given.  The optional
+    ``assumptions`` string is carried over unchanged."""
     if not isinstance(doc, dict):
         raise DocumentError("torus document must be a JSON object")
     for key in ("generators", "dim", "periods"):
@@ -74,17 +84,22 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
     if not isinstance(n, int) or n < 1:
         raise DocumentError("dim must be a positive integer")
     rows = doc["periods"]
-    if len(rows) != n or any(len(r) != 2 * n for r in rows):
+    if not _is_matrix(rows, n, 2 * n):
         raise DocumentError(f"periods must be a {n} x {2 * n} matrix of expressions")
     periods = [[parse_scalar(gens, str(x)) for x in row] for row in rows]
     if "gram" in doc and doc["gram"] is not None:
         gram = doc["gram"]
-        if len(gram) != 2 * n or any(len(r) != 2 * n for r in gram):
+        # bool is an int subclass, and int() would truncate floats and parse strings
+        if not _is_matrix(gram, 2 * n, 2 * n) or any(
+            type(x) is not int for row in gram for x in row
+        ):
             raise DocumentError(f"gram must be a {2 * n} x {2 * n} integer matrix")
-        gram = [[int(x) for x in row] for row in gram]
     else:
         gram = _infer_standard_gram(periods, n)
-    return PolarisedTorus(gens, periods, gram)
+    assumptions = doc.get("assumptions", "")
+    if not isinstance(assumptions, str):
+        raise DocumentError("assumptions must be a string")
+    return PolarisedTorus(gens, periods, gram, assumptions)
 
 
 def _infer_standard_gram(periods, n):

@@ -3,11 +3,13 @@
 A homomorphism f between tori X and Y is a pair of matrices: an integer
 rational representation M (2m x 2n, on lattices) and an analytic
 representation F (m x n, on ambient spaces) tied together by the exact
-identity F @ periods_X = periods_Y @ M.  Since the right period block of
-X is constant and invertible over Q in the frames used here, F is
-determined by the right half of periods_Y @ M, and the identity on the
-left half flattens, monomial by monomial, into an integer linear system
-whose kernel is the whole homomorphism module.
+identity F @ periods_X = periods_Y @ M.  Since the right period block D_X
+of X is constant and invertible over Q in the frames used here, F is
+determined by the right half M_R of M: F = periods_Y @ M_R @ D_X^-1.  The
+inverse is a constant rational matrix, so F is a matrix of polynomials,
+never of rational functions.  The identity on the left half flattens,
+monomial by monomial, into an integer linear system whose kernel is the
+whole homomorphism module.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import PreconditionError
 from .intlinalg import (
     det,
     det_mod2,
+    flatten_to_int,
     int_kernel,
     mat_eq,
     matmul,
@@ -27,7 +30,7 @@ from .intlinalg import (
     saturate_columns,
     transpose,
 )
-from .scalars import ScalarFraction
+from .scalars import FormalScalar
 from .torus import (
     DualResult,
     PolarisedTorus,
@@ -41,7 +44,10 @@ from .verdicts import Found, NoHoms, NotFoundUpToBound
 class HomGenerator:
     """One generator of Hom(X, Y): rational and analytic representations.
 
-    The defining identity F @ periods_X == periods_Y @ M is verified on
+    rational_rep is the integer matrix M; analytic_rep is F, a matrix of
+    FormalScalar polynomials (the module docstring says why F has no
+    denominators), with int and Fraction entries taken as constants.  The
+    defining identity F @ periods_X == periods_Y @ M is verified on
     construction, so a HomGenerator in hand is proof of itself.
     """
 
@@ -49,22 +55,16 @@ class HomGenerator:
 
     def __init__(self, domain, codomain, rational_rep, analytic_rep):
         M = tuple(tuple(int(x) for x in row) for row in rational_rep)
-        F = []
-        for row in analytic_rep:
-            F.append(tuple(x if isinstance(x, ScalarFraction) else ScalarFraction(x) for x in row))
-        F = tuple(F)
+        gens = codomain.gens
+        F = tuple(
+            tuple(x if isinstance(x, FormalScalar) else gens.constant(x) for x in row)
+            for row in analytic_rep
+        )
         if len(M) != 2 * codomain.dim or any(len(r) != 2 * domain.dim for r in M):
             raise PreconditionError("rational representation has wrong shape")
         if len(F) != codomain.dim or any(len(r) != domain.dim for r in F):
             raise PreconditionError("analytic representation has wrong shape")
-        for row in F:
-            for x in row:
-                if not x.is_polynomial():
-                    raise PreconditionError(
-                        "analytic representation must be polynomial in these frames"
-                    )
-        FP = matmul([[x.as_scalar() for x in row] for row in F],
-                    [list(r) for r in domain.periods])
+        FP = matmul([list(r) for r in F], [list(r) for r in domain.periods])
         PM = matmul([list(r) for r in codomain.periods], [list(r) for r in M])
         if not mat_eq(FP, PM):
             raise PreconditionError(
@@ -129,40 +129,19 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     PY = [list(r) for r in Y.periods]
     unknowns = 4 * m * n
     zero = X.gens.zero()
-    coeffs = [[[zero] * unknowns for _ in range(n)] for _ in range(m)]
+    # one row per entry (i, j) of the identity, one column per entry of M
+    system = [[zero] * unknowns for _ in range(m * n)]
     for r in range(2 * m):
         for c in range(2 * n):
             k = r * 2 * n + c
             if c < n:
                 for i in range(m):
-                    coeffs[i][c][k] = coeffs[i][c][k] - PY[i][r]
+                    system[i * n + c][k] = system[i * n + c][k] - PY[i][r]
             else:
                 for i in range(m):
                     for j in range(n):
-                        coeffs[i][j][k] = coeffs[i][j][k] + PY[i][r] * W[c - n][j]
-    monomials = set()
-    for i in range(m):
-        for j in range(n):
-            for k in range(unknowns):
-                monomials.update(coeffs[i][j][k].terms)
-    monomials = sorted(monomials, key=lambda mo: (sum(mo), mo))
-    denom = 1
-    for i in range(m):
-        for j in range(n):
-            for k in range(unknowns):
-                for c in coeffs[i][j][k].terms.values():
-                    denom = lcm(denom, c.denominator)
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            for mono in monomials:
-                rows.append(
-                    [int(coeffs[i][j][k].terms.get(mono, Fraction(0)) * denom)
-                     for k in range(unknowns)]
-                )
-    if not rows:
-        rows = [[0] * unknowns]
-    basis_vecs = int_kernel(rows)
+                        system[i * n + j][k] = system[i * n + j][k] + PY[i][r] * W[c - n][j]
+    basis_vecs = int_kernel(flatten_to_int(system)[0])
     gens_out = []
     for vec in basis_vecs:
         M = [[vec[r * 2 * n + c] for c in range(2 * n)] for r in range(2 * m)]

@@ -615,46 +615,6 @@ def span_equal(A, B, gens: GeneratorSet | None = None) -> bool:
     return _nonzero_cols(HA) == _nonzero_cols(HB)
 
 
-def span_contains(A, B, gens: GeneratorSet | None = None) -> bool:
-    """Is every column of B inside the lattice generated by A's columns?"""
-    A = as_scalar_matrix(A, gens)
-    B = as_scalar_matrix(B, gens)
-    if len(A) != len(B):
-        raise PreconditionError("span comparison of matrices with different row counts")
-    ZA, ZB = flatten_to_int(A, B)
-    _require_full_column_rank(ZA, "left")
-    _require_full_column_rank(ZB, "right")
-    coords = integer_coordinates(ZA, ZB)
-    return coords is not None
-
-
-def integer_coordinates(ZA, ZB):
-    """Integer X with ZA @ X = ZB, or None (ZA must have full column rank)."""
-    m, n = shape(ZA)
-    _, k = shape(ZB)
-    X = []
-    for j in range(k):
-        col = [ZB[i][j] for i in range(m)]
-        x = rat_solve(ZA, col)
-        if x is None or any(f.denominator != 1 for f in x):
-            return None
-        X.append([int(f) for f in x])
-    return transpose(X) if X else [[] for _ in range(n)]
-
-
-def rational_coordinates(ZA, ZB):
-    """Rational X with ZA @ X = ZB, or None if some column leaves the Q-span."""
-    m, n = shape(ZA)
-    _, k = shape(ZB)
-    X = []
-    for j in range(k):
-        x = rat_solve(ZA, [ZB[i][j] for i in range(m)])
-        if x is None:
-            return None
-        X.append(x)
-    return transpose(X) if X else [[] for _ in range(n)]
-
-
 def _require_full_column_rank(Z, side):
     m, n = shape(Z)
     if rank(Z) != n:

@@ -5,7 +5,8 @@ Coefficient vectors are enumerated with each coordinate running through
 partitioned over the first coordinate into independent slabs; every slab
 scans in increasing global enumeration index, so taking the hit with the
 smallest index reproduces the sequential result exactly.  AVTK_THREADS
-caps the worker count; unset or 1 means fully sequential.
+sets the worker count, capped at the CPU count and at the number of
+slabs; unset or 1 means fully sequential.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ def coefficient_values(bound: int):
 
 
 def thread_count() -> int:
+    """AVTK_THREADS, clamped to at least 1 and at most the CPU count."""
     raw = os.environ.get("AVTK_THREADS", "1")
     try:
-        return max(1, int(raw))
+        wanted = max(1, int(raw))
     except ValueError:
         return 1
+    return min(wanted, os.cpu_count() or 1)
 
 
 def run_search(worker, common, rank: int, bound: int):
@@ -48,7 +51,7 @@ def run_search(worker, common, rank: int, bound: int):
     jobs = []
     for start in range(0, len(values), chunk):
         jobs.append((common, values[start : start + chunk], start))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         results = list(pool.map(worker, jobs))
     hits = [r for r in results if r is not None]
     if not hits:

@@ -14,12 +14,9 @@ both of which reduce to integer determinants.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from math import lcm
-
-from fractions import Fraction
 
 from .errors import PreconditionError
-from .intlinalg import det, hnf, int_kernel, matmul, span_equal
+from .intlinalg import det, flatten_to_int, hnf, int_kernel, matmul, span_equal
 from .parallel import coefficient_values, run_search
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
@@ -141,38 +138,18 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     s = len(sym)
     unknowns = s + 4 * n * n
     zero = A.gens.zero()
-    coeffs = [[[zero] * unknowns for _ in range(2 * n)] for _ in range(n)]
+    # one row per entry (i, j) of the identity, one column per unknown
+    system = [[zero] * unknowns for _ in range(2 * n * n)]
     for i in range(n):
         for j in range(2 * n):
+            row = system[i * 2 * n + j]
             for k in range(n):
                 u = sym[(min(i, k), max(i, k))]
-                coeffs[i][j][u] = coeffs[i][j][u] + PA[k][j]
+                row[u] = row[u] + PA[k][j]
             for r in range(2 * n):
                 u = s + j * 2 * n + r
-                coeffs[i][j][u] = coeffs[i][j][u] - PH[i][r]
-    monomials = set()
-    for i in range(n):
-        for j in range(2 * n):
-            for u in range(unknowns):
-                monomials.update(coeffs[i][j][u].terms)
-    monomials = sorted(monomials, key=lambda mo: (sum(mo), mo))
-    denom = 1
-    for i in range(n):
-        for j in range(2 * n):
-            for u in range(unknowns):
-                for c in coeffs[i][j][u].terms.values():
-                    denom = lcm(denom, c.denominator)
-    rows = []
-    for i in range(n):
-        for j in range(2 * n):
-            for mono in monomials:
-                rows.append(
-                    [int(coeffs[i][j][u].terms.get(mono, Fraction(0)) * denom)
-                     for u in range(unknowns)]
-                )
-    if not rows:
-        rows = [[0] * unknowns]
-    vecs = int_kernel(rows)
+                row[u] = row[u] - PH[i][r]
+    vecs = int_kernel(flatten_to_int(system)[0])
     if not vecs:
         return AdmissibleFamily(A, Ahat, (), ())
     r = len(vecs)

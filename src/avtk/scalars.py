@@ -448,25 +448,15 @@ def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
                 raise GeneratorMismatchError("matrix mixes generator sets")
             union.update(entry.terms)
     monomials = tuple(sorted(union, key=_grlex_key))
+    zero = Fraction(0)  # one shared object for every absent coefficient
     table = tuple(
-        tuple(tuple(entry.terms.get(m, Fraction(0)) for m in monomials) for entry in row)
+        tuple(tuple(entry.terms.get(m, zero) for m in monomials) for entry in row)
         for row in matrix
     )
     return monomials, table
 
 
-def monomial_unflatten(gens: GeneratorSet, monomials, table):
-    """Inverse of :func:`monomial_flatten`."""
-    matrix = []
-    for row in table:
-        out = []
-        for coeffs in row:
-            out.append(FormalScalar(gens, dict(zip(monomials, coeffs))))
-        matrix.append(out)
-    return matrix
-
-
-# -- polynomial gcd machinery ----------------------------------------------
+# -- exact division ---------------------------------------------------------
 
 def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
     """Exact polynomial quotient f/g; raises ValueError if g does not divide f."""
@@ -485,228 +475,3 @@ def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
         quotient = quotient + t
         rem = rem - t * g
     return quotient
-
-
-def _normalise_assoc(f: FormalScalar) -> FormalScalar:
-    """Canonical associate: integer coprime coefficients, positive leading one."""
-    if f.is_zero():
-        return f
-    from math import gcd, lcm
-
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    g = 0
-    for c in f.terms.values():
-        g = gcd(g, c.numerator * (den // c.denominator))
-    scale = Fraction(den, g)
-    _, lead = f.leading_term()
-    if lead < 0:
-        scale = -scale
-    return f * scale
-
-
-def _as_univariate(f: FormalScalar, var: int):
-    """View f as a polynomial in generator ``var``: {degree: coefficient poly}."""
-    out: dict = {}
-    for mono, coeff in f.terms.items():
-        d = mono[var]
-        rest = mono[:var] + (0,) + mono[var + 1 :]
-        bucket = out.setdefault(d, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
-    return {d: FormalScalar(f.gens, terms) for d, terms in out.items()}
-
-
-def _from_univariate(gens: GeneratorSet, var: int, coeffs) -> FormalScalar:
-    total = gens.zero()
-    for d, poly in coeffs.items():
-        shift = FormalScalar(
-            gens, {tuple(d if i == var else 0 for i in range(len(gens))): Fraction(1)}
-        )
-        total = total + poly * shift
-    return total
-
-
-def _gcd_list(polys) -> FormalScalar:
-    acc = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-    return acc
-
-
-def _pseudo_rem(a: dict, b: dict, gens: GeneratorSet) -> dict:
-    """Pseudo-remainder of univariate coefficient dicts (in some variable)."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        new: dict = {}
-        for d, c in r.items():
-            new[d] = lb * c
-        for d, c in b.items():
-            nd = d + dr - db
-            new[nd] = new.get(nd, gens.zero()) - lr * c
-        r = {d: c for d, c in new.items() if not c.is_zero()}
-    return r
-
-
-def poly_gcd(f: FormalScalar, g: FormalScalar) -> FormalScalar:
-    """GCD in Q[generators], returned as the canonical associate.
-
-    Classical primitive Euclidean algorithm: split off contents with
-    respect to the highest generator present, recurse on contents, run
-    pseudo-remainders on primitive parts.  Nonzero constants are units, so
-    gcd(c, h) = 1 for constant c.
-    """
-    if f.gens != g.gens:
-        raise GeneratorMismatchError("gcd of scalars over different generators")
-    gens = f.gens
-    if f.is_zero():
-        return _normalise_assoc(g)
-    if g.is_zero():
-        return _normalise_assoc(f)
-    if f.is_constant() or g.is_constant():
-        return gens.one()
-    var = max(
-        i
-        for i in range(len(gens))
-        if any(m[i] for m in f.terms) or any(m[i] for m in g.terms)
-    )
-    fu = _as_univariate(f, var)
-    gu = _as_univariate(g, var)
-    if max(fu) == 0 or max(gu) == 0:
-        # one of them does not involve var after all: gcd via contents
-        return _normalise_assoc(poly_gcd(_gcd_list(fu.values()), _gcd_list(gu.values())))
-    cf = _gcd_list(fu.values())
-    cg = _gcd_list(gu.values())
-    c = poly_gcd(cf, cg)
-    pf = {d: exact_div(p, cf) for d, p in fu.items()}
-    pg = {d: exact_div(p, cg) for d, p in gu.items()}
-    a, b = (pf, pg) if max(pf) >= max(pg) else (pg, pf)
-    while b:
-        r = _pseudo_rem(a, b, gens)
-        if r:
-            rp = _from_univariate(gens, var, r)
-            content = _gcd_list(r.values())
-            r_prim = _as_univariate(exact_div(rp, content), var)
-        else:
-            r_prim = {}
-        a, b = b, r_prim
-    return _normalise_assoc(c * _from_univariate(gens, var, a))
-
-
-class ScalarFraction:
-    """A quotient of two FormalScalars in canonical reduced form.
-
-    Reduction divides out the polynomial gcd, then scales so the
-    denominator is monic (its graded-lex leading coefficient is 1, hence
-    positive).  Equality is structural on the canonical form.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: FormalScalar, den=None):
-        if den is None:
-            den = num.gens.one()
-        if isinstance(den, (int, Fraction)):
-            den = num.gens.constant(den)
-        if num.gens != den.gens:
-            raise GeneratorMismatchError("fraction parts over different generators")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = num.gens.one()
-        else:
-            g = poly_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
-                num = exact_div(num, g)
-                den = exact_div(den, g)
-            _, lead = den.leading_term()
-            if lead != 1:
-                num = num * (Fraction(1) / lead)
-                den = den * (Fraction(1) / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ScalarFraction is immutable")
-
-    @property
-    def gens(self) -> GeneratorSet:
-        return self.num.gens
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
-    def as_scalar(self) -> FormalScalar:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num / self.den.constant_value()
-
-    def _coerce(self, other):
-        if isinstance(other, ScalarFraction):
-            return other
-        if isinstance(other, FormalScalar):
-            return ScalarFraction(other)
-        if isinstance(other, (int, Fraction)):
-            return ScalarFraction(self.gens.constant(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScalarFraction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ScalarFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScalarFraction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return ScalarFraction(self.num * o.den, self.den * o.num)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"ScalarFraction({str(self)!r})"

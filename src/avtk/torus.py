@@ -27,7 +27,6 @@ from .intlinalg import (
     hnf,
     identity,
     int_kernel,
-    mat_copy,
     mat_eq,
     matmul,
     rank,
@@ -189,34 +188,6 @@ class PolarisedTorus:
         if not mat_eq([list(r) for r in self.gram], standard_gram(D)):
             return None
         return D
-
-    def with_unit_right_block(self) -> "PolarisedTorus":
-        """Ambient base change making the right period block the identity.
-
-        Multiplies the periods on the left by the inverse of the right
-        block, which must be constant and invertible over Q; the lattice
-        and the gram matrix are untouched.  Fails with a diagnostic
-        otherwise: inverting formal entries is not possible in this ring.
-        """
-        n = self.dim
-        R = self.right_block()
-        C = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if not R[i][j].is_constant():
-                    raise PreconditionError(
-                        f"right block entry ({i},{j}) = {R[i][j]} is not constant; "
-                        "cannot invert a formal matrix"
-                    )
-                row.append(R[i][j].constant_value())
-            C.append(row)
-        try:
-            Cinv = rat_inv(C)
-        except ValueError:
-            raise PreconditionError("right period block is singular over Q") from None
-        new_periods = matmul(Cinv, [list(r) for r in self.periods])
-        return PolarisedTorus(self.gens, new_periods, self.gram, self.assumptions)
 
     # -- the polarisation -------------------------------------------------
 
@@ -534,11 +505,6 @@ def pairing_type(E):
             )
         out.append(divs[i])
     return tuple(out)
-
-
-def polarisation_exponent(E):
-    """Largest value in the pairing type (the exponent of the kernel)."""
-    return pairing_type(E)[-1]
 
 
 def restricted_polarisation(T: PolarisedTorus, emb: SubvarietyEmbedding):

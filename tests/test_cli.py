@@ -56,6 +56,41 @@ def test_bad_json_exits_one(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def _curve_doc(**changes):
+    doc = torus_to_doc(PolarisedTorus(G, [[TAU, 3]], standard_gram([3])))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [
+        canonical_json(_curve_doc(gram=[[0, 1.5], [-1.5, 0]])),
+        canonical_json(_curve_doc(gram=[[0, True], [-1, 0]])),
+        canonical_json(_curve_doc(gram=[[0, "3"], [-3, 0]])),
+        canonical_json(_curve_doc(periods=5)),
+        canonical_json(_curve_doc(periods=[5])),
+        canonical_json(_curve_doc(assumptions=7)),
+        b"\xff\xfe not utf-8",
+        None,  # a directory where a document is expected
+    ],
+    ids=["gram-float", "gram-bool", "gram-string", "periods-int", "periods-row-int",
+         "assumptions-int", "not-utf8", "directory"],
+)
+def test_malformed_input_exits_one_without_traceback(contents, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if contents is None:
+        path.mkdir()
+    elif isinstance(contents, bytes):
+        path.write_bytes(contents)
+    else:
+        path.write_text(contents)
+    assert run_cli(["type", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("avtk: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])
@@ -133,6 +168,13 @@ def test_dual_json_report(curve_doc, capsys):
     assert data["payload"]["type"] == [3]
     assert data["payload"]["scalings"] == [3]
     assert "timing_seconds" in data
+
+
+def test_dual_keeps_declared_assumptions(tmp_path, capsys):
+    doc = write_doc(tmp_path / "curve.json", _curve_doc(assumptions="Im(Z) > 0"))
+    assert run_cli(["dual", doc, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["payload"]["torus"]["assumptions"] == "Im(Z) > 0"
 
 
 def test_hom_and_degree(square_doc, tmp_path, capsys):

@@ -1,0 +1,58 @@
+"""Cross-check of the integer linear algebra against sympy, an independent
+implementation.  sympy is a test-only dependency: the module is skipped
+when it is missing, and avtk itself never imports it."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
+
+from avtk.intlinalg import det, hnf, snf  # noqa: E402
+
+entries = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = m if square else draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):  # make rank deficiency common
+        rows[-1] = [draw(st.integers(-3, 3)) * x for x in rows[0]]
+    return rows
+
+
+def _reversed(M):
+    return [row[::-1] for row in M[::-1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_hnf_matches_sympy(A):
+    # sympy's column HNF is upper triangular with pivots from the bottom row
+    # and no zero columns; avtk's is its mirror image, zero columns trailing.
+    # Reversing rows and columns on both sides maps one onto the other.
+    H, _ = hnf(A)
+    keep = [j for j in range(len(A[0])) if any(row[j] for row in H)]
+    ours = [[row[j] for j in keep] for row in H]
+    theirs = hermite_normal_form(sympy.Matrix(_reversed(A)))
+    if keep:
+        assert ours == _reversed(theirs.tolist())
+    else:
+        assert theirs.cols == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_snf_matches_sympy(A):
+    S, _, _ = snf(A)
+    k = min(len(A), len(A[0]))
+    theirs = smith_normal_form(sympy.Matrix(A), domain=sympy.ZZ)
+    assert [S[i][i] for i in range(k)] == [abs(theirs[i, i]) for i in range(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(square=True))
+def test_det_matches_sympy(A):
+    assert det(A) == sympy.Matrix(A).det()

@@ -12,7 +12,6 @@ from avtk.torus import (
     ambient_to_lattice,
     isogeny_degree,
     pairing_type,
-    polarisation_exponent,
     product,
     restricted_polarisation,
     standard_gram,
@@ -67,7 +66,7 @@ def test_polarisation_type_of_standard_forms():
     assert pairing_type(standard_gram([2, 2])) == (2, 2)
     T = curve(5)
     assert T.polarisation_type() == (5,)
-    assert polarisation_exponent(standard_gram([1, 2, 4])) == 4
+    assert pairing_type(standard_gram([1, 2, 4])) == (1, 2, 4)
 
 
 def test_polarising_kernel_orders():
