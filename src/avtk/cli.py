@@ -28,6 +28,7 @@ from .documents import (
     embedding_from_doc,
     fraction_matrix_doc,
     int_matrix_doc,
+    int_matrix_from_doc,
     point_from_doc,
     point_to_doc,
     scalar_matrix_doc,
@@ -293,7 +294,7 @@ def _run_command(args):
 
     if cmd == "degree":
         M = _load_json(args.matrix)
-        payload = {"degree": isogeny_degree([[int(x) for x in row] for row in M])}
+        payload = {"degree": isogeny_degree(int_matrix_from_doc(M))}
         return payload, {"matrix": M}, EXIT_OK
 
     if cmd == "obstruction":

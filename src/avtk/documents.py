@@ -141,6 +141,8 @@ def point_from_doc(doc: dict, torus: PolarisedTorus) -> TorsionPoint:
     if not isinstance(doc, dict) or "coords" not in doc:
         raise DocumentError("point document must be an object with coords")
     basis = doc.get("basis", "lattice")
+    if not isinstance(doc["coords"], list):
+        raise DocumentError("point coords must be a list of fractions")
     coords = [parse_fraction(x) for x in doc["coords"]]
     if basis == "lattice":
         if len(coords) != 2 * torus.dim:
@@ -169,12 +171,21 @@ def embedding_to_doc(emb: SubvarietyEmbedding) -> dict:
 def embedding_from_doc(doc: dict, torus: PolarisedTorus) -> SubvarietyEmbedding:
     if not isinstance(doc, dict) or "columns" not in doc:
         raise DocumentError("embedding document must be an object with columns")
-    cols = [[int(x) for x in row] for row in doc["columns"]]
-    return SubvarietyEmbedding(torus, cols)
+    return SubvarietyEmbedding(torus, int_matrix_from_doc(doc["columns"], "columns"))
 
 
 def int_matrix_doc(M) -> list:
     return [[int(x) for x in row] for row in M]
+
+
+def int_matrix_from_doc(value, what: str = "matrix") -> list:
+    """A non-empty list of equal-length rows of JSON integers, as given."""
+    # bool is an int subclass, and int() would truncate floats and parse strings
+    if not (isinstance(value, list) and value and isinstance(value[0], list)
+            and _is_matrix(value, len(value), len(value[0]))
+            and all(type(x) is int for row in value for x in row)):
+        raise DocumentError(f"{what} must be a list of equal-length rows of integers")
+    return value
 
 
 def scalar_matrix_doc(M) -> list:

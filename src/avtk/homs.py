@@ -10,22 +10,28 @@ inverse is a constant rational matrix, so F is a matrix of polynomials,
 never of rational functions.  The identity on the left half flattens,
 monomial by monomial, into an integer linear system whose kernel is the
 whole homomorphism module.
+
+An isomorphism is an integer combination of the module's generators
+whose rational representation is unimodular.  isom_search looks for one
+with the pencil engine of ``parallel``, which computes the determinant
+of the combination once, as a polynomial in its coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
 from math import lcm
 
 from .errors import PreconditionError
 from .intlinalg import (
+    combination,
     det,
-    det_mod2,
     flatten_to_int,
     int_kernel,
+    integer_terms,
     mat_eq,
     matmul,
+    pencil,
     rat_inv,
     saturate_columns,
     transpose,
@@ -37,7 +43,7 @@ from .torus import (
     SubvarietyEmbedding,
     restricted_polarisation,
 )
-from .parallel import coefficient_values, run_search
+from .parallel import coefficient_values, pencil_search
 from .verdicts import Found, NoHoms, NotFoundUpToBound
 
 
@@ -268,45 +274,21 @@ def complementary_subvariety(emb: SubvarietyEmbedding) -> SubvarietyEmbedding:
 
 # -- bounded isomorphism search ------------------------------------------------
 
-def _isom_slab(args):
-    common, first_values, base = args
-    mats, size, bound, polarised, gram_x, gram_y, parities = common
-    r = len(mats)
-    values = coefficient_values(bound)
-    stride = len(values) ** (r - 1)
-    for fi, first in enumerate(first_values):
-        for ri, tail in enumerate(
-            iter_product(values, repeat=r - 1) if r > 1 else [()]
-        ):
-            c = (first,) + tail
-            if all(v == 0 for v in c):
-                continue
-            if parities is not None and tuple(v & 1 for v in c) not in parities:
-                continue
-            M = [[sum(c[g] * mats[g][i][j] for g in range(r)) for j in range(size)]
-                 for i in range(size)]
-            d = det(M)
-            if d != 1 and d != -1:
-                continue
-            if polarised:
-                pulled = matmul(transpose(M), matmul(gram_y, M))
-                if not mat_eq(pulled, gram_x):
-                    continue
-            return ((base + fi) * stride + ri, (c, tuple(tuple(row) for row in M)))
-    return None
-
-
 def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
                 polarised: bool = False):
     """Bounded search for an isomorphism X -> Y among integer combinations
     of the Hom generators.
 
-    A combination is a witness when its rational representation is
-    unimodular (and additionally pulls the polarisation of Y back to that
-    of X when ``polarised`` is set).  Returns Found with the first witness
-    in the deterministic coefficient order, NotFoundUpToBound, or NoHoms
-    when the homomorphism module is trivial.  A parity filter modulo 2
-    discards most non-unimodular candidates before any determinant work.
+    A combination sum(c_i * M_i) of the generators' rational
+    representations is a witness when it is unimodular (and additionally
+    pulls the polarisation of Y back to that of X when ``polarised`` is
+    set).  The search runs on the pencil engine (parallel.pencil_search):
+    det(sum(c_i * M_i)) is computed once as a polynomial in c, and the
+    pull-back condition as the entries of M^T E_Y M - E_X, which must
+    vanish.  Returns Found with the first witness in the deterministic
+    coefficient order, NotFoundUpToBound, or NoHoms when the homomorphism
+    module is trivial.  The witness is rebuilt from its coefficients and
+    checked with the integer determinant before being returned.
     """
     if bound < 1:
         raise PreconditionError("search bound must be at least 1")
@@ -315,22 +297,22 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
         return NoHoms()
     if X.dim != Y.dim:
         return NotFoundUpToBound(bound=bound, tested=0)
-    size = 2 * X.dim
-    r = len(gens)
-    mats = tuple(g.rational_rep for g in gens)
-    parities = None
-    if r <= 10:
-        parities = set()
-        for eps in iter_product((0, 1), repeat=r):
-            M = [[sum(eps[g] * mats[g][i][j] for g in range(r)) % 2
-                  for j in range(size)] for i in range(size)]
-            if det_mod2(M):
-                parities.add(eps)
-    common = (mats, size, bound, polarised,
-              [list(r_) for r_ in X.gram], [list(r_) for r_ in Y.gram], parities)
-    hit = run_search(_isom_slab, common, r, bound)
-    total = len(coefficient_values(bound)) ** r
+    mats = [g.rational_rep for g in gens]
+    gram_x = [list(row) for row in X.gram]
+    gram_y = [list(row) for row in Y.gram]
+    zero = ()
+    if polarised:  # M^T E_Y M - E_X is alternating: its upper triangle decides
+        P = pencil(mats)
+        pulled = matmul(transpose(P), matmul(gram_y, P))
+        zero = [integer_terms(pulled[i][j] - gram_x[i][j])
+                for i in range(len(P)) for j in range(i + 1, len(P))]
+    hit = pencil_search(mats, bound, zero=zero)
     if hit is None:
-        return NotFoundUpToBound(bound=bound, tested=total)
-    index, (c, M) = hit
-    return Found(witness=M, coefficients=c, tested=index + 1)
+        return NotFoundUpToBound(bound=bound, tested=len(coefficient_values(bound)) ** len(mats))
+    index, c = hit
+    M = combination(c, mats)
+    if det(M) not in (1, -1):
+        raise AssertionError("witness is not unimodular")
+    if polarised and not mat_eq(matmul(transpose(M), matmul(gram_y, M)), gram_x):
+        raise AssertionError("witness does not pull the polarisation back")
+    return Found(witness=tuple(tuple(row) for row in M), coefficients=c, tested=index + 1)

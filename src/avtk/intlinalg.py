@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import PreconditionError, RankDeficiencyError
-from .scalars import FormalScalar, GeneratorSet, monomial_flatten
+from .scalars import FormalScalar, GeneratorSet, exact_div, monomial_flatten
 
 
 # -- basic matrix helpers ----------------------------------------------------
@@ -166,6 +166,70 @@ def det_mod2(M):
                 for j in range(k, n):
                     A[i][j] ^= A[k][j]
     return 1
+
+
+# -- integer matrix pencils --------------------------------------------------
+
+def combination(coefficients, mats):
+    """The integer matrix sum(c_g * mats[g])."""
+    m, n = shape(mats[0])
+    pairs = list(zip(coefficients, mats))
+    return [[sum(c * A[i][j] for c, A in pairs) for j in range(n)] for i in range(m)]
+
+
+def pencil(mats):
+    """sum(c_g * mats[g]) as a matrix of polynomials in generators c0, c1, ..."""
+    r = len(mats)
+    gens = GeneratorSet(f"c{g}" for g in range(r))
+    units = [tuple(int(h == g) for h in range(r)) for g in range(r)]
+    m, n = shape(mats[0])
+    return [[FormalScalar(gens, {units[g]: mats[g][i][j] for g in range(r)})
+             for j in range(n)] for i in range(m)]
+
+
+def integer_terms(p: FormalScalar):
+    """A polynomial with integer coefficients as (coefficient, exponents) pairs."""
+    out = []
+    for mono in p.monomials():
+        coeff = p.terms[mono]
+        if coeff.denominator != 1:
+            raise AssertionError(f"{p} has a non-integer coefficient")
+        out.append((coeff.numerator, mono))
+    return out
+
+
+def det_polynomial(mats):
+    """det(sum(c_g * mats[g])) as (int coefficient, exponent tuple) pairs.
+
+    Fraction-free Bareiss elimination over polynomials in c0 ... c_{r-1}:
+    every intermediate entry is a minor of the pencil, so each division
+    is exact.  A pivot that is the zero polynomial is replaced by a later
+    row; the zero polynomial (no pairs) means every member is singular.
+    """
+    A = pencil(mats)
+    n = len(A)
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        if A[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not A[r][k].is_zero():
+                    A[k], A[r] = A[r], A[k]
+                    negate = not negate
+                    break
+            else:
+                return []
+        pivot = A[k][k]
+        for i in range(k + 1, n):
+            below = A[i][k]
+            for j in range(k + 1, n):
+                num = A[i][j] * pivot
+                if not (below.is_zero() or A[k][j].is_zero()):  # pencils are sparse
+                    num = num - below * A[k][j]
+                A[i][j] = num if prev is None or num.is_zero() else exact_div(num, prev)
+        prev = pivot
+    d = A[n - 1][n - 1]
+    return integer_terms(-d if negate else d)
 
 
 # -- Hermite and Smith forms -------------------------------------------------
@@ -573,21 +637,18 @@ def flatten_to_int(*matrices):
             row.extend(M[i])
         combined.append(row)
     monomials, table = monomial_flatten(combined)
-    denom = 1
-    for row in table:
-        for coeffs in row:
-            for c in coeffs:
-                denom = lcm(denom, c.denominator)
+    denom = lcm(*{c.denominator for row in combined for x in row for c in x.terms.values()})
     outs = []
     offset = 0
     for M, w in zip(matrices, widths):
         if monomials:
             flat = []
             for i in range(nrows):
+                cells = table[i][offset : offset + w]
                 for k in range(len(monomials)):
-                    flat.append(
-                        [int(table[i][offset + j][k] * denom) for j in range(w)]
-                    )
+                    # most cells are the shared zero: skip the Fraction multiply
+                    flat.append([cell[k].numerator * (denom // cell[k].denominator)
+                                 if cell[k] else 0 for cell in cells])
         else:  # every entry of every input is zero
             flat = [[0] * w for _ in range(max(nrows, 1))]
         outs.append(flat)

@@ -1,4 +1,17 @@
-"""Deterministic slab partitioning for the bounded coefficient searches.
+"""The bounded coefficient search over an integer matrix pencil.
+
+Both bounded searches ask for the first integer vector c, |c_i| <= bound,
+whose pencil member sum(c_i * C_i) is unimodular and meets side
+conditions that are polynomial in c: an isomorphism search may also ask
+that a form pulls back (polynomials that must vanish), the principal
+polarisation search that the leading principal minors of a symmetric
+matrix are positive.  pencil_search computes det(sum(c_i * C_i)) once,
+as a polynomial, and evaluates it and the side conditions per candidate.
+
+Before any enumeration it rules out whole searches: when the coefficients
+of the determinant have a common factor above 1 no member is unimodular,
+and a table of the parity vectors at which the determinant is odd skips
+most candidates without evaluating anything else.
 
 Coefficient vectors are enumerated with each coordinate running through
 0, 1, -1, 2, -2, ..., bound, -bound, lexicographically.  The search can be
@@ -13,6 +26,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product as iter_product
+from math import gcd
+
+from .intlinalg import det_polynomial
+
+PARITY_RANK_CAP = 10  # the parity table has 2**rank entries
 
 
 def coefficient_values(bound: int):
@@ -57,3 +76,63 @@ def run_search(worker, common, rank: int, bound: int):
     if not hits:
         return None
     return min(hits, key=lambda h: h[0])
+
+
+def _sparse(terms):
+    """(coefficient, ((variable, exponent), ...)) with zero exponents dropped."""
+    return tuple(
+        (coeff, tuple((g, e) for g, e in enumerate(mono) if e)) for coeff, mono in terms
+    )
+
+
+def _evaluate(sparse_terms, c) -> int:
+    total = 0
+    for coeff, factors in sparse_terms:
+        for g, e in factors:
+            coeff *= c[g] ** e
+        total += coeff
+    return total
+
+
+def _pencil_slab(args):
+    (rank, bound, det_p, positive, zero, parities), first_values, base = args
+    values = coefficient_values(bound)
+    stride = len(values) ** (rank - 1)
+    for fi, first in enumerate(first_values):
+        for ri, tail in enumerate(iter_product(values, repeat=rank - 1)):
+            c = (first,) + tail
+            if parities is not None and tuple(v & 1 for v in c) not in parities:
+                continue
+            d = _evaluate(det_p, c)
+            if d != 1 and d != -1:
+                continue
+            if any(_evaluate(p, c) <= 0 for p in positive):
+                continue
+            if any(_evaluate(p, c) for p in zero):
+                continue
+            return ((base + fi) * stride + ri, c)
+    return None
+
+
+def pencil_search(mats, bound: int, positive=(), zero=()):
+    """(global_index, c) of the first c with sum(c_i * mats[i]) unimodular.
+
+    positive and zero are polynomials in c as (coefficient, exponents)
+    pairs, the form det_polynomial returns: a hit must make every
+    ``positive`` one > 0 and every ``zero`` one vanish.  Returns None when
+    no vector with coordinates up to ``bound`` qualifies, without
+    enumerating when the determinant's coefficients share a factor.
+    """
+    det_terms = det_polynomial(mats)
+    if not det_terms or gcd(*(coeff for coeff, _ in det_terms)) > 1:
+        return None
+    rank = len(mats)
+    det_p = _sparse(det_terms)
+    parities = None
+    if rank <= PARITY_RANK_CAP:
+        parities = frozenset(
+            e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1
+        )
+    common = (rank, bound, det_p, tuple(_sparse(p) for p in positive),
+              tuple(_sparse(p) for p in zero), parities)
+    return run_search(_pencil_slab, common, rank, bound)

@@ -7,17 +7,26 @@ of Ahat.  Containment of the image lattice is linear in the entries of
 H, so phase one solves it once and for all: the admissible symmetric
 matrices form a lattice, usually of very small rank.  Positivity and
 surjectivity are not linear, so phase two enumerates bounded integer
-combinations of that family and tests the two remaining conditions,
-both of which reduce to integer determinants.
+combinations of that family on the pencil engine of ``parallel``: the
+coordinate determinant (surjectivity) and the leading principal minors
+(positivity) are computed once as polynomials in the coefficients and
+evaluated per candidate.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-
 from .errors import PreconditionError
-from .intlinalg import det, flatten_to_int, hnf, int_kernel, matmul, span_equal
-from .parallel import coefficient_values, run_search
+from .intlinalg import (
+    combination,
+    det,
+    det_polynomial,
+    flatten_to_int,
+    hnf,
+    int_kernel,
+    matmul,
+    span_equal,
+)
+from .parallel import coefficient_values, pencil_search
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
 
@@ -48,7 +57,7 @@ class PPCandidate:
         )
 
     def is_positive_definite(self) -> bool:
-        return _positive_definite([list(r) for r in self.H])
+        return all(m > 0 for m in self.leading_minors())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PPCandidate) and self.H == other.H
@@ -58,16 +67,6 @@ class PPCandidate:
 
     def __repr__(self) -> str:
         return f"PPCandidate({self.H!r})"
-
-
-def _positive_definite(H) -> bool:
-    if H[0][0] <= 0:
-        return False
-    n = len(H)
-    for k in range(2, n + 1):
-        if det([[H[i][j] for j in range(k)] for i in range(k)]) <= 0:
-            return False
-    return True
 
 
 class AdmissibleFamily:
@@ -106,11 +105,7 @@ class AdmissibleFamily:
         """The symmetric matrix sum(c_i * basis_i)."""
         if len(coefficients) != self.rank:
             raise PreconditionError("one coefficient per basis element required")
-        n = self.source.dim
-        return [
-            [sum(c * B[i][j] for c, B in zip(coefficients, self.basis)) for j in range(n)]
-            for i in range(n)
-        ]
+        return combination(coefficients, self.basis)
 
 
 def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFamily:
@@ -175,41 +170,19 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     return AdmissibleFamily(A, Ahat, basis, coords)
 
 
-def _pp_slab(args):
-    common, first_values, base = args
-    basis, coords, n, bound = common
-    r = len(basis)
-    values = coefficient_values(bound)
-    stride = len(values) ** (r - 1)
-    for fi, first in enumerate(first_values):
-        for ri, tail in enumerate(
-            iter_product(values, repeat=r - 1) if r > 1 else [()]
-        ):
-            c = (first,) + tail
-            if all(v == 0 for v in c):
-                continue
-            H = [[sum(c[g] * basis[g][i][j] for g in range(r)) for j in range(n)]
-                 for i in range(n)]
-            if not _positive_definite(H):
-                continue
-            C = [[sum(c[g] * coords[g][i][j] for g in range(r)) for j in range(2 * n)]
-                 for i in range(2 * n)]
-            d = det(C)
-            if d != 1 and d != -1:
-                continue
-            return ((base + fi) * stride + ri, (c, tuple(tuple(row) for row in H)))
-    return None
-
-
 def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
               family: AdmissibleFamily | None = None):
     """Bounded search for a principal polarisation on A relative to Ahat.
 
-    Enumerates integer combinations of the admissible family with
-    coefficients up to ``bound`` in absolute value; a hit must be
-    positive definite (leading principal minors) and carry the lattice
-    of A onto the lattice of Ahat (coordinate determinant +-1).  The
-    witness is re-verified symbolically before being returned.
+    Enumerates integer combinations sum(c_i * B_i) of the admissible
+    family with coefficients up to ``bound`` in absolute value; a hit
+    carries the lattice of A onto the lattice of Ahat (coordinate
+    determinant det(sum(c_i * C_i)) = +-1) and is positive definite
+    (leading principal minors > 0).  The search runs on the pencil engine
+    (parallel.pencil_search): the coordinate determinant and the minors
+    are computed once as polynomials in c.  The witness is rebuilt from
+    its coefficients and re-verified, symbolically and with integer
+    determinants, before being returned.
     """
     if bound < 1:
         raise PreconditionError("search bound must be at least 1")
@@ -219,15 +192,18 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     if r == 0:
         return NotFoundUpToBound(bound=bound, tested=0)
     n = A.dim
-    common = (family.basis, family.coordinates, n, bound)
-    hit = run_search(_pp_slab, common, r, bound)
+    minors = [det_polynomial([[row[:k] for row in B[:k]] for B in family.basis])
+              for k in range(1, n + 1)]
+    hit = pencil_search(family.coordinates, bound, positive=minors)
     if hit is None:
         return NotFoundUpToBound(bound=bound, tested=len(coefficient_values(bound)) ** r)
-    index, (c, H) = hit
-    candidate = PPCandidate(H)
-    if any(m <= 0 for m in candidate.leading_minors()):
+    index, c = hit
+    candidate = PPCandidate(family.member(c))
+    if not candidate.is_positive_definite():
         raise AssertionError("witness is not positive definite")
-    image = matmul([list(row) for row in H], [list(row) for row in A.periods])
+    if det(combination(c, family.coordinates)) not in (1, -1):
+        raise AssertionError("witness coordinates are not unimodular")
+    image = matmul([list(row) for row in candidate.H], [list(row) for row in A.periods])
     if not span_equal(image, [list(row) for row in Ahat.periods], A.gens):
         raise AssertionError("witness does not carry the lattice onto the target")
     return Found(witness=candidate, coefficients=c, tested=index + 1)

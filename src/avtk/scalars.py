@@ -462,16 +462,22 @@ def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
     """Exact polynomial quotient f/g; raises ValueError if g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    gens = f.gens
-    quotient = gens.zero()
-    rem = f
     g_mono, g_coeff = g.leading_term()
-    while not rem.is_zero():
-        r_mono, r_coeff = rem.leading_term()
+    g_terms = list(g.terms.items())
+    rem = dict(f.terms)
+    quotient = {}
+    while rem:
+        r_mono = max(rem, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(r_mono, g_mono))
         if any(d < 0 for d in diff):
             raise ValueError(f"{g} does not divide {f}")
-        t = FormalScalar(gens, {diff: r_coeff / g_coeff})
-        quotient = quotient + t
-        rem = rem - t * g
-    return quotient
+        q = rem[r_mono] / g_coeff
+        quotient[diff] = q
+        for mono, coeff in g_terms:  # rem -= q * x^diff * g, in place
+            m = tuple(a + b for a, b in zip(diff, mono))
+            new = rem.get(m, 0) - q * coeff
+            if new:
+                rem[m] = new
+            else:
+                del rem[m]
+    return FormalScalar(f.gens, quotient)

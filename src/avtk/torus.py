@@ -438,7 +438,9 @@ class SubvarietyEmbedding:
             raise PreconditionError("sublattice rows must match the torus lattice rank")
         if m2 % 2:
             raise PreconditionError("sublattice rank must be even")
-        cols = [[int(x) for x in row] for row in columns]
+        if any(type(x) is not int for row in columns for x in row):
+            raise PreconditionError("sublattice columns must have integer entries")
+        cols = [list(row) for row in columns]
         if m2:
             if rank(cols) != m2:
                 raise PreconditionError("sublattice columns are dependent")
@@ -525,6 +527,8 @@ def restricted_polarisation(T: PolarisedTorus, emb: SubvarietyEmbedding):
 
 def isogeny_degree(M) -> int:
     """|det| of a rational representation; zero determinant is an error."""
+    if any(len(r) != len(M) for r in M):
+        raise PreconditionError("an isogeny matrix must be square")
     d = det([list(r) for r in M])
     if d == 0:
         raise PreconditionError("matrix has determinant zero, not an isogeny")

@@ -63,21 +63,32 @@ def _curve_doc(**changes):
 
 
 @pytest.mark.parametrize(
-    "contents",
+    "argv,contents",
     [
-        canonical_json(_curve_doc(gram=[[0, 1.5], [-1.5, 0]])),
-        canonical_json(_curve_doc(gram=[[0, True], [-1, 0]])),
-        canonical_json(_curve_doc(gram=[[0, "3"], [-3, 0]])),
-        canonical_json(_curve_doc(periods=5)),
-        canonical_json(_curve_doc(periods=[5])),
-        canonical_json(_curve_doc(assumptions=7)),
-        b"\xff\xfe not utf-8",
-        None,  # a directory where a document is expected
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, 1.5], [-1.5, 0]])),
+                     id="gram-float"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, True], [-1, 0]])),
+                     id="gram-bool"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, "3"], [-3, 0]])),
+                     id="gram-string"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=5)), id="periods-int"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[5])),
+                     id="periods-row-int"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(assumptions=7)),
+                     id="assumptions-int"),
+        pytest.param(["type", "BAD"], b"\xff\xfe not utf-8", id="not-utf8"),
+        # a directory where a document is expected
+        pytest.param(["type", "BAD"], None, id="directory"),
+        pytest.param(["sub", "SQUARE", "BAD"],
+                     canonical_json({"columns": [[1, 0], [0, 0], [0, 1.5], [0, 0]]}),
+                     id="embedding-float"),
+        pytest.param(["degree", "BAD"], "5", id="degree-int"),
+        pytest.param(["quotient", "SQUARE", "BAD"], canonical_json({"coords": 5}),
+                     id="point-coords-int"),
     ],
-    ids=["gram-float", "gram-bool", "gram-string", "periods-int", "periods-row-int",
-         "assumptions-int", "not-utf8", "directory"],
 )
-def test_malformed_input_exits_one_without_traceback(contents, tmp_path, capsys):
+def test_malformed_input_exits_one_without_traceback(argv, contents, square_doc, tmp_path,
+                                                      capsys):
     path = tmp_path / "bad.json"
     if contents is None:
         path.mkdir()
@@ -85,7 +96,8 @@ def test_malformed_input_exits_one_without_traceback(contents, tmp_path, capsys)
         path.write_bytes(contents)
     else:
         path.write_text(contents)
-    assert run_cli(["type", str(path)]) == 1
+    argv = [{"BAD": str(path), "SQUARE": square_doc}.get(a, a) for a in argv]
+    assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("avtk: ") and err.count("\n") == 1

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from avtk.errors import PreconditionError, RankDeficiencyError
 from avtk.intlinalg import (
     as_scalar_matrix,
+    combination,
     det,
     det_mod2,
+    det_polynomial,
     elementary_divisors,
     flatten_to_int,
     hnf,
@@ -88,6 +90,51 @@ def test_det_mod2_agrees_with_det():
         n = rng.randint(1, 5)
         M = random_matrix(rng, n, n)
         assert det_mod2(M) == det(M) % 2
+
+
+# -- determinant polynomials of pencils ------------------------------------------
+
+def evaluate(terms, c):
+    total = 0
+    for coeff, mono in terms:
+        for v, e in zip(c, mono):
+            coeff *= v ** e
+        total += coeff
+    return total
+
+
+def test_det_polynomial_golden():
+    # det(c0 * I + c1 * J) with J a quarter turn is c0^2 + c1^2
+    assert sorted(det_polynomial([identity(2), [[0, -1], [1, 0]]])) == [
+        (1, (0, 2)), (1, (2, 0))]
+    # a zero leading entry in every member forces a row swap
+    assert det_polynomial([[[0, 1], [1, 0]]]) == [(-1, (2,))]
+    # members sharing a kernel vector are all singular: the zero polynomial
+    assert det_polynomial([[[1, 0], [2, 0]], [[3, 0], [1, 0]]]) == []
+
+
+@st.composite
+def pencils(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=1, max_value=3))
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    mats = draw(st.lists(square, min_size=r, max_size=r))
+    if draw(st.booleans()):  # a zero pivot in every member forces row swaps
+        for M in mats:
+            M[0][0] = 0
+    points = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                           min_size=1, max_size=5))
+    return mats, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils())
+def test_det_polynomial_evaluates_to_the_det_of_each_member(case):
+    mats, points = case
+    terms = det_polynomial(mats)
+    for c in points:
+        assert evaluate(terms, c) == det(combination(c, mats))
 
 
 # -- Hermite form -------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
 
 from avtk import parallel
+from avtk.demos import run_demo
+from avtk.documents import torus_from_doc
 from avtk.homs import isom_search
 from avtk.ppsearch import admissible_family, pp_search
 from avtk.scalars import GeneratorSet
@@ -77,6 +79,24 @@ def test_pool_is_sized_to_the_slabs(monkeypatch, bound, slabs):
     _InlinePool.sizes = []
     assert parallel.run_search(_first_nonzero, None, 2, bound) == (1, 1)
     assert _InlinePool.sizes == [slabs]  # one value per slab, not 64 workers
+
+
+# -- the pencil engine's prefilter -----------------------------------------------
+
+def test_common_factor_of_the_determinant_skips_the_enumeration(monkeypatch):
+    ex41 = run_demo("ex-4.1", n=3, bound=1)
+    X = torus_from_doc(ex41.documents["quotient-standard"])
+    Xhat = torus_from_doc(ex41.documents["dual"])
+
+    def no_enumeration(*args):
+        raise AssertionError("the search enumerated candidates")
+
+    monkeypatch.setattr(parallel, "run_search", no_enumeration)
+    res = isom_search(X, Xhat, bound=2)
+    # det(sum c_i M_i) has content 9, so no member is unimodular; the count
+    # is the one an exhaustive run reports (End has rank 5)
+    assert isinstance(res, NotFoundUpToBound)
+    assert res.tested == 5 ** 5
 
 
 # -- the parallel path agrees with the sequential one ----------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
-from avtk.intlinalg import det, hnf, snf  # noqa: E402
+from avtk.intlinalg import det, det_polynomial, hnf, snf  # noqa: E402
 
 entries = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
 
@@ -56,3 +56,22 @@ def test_snf_matches_sympy(A):
 @given(int_matrices(square=True))
 def test_det_matches_sympy(A):
     assert det(A) == sympy.Matrix(A).det()
+
+
+@st.composite
+def pencils(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=1, max_value=3))
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(st.lists(square, min_size=r, max_size=r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pencils())
+def test_det_polynomial_matches_sympy(mats):
+    c = sympy.symbols(f"c0:{len(mats)}")
+    member = sum((ci * sympy.Matrix(M) for ci, M in zip(c, mats)),
+                 sympy.zeros(len(mats[0])))
+    theirs = sympy.Poly(member.det().expand(), *c).terms()
+    assert sorted(det_polynomial(mats)) == sorted(
+        (int(coeff), mono) for mono, coeff in theirs if coeff != 0)
