@@ -38,7 +38,7 @@ from .documents import (
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
 from .errors import DocumentError, PreconditionError, ScalarParseError
 from .homs import complementary_subvariety, hom_module, idempotent, isom_search
-from .ppsearch import admissible_family, obstruction_check, pp_search
+from .ppsearch import admissible_family, obstruction_report, pp_search
 from .torus import isogeny_degree, restricted_polarisation
 from .verdicts import Found, NoHoms
 
@@ -298,10 +298,7 @@ def _run_command(args):
         return payload, {"matrix": M}, EXIT_OK
 
     if cmd == "obstruction":
-        value = obstruction_check(args.d)
-        squares = sorted({(x * x) % args.d for x in range(args.d)})
-        payload = {"d": args.d, "obstruction": value, "squares": squares}
-        return payload, {"d": args.d}, EXIT_OK
+        return obstruction_report(args.d), {"d": args.d}, EXIT_OK
 
     if cmd == "demo":
         if args.list or args.name is None:

@@ -22,7 +22,13 @@ from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphi
 from .errors import PreconditionError
 from .homs import complementary_subvariety, hom_module, idempotent, isom_search
 from .intlinalg import det, matmul, span_equal, transpose
-from .ppsearch import admissible_family, obstruction_check, pp_search
+from .ppsearch import (
+    MAX_MODULUS,
+    admissible_family,
+    obstruction_check,
+    obstruction_report,
+    pp_search,
+)
 from .scalars import GeneratorSet
 from .torus import (
     PolarisedTorus,
@@ -32,7 +38,7 @@ from .torus import (
     product,
     restricted_polarisation,
     standard_gram,
-    subgroup_elements,
+    subgroup_lattice,
 )
 from .verdicts import Found, NotFoundUpToBound
 
@@ -162,11 +168,13 @@ def _quotient_pipeline(gens, E, factors, dtype, checks, payload):
     qres = prod.quotient(point)
     A = qres.torus
     _check("quotient type", A.polarisation_type() == dtype, checks)
-    group = subgroup_elements([point], 2 * n)
-    _check("quotient degree", len(group) == dn, checks)
-    comp = prod.symplectic_complement([point])
-    pushed = frozenset(qres.push_point(x) for x in subgroup_elements(comp, 2 * n))
-    _check("quotient kernel equals pushed complement", pushed == frozenset(A.kernel_elements()), checks)
+    _check("quotient degree", 1 / abs(det(subgroup_lattice([point], 2 * n))) == dn, checks)
+    # a push-forward is a group map, so pushing the complement's generators
+    # generates the pushed complement; equal subgroups have equal lattices
+    pushed = [qres.push_point(x) for x in prod.symplectic_complement([point])]
+    _check("quotient kernel equals pushed complement",
+           subgroup_lattice(pushed, 2 * n) == subgroup_lattice(A.polarising_kernel(), 2 * n),
+           checks)
     payload["product_type"] = list(expected_product_type)
     payload["quotient_type"] = list(dtype)
     return prod, point, qres, A
@@ -440,12 +448,9 @@ def demo_remark_3_3() -> DemoResult:
 
 def demo_obstruction_table(max_d: int = 20) -> DemoResult:
     checks, payload = {}, {}
-    if max_d < 2:
-        raise PreconditionError("table needs max_d at least 2")
-    table = []
-    for d in range(2, max_d + 1):
-        squares = sorted({(x * x) % d for x in range(d)})
-        table.append({"d": d, "obstruction": obstruction_check(d), "squares": squares})
+    if not 2 <= max_d <= MAX_MODULUS:
+        raise PreconditionError(f"table needs max_d between 2 and {MAX_MODULUS}")
+    table = [obstruction_report(d) for d in range(2, max_d + 1)]
     by_d = {row["d"]: row["obstruction"] for row in table}
     if max_d >= 3:
         _check("d = 3 obstructed", by_d[3] is True, checks)

@@ -76,9 +76,11 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
     for key in ("generators", "dim", "periods"):
         if key not in doc:
             raise DocumentError(f"torus document is missing {key!r}")
+    if not isinstance(doc["generators"], list):  # a string would be read as one-letter names
+        raise DocumentError("generators must be a list of names")
     try:
-        gens = GeneratorSet(tuple(doc["generators"]))
-    except Exception as exc:
+        gens = GeneratorSet(doc["generators"])
+    except ValueError as exc:
         raise DocumentError(f"bad generator list: {exc}") from None
     n = doc["dim"]
     if not isinstance(n, int) or n < 1:

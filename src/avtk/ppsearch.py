@@ -209,13 +209,29 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     return Found(witness=candidate, coefficients=c, tested=index + 1)
 
 
+# The obstruction-table demo builds the squares modulo every d up to its
+# bound, about 150k residues in all at this cap.
+MAX_MODULUS = 1000
+
+
+def obstruction_report(d: int) -> dict:
+    """The squares modulo d, ascending, and whether -1 is not among them.
+
+    Returns {"d": d, "obstruction": bool, "squares": list}.  Building the
+    squares takes d steps, so d above MAX_MODULUS is rejected.
+    """
+    if d < 2:
+        raise PreconditionError("modulus must be at least 2")
+    if d > MAX_MODULUS:
+        raise PreconditionError(f"modulus must be at most {MAX_MODULUS}, got {d}")
+    squares = {(x * x) % d for x in range(d)}
+    return {"d": d, "obstruction": d - 1 not in squares, "squares": sorted(squares)}
+
+
 def obstruction_check(d: int) -> bool:
     """True when -1 is not a square modulo d.
 
     When true, d*k*m - h*h = 1 has no integer solutions, which rules out
     unimodular members in families whose determinant has that shape.
     """
-    if d < 2:
-        raise PreconditionError("modulus must be at least 2")
-    squares = {(x * x) % d for x in range(d)}
-    return (d - 1) % d not in squares
+    return obstruction_report(d)["obstruction"]

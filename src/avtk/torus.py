@@ -221,7 +221,12 @@ class PolarisedTorus:
         return W, orders
 
     def kernel_elements(self):
-        """Every element of the polarising kernel (small groups only)."""
+        """Every element of the polarising kernel, as a set of points.
+
+        The kernel has prod(d_i)^2 elements for type (d_1, ..., d_n), so
+        this is a test oracle for small groups; compare kernels with
+        ``subgroup_lattice(self.polarising_kernel(), 2 * self.dim)``.
+        """
         W, orders = self._kernel_basis()
         m = 2 * self.dim
         points = set()
@@ -254,11 +259,8 @@ class PolarisedTorus:
                     f"point is not in the polarising kernel: pairing with basis "
                     f"vector {j} gives {val}"
                 )
-        k = point.order
-        ext = [[k if i == j else 0 for j in range(m)] + [int(k * lift[i])] for i in range(m)]
-        H, _ = hnf(ext)
-        B = [[Fraction(H[i][j], k) for j in range(m)] for i in range(m)]
-        if abs(det(B)) != Fraction(1, k):
+        B = subgroup_lattice([point], m)
+        if abs(det(B)) != Fraction(1, point.order):
             raise AssertionError("quotient basis has wrong index")
         new_periods = matmul([list(r) for r in self.periods], B)
         new_gram_q = matmul(transpose(B), matmul([list(r) for r in self.gram], B))
@@ -600,8 +602,32 @@ def ambient_to_lattice(T: PolarisedTorus, vector):
     return sol
 
 
+def subgroup_lattice(points, dim):
+    """Canonical basis of the lattice Z^dim + <lifts of points>.
+
+    A finite subgroup of (Q/Z)^dim is this lattice modulo Z^dim, so two
+    subgroups are equal exactly when their bases are equal, and the
+    group order is 1/|det|.  The basis is the column Hermite form of N*L
+    divided by N, with N the exponent of the group; HNF(N*L) = N*HNF(L),
+    so the result does not depend on N.  Returns a dim x dim Fraction
+    matrix whose columns are the basis.
+    """
+    if any(len(p.coords) != dim for p in points):
+        raise PreconditionError("point dimension does not match the lattice")
+    N = lcm(*(p.order for p in points))
+    gens = [[N if i == j else 0 for j in range(dim)] + [int(N * p.coords[i]) for p in points]
+            for i in range(dim)]
+    H, _ = hnf(gens)
+    return [[Fraction(H[i][j], N) for j in range(dim)] for i in range(dim)]
+
+
 def subgroup_elements(points, dim):
-    """All elements of the finite group generated by torsion points."""
+    """All elements of the finite group generated by torsion points.
+
+    The group can have as many elements as the product of the orders, so
+    this is a test oracle for small groups; ``subgroup_lattice`` describes
+    the same group by one Hermite basis.
+    """
     elems = {TorsionPoint([Fraction(0)] * dim)}
     for g in points:
         current = list(elems)

@@ -7,6 +7,7 @@ import pytest
 
 from avtk import cli
 from avtk.documents import canonical_json, point_to_doc, torus_to_doc
+from avtk.ppsearch import MAX_MODULUS
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, TorsionPoint, product, standard_gram
 
@@ -85,6 +86,11 @@ def _curve_doc(**changes):
         pytest.param(["degree", "BAD"], "5", id="degree-int"),
         pytest.param(["quotient", "SQUARE", "BAD"], canonical_json({"coords": 5}),
                      id="point-coords-int"),
+        # a string of generators used to be read as one-letter names t, a, u
+        pytest.param(["type", "BAD"],
+                     canonical_json({"generators": "tau", "dim": 1, "periods": [["t*a", "1"]],
+                                     "gram": [[0, 1], [-1, 0]]}),
+                     id="generators-str"),
     ],
 )
 def test_malformed_input_exits_one_without_traceback(argv, contents, square_doc, tmp_path,
@@ -222,6 +228,15 @@ def test_elliptic_formal_certificate(capsys):
 def test_obstruction_subcommand(capsys):
     assert run_cli(["obstruction", "3"]) == 0
     assert "obstruction: True" in capsys.readouterr().out
+
+
+def test_obstruction_rejects_a_modulus_above_the_cap(capsys):
+    assert run_cli(["obstruction", str(MAX_MODULUS)]) == 0
+    capsys.readouterr()
+    assert run_cli(["obstruction", str(MAX_MODULUS + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("avtk: precondition violated: ") and err.count("\n") == 1
+    assert run_cli(["demo", "obstruction-table", "--max-d", str(MAX_MODULUS + 1)]) == 2
 
 
 def test_report_out_file(curve_doc, tmp_path, capsys):

@@ -98,6 +98,15 @@ def test_generic_pipeline_demo_scales_to_rank_three():
     assert all(res.payload["checks"].values())
 
 
+@pytest.mark.parametrize("name", ["thm-3.2-generic", "ex-4.2"])
+def test_quotient_pipeline_demos_at_rank_four(name):
+    res = run_demo(name, n=4)
+    assert res.payload["quotient_type"] == [1, 3, 3, 3]
+    checks = res.payload["checks"]
+    assert checks["quotient kernel equals pushed complement"] is True
+    assert all(v is True for v in checks.values())
+
+
 def test_surface_demo_small_bound():
     res = run_demo("ex-5.3", bound=2)
     assert res.bounded is True

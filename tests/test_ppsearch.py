@@ -3,10 +3,12 @@ import pytest
 from avtk.errors import PreconditionError
 from avtk.intlinalg import matmul, span_equal
 from avtk.ppsearch import (
+    MAX_MODULUS,
     AdmissibleFamily,
     PPCandidate,
     admissible_family,
     obstruction_check,
+    obstruction_report,
     pp_search,
 )
 from avtk.scalars import GeneratorSet
@@ -147,3 +149,12 @@ def test_obstruction_check_table():
 def test_obstruction_check_rejects_small_d():
     with pytest.raises(PreconditionError):
         obstruction_check(1)
+    with pytest.raises(PreconditionError):
+        obstruction_check(MAX_MODULUS + 1)
+
+
+def test_obstruction_report_lists_the_squares():
+    for d in (2, 3, 5, 12, MAX_MODULUS):
+        report = obstruction_report(d)
+        assert report["squares"] == sorted({(x * x) % d for x in range(d)})
+        assert report["obstruction"] is (d - 1 not in report["squares"])

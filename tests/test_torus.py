@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avtk.errors import PreconditionError
-from avtk.intlinalg import matmul, transpose
+from avtk.intlinalg import det, matmul, transpose
 from avtk.scalars import GeneratorSet
 from avtk.torus import (
     PolarisedTorus,
@@ -16,6 +17,7 @@ from avtk.torus import (
     restricted_polarisation,
     standard_gram,
     subgroup_elements,
+    subgroup_lattice,
 )
 
 G = GeneratorSet(("tau",))
@@ -168,6 +170,76 @@ def test_quotient_kernel_is_pushed_complement(dtype):
     assert len(quotient_kernel) == len(T.kernel_elements()) // g.order ** 2
     expected = {(1, 2): (1, 1), (1, 3): (1, 1), (2, 2): (1, 2)}[dtype]
     assert q.torus.polarisation_type() == expected
+
+
+# -- subgroups as overlattices, against the enumeration oracle ------------------------
+
+@st.composite
+def torsion_points(draw, dim, max_points):
+    """Up to max_points points whose coordinates have denominators 1 to 4."""
+    coord = st.builds(Fraction, st.integers(0, 3), st.integers(1, 4))
+    return draw(st.lists(st.lists(coord, min_size=dim, max_size=dim).map(TorsionPoint),
+                         max_size=max_points))
+
+
+@st.composite
+def same_or_other_generators(draw, points, dim, max_points):
+    """Generators of the same group as points, or unrelated points."""
+    if not points or draw(st.booleans()):
+        return draw(torsion_points(dim, max_points))
+    out = list(points)
+    for _ in range(draw(st.integers(0, 3))):  # invertible moves: add a multiple, permute
+        i, j = draw(st.integers(0, len(out) - 1)), draw(st.integers(0, len(out) - 1))
+        if i != j:
+            out[i] = out[i] + draw(st.integers(-3, 3)) * out[j]
+    out = draw(st.permutations(out))
+    if draw(st.booleans()):  # a redundant generator
+        out = out + [draw(st.integers(0, 4)) * draw(st.sampled_from(out))]
+    return out
+
+
+@pytest.mark.parametrize("dim,max_points", [(2, 3), (4, 2)])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_subgroup_lattice_matches_the_enumeration(dim, max_points, data):
+    P = data.draw(torsion_points(dim, max_points))
+    Q = data.draw(same_or_other_generators(P, dim, max_points))
+    HP, HQ = subgroup_lattice(P, dim), subgroup_lattice(Q, dim)
+    group = subgroup_elements(P, dim)
+    assert (HP == HQ) == (group == subgroup_elements(Q, dim))
+    assert 1 / abs(det(HP)) == len(group)
+
+
+@pytest.mark.parametrize("dtype", [(2, 2), (3, 3), (2, 4)])
+def test_subgroup_lattice_rejects_a_wrong_pushed_complement(dtype):
+    T = product([curve(d) for d in dtype])
+    g = max(T.kernel_elements(), key=lambda p: (p.order, p.coords))
+    q = T.quotient(g)
+    pushed = [q.push_point(x) for x in T.symplectic_complement([g])]
+    kernel = q.torus.polarising_kernel()
+    members = q.torus.kernel_elements()
+    target = subgroup_lattice(kernel, 4)
+    assert subgroup_lattice(pushed, 4) == target
+    outsider = next(p for p in (TorsionPoint([Fraction(int(i == j), e) for i in range(4)])
+                                for e in (2, 3, 4) for j in range(4))
+                    if p not in members)
+    for i in range(len(pushed)):
+        # pushed generators can be redundant (<g> maps to zero), so dropping
+        # one changes the group only when the oracle says so
+        fewer = pushed[:i] + pushed[i + 1:]
+        assert (subgroup_lattice(fewer, 4) == target) == (subgroup_elements(fewer, 4) == members)
+        assert subgroup_lattice(pushed[:i] + [outsider] + pushed[i + 1:], 4) != target
+    for i in range(len(kernel)):
+        # the kernel generators give a direct sum, so each one is needed
+        assert subgroup_lattice(kernel[:i] + kernel[i + 1:], 4) != subgroup_lattice(pushed, 4)
+    if dtype == (2, 4):  # here one pushed generator is needed
+        assert any(subgroup_lattice(pushed[:i] + pushed[i + 1:], 4) != target
+                   for i in range(len(pushed)))
+
+
+def test_subgroup_lattice_rejects_points_of_another_dimension():
+    with pytest.raises(PreconditionError):
+        subgroup_lattice([TorsionPoint([Fraction(1, 2)] * 3)], 4)
 
 
 def test_symplectic_complement_brute_force():
