@@ -10,7 +10,9 @@ with no homomorphisms at all, 5 a failed assertion.
 
 The environment variable AVTK_THREADS sets the worker count used by the
 bounded searches, at most the CPU count; the default is single-threaded,
-and results do not depend on the setting.
+and results do not depend on the setting.  The worker processes start at
+the first parallel search, are reused by every later one, and exit with
+the process.
 """
 
 from __future__ import annotations

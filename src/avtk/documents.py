@@ -83,7 +83,7 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
     except ValueError as exc:
         raise DocumentError(f"bad generator list: {exc}") from None
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass
         raise DocumentError("dim must be a positive integer")
     rows = doc["periods"]
     if not _is_matrix(rows, n, 2 * n):
@@ -173,7 +173,10 @@ def embedding_to_doc(emb: SubvarietyEmbedding) -> dict:
 def embedding_from_doc(doc: dict, torus: PolarisedTorus) -> SubvarietyEmbedding:
     if not isinstance(doc, dict) or "columns" not in doc:
         raise DocumentError("embedding document must be an object with columns")
-    return SubvarietyEmbedding(torus, int_matrix_from_doc(doc["columns"], "columns"))
+    columns = int_matrix_from_doc(doc["columns"], "columns")
+    if not columns[0]:  # rows [] would be a subtorus of dimension 0
+        raise DocumentError("embedding columns must hold at least one column")
+    return SubvarietyEmbedding(torus, columns)
 
 
 def int_matrix_doc(M) -> list:

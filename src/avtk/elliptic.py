@@ -21,6 +21,9 @@ from math import floor, gcd
 from .errors import PreconditionError, ScalarParseError
 
 
+MAX_DISCRIMINANT = 10**12  # |disc| cap: the squarefree test is trial division up to sqrt|disc|
+
+
 def _squarefree(d: int) -> bool:
     d = abs(d)
     k = 2
@@ -32,13 +35,29 @@ def _squarefree(d: int) -> bool:
 
 
 class QuadNumber:
-    """(p + q*sqrt(disc))/r in the upper half plane, in lowest terms."""
+    """(p + q*sqrt(disc))/r in the upper half plane, in lowest terms.
+
+    The constructor validates disc; numbers derived from a validated one
+    (Moebius images, divisions) share its disc and skip the check.
+    """
 
     __slots__ = ("p", "q", "r", "disc")
 
     def __init__(self, p: int, q: int, r: int, disc: int):
+        if -disc > MAX_DISCRIMINANT:
+            raise PreconditionError(f"|discriminant| must be at most {MAX_DISCRIMINANT}")
         if disc >= 0 or not _squarefree(disc):
             raise PreconditionError("discriminant must be negative and squarefree")
+        self._set(p, q, r, disc)
+
+    @classmethod
+    def _derived(cls, p: int, q: int, r: int, disc: int) -> "QuadNumber":
+        """A number over the already validated discriminant disc."""
+        out = object.__new__(cls)
+        out._set(p, q, r, disc)
+        return out
+
+    def _set(self, p: int, q: int, r: int, disc: int):
         if r == 0:
             raise ZeroDivisionError("zero denominator")
         if r < 0:
@@ -70,7 +89,7 @@ class QuadNumber:
         p2 = c * self.p + d * self.r
         q2 = c * self.q
         denom = p2 * p2 - q2 * q2 * self.disc
-        return QuadNumber(
+        return self._derived(
             p1 * p2 - q1 * q2 * self.disc,
             q1 * p2 - p1 * q2,
             denom,
@@ -80,7 +99,7 @@ class QuadNumber:
     def divided_by(self, n: int) -> "QuadNumber":
         if n < 1:
             raise PreconditionError("divisor must be a positive integer")
-        return QuadNumber(self.p, self.q, self.r * n, self.disc)
+        return self._derived(self.p, self.q, self.r * n, self.disc)
 
     def __eq__(self, other) -> bool:
         return (

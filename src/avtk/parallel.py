@@ -20,18 +20,31 @@ scans in increasing global enumeration index, so taking the hit with the
 smallest index reproduces the sequential result exactly.  AVTK_THREADS
 sets the worker count, capped at the CPU count and at the number of
 slabs; unset or 1 means fully sequential.
+
+The slabs run on one process pool per process.  It starts at the first
+parallel search and is reused by every later one; a search that needs
+more workers than it has replaces it, and a broken pool is dropped so
+that the next search starts afresh.  Its workers exit with the process,
+joined by concurrent.futures' own exit hook; a worker whose parent was
+killed without running that hook exits by itself.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from itertools import product as iter_product
 from math import gcd
 
 from .intlinalg import det_polynomial
 
 PARITY_RANK_CAP = 10  # the parity table has 2**rank entries
+
+_pool = None  # (worker count, executor) of this process's search pool
+_pool_lock = threading.Lock()  # searches may run on several threads
 
 
 def coefficient_values(bound: int):
@@ -53,6 +66,40 @@ def thread_count() -> int:
     return min(wanted, os.cpu_count() or 1)
 
 
+def _exit_with_parent():
+    """Pool initializer: end this worker once the process that started it is gone.
+
+    A parent that is killed runs no exit hook, and its idle workers would
+    otherwise wait on the job queue for ever.
+    """
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=_join_then_exit, args=(parent,), daemon=True).start()
+
+
+def _join_then_exit(parent):
+    parent.join()
+    os._exit(1)
+
+
+def _search_pool(size: int):
+    """The process's search pool, started anew only when it has fewer than size workers."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < size:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (size, ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent))
+        return _pool[1]
+
+
+def _drop_pool(pool):
+    """Forget a broken pool, so that the next search starts a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[1] is pool:
+            _pool = None
+
+
 def run_search(worker, common, rank: int, bound: int):
     """First hit of ``worker`` over all coefficient vectors.
 
@@ -70,8 +117,12 @@ def run_search(worker, common, rank: int, bound: int):
     jobs = []
     for start in range(0, len(values), chunk):
         jobs.append((common, values[start : start + chunk], start))
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+    pool = _search_pool(len(jobs))
+    try:
         results = list(pool.map(worker, jobs))
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        raise
     hits = [r for r in results if r is not None]
     if not hits:
         return None

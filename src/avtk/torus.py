@@ -286,21 +286,15 @@ class PolarisedTorus:
         m = 2 * self.dim
         W, orders = self._kernel_basis()
         gram = [list(r) for r in self.gram]
+        gram_w = matmul(gram, W)
         pair_rows = []
         for g in points:
-            lift = g.lift()
-            for j in range(m):
-                val = sum(Fraction(gram[i][j]) * lift[i] for i in range(m))
-                if val.denominator != 1:
-                    raise PreconditionError(
-                        "complement of a point outside the polarising kernel"
-                    )
-            row = []
-            for i in range(m):
-                row.append(
-                    sum(Fraction(lift[a]) * gram[a][b] * W[b][i] for a in range(m) for b in range(m))
+            lift = [g.lift()]
+            if any(val.denominator != 1 for val in matmul(lift, gram)[0]):
+                raise PreconditionError(
+                    "complement of a point outside the polarising kernel"
                 )
-            pair_rows.append(row)
+            pair_rows.append(matmul(lift, gram_w)[0])
         if pair_rows:
             scale = lcm(*(v.denominator for row in pair_rows for v in row))
             T = [[int(v * scale) for v in row] for row in pair_rows]

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avtk import cli
 from avtk.documents import canonical_json, point_to_doc, torus_to_doc
@@ -83,6 +88,10 @@ def _curve_doc(**changes):
         pytest.param(["sub", "SQUARE", "BAD"],
                      canonical_json({"columns": [[1, 0], [0, 0], [0, 1.5], [0, 0]]}),
                      id="embedding-float"),
+        # rows of no columns: a subtorus of dimension 0 crashed restricted_polarisation
+        pytest.param(["sub", "SQUARE", "BAD"], canonical_json({"columns": [[], [], [], []]}),
+                     id="embedding-no-columns"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(dim=True)), id="dim-bool"),
         pytest.param(["degree", "BAD"], "5", id="degree-int"),
         pytest.param(["quotient", "SQUARE", "BAD"], canonical_json({"coords": 5}),
                      id="point-coords-int"),
@@ -239,6 +248,14 @@ def test_obstruction_rejects_a_modulus_above_the_cap(capsys):
     assert run_cli(["demo", "obstruction-table", "--max-d", str(MAX_MODULUS + 1)]) == 2
 
 
+def test_elliptic_rejects_a_discriminant_above_the_cap(capsys):
+    # one trial-division squarefree test at this size took seconds
+    assert run_cli(["elliptic", "(1+sqrt(-100000000000031))/2", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("avtk: parse error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_report_out_file(curve_doc, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli(["type", curve_doc, "--out", str(out)]) == 0
@@ -319,3 +336,86 @@ def test_subprocess_usage_error():
     )
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+# -- loader fuzz ------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _matrices(entries):
+    """Lists of up to 4 rows of up to 4 entries, rows mostly of one length."""
+    return st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n)
+                           | st.lists(entries, max_size=4), max_size=4))
+
+
+_SCALARS = st.sampled_from(["tau", "0", "1", "2*tau", "tau*tau", "1/2", "tau+1", "x", ""])
+
+
+@st.composite
+def _torus_docs(draw):
+    """A torus document with at most one field replaced by junk."""
+    n = draw(st.integers(1, 2))
+    doc = {
+        "generators": ["tau"],
+        "dim": n,
+        # a [Z | D] frame: formal left block, diagonal integer right block
+        "periods": [draw(st.lists(_SCALARS, min_size=n, max_size=n))
+                    + [str(draw(st.integers(0, 3))) if j == i else "0" for j in range(n)]
+                    for i in range(n)],
+        "gram": draw(st.none() | st.just(standard_gram([1, 2][:n]))
+                     | _matrices(st.integers(-3, 3))),
+    }
+    key = draw(st.sampled_from([None, "generators", "dim", "periods", "gram", "assumptions"]))
+    if key is not None:
+        doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+TORUS_DOCS = JSON_VALUES | _torus_docs()
+MATRIX_DOCS = JSON_VALUES | _matrices(st.integers(-3, 3)) | _matrices(JSON_VALUES)
+EMBEDDING_DOCS = JSON_VALUES | st.fixed_dictionaries({"columns": MATRIX_DOCS})
+POINT_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"coords": st.lists(st.sampled_from(["0", "1/2", "1/3", "2/3", "1/0", "x"]), max_size=5)
+     | JSON_VALUES},
+    optional={"basis": st.sampled_from(["lattice", "ambient"]) | JSON_VALUES},
+)
+_SQUARE = torus_to_doc(product([PolarisedTorus(G, [[TAU, 1]], standard_gram([1]))] * 2))
+
+
+@pytest.mark.parametrize(
+    "command,docs",
+    [
+        pytest.param("type", (TORUS_DOCS,), id="type"),
+        pytest.param("kernel", (TORUS_DOCS,), id="kernel"),
+        pytest.param("sub", (TORUS_DOCS, st.just({"columns": [[1, 0], [0, 1], [0, 0], [0, 0]]})),
+                     id="sub-torus"),
+        pytest.param("sub", (st.just(_SQUARE), EMBEDDING_DOCS), id="sub-embedding"),
+        pytest.param("degree", (MATRIX_DOCS,), id="degree"),
+        pytest.param("quotient", (st.just(_SQUARE), POINT_DOCS), id="quotient-point"),
+    ],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_loaders_exit_cleanly_on_any_json(command, docs, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for i, strategy in enumerate(docs):
+            path = os.path.join(tmp, f"doc{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data.draw(strategy), fh)
+            argv.append(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1

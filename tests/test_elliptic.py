@@ -4,7 +4,9 @@ from itertools import product as iter_product
 
 import pytest
 
+from avtk import elliptic
 from avtk.elliptic import (
+    MAX_DISCRIMINANT,
     QuadNumber,
     formal_quotient_isomorphic,
     quotient_isomorphic,
@@ -47,6 +49,34 @@ def test_discriminant_must_be_squarefree_negative():
         QuadNumber(0, 1, 1, -4)
     with pytest.raises(PreconditionError):
         QuadNumber(0, 1, 1, 5)
+
+
+def test_discriminant_above_the_cap_is_refused_before_the_squarefree_test(monkeypatch):
+    def no_trial_division(d):
+        raise AssertionError("trial division on an over-cap discriminant")
+
+    monkeypatch.setattr(elliptic, "_squarefree", no_trial_division)
+    with pytest.raises(PreconditionError, match="at most"):
+        QuadNumber(1, 1, 2, -(MAX_DISCRIMINANT + 1))
+    with pytest.raises(ScalarParseError):
+        QuadNumber.parse("(1+sqrt(-100000000000031))/2")
+
+
+def test_squarefree_is_checked_once_per_parsed_period(monkeypatch):
+    calls = []
+    real = elliptic._squarefree
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(elliptic, "_squarefree", counting)
+    tau = QuadNumber.parse("(37+sqrt(-7))/61")
+    assert calls == [-7]
+    assert len(reduce_tau(tau).trail) == 6
+    # Moebius steps on both sides, a division and two trail checks
+    assert quotient_isomorphic(tau, 4) is False
+    assert calls == [-7]
 
 
 def test_mobius_requires_determinant_one():
