@@ -288,7 +288,9 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     vanish.  Returns Found with the first witness in the deterministic
     coefficient order, NotFoundUpToBound, or NoHoms when the homomorphism
     module is trivial.  The witness is rebuilt from its coefficients and
-    checked with the integer determinant before being returned.
+    checked with the integer determinant before being returned.  A search
+    that the determinant does not rule out and that has more than
+    parallel.MAX_CANDIDATES vectors raises PreconditionError.
     """
     if bound < 1:
         raise PreconditionError("search bound must be at least 1")

@@ -60,16 +60,8 @@ def matmul(A, B):
     return out
 
 
-def matvec(A, v):
-    return [r[0] for r in matmul(A, [[x] for x in v])]
-
-
 def mat_copy(M):
     return [list(row) for row in M]
-
-
-def mat_neg(M):
-    return [[-x for x in row] for row in M]
 
 
 def mat_eq(A, B):

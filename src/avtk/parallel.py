@@ -11,7 +11,8 @@ as a polynomial, and evaluates it and the side conditions per candidate.
 Before any enumeration it rules out whole searches: when the coefficients
 of the determinant have a common factor above 1 no member is unimodular,
 and a table of the parity vectors at which the determinant is odd skips
-most candidates without evaluating anything else.
+most candidates without evaluating anything else.  A search that is not
+ruled out and has more than MAX_CANDIDATES coefficient vectors is refused.
 
 Coefficient vectors are enumerated with each coordinate running through
 0, 1, -1, 2, -2, ..., bound, -bound, lexicographically.  The search can be
@@ -39,9 +40,13 @@ from concurrent.futures.process import BrokenProcessPool
 from itertools import product as iter_product
 from math import gcd
 
+from .errors import PreconditionError
 from .intlinalg import det_polynomial
 
 PARITY_RANK_CAP = 10  # the parity table has 2**rank entries
+# (2*bound + 1)**rank above this is refused.  The largest search a demo runs
+# at its defaults, pp-search at bound 25 on a rank-3 family, has 51**3 = 132,651.
+MAX_CANDIDATES = 1_000_000
 
 _pool = None  # (worker count, executor) of this process's search pool
 _pool_lock = threading.Lock()  # searches may run on several threads
@@ -173,11 +178,18 @@ def pencil_search(mats, bound: int, positive=(), zero=()):
     ``positive`` one > 0 and every ``zero`` one vanish.  Returns None when
     no vector with coordinates up to ``bound`` qualifies, without
     enumerating when the determinant's coefficients share a factor.
+    Otherwise raises PreconditionError when there are more than
+    MAX_CANDIDATES vectors to enumerate.
     """
     det_terms = det_polynomial(mats)
     if not det_terms or gcd(*(coeff for coeff, _ in det_terms)) > 1:
         return None
     rank = len(mats)
+    if (2 * bound + 1) ** rank > MAX_CANDIDATES:
+        raise PreconditionError(
+            f"a search of (2*{bound} + 1)^{rank} coefficient vectors exceeds the "
+            f"cap of {MAX_CANDIDATES}; lower the bound"
+        )
     det_p = _sparse(det_terms)
     parities = None
     if rank <= PARITY_RANK_CAP:

@@ -182,7 +182,9 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     (parallel.pencil_search): the coordinate determinant and the minors
     are computed once as polynomials in c.  The witness is rebuilt from
     its coefficients and re-verified, symbolically and with integer
-    determinants, before being returned.
+    determinants, before being returned.  A search that the determinant
+    does not rule out and that has more than parallel.MAX_CANDIDATES
+    vectors raises PreconditionError.
     """
     if bound < 1:
         raise PreconditionError("search bound must be at least 1")

@@ -13,6 +13,13 @@ by graded lexicographic order (total degree first, then lexicographic on
 exponents).  That order fixes leading terms, canonical string rendering and
 the row layout produced by :func:`monomial_flatten`.
 
+Every scalar is canonical: each monomial is a tuple of non-negative ints
+as long as the generator tuple, each coefficient is a nonzero
+``Fraction``.  Only the public constructor ``FormalScalar(gens, terms)``
+validates and normalises its input.  Arithmetic results are canonical by
+construction and skip that work: they are built from already clean term
+maps by the private ``FormalScalar._trusted``.
+
 >>> gens = GeneratorSet(("a", "b"))
 >>> a, b = gens.gens()
 >>> (a + b) * (a - b)
@@ -24,6 +31,8 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import GeneratorMismatchError, ScalarParseError
@@ -96,7 +105,7 @@ class GeneratorSet:
         return tuple(self.scalar(n) for n in self.names)
 
     def zero(self) -> "FormalScalar":
-        return FormalScalar(self, {})
+        return FormalScalar._trusted(self, {})
 
     def one(self) -> "FormalScalar":
         return self.constant(1)
@@ -104,8 +113,8 @@ class GeneratorSet:
     def constant(self, value: Rat) -> "FormalScalar":
         value = Fraction(value)
         if value == 0:
-            return FormalScalar(self, {})
-        return FormalScalar(self, {(0,) * len(self.names): value})
+            return FormalScalar._trusted(self, {})
+        return FormalScalar._trusted(self, {(0,) * len(self.names): value})
 
 
 class FormalScalar:
@@ -114,6 +123,11 @@ class FormalScalar:
     Stored as a map from exponent tuples to nonzero ``Fraction``
     coefficients.  All arithmetic is exact; mixing scalars over different
     generator sets raises :class:`GeneratorMismatchError`.
+
+    The constructor checks every monomial, converts every coefficient to
+    ``Fraction`` and drops zeros.  Results of arithmetic are canonical by
+    construction and are built through :meth:`_trusted`, which does none
+    of that.
     """
 
     __slots__ = ("gens", "terms")
@@ -130,8 +144,20 @@ class FormalScalar:
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[mono] = coeff
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "terms", clean)
+        _set_gens(self, gens)
+        _set_terms(self, clean)
+
+    @classmethod
+    def _trusted(cls, gens: GeneratorSet, clean: dict) -> "FormalScalar":
+        """A scalar over an already canonical term map, taken as it is.
+
+        ``clean`` must have exponent tuples of the right width as keys and
+        nonzero ``Fraction`` values, and nothing else may hold it.
+        """
+        self = object.__new__(cls)
+        _set_gens(self, gens)
+        _set_terms(self, clean)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("FormalScalar is immutable")
@@ -151,12 +177,6 @@ class FormalScalar:
             raise ValueError(f"not a constant: {self}")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        """Total degree, with the convention deg 0 = -1 for the zero scalar."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def monomials(self):
         """Monomials in ascending graded lexicographic order."""
         return sorted(self.terms, key=_grlex_key)
@@ -175,7 +195,7 @@ class FormalScalar:
 
     def _coerce(self, other):
         if isinstance(other, FormalScalar):
-            if other.gens != self.gens:
+            if other.gens is not self.gens and other.gens != self.gens:
                 raise GeneratorMismatchError(
                     f"cannot combine scalars over {self.gens.names} and "
                     f"{other.gens.names}"
@@ -189,19 +209,23 @@ class FormalScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, Fraction(0)) + coeff
+            new = terms.get(mono, 0) + coeff
             if new == 0:
                 terms.pop(mono, None)
             else:
                 terms[mono] = new
-        return FormalScalar(self.gens, terms)
+        return FormalScalar._trusted(self.gens, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalScalar(self.gens, {m: -c for m, c in self.terms.items()})
+        return FormalScalar._trusted(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -216,19 +240,29 @@ class FormalScalar:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # scale, without a constant scalar
+            if other == 0:
+                return self.gens.zero()
+            return FormalScalar._trusted(
+                self.gens, {m: c * other for m, c in self.terms.items()}
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                new = terms.get(mono, Fraction(0)) + c1 * c2
-                if new == 0:
-                    terms.pop(mono, None)
+                mono = tuple(map(add, m1, m2))
+                old = terms.get(mono)
+                if old is None:
+                    terms[mono] = c1 * c2
                 else:
-                    terms[mono] = new
-        return FormalScalar(self.gens, terms)
+                    new = old + c1 * c2
+                    if new == 0:
+                        del terms[mono]
+                    else:
+                        terms[mono] = new
+        return FormalScalar._trusted(self.gens, terms)
 
     __rmul__ = __mul__
 
@@ -254,10 +288,12 @@ class FormalScalar:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.gens.constant(other)
+            if other == 0:
+                return not self.terms
+            return self.terms == {(0,) * len(self.gens.names): other}
         if not isinstance(other, FormalScalar):
             return NotImplemented
-        return self.gens == other.gens and self.terms == other.terms
+        return (self.gens is other.gens or self.gens == other.gens) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.gens, frozenset(self.terms.items())))
@@ -269,6 +305,11 @@ class FormalScalar:
 
     def __repr__(self) -> str:
         return f"FormalScalar({render_scalar(self)!r})"
+
+
+# Slot setters: FormalScalar.__setattr__ refuses every assignment.
+_set_gens = FormalScalar.gens.__set__
+_set_terms = FormalScalar.terms.__set__
 
 
 def render_scalar(s: FormalScalar) -> str:
@@ -458,6 +499,11 @@ def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
 
 # -- exact division ---------------------------------------------------------
 
+def _descending_key(mono):
+    """Heap entry whose smallest is the graded-lex largest monomial."""
+    return (-sum(mono), tuple(-e for e in mono), mono)
+
+
 def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
     """Exact polynomial quotient f/g; raises ValueError if g does not divide f."""
     if g.is_zero():
@@ -465,19 +511,29 @@ def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
     g_mono, g_coeff = g.leading_term()
     g_terms = list(g.terms.items())
     rem = dict(f.terms)
+    # every monomial of rem has an entry; entries of cancelled ones are skipped
+    heap = [_descending_key(m) for m in rem]
+    heapify(heap)
     quotient = {}
     while rem:
-        r_mono = max(rem, key=_grlex_key)
+        r_mono = heappop(heap)[2]
+        if r_mono not in rem:
+            continue
         diff = tuple(a - b for a, b in zip(r_mono, g_mono))
         if any(d < 0 for d in diff):
             raise ValueError(f"{g} does not divide {f}")
         q = rem[r_mono] / g_coeff
         quotient[diff] = q
         for mono, coeff in g_terms:  # rem -= q * x^diff * g, in place
-            m = tuple(a + b for a, b in zip(diff, mono))
-            new = rem.get(m, 0) - q * coeff
-            if new:
-                rem[m] = new
+            m = tuple(map(add, diff, mono))
+            old = rem.get(m)
+            if old is None:
+                rem[m] = -q * coeff
+                heappush(heap, _descending_key(m))
             else:
-                del rem[m]
-    return FormalScalar(f.gens, quotient)
+                new = old - q * coeff
+                if new:
+                    rem[m] = new
+                else:
+                    del rem[m]
+    return FormalScalar._trusted(f.gens, quotient)

@@ -251,9 +251,8 @@ class PolarisedTorus:
         m = 2 * self.dim
         if len(point.coords) != m:
             raise PreconditionError("point dimension does not match the torus")
-        lift = point.lift()
-        for j in range(m):
-            val = sum(Fraction(self.gram[i][j]) * lift[i] for i in range(m))
+        pairings = matmul([point.lift()], self.gram)[0]
+        for j, val in enumerate(pairings):
             if val.denominator != 1:
                 raise PreconditionError(
                     f"point is not in the polarising kernel: pairing with basis "

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from avtk import cli
 from avtk.documents import canonical_json, point_to_doc, torus_to_doc
+from avtk.parallel import MAX_CANDIDATES
 from avtk.ppsearch import MAX_MODULUS
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, TorsionPoint, product, standard_gram
@@ -218,6 +219,29 @@ def test_pp_search_defaults_to_computed_dual(square_doc, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["payload"]["found"] is True
     assert data["payload"]["witness"] == [[1, 0], [0, 1]]
+
+
+def test_searches_over_the_candidate_cap_exit_two(curve_doc, square_doc, capsys):
+    # End of the curve has rank 1, so a search has 2*bound + 1 candidates
+    largest = (MAX_CANDIDATES - 1) // 2
+    assert run_cli(["isom-search", curve_doc, curve_doc, "--bound", str(largest)]) == 0
+    capsys.readouterr()
+    assert run_cli(["isom-search", curve_doc, curve_doc, "--bound", str(largest + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("avtk: precondition violated: ") and err.count("\n") == 1
+    # the family of E x E has rank 3: 101**3 candidates at bound 50
+    assert 101 ** 3 > MAX_CANDIDATES
+    assert run_cli(["pp-search", square_doc, "--bound", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("avtk: precondition violated: ") and err.count("\n") == 1
+
+
+def test_a_proven_negative_is_not_held_to_the_candidate_cap(capsys):
+    # Hom rank 5: 21**5 candidates, ruled out by the determinant's content
+    assert 21 ** 5 > MAX_CANDIDATES
+    assert run_cli(["demo", "ex-4.1", "--n", "3", "--bound", "10", "--json"]) == 3
+    search = json.loads(capsys.readouterr().out)["payload"]["isom_search"]
+    assert search == {"bound": 10, "found": False, "tested": 21 ** 5}
 
 
 def test_elliptic_subcommand(capsys):

@@ -138,3 +138,77 @@ def test_product_divides_back(p, q):
 @given(small_polys(), small_polys(), small_polys())
 def test_distributivity(p, q, r):
     assert p * (q + r) == p * q + p * r
+
+
+# -- arithmetic results are canonical without the validating constructor -------
+
+_WIDE = GeneratorSet(("x", "y", "z"))
+_rationals = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5), st.integers(1, 4)),
+)
+
+
+@st.composite
+def polys_over(draw, gens):
+    monos = st.tuples(*[st.integers(0, 2)] * len(gens))
+    return FormalScalar(gens, draw(st.dictionaries(monos, _rationals, max_size=5)))
+
+
+@st.composite
+def arithmetic_cases(draw):
+    gens = draw(st.sampled_from([G, _WIDE]))
+    p = draw(polys_over(gens))
+    # q = p half of the time, so that p - q cancels every term
+    q = p if draw(st.booleans()) else draw(polys_over(gens))
+    return gens, p, q, draw(_rationals)
+
+
+def _assert_canonical(gens, s):
+    assert list(s.terms.items()) == list(FormalScalar(gens, s.terms).terms.items())
+    assert all(type(c) is Fraction and c != 0 for c in s.terms.values())
+    with pytest.raises(AttributeError):
+        s.terms = {}
+    with pytest.raises(AttributeError):
+        s.gens = gens
+
+
+@given(arithmetic_cases())
+def test_arithmetic_results_match_the_validating_constructor(case):
+    gens, p, q, k = case
+    results = [p + q, p - q, p * q, p * k, k * p, p * 0, 0 * p, p * Fraction(0),
+               -p, gens.constant(k), gens.zero(), p + k, k - p]
+    if not q.is_zero():
+        results.append(exact_div(p * q, q))
+    for s in results:
+        assert s.gens is gens
+        _assert_canonical(gens, s)
+    assert p * k == FormalScalar(gens, {m: c * k for m, c in p.terms.items()})
+    assert (p * k == k) == (p * k == gens.constant(k))
+    assert (p == 0) == p.is_zero()
+
+
+def test_combining_scalars_over_different_generator_sets_fails():
+    swapped = GeneratorSet(("y", "x"))  # the same names in another order
+    same = GeneratorSet(("x", "y"))  # equal to G, a separate object
+    p = (X + 2 * Y) * 3
+    for q in (swapped.scalar("x") * 2, swapped.constant(Fraction(1, 2)), swapped.zero()):
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            with pytest.raises(GeneratorMismatchError):
+                getattr(p, op)(q)
+            with pytest.raises(GeneratorMismatchError):
+                getattr(q, op)(p)
+    assert p + same.scalar("x") == p + X
+    assert (p * same.scalar("y")).terms == (p * Y).terms
+
+
+@pytest.mark.parametrize("mono", [(-1, 0), (1,), (1, 0, 0), (1.0, 0), ("1", 0)])
+def test_constructor_rejects_bad_monomials(mono):
+    with pytest.raises(ValueError):
+        FormalScalar(G, {mono: 1})
+
+
+def test_constructor_normalises_coefficients():
+    s = FormalScalar(G, {(1, 0): 2, (0, 1): 0, (0, 0): Fraction(0)})
+    assert list(s.terms.items()) == [((1, 0), Fraction(2))]
+    assert type(s.terms[(1, 0)]) is Fraction

@@ -132,6 +132,24 @@ def test_quotient_rejects_points_outside_kernel():
         T.quotient(TorsionPoint([0, Fraction(1, 3)]))
 
 
+@pytest.mark.parametrize(
+    "factors, coords, column, value",
+    [
+        ((2,), [0, Fraction(1, 3)], 0, "-2/3"),
+        # columns 2 and 3 both pair non-integrally: the first one is named
+        ((2, 3), [Fraction(1, 3), Fraction(1, 2), 0, 0], 2, "2/3"),
+    ],
+)
+def test_quotient_names_the_first_column_a_point_fails(factors, coords, column, value):
+    T = product([curve(d) for d in factors])
+    with pytest.raises(PreconditionError) as info:
+        T.quotient(TorsionPoint(coords))
+    assert str(info.value) == (
+        f"point is not in the polarising kernel: pairing with basis vector {column} "
+        f"gives {value}"
+    )
+
+
 def test_quotient_by_full_cyclic_kernel_part():
     T = curve(4)
     q = T.quotient(TorsionPoint([0, Fraction(1, 4)]))
