@@ -8,11 +8,7 @@ violation, 3 a bounded search that found nothing (also used by demos
 whose expected outcome is a bounded negative), 4 an isomorphism search
 with no homomorphisms at all, 5 a failed assertion.
 
-The environment variable AVTK_THREADS sets the worker count used by the
-bounded searches, at most the CPU count; the default is single-threaded,
-and results do not depend on the setting.  The worker processes start at
-the first parallel search, are reused by every later one, and exit with
-the process.
+The bounded searches run in the calling process.
 """
 
 from __future__ import annotations

@@ -296,6 +296,8 @@ class FormalScalar:
         return (self.gens is other.gens or self.gens == other.gens) and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its Fraction value, so hashed like it
+            return hash(next(iter(self.terms.values()), 0))
         return hash((self.gens, frozenset(self.terms.items())))
 
     # -- rendering -------------------------------------------------------
@@ -506,6 +508,10 @@ def _descending_key(mono):
 
 def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
     """Exact polynomial quotient f/g; raises ValueError if g does not divide f."""
+    if g.gens is not f.gens and g.gens != f.gens:
+        raise GeneratorMismatchError(
+            f"cannot divide a scalar over {f.gens.names} by one over {g.gens.names}"
+        )
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     g_mono, g_coeff = g.leading_term()

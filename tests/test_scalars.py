@@ -94,6 +94,24 @@ def test_exact_div():
         exact_div(X * X + 1, X + Y)
 
 
+
+def test_exact_div_rejects_another_generator_set():
+    x_of_yx = GeneratorSet(("y", "x")).scalar("x")
+    with pytest.raises(GeneratorMismatchError):
+        exact_div(X * Y, x_of_yx)
+
+
+def test_exact_div_accepts_an_equal_generator_set():
+    twin = GeneratorSet(("x", "y"))
+    assert twin is not G
+    assert exact_div(X * Y, twin.scalar("x")) == Y
+
+
+def test_constants_hash_like_the_numbers_they_equal():
+    assert len({G.one(), 1}) == 1
+    assert len({G.constant(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({G.zero(), 0}) == 1
+
 def test_monomial_flatten_round_trip():
     M = [[X * Y + 2, Y], [G.zero(), X - Fraction(1, 2)]]
     monos, table = monomial_flatten(M)
