@@ -8,12 +8,16 @@ violation, 3 a bounded search that found nothing (also used by demos
 whose expected outcome is a bounded negative), 4 an isomorphism search
 with no homomorphisms at all, 5 a failed assertion.
 
-The bounded searches run in the calling process.
+The bounded searches run in the calling process.  The argument parser
+is built by the first main() call and reused by every later call in the
+same process, so an in-process call pays only for its own command;
+importing this module builds no parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -140,6 +144,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--bound", type=int)
     p.add_argument("--max-d", type=int)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use.
+
+    parse_args leaves the parser unchanged and returns a fresh Namespace,
+    so one parser serves every main() call.
+    """
+    return _build_parser()
 
 
 def _run_command(args):
@@ -339,8 +353,7 @@ def _emit_human(payload, indent=""):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         payload, inputs, code = _run_command(args)

@@ -484,6 +484,8 @@ def run_demo(name: str, n=None, type_=None, bound=None, max_d=None) -> DemoResul
     kwargs = {}
     if name in ("ex-4.1", "ex-4.2", "thm-3.2-generic"):
         if n is not None:
+            if int(n) < 2:
+                raise PreconditionError("--n must be at least 2")
             kwargs["n"] = int(n)
         if type_ is not None:
             kwargs["type_"] = type_

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import PreconditionError, RankDeficiencyError
 from .scalars import FormalScalar, GeneratorSet, exact_div, monomial_flatten
@@ -41,12 +42,45 @@ def transpose(M):
     return [[M[i][j] for i in range(m)] for j in range(n)]
 
 
+def _rational(M):
+    return all(type(x) is int or type(x) is Fraction for row in M for x in row)
+
+
+def _over_common_denominator(vectors):
+    """Each vector as (integer numerators, common denominator, holds a Fraction)."""
+    out = []
+    for v in vectors:
+        if any(type(x) is Fraction for x in v):
+            d = lcm(*[x.denominator for x in v])
+            out.append(([x.numerator * (d // x.denominator) for x in v], d, True))
+        else:
+            out.append((v, 1, False))
+    return out
+
+
 def matmul(A, B):
-    """Matrix product; entries may be ints, Fractions or formal scalars."""
+    """Matrix product; entries may be ints, Fractions or formal scalars.
+
+    When every entry of both operands is an int or a Fraction, each row of A
+    and each column of B is put over one common denominator and the
+    numerators are multiplied as ints, with one Fraction built per output
+    entry.  An entry is a Fraction exactly when its row of A or its column
+    of B holds one, as the entry-by-entry loop used for formal scalars
+    gives.
+    """
     m, k = shape(A)
     k2, n = shape(B)
     if k != k2:
         raise ValueError(f"shape mismatch {shape(A)} @ {shape(B)}")
+    if k and _rational(A) and _rational(B):
+        cols = _over_common_denominator(zip(*B))
+        return [
+            [
+                Fraction(sum(map(mul, a, b)), da * db) if fa or fb else sum(map(mul, a, b))
+                for b, db, fb in cols
+            ]
+            for a, da, fa in _over_common_denominator(A)
+        ]
     out = []
     for i in range(m):
         row = []

@@ -342,6 +342,100 @@ def test_demo_accepts_type_flag(capsys):
     assert data["payload"]["quotient_type"] == [1, 2]
 
 
+@pytest.mark.parametrize("name", ["ex-4.1", "ex-4.2", "thm-3.2-generic"])
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_demo_rejects_n_below_two_naming_the_flag(name, n, capsys):
+    assert run_cli(["demo", name, "--n", n]) == 2
+    assert capsys.readouterr().err == "avtk: precondition violated: --n must be at least 2\n"
+
+
+# -- one parser per process ---------------------------------------------------------
+
+def _without_timing(out):
+    if out.startswith("{"):
+        report = json.loads(out)
+        report.pop("timing_seconds")
+        return report
+    return out
+
+
+def _in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _without_timing(captured.out), captured.err
+
+
+def _fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "avtk.cli", *argv],
+        capture_output=True, text=True,
+    )
+    return proc.returncode, _without_timing(proc.stdout), proc.stderr
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # both sides wrap the usage line alike
+    E = PolarisedTorus(G, [[TAU, 1]], standard_gram([1]))
+    E2 = PolarisedTorus(G, [[TAU, 2]], standard_gram([2]))
+    a = write_doc(tmp_path / "a.json", torus_to_doc(E))
+    b = write_doc(tmp_path / "b.json", torus_to_doc(E2))
+    calls = [
+        ["isom-search", a, b, "--bound", "3", "--polarised", "--json"],
+        ["isom-search", a, b, "--json"],  # default bound 10, not polarised
+        ["isom-search", a, b],
+        ["type", "--json"],  # usage error: the torus is missing
+        ["type", a],
+        ["demo", "--list"],
+    ]
+    got = [_in_process(argv, capsys) for argv in calls]
+    assert got == [_fresh_process(argv) for argv in calls]
+    assert [code for code, _, _ in got] == [3, 3, 3, 1, 0, 0]
+    usage_error = got[3][2].splitlines()
+    assert len(usage_error) == 2 and usage_error[0].startswith("usage: avtk type")
+
+
+def test_main_builds_the_parser_once(curve_doc, monkeypatch, capsys):
+    build = cli._build_parser
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["type", curve_doc], ["kernel", curve_doc, "--json"], ["demo", "--list"],
+                     ["type", curve_doc]):
+            assert run_cli(argv) == 0
+        with pytest.raises(SystemExit):
+            run_cli(["type"])
+        assert run_cli(["type", curve_doc]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import avtk.cli\n"
+        "print(len(built), avtk.cli._parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 # -- the module also runs as a subprocess ----------------------------------------------
 
 def test_subprocess_entry_point(curve_doc):

@@ -6,7 +6,6 @@ from avtk.errors import PreconditionError
 from avtk.homs import (
     HomGenerator,
     complementary_subvariety,
-    dual_hom,
     hom_module,
     idempotent,
     isom_search,
@@ -21,6 +20,7 @@ from avtk.torus import (
     standard_gram,
 )
 from avtk.verdicts import Found, NoHoms, NotFoundUpToBound
+from oracles import dual_hom
 
 G2 = GeneratorSet(("tau_E", "tau_F"))
 TAU_E = G2.scalar("tau_E")

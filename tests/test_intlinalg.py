@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avtk import intlinalg
 from avtk.errors import PreconditionError, RankDeficiencyError
 from avtk.intlinalg import (
     as_scalar_matrix,
@@ -386,3 +387,73 @@ def test_snf_divisors_invariant_under_transpose(rows):
     St, _, _ = snf(transpose(rows))
     n = len(rows)
     assert [S[i][i] for i in range(min(n, 4))] == [St[i][i] for i in range(min(n, 4))]
+
+
+# -- matmul on rational operands, against a loop written here ----------------------
+
+def _loop_matmul(A, B):
+    """Entry by entry with Python's own int and Fraction arithmetic."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = row[0] * B[0][j]
+            for t in range(1, len(B)):
+                acc = acc + row[t] * B[t][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _types(M):
+    return [[type(x) for x in row] for row in M]
+
+
+@st.composite
+def rational_operands(draw):
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.integers(-20, 20)
+    if draw(st.booleans()):  # otherwise both operands are all-int
+        entry = entry | st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    A = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    B = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    zero = st.sampled_from([0, Fraction(0)])
+    if draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [draw(zero) for _ in range(k)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in B:
+            row[j] = draw(zero)
+    return A, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_operands())
+def test_rational_matmul_matches_the_loop_in_value_and_type(operands):
+    A, B = operands
+    got, want = matmul(A, B), _loop_matmul(A, B)
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+def test_rational_matmul_entry_types():
+    # a Fraction in row 0 of A or in column 1 of B makes the entry a Fraction,
+    # even when its value is an integer
+    got = matmul([[Fraction(1, 2), 1], [1, 1]], [[2, Fraction(0)], [0, 2]])
+    assert got == [[1, 2], [2, 2]]
+    assert _types(got) == [[Fraction, Fraction], [int, Fraction]]
+
+
+@pytest.mark.parametrize("A,B", [
+    pytest.param([[G.scalar("t"), 1]], [[Fraction(1, 2)], [3]], id="formal-scalar"),
+    pytest.param([[1, Fraction(1, 2)]], [[2], [G.scalar("t")]], id="formal-scalar-in-B"),
+    pytest.param([[True, 2]], [[1], [Fraction(1, 2)]], id="bool"),
+])
+def test_non_rational_entries_take_the_generic_loop(A, B, monkeypatch):
+    def integer_kernel(vectors):
+        raise AssertionError("the integer kernel ran")
+
+    monkeypatch.setattr(intlinalg, "_over_common_denominator", integer_kernel)
+    got = matmul(A, B)
+    assert got == _loop_matmul(A, B)
+    assert _types(got) == _types(_loop_matmul(A, B))
