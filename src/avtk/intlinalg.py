@@ -5,21 +5,32 @@ spans are compared by flattening formal entries monomial by monomial,
 clearing denominators with a single common scale applied to both sides,
 and comparing canonical column Hermite forms.
 
+The linear systems behind Hom modules and polarisation families are
+almost empty, so the layer that solves them works on nonzeros only:
+flatten_to_int visits each entry's nonzero terms, int_kernel eliminates
+on sparse columns, and the formal path of matmul skips zero factors.
+Their inputs and outputs stay dense matrices, and every result is
+canonical, so it does not depend on how it was computed.
+
 Conventions:
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
   * snf(M) returns (S, U, V) with S = U @ M @ V and s_i | s_{i+1}.
   * symplectic_basis(E) returns (U, D) with U^T E U = [[0, D], [-D, 0]].
+  * The integer routines (row_hnf, hnf, rank, int_kernel, snf) accept
+    ints and integral Fractions and raise PreconditionError on any other
+    entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
-from operator import mul
+from operator import add, mul
 
-from .errors import PreconditionError, RankDeficiencyError
+from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
 from .scalars import FormalScalar, GeneratorSet, exact_div, monomial_flatten
 
 
@@ -65,8 +76,14 @@ def matmul(A, B):
     and each column of B is put over one common denominator and the
     numerators are multiplied as ints, with one Fraction built per output
     entry.  An entry is a Fraction exactly when its row of A or its column
-    of B holds one, as the entry-by-entry loop used for formal scalars
-    gives.
+    of B holds one, as the entry-by-entry sum a0*b0 + a1*b1 + ... gives.
+
+    Otherwise each output entry is that sum, taken by _dot: an entry with
+    a formal factor accumulates one term map, skipping zero factors, and
+    is a FormalScalar; any other entry is the plain left-to-right sum, so
+    it has the type Python's own arithmetic gives it.  Formal entries over
+    different generator sets in one row of A and one column of B raise
+    GeneratorMismatchError, as combining them entry by entry would.
     """
     m, k = shape(A)
     k2, n = shape(B)
@@ -81,17 +98,69 @@ def matmul(A, B):
             ]
             for a, da, fa in _over_common_denominator(A)
         ]
+    cols = [(b, _formal_gens(b)) for b in zip(*B)]
     out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = None
-            for t in range(k):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+    for a in A:
+        ga = _formal_gens(a) if cols else None
+        out.append([_dot(a, b, _same_gens(ga, gb)) for b, gb in cols])
     return out
+
+
+def _formal_gens(vector):
+    """The generator set of a vector's formal entries, None if it has none."""
+    gens = None
+    for x in vector:
+        if isinstance(x, FormalScalar):
+            gens = _same_gens(gens, x.gens)
+    return gens
+
+
+def _same_gens(g, h):
+    """The generator set of g and h, either of which may be None."""
+    if g is None or g is h:
+        return h
+    if h is not None and h != g:
+        raise GeneratorMismatchError(f"cannot combine scalars over {g.names} and {h.names}")
+    return g
+
+
+def _dot(a, b, gens):
+    """sum(a[t] * b[t]) with the value and type the term-by-term sum has.
+
+    gens is None when no factor is formal: the products are then summed as
+    they are.  Otherwise they go into one term map, zero factors skipped,
+    and the entry is one FormalScalar over gens.
+    """
+    if gens is None:
+        acc = None
+        for x, y in zip(a, b):
+            p = x * y
+            acc = p if acc is None else acc + p
+        return acc
+    terms = {}
+    const = 0  # the sum of the products with no formal factor
+    for x, y in zip(a, b):
+        if not (x and y):  # a zero int or Fraction factor (a FormalScalar is always true)
+            continue
+        if isinstance(x, FormalScalar):
+            if isinstance(y, FormalScalar):
+                for m1, c1 in x.terms.items():
+                    for m2, c2 in y.terms.items():
+                        mono = tuple(map(add, m1, m2))
+                        terms[mono] = terms.get(mono, 0) + c1 * c2
+                continue
+            f, c = x, y
+        elif isinstance(y, FormalScalar):
+            f, c = y, x
+        else:
+            const += x * y
+            continue
+        for mono, coeff in f.terms.items():
+            terms[mono] = terms.get(mono, 0) + coeff * c
+    if const:
+        one = (0,) * len(gens)
+        terms[one] = terms.get(one, 0) + Fraction(const)
+    return FormalScalar._trusted(gens, {mono: c for mono, c in terms.items() if c})
 
 
 def mat_copy(M):
@@ -260,6 +329,15 @@ def det_polynomial(mats):
 
 # -- Hermite and Smith forms -------------------------------------------------
 
+def _as_int(x):
+    """An int or integral Fraction entry as an int; anything else is refused."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return int(x)
+    raise PreconditionError(f"integer matrix entry {x!r} is not an integer")
+
+
 def row_hnf(A):
     """(H, U) with H = U @ A in canonical row Hermite form.
 
@@ -268,7 +346,7 @@ def row_hnf(A):
     absolute value to keep intermediate entries small.
     """
     m, n = shape(A)
-    H = [[int(x) for x in row] for row in A]
+    H = [[_as_int(x) for x in row] for row in A]
     U = identity(m)
     pr = 0
     for col in range(n):
@@ -327,23 +405,65 @@ def rank(M):
 def int_kernel(M):
     """Basis of the integer kernel {x : M x = 0}, as a list of columns.
 
-    The kernel of an integer matrix is automatically saturated; the basis
-    returned is the canonical column Hermite basis of that lattice.
+    M is a dense matrix, but only its nonzeros are worked on.  Each column
+    is held as a sparse map {row: entry} together with a sparse map
+    recording it as a combination of the columns of M.  Row by row, the
+    columns nonzero in that row are reduced by the one of least absolute
+    value until one is left; it becomes the row's pivot and is dropped.
+    These unimodular gcd steps leave the columns that never become a pivot
+    zero, and their combinations span the kernel, which is saturated.  The
+    basis returned is the canonical column Hermite basis of that lattice,
+    so it does not depend on the order of the steps.
     """
     m, n = shape(M)
-    H, U = hnf(M)
-    cols = [j for j in range(n) if all(H[i][j] == 0 for i in range(m))]
-    basis = [[U[i][j] for j in cols] for i in range(n)]
-    if not cols:
+    cols = [{} for _ in range(n)]
+    # holders[i]: the live columns nonzero in row i, and perhaps some others
+    holders = [set() for _ in range(m)]
+    for i, row in enumerate(M):
+        # zero entries need no check: only a nonzero can be non-integral
+        for j in compress(range(n), row):
+            cols[j][i] = _as_int(row[j])
+            holders[i].add(j)
+    combos = [{j: 1} for j in range(n)]
+    live = set(range(n))
+    for i in range(m):
+        hit = [j for j in holders[i] if j in live and i in cols[j]]
+        while len(hit) > 1:
+            p = min(hit, key=lambda j: abs(cols[j][i]))
+            pivot = cols[p][i]
+            rest = [p]
+            for j in hit:
+                if j != p:
+                    q = -(cols[j][i] // pivot)
+                    _add_multiple(cols[j], cols[p], q)
+                    _add_multiple(combos[j], combos[p], q)
+                    for r in cols[p]:
+                        holders[r].add(j)
+                    if i in cols[j]:
+                        rest.append(j)
+            hit = rest
+        if hit:
+            live.discard(hit[0])
+    if not live:
         return []
-    K, _ = hnf(basis)
-    return [[K[i][j] for i in range(n)] for j in range(len(cols))]
+    K, _ = hnf([[combos[j].get(i, 0) for j in live] for i in range(n)])
+    return [[K[i][j] for i in range(n)] for j in range(len(live))]
+
+
+def _add_multiple(dst, src, q):
+    """dst += q * src for sparse vectors {index: nonzero int}, q != 0."""
+    for k, v in src.items():
+        x = dst.get(k, 0) + q * v
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
 
 
 def snf(M):
     """(S, U, V) with S = U @ M @ V in Smith normal form, s_i | s_{i+1} >= 0."""
     m, n = shape(M)
-    S = [[int(x) for x in row] for row in M]
+    S = [[_as_int(x) for x in row] for row in M]
     U = identity(m)
     V = identity(n)
 
@@ -647,36 +767,33 @@ def as_scalar_matrix(M, gens: GeneratorSet | None = None):
 def flatten_to_int(*matrices):
     """Flatten scalar matrices over shared monomials and one common scale.
 
-    All matrices must have the same number of rows.  Rows of the result
-    are indexed by (matrix row, monomial); a single common denominator
-    scale is applied across every input so lattice relations survive.
-    Returns the list of integer matrices.
+    All matrices must have the same number of rows (PreconditionError
+    otherwise).  Rows of the result are indexed by (matrix row, monomial),
+    with monomials in the ascending graded-lex order of monomial_flatten;
+    a single common denominator scale is applied across every input so
+    lattice relations survive.  Only the nonzero terms of each entry are
+    visited; every other cell of the output is 0.  When no input has a
+    nonzero entry each output has max(rows, 1) zero rows.  Returns the
+    list of integer matrices.
     """
     if not matrices:
         return []
     nrows = len(matrices[0])
+    if any(len(M) != nrows for M in matrices):
+        raise PreconditionError("flattened matrices must have the same number of rows")
     widths = [len(M[0]) if M and M[0] else 0 for M in matrices]
-    combined = []
-    for i in range(nrows):
-        row = []
-        for M in matrices:
-            row.extend(M[i])
-        combined.append(row)
+    combined = [[x for M in matrices for x in M[i]] for i in range(nrows)]
     monomials, table = monomial_flatten(combined)
-    denom = lcm(*{c.denominator for row in combined for x in row for c in x.terms.values()})
+    count = len(monomials)
+    denom = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
     outs = []
     offset = 0
-    for M, w in zip(matrices, widths):
-        if monomials:
-            flat = []
-            for i in range(nrows):
-                cells = table[i][offset : offset + w]
-                for k in range(len(monomials)):
-                    # most cells are the shared zero: skip the Fraction multiply
-                    flat.append([cell[k].numerator * (denom // cell[k].denominator)
-                                 if cell[k] else 0 for cell in cells])
-        else:  # every entry of every input is zero
-            flat = [[0] * w for _ in range(max(nrows, 1))]
+    for w in widths:
+        flat = zeros(nrows * count if count else max(nrows, 1), w)
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row[offset : offset + w]):
+                for k, c in cell:
+                    flat[i * count + k][j] = c.numerator * (denom // c.denominator)
         outs.append(flat)
         offset += w
     return outs

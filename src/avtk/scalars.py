@@ -11,7 +11,10 @@ carried as declarations on the objects that need them.
 Monomials are exponent tuples aligned with the generator tuple and ordered
 by graded lexicographic order (total degree first, then lexicographic on
 exponents).  That order fixes leading terms, canonical string rendering and
-the row layout produced by :func:`monomial_flatten`.
+the monomial indices produced by :func:`monomial_flatten`, which give the
+row layout of ``intlinalg.flatten_to_int``: one row per (matrix row,
+monomial), monomials ascending.  The flattening stores only nonzero
+coefficients; the layout it describes is the same dense one.
 
 Every scalar is canonical: each monomial is a tuple of non-negative ints
 as long as the generator tuple, each coefficient is a nonzero
@@ -478,8 +481,10 @@ def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
 
     Returns the sorted tuple of all monomials occurring anywhere in the
     matrix (ascending graded-lex) plus, for each position, the tuple of
-    coefficients aligned with that monomial list, so that two matrices
-    flattened together can be compared coefficient by coefficient.
+    (monomial index, coefficient) pairs of that entry's nonzero terms, in
+    ascending index order.  Absent pairs are zero coefficients, so two
+    matrices flattened together can be compared coefficient by
+    coefficient without a dense tuple per entry.
     """
     gens = None
     union = set()
@@ -487,13 +492,16 @@ def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
         for entry in row:
             if gens is None:
                 gens = entry.gens
-            elif entry.gens != gens:
+            elif entry.gens is not gens and entry.gens != gens:
                 raise GeneratorMismatchError("matrix mixes generator sets")
             union.update(entry.terms)
     monomials = tuple(sorted(union, key=_grlex_key))
-    zero = Fraction(0)  # one shared object for every absent coefficient
+    index = {m: k for k, m in enumerate(monomials)}
     table = tuple(
-        tuple(tuple(entry.terms.get(m, zero) for m in monomials) for entry in row)
+        tuple(
+            tuple(sorted((index[m], c) for m, c in entry.terms.items())) if entry.terms else ()
+            for entry in row
+        )
         for row in matrix
     )
     return monomials, table

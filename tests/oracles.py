@@ -2,9 +2,72 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
+from avtk.errors import GeneratorMismatchError
 from avtk.homs import HomGenerator, _constant_right_block
-from avtk.intlinalg import matmul, transpose
+from avtk.intlinalg import hnf, matmul, shape, transpose
+from avtk.scalars import _grlex_key
 from avtk.torus import DualResult
+
+
+def dense_int_kernel(M):
+    """The integer kernel by a dense column Hermite form of all of M.
+
+    H = M @ U with U unimodular: the columns of U under the zero columns
+    of H span the saturated kernel, which is then put in canonical column
+    Hermite form.  This is the reference the sparse int_kernel must match
+    entry for entry.
+    """
+    m, n = shape(M)
+    H, U = hnf(M)
+    cols = [j for j in range(n) if all(H[i][j] == 0 for i in range(m))]
+    if not cols:
+        return []
+    K, _ = hnf([[U[i][j] for j in cols] for i in range(n)])
+    return [[K[i][j] for i in range(n)] for j in range(len(cols))]
+
+
+def dense_flatten_to_int(*matrices):
+    """flatten_to_int through a dense coefficient list per entry.
+
+    The reference for the sparse flatten: rows (matrix row, monomial), one
+    common denominator over every input, an all-zero input as max(rows, 1)
+    zero rows.
+    """
+    if not matrices:
+        return []
+    nrows = len(matrices[0])
+    widths = [len(M[0]) if M and M[0] else 0 for M in matrices]
+    combined = [[x for M in matrices for x in M[i]] for i in range(nrows)]
+    gens = None
+    union = set()
+    for row in combined:
+        for entry in row:
+            if gens is None:
+                gens = entry.gens
+            elif entry.gens != gens:
+                raise GeneratorMismatchError("matrix mixes generator sets")
+            union.update(entry.terms)
+    monomials = tuple(sorted(union, key=_grlex_key))
+    table = [[[entry.terms.get(m, Fraction(0)) for m in monomials] for entry in row]
+             for row in combined]
+    denom = lcm(*{c.denominator for row in combined for x in row for c in x.terms.values()})
+    outs = []
+    offset = 0
+    for w in widths:
+        if monomials:
+            flat = []
+            for i in range(nrows):
+                cells = table[i][offset : offset + w]
+                for k in range(len(monomials)):
+                    flat.append([int(cell[k] * denom) for cell in cells])
+        else:
+            flat = [[0] * w for _ in range(max(nrows, 1))]
+        outs.append(flat)
+        offset += w
+    return outs
 
 
 def dual_hom(f: HomGenerator, dual_domain: DualResult | None = None,

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avtk import intlinalg
-from avtk.errors import PreconditionError, RankDeficiencyError
+from avtk.errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
 from avtk.intlinalg import (
     as_scalar_matrix,
     combination,
@@ -29,8 +29,9 @@ from avtk.intlinalg import (
     symplectic_basis,
     transpose,
 )
-from avtk.scalars import GeneratorSet
+from avtk.scalars import FormalScalar, GeneratorSet
 from avtk.torus import pairing_type, standard_gram
+from oracles import dense_flatten_to_int, dense_int_kernel
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -229,6 +230,52 @@ def test_int_kernel_golden():
         assert sum(v) == 0
 
 
+@st.composite
+def integer_matrices(draw):
+    """Sparse or dense, with zero rows and columns, all-zero, full-rank and
+    empty cases; [] and [[], ...] stand for the matrices with no column."""
+    kind = draw(st.sampled_from(["sparse", "dense", "zero", "full-rank", "empty"]))
+    if kind == "empty":
+        return draw(st.sampled_from([[], [[]], [[], [], []]]))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    big = st.integers(-40, 40)
+    if kind == "full-rank":  # a nonzero diagonal under random entries, with m <= n
+        m = min(m, n)
+        M = [[draw(big) if j > i else 0 for j in range(n)] for i in range(m)]
+        for i in range(m):
+            M[i][i] = draw(st.integers(1, 9))
+        return M
+    entry = {"sparse": st.integers(-9, 9).filter(bool) | st.just(0) | st.just(0) | st.just(0),
+             "dense": big, "zero": st.just(0)}[kind]
+    M = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        M[i] = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in M:
+            row[j] = 0
+    if draw(st.booleans()):  # repeated rows and columns mean a larger kernel
+        M.append(list(M[0]))
+        for row in M:
+            row.append(row[0])
+    return M
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+@example([[2, 3, 4, 0], [1, 0, 0, 5], [0, 1, 1, 1], [0, 0, 0, 0]])  # row 0 fills rows 1, 2
+def test_int_kernel_matches_the_dense_oracle(M):
+    assert int_kernel(M) == dense_int_kernel(M)
+
+
+def test_integer_routines_refuse_non_integral_entries():
+    for call in (int_kernel, row_hnf, hnf, rank, snf):
+        with pytest.raises(PreconditionError):
+            call([[Fraction(3, 2), 2]])
+    # integral Fractions are integers
+    assert int_kernel([[Fraction(4, 2), 2]]) == int_kernel([[2, 2]]) == [[1, -1]]
+    assert hnf([[Fraction(3), 0]])[0] == [[3, 0]]
+
+
 def test_saturate_columns():
     sat = saturate_columns([[2], [4]])
     assert [row[0] for row in sat] == [1, 2]
@@ -322,6 +369,42 @@ def test_flatten_to_int_shares_monomials_and_denominator():
     assert len(FA[0]) == len(FB[0]) == 2
     # same scaling applied to both: B's flattening is 6x the naive one
     assert any(abs(x) == 6 for row in FB for x in row)
+
+
+def test_flatten_to_int_refuses_different_row_counts():
+    a = G.scalar("t")
+    with pytest.raises(PreconditionError):
+        flatten_to_int([[a]], [[a], [a + 1]])
+    with pytest.raises(PreconditionError):
+        flatten_to_int([[a], [a + 1]], [[a]])
+
+
+_FLAT_GENS = [GeneratorSet(names) for names in (("u",), ("u", "v"), ("u", "v", "w"))]
+
+
+@st.composite
+def formal_matrix_groups(draw):
+    """One to three formal matrices over one generator set, same row count."""
+    gens = draw(st.sampled_from(_FLAT_GENS))
+    width = len(gens)
+    coeff = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=9)
+    mono = st.tuples(*[st.integers(0, 2)] * width)
+    entry = st.one_of(
+        st.just(gens.zero()),
+        st.builds(lambda terms: FormalScalar(gens, terms),
+                  st.dictionaries(mono, coeff, max_size=4)),
+    )
+    rows = draw(st.integers(0, 3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return [[[draw(entry) for _ in range(w)] for _ in range(rows)] for w in widths]
+
+
+@settings(max_examples=200, deadline=None)
+@given(formal_matrix_groups())
+def test_flatten_to_int_matches_the_dense_oracle(group):
+    got = flatten_to_int(*group)
+    assert got == dense_flatten_to_int(*group)
+    assert all(type(x) is int for Z in got for row in Z for x in row)
 
 
 # -- symplectic reduction ---------------------------------------------------------
@@ -457,3 +540,68 @@ def test_non_rational_entries_take_the_generic_loop(A, B, monkeypatch):
     got = matmul(A, B)
     assert got == _loop_matmul(A, B)
     assert _types(got) == _types(_loop_matmul(A, B))
+
+
+# -- matmul with formal operands, against the same loop ----------------------------
+
+_MM_GENS = GeneratorSet(("s", "t"))
+_OTHER_GENS = GeneratorSet(("s", "x"))
+_ST = _MM_GENS.scalar("s") * _MM_GENS.scalar("t")
+
+
+def _formal_entries(gens):
+    s, t = gens.gens()
+    return st.sampled_from([gens.zero(), s, t, -s, s + 1, s * t - Fraction(1, 2), 2 * t * t,
+                            gens.constant(Fraction(1, 3)), gens.constant(-3)])
+
+
+@st.composite
+def formal_operands(draw):
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    rational = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    formal = _formal_entries(_MM_GENS)
+    mixed = st.one_of(formal, rational, st.just(0))
+    a_entry, b_entry = draw(st.sampled_from(
+        [(formal, formal), (formal, rational), (rational, formal), (mixed, mixed)]))
+    A = [[draw(a_entry) for _ in range(k)] for _ in range(m)]
+    B = [[draw(b_entry) for _ in range(n)] for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        # a sum that cancels: a0*b0 + a1*b1 with a1 = a0 and b1 = -b0
+        A[0][1] = A[0][0]
+        B[1][0] = -B[0][0]
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(formal_operands())
+@example(([[_ST, _ST, 1]], [[1], [-1], [0]]))  # cancels to the zero scalar
+def test_formal_matmul_matches_the_loop_in_value_and_type(operands):
+    A, B = operands
+    got, want = matmul(A, B), _loop_matmul(A, B)
+    assert got == want
+    assert _types(got) == _types(want)
+    for row in got:
+        for x in row:
+            if isinstance(x, FormalScalar):  # canonical: nonzero Fraction coefficients
+                assert x.gens == _MM_GENS
+                assert all(type(c) is Fraction and c for c in x.terms.values())
+
+
+def test_formal_matmul_refuses_mixed_generator_sets():
+    s, _ = _MM_GENS.gens()
+    x = _OTHER_GENS.scalar("x")
+    for A, B in (
+        ([[s]], [[x]]),
+        ([[s, x]], [[1], [1]]),
+        ([[s, 1]], [[1], [_OTHER_GENS.zero()]]),  # a zero formal factor still counts
+        ([[2, 0]], [[s], [0 * x]]),
+    ):
+        with pytest.raises(GeneratorMismatchError):
+            _loop_matmul(A, B)
+        with pytest.raises(GeneratorMismatchError):
+            matmul(A, B)
+    # different generator sets in different output entries are not combined
+    A, B = [[s], [x]], [[2, Fraction(1, 2)]]
+    got = matmul(A, B)
+    assert got == _loop_matmul(A, B)
+    assert [[y.gens for y in row] for row in got] == [[_MM_GENS] * 2, [_OTHER_GENS] * 2]

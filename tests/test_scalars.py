@@ -117,9 +117,10 @@ def test_monomial_flatten_round_trip():
     monos, table = monomial_flatten(M)
     assert monos == ((0, 0), (0, 1), (1, 0), (1, 1))  # 1, y, x, x*y
     half = Fraction(1, 2)
+    # (monomial index, coefficient) for each nonzero term only
     assert table == (
-        ((2, 0, 0, 1), (0, 1, 0, 0)),
-        ((0, 0, 0, 0), (-half, 0, 1, 0)),
+        (((0, 2), (3, 1)), ((1, 1),)),
+        ((), ((0, -half), (2, 1))),
     )
 
 
