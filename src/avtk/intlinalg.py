@@ -1,7 +1,9 @@
 """Exact linear algebra over Z and Q on plain list-of-list matrices.
 
-Everything here is fraction-free or Fraction-exact; no floats.  Column
-spans are compared by flattening formal entries monomial by monomial,
+Everything here is fraction-free or Fraction-exact; no floats.  The
+determinant of an integer matrix pencil is taken over integer
+polynomials, with exact integer division and no Fraction.  Column spans
+are compared by flattening formal entries monomial by monomial,
 clearing denominators with a single common scale applied to both sides,
 and comparing canonical column Hermite forms.
 
@@ -26,12 +28,13 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import lcm
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
-from .scalars import FormalScalar, GeneratorSet, exact_div, monomial_flatten
+from .scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
 
 
 # -- basic matrix helpers ----------------------------------------------------
@@ -296,35 +299,110 @@ def integer_terms(p: FormalScalar):
 def det_polynomial(mats):
     """det(sum(c_g * mats[g])) as (int coefficient, exponent tuple) pairs.
 
-    Fraction-free Bareiss elimination over polynomials in c0 ... c_{r-1}:
-    every intermediate entry is a minor of the pencil, so each division
-    is exact.  A pivot that is the zero polynomial is replaced by a later
-    row; the zero polynomial (no pairs) means every member is singular.
+    Fraction-free Bareiss elimination over integer polynomials in
+    c0 ... c_{r-1}, each a map {exponent tuple: nonzero int} built straight
+    from the matrices: every intermediate entry is a minor of the pencil,
+    so each division is exact, and _poly_div checks that it is.  A pivot
+    that is the zero polynomial is replaced by a later row; the zero
+    polynomial (no pairs) means every member is singular.  The pairs come
+    in ascending graded-lex order of their exponents, and 0 x 0 matrices
+    give the constant 1, as det does.
+
+    There must be at least one matrix, all square and of one size, with
+    int or integral Fraction entries; anything else is a PreconditionError.
     """
-    A = pencil(mats)
-    n = len(A)
+    if not mats:
+        raise PreconditionError("a matrix pencil needs at least one matrix")
+    n = len(mats[0])
+    if any(len(M) != n or any(len(row) != n for row in M) for M in mats):
+        raise PreconditionError("pencil matrices must be square and of one size")
+    r = len(mats)
+    A = [[{} for _ in range(n)] for _ in range(n)]
+    for g, M in enumerate(mats):
+        unit = tuple(int(h == g) for h in range(r))
+        for A_row, row in zip(A, M):
+            for entry, x in zip(A_row, row):
+                x = _as_int(x)
+                if x:
+                    entry[unit] = x
+    if n == 0:
+        return [(1, (0,) * r)]
     negate = False
     prev = None
     for k in range(n - 1):
-        if A[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not A[r][k].is_zero():
-                    A[k], A[r] = A[r], A[k]
+        if not A[k][k]:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
                     negate = not negate
                     break
             else:
                 return []
-        pivot = A[k][k]
-        for i in range(k + 1, n):
-            below = A[i][k]
+        pivot_row = A[k]
+        pivot = pivot_row[k]
+        for A_row in A[k + 1:]:
+            below = A_row[k]
             for j in range(k + 1, n):
-                num = A[i][j] * pivot
-                if not (below.is_zero() or A[k][j].is_zero()):  # pencils are sparse
-                    num = num - below * A[k][j]
-                A[i][j] = num if prev is None or num.is_zero() else exact_div(num, prev)
+                num = {}
+                _add_product(num, A_row[j], pivot, 1)
+                if below and pivot_row[j]:  # pencils are sparse
+                    _add_product(num, below, pivot_row[j], -1)
+                num = {mono: c for mono, c in num.items() if c}
+                A_row[j] = num if prev is None or not num else _poly_div(num, prev)
         prev = pivot
     d = A[n - 1][n - 1]
-    return integer_terms(-d if negate else d)
+    sign = -1 if negate else 1
+    return [(sign * d[mono], mono) for mono in sorted(d, key=_grlex_key)]
+
+
+def _add_product(acc, p, q, sign):
+    """acc += sign * p * q for integer polynomials {exponent tuple: int}."""
+    get = acc.get
+    q_items = q.items()
+    for m1, c1 in p.items():
+        c1 *= sign
+        for m2, c2 in q_items:
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = get(mono, 0) + c1 * c2
+
+
+def _poly_div(f, g):
+    """The quotient f / g of integer polynomials; ValueError unless g divides f.
+
+    Each step divides the graded-lex leading term of the remainder by that
+    of g, which must leave a monomial and an integer, and subtracts the
+    quotient term times g.  The terms of the remainder wait in a heap keyed
+    so that the largest monomial comes out first.
+    """
+    g_mono = max(g, key=_grlex_key)
+    g_coeff = g[g_mono]
+    g_rest = [(m, c) for m, c in g.items() if m != g_mono]
+    rem = dict(f)
+    get = rem.get
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+    heapify(heap)
+    quotient = {}
+    while rem:
+        mono = heappop(heap)[2]
+        coeff = rem.pop(mono, 0)
+        if not coeff:  # a stale entry: the term cancelled
+            continue
+        diff = tuple(map(sub, mono, g_mono))
+        q, remainder = divmod(coeff, g_coeff)
+        if remainder or min(diff) < 0:
+            raise ValueError("the divisor does not divide the polynomial")
+        quotient[diff] = q
+        for m, c in g_rest:  # rem -= q * x^diff * (g - leading term)
+            m = tuple(map(add, diff, m))
+            old = get(m)
+            if old is None:
+                rem[m] = -q * c
+                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+            elif old == q * c:
+                del rem[m]
+            else:
+                rem[m] = old - q * c
+    return quotient
 
 
 # -- Hermite and Smith forms -------------------------------------------------

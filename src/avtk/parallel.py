@@ -6,7 +6,9 @@ conditions that are polynomial in c: an isomorphism search may also ask
 that a form pulls back (polynomials that must vanish), the principal
 polarisation search that the leading principal minors of a symmetric
 matrix are positive.  pencil_search computes det(sum(c_i * C_i)) once,
-as a polynomial, and evaluates it and the side conditions per candidate.
+as a polynomial with integer coefficients taken by Bareiss elimination
+over integer polynomials (intlinalg.det_polynomial), and evaluates it and
+the side conditions per candidate.
 
 Before any enumeration it rules out whole searches: when the coefficients
 of the determinant have a common factor above 1 no member is unimodular,

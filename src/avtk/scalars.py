@@ -34,7 +34,6 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -505,49 +504,3 @@ def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
         for row in matrix
     )
     return monomials, table
-
-
-# -- exact division ---------------------------------------------------------
-
-def _descending_key(mono):
-    """Heap entry whose smallest is the graded-lex largest monomial."""
-    return (-sum(mono), tuple(-e for e in mono), mono)
-
-
-def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
-    """Exact polynomial quotient f/g; raises ValueError if g does not divide f."""
-    if g.gens is not f.gens and g.gens != f.gens:
-        raise GeneratorMismatchError(
-            f"cannot divide a scalar over {f.gens.names} by one over {g.gens.names}"
-        )
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    g_mono, g_coeff = g.leading_term()
-    g_terms = list(g.terms.items())
-    rem = dict(f.terms)
-    # every monomial of rem has an entry; entries of cancelled ones are skipped
-    heap = [_descending_key(m) for m in rem]
-    heapify(heap)
-    quotient = {}
-    while rem:
-        r_mono = heappop(heap)[2]
-        if r_mono not in rem:
-            continue
-        diff = tuple(a - b for a, b in zip(r_mono, g_mono))
-        if any(d < 0 for d in diff):
-            raise ValueError(f"{g} does not divide {f}")
-        q = rem[r_mono] / g_coeff
-        quotient[diff] = q
-        for mono, coeff in g_terms:  # rem -= q * x^diff * g, in place
-            m = tuple(map(add, diff, mono))
-            old = rem.get(m)
-            if old is None:
-                rem[m] = -q * coeff
-                heappush(heap, _descending_key(m))
-            else:
-                new = old - q * coeff
-                if new:
-                    rem[m] = new
-                else:
-                    del rem[m]
-    return FormalScalar._trusted(f.gens, quotient)

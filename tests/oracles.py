@@ -3,13 +3,93 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import add
 
 from avtk.errors import GeneratorMismatchError
 from avtk.homs import HomGenerator, _constant_right_block
-from avtk.intlinalg import hnf, matmul, shape, transpose
-from avtk.scalars import _grlex_key
+from avtk.intlinalg import hnf, integer_terms, matmul, pencil, shape, transpose
+from avtk.scalars import FormalScalar, _grlex_key
 from avtk.torus import DualResult
+
+
+def _descending_key(mono):
+    """Heap entry whose smallest is the graded-lex largest monomial."""
+    return (-sum(mono), tuple(-e for e in mono), mono)
+
+
+def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
+    """Exact polynomial quotient f/g over Q; raises ValueError if g does not divide f."""
+    if g.gens is not f.gens and g.gens != f.gens:
+        raise GeneratorMismatchError(
+            f"cannot divide a scalar over {f.gens.names} by one over {g.gens.names}"
+        )
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    g_mono, g_coeff = g.leading_term()
+    g_terms = list(g.terms.items())
+    rem = dict(f.terms)
+    # every monomial of rem has an entry; entries of cancelled ones are skipped
+    heap = [_descending_key(m) for m in rem]
+    heapify(heap)
+    quotient = {}
+    while rem:
+        r_mono = heappop(heap)[2]
+        if r_mono not in rem:
+            continue
+        diff = tuple(a - b for a, b in zip(r_mono, g_mono))
+        if any(d < 0 for d in diff):
+            raise ValueError(f"{g} does not divide {f}")
+        q = rem[r_mono] / g_coeff
+        quotient[diff] = q
+        for mono, coeff in g_terms:  # rem -= q * x^diff * g, in place
+            m = tuple(map(add, diff, mono))
+            old = rem.get(m)
+            if old is None:
+                rem[m] = -q * coeff
+                heappush(heap, _descending_key(m))
+            else:
+                new = old - q * coeff
+                if new:
+                    rem[m] = new
+                else:
+                    del rem[m]
+    return FormalScalar._trusted(f.gens, quotient)
+
+
+def formal_det_polynomial(mats):
+    """det_polynomial by Bareiss elimination on FormalScalar entries.
+
+    The pencil is built with intlinalg.pencil, so coefficients are
+    Fractions, and each division is exact_div over Q.  This is the
+    reference the integer-polynomial det_polynomial must match pair for
+    pair, in the same order, on well-formed input.
+    """
+    A = pencil(mats)
+    n = len(A)
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        if A[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not A[r][k].is_zero():
+                    A[k], A[r] = A[r], A[k]
+                    negate = not negate
+                    break
+            else:
+                return []
+        pivot = A[k][k]
+        for i in range(k + 1, n):
+            below = A[i][k]
+            for j in range(k + 1, n):
+                num = A[i][j] * pivot
+                if not (below.is_zero() or A[k][j].is_zero()):
+                    num = num - below * A[k][j]
+                A[i][j] = num if prev is None or num.is_zero() else exact_div(num, prev)
+        prev = pivot
+    d = A[n - 1][n - 1]
+    return integer_terms(-d if negate else d)
 
 
 def dense_int_kernel(M):

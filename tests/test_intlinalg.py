@@ -5,8 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from avtk import intlinalg
+from avtk.demos import run_demo
+from avtk.documents import torus_from_doc
 from avtk.errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
+from avtk.homs import hom_module
 from avtk.intlinalg import (
+    _poly_div,
     as_scalar_matrix,
     combination,
     det,
@@ -31,7 +35,7 @@ from avtk.intlinalg import (
 )
 from avtk.scalars import FormalScalar, GeneratorSet
 from avtk.torus import pairing_type, standard_gram
-from oracles import dense_flatten_to_int, dense_int_kernel
+from oracles import dense_flatten_to_int, dense_int_kernel, formal_det_polynomial
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -137,6 +141,81 @@ def test_det_polynomial_evaluates_to_the_det_of_each_member(case):
     terms = det_polynomial(mats)
     for c in points:
         assert evaluate(terms, c) == det(combination(c, mats))
+
+
+@st.composite
+def oracle_pencils(draw):
+    """Pencils of r <= 5 integer n x n matrices, n <= 6, of mixed density.
+
+    Optionally every member has a zero first column from row 0 down to
+    row z, which forces row swaps (all rows: every member is singular).
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=1, max_value=5))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    entry = st.integers(-3, 3)
+    cells = st.lists(st.tuples(st.floats(0, 1), entry), min_size=n * n * r,
+                     max_size=n * n * r)
+    flat = [x if u < density else 0 for u, x in draw(cells)]
+    mats = [[flat[(g * n + i) * n:(g * n + i + 1) * n] for i in range(n)] for g in range(r)]
+    zero_rows = draw(st.integers(min_value=0, max_value=n))
+    for M in mats:
+        for i in range(zero_rows):
+            M[i][0] = 0
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_pencils())
+@example([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])  # c0 * c1
+@example([[[0, 1, 0], [0, 0, 1], [1, 0, 0]]])  # two swaps: +c0^3
+@example([[[0, 2], [0, 5]], [[0, 1], [0, 3]]])  # a zero column: singular
+@example([[[-7]], [[0]], [[4]]])
+def test_det_polynomial_matches_the_formal_oracle(mats):
+    assert det_polynomial(mats) == formal_det_polynomial(mats)
+
+
+def test_det_polynomial_of_the_self_dual_hom_pencil_of_ex_4_1():
+    # Hom(A, dual A) of the demo ex-4.1 at n = 4: rank 10 on 8 x 8 matrices
+    demo = run_demo("ex-4.1", n=4, bound=1)
+    A = torus_from_doc(demo.documents["quotient-standard"])
+    Ahat = torus_from_doc(demo.documents["dual"])
+    mats = [f.rational_rep for f in hom_module(A, Ahat)]
+    assert len(mats) == 10 and all(len(M) == 8 and len(M[0]) == 8 for M in mats)
+    terms = det_polynomial(mats)
+    assert terms == formal_det_polynomial(mats)
+    assert len(terms) == 21
+    for c in ([1] * 10, list(range(-4, 6)), [0, 3, 0, -1, 2, 0, 0, 5, -2, 1]):
+        assert evaluate(terms, c) == det(combination(c, mats))
+
+
+def test_integer_polynomial_division():
+    # (c0 + c1) * (c0 - c1) = c0^2 - c1^2
+    assert _poly_div({(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): 1}) == {
+        (1, 0): 1, (0, 1): -1}
+    assert _poly_div({(1, 1): -6}, {(0, 1): 3}) == {(1, 0): -2}
+    with pytest.raises(ValueError):  # the coefficient 3 does not divide 2
+        _poly_div({(1, 0): 2}, {(1, 0): 3})
+    with pytest.raises(ValueError):  # 3 c0 divides 6 c0, not 6 c0 + 2
+        _poly_div({(1, 0): 6, (0, 0): 2}, {(1, 0): 3})
+    with pytest.raises(ValueError):  # the monomial c1 does not divide c0
+        _poly_div({(1, 0): 1}, {(0, 1): 1})
+    with pytest.raises(ValueError):  # c0 + c1 does not divide c0^2 + 1
+        _poly_div({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1})
+
+
+def test_det_polynomial_refuses_malformed_pencils():
+    I2, I3 = identity(2), identity(3)
+    for mats in ([], [[[1, 2, 3], [4, 5, 6]]], [I2, I3], [I3, I2], [[[1], [2]]],
+                 [[[1, 0], [0]]]):
+        with pytest.raises(PreconditionError):
+            det_polynomial(mats)
+    for bad in (Fraction(1, 2), 1.0, "1"):
+        with pytest.raises(PreconditionError):
+            det_polynomial([I2, [[0, bad], [0, 0]]])
+    # integral Fractions are integers, and 0 x 0 matrices have det 1
+    assert det_polynomial([[[Fraction(4, 2)]]]) == [(2, (1,))]
+    assert det_polynomial([[], []]) == [(1, (0, 0))]
 
 
 # -- Hermite form -------------------------------------------------------------

@@ -1,7 +1,9 @@
+import hashlib
+import json
 import multiprocessing
 import os
 
-from avtk import parallel
+from avtk import demos, parallel
 from avtk.demos import run_demo
 from avtk.documents import torus_from_doc
 from avtk.homs import isom_search
@@ -50,6 +52,8 @@ EX53_WITNESS = (
     (0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0, 0),
 )
 
+SEARCH_RESULTS_DIGEST = "1aa9aeed9e1341ab1480fc8a3839114cd6a95afde883665de3c72787740bce1b"
+
 
 def test_parallel_isom_search_matches_sequential():
     A, Ahat = swapped_pair(3)
@@ -72,6 +76,45 @@ def test_parallel_pp_search_finds_the_sequential_witness():
     assert isinstance(res, Found)
     assert res.tested == 72 and res.coefficients == (1, 2, 1)
     assert res.witness.H == ((5, 0, 2, 0), (0, 1, 0, 2), (2, 0, 1, 0), (0, 2, 0, 5))
+
+
+def _search_record(res):
+    """Verdict, tested, coefficients and witness rows of a search result."""
+    witness = getattr(res, "witness", None)
+    rows = getattr(witness, "H", witness)
+    return [type(res).__name__, res.tested, list(getattr(res, "coefficients", ())),
+            [list(row) for row in rows or ()]]
+
+
+def test_search_results_digest(monkeypatch):
+    # pins the results of the determinant-driven searches across changes to
+    # det_polynomial: any change in verdict, count or witness changes it
+    records = []
+    for d in (2, 3, 5, 7, 13):
+        A, Ahat = swapped_pair(d)
+        fam = admissible_family(A, Ahat)
+        for bound in (6, 25):
+            records.append(["pp", d, bound, _search_record(pp_search(A, Ahat, bound, fam))])
+        for tag, Y in (("swap", Ahat), ("dual", A.dual().torus)):
+            for polarised in (False, True):
+                for bound in (1, 2, 3):
+                    res = isom_search(A, Y, bound=bound, polarised=polarised)
+                    records.append(["isom", d, tag, polarised, bound, _search_record(res)])
+    searched = []
+
+    def recorded(X, Y, bound=10, polarised=False):
+        res = isom_search(X, Y, bound=bound, polarised=polarised)
+        searched.append(_search_record(res))
+        return res
+
+    monkeypatch.setattr(demos, "isom_search", recorded)
+    for name in ("ex-4.1", "ex-4.2"):
+        for n in (3, 4):
+            run_demo(name, n=n)
+            records.append([name, n, searched.pop()])
+    assert len(records) == 74 and not searched
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SEARCH_RESULTS_DIGEST
 
 
 # -- no worker process --------------------------------------------------------

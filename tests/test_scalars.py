@@ -7,11 +7,11 @@ from avtk.errors import GeneratorMismatchError, ScalarParseError
 from avtk.scalars import (
     FormalScalar,
     GeneratorSet,
-    exact_div,
     monomial_flatten,
     parse_scalar,
     render_scalar,
 )
+from oracles import exact_div
 
 G = GeneratorSet(("x", "y"))
 X = G.scalar("x")
