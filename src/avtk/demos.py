@@ -260,26 +260,7 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
 
     _check("no maps between the factors", len(hom_module(E, factors[0])) == 0, checks)
     _check("curve endomorphisms", len(hom_module(E, E)) == 1, checks)
-
-    # dual and isomorphism search run in the replayed standard frame, which
-    # the base-change check above proved is the same torus
-    A_std = PolarisedTorus(gens, display, standard_gram(list(dtype)))
-    dual_res = A_std.dual()
-    search = isom_search(A_std, dual_res.torus, bound=bound)
-    _check("self-dual search exhausted", isinstance(search, NotFoundUpToBound), checks)
-    payload["isom_search"] = {"bound": bound, "tested": search.tested, "found": False}
-    payload["checks"] = checks
-    return DemoResult(
-        name="ex-4.1",
-        payload=payload,
-        bounded=True,
-        documents={
-            "product": torus_to_doc(prod),
-            "quotient": torus_to_doc(A),
-            "quotient-standard": torus_to_doc(A_std),
-            "dual": torus_to_doc(dual_res.torus),
-        },
-    )
+    return _self_dual_search("ex-4.1", gens, display, dtype, bound, prod, A, checks, payload)
 
 
 def demo_ex_4_2(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
@@ -296,6 +277,15 @@ def demo_ex_4_2(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
     display = quotient_display(gens, "tau_E", left_B, dtype)
     _display_replay(gens, A, display, dtype, checks, payload)
     _check("no maps into the generic factor", len(hom_module(E, B)) == 0, checks)
+    return _self_dual_search("ex-4.2", gens, display, dtype, bound, prod, A, checks, payload)
+
+
+def _self_dual_search(name, gens, display, dtype, bound, prod, A, checks, payload):
+    """The end of ex-4.1 and ex-4.2: the quotient A is not isomorphic to its dual.
+
+    The dual and the isomorphism search run in the replayed standard frame,
+    which the base-change check proved is the same torus as A.
+    """
     A_std = PolarisedTorus(gens, display, standard_gram(list(dtype)))
     dual_res = A_std.dual()
     search = isom_search(A_std, dual_res.torus, bound=bound)
@@ -303,7 +293,7 @@ def demo_ex_4_2(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
     payload["isom_search"] = {"bound": bound, "tested": search.tested, "found": False}
     payload["checks"] = checks
     return DemoResult(
-        name="ex-4.2",
+        name=name,
         payload=payload,
         bounded=True,
         documents={

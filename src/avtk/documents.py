@@ -166,10 +166,6 @@ def point_from_doc(doc: dict, torus: PolarisedTorus) -> TorsionPoint:
 
 # -- embeddings and matrices ---------------------------------------------------
 
-def embedding_to_doc(emb: SubvarietyEmbedding) -> dict:
-    return {"columns": [list(row) for row in emb.columns]}
-
-
 def embedding_from_doc(doc: dict, torus: PolarisedTorus) -> SubvarietyEmbedding:
     if not isinstance(doc, dict) or "columns" not in doc:
         raise DocumentError("embedding document must be an object with columns")

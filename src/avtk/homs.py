@@ -7,9 +7,13 @@ identity F @ periods_X = periods_Y @ M.  Since the right period block D_X
 of X is constant and invertible over Q in the frames used here, F is
 determined by the right half M_R of M: F = periods_Y @ M_R @ D_X^-1.  The
 inverse is a constant rational matrix, so F is a matrix of polynomials,
-never of rational functions.  The identity on the left half flattens,
-monomial by monomial, into an integer linear system whose kernel is the
-whole homomorphism module.
+never of rational functions.  With periods_X = [Z_X | D_X] and
+W = D_X^-1 @ Z_X, the identity on the left half reads
+
+    periods_Y @ (M_R @ W - M_L) = 0,
+
+linear in the entries of M; it flattens, monomial by monomial, into an
+integer linear system whose kernel is the whole homomorphism module.
 
 An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
@@ -24,14 +28,14 @@ from math import lcm
 
 from .errors import PreconditionError
 from .intlinalg import (
+    as_int,
     combination,
     det,
     flatten_to_int,
     int_kernel,
-    integer_terms,
     mat_eq,
     matmul,
-    pencil,
+    pullback_polynomials,
     rat_inv,
     saturate_columns,
     transpose,
@@ -49,7 +53,8 @@ from .verdicts import Found, NoHoms, NotFoundUpToBound
 class HomGenerator:
     """One generator of Hom(X, Y): rational and analytic representations.
 
-    rational_rep is the integer matrix M; analytic_rep is F, a matrix of
+    rational_rep is the integer matrix M (ints or integral Fractions; any
+    other entry is a PreconditionError); analytic_rep is F, a matrix of
     FormalScalar polynomials (the module docstring says why F has no
     denominators), with int and Fraction entries taken as constants.  The
     defining identity F @ periods_X == periods_Y @ M is verified on
@@ -59,7 +64,7 @@ class HomGenerator:
     __slots__ = ("domain", "codomain", "rational_rep", "analytic_rep")
 
     def __init__(self, domain, codomain, rational_rep, analytic_rep):
-        M = tuple(tuple(int(x) for x in row) for row in rational_rep)
+        M = tuple(tuple(as_int(x) for x in row) for row in rational_rep)
         gens = codomain.gens
         F = tuple(
             tuple(x if isinstance(x, FormalScalar) else gens.constant(x) for x in row)
@@ -130,28 +135,18 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
     DXinv = _constant_right_block(X)
-    W = matmul(DXinv, X.left_block())  # acts on the right of M_R's image
+    W = matmul(DXinv, X.left_block())
     PY = [list(r) for r in Y.periods]
-    unknowns = 4 * m * n
     zero = X.gens.zero()
-    # one row per entry (i, j) of the identity, one column per entry of M
-    system = [[zero] * unknowns for _ in range(m * n)]
-    for r in range(2 * m):
-        for c in range(2 * n):
-            k = r * 2 * n + c
-            if c < n:
-                for i in range(m):
-                    system[i * n + c][k] = system[i * n + c][k] - PY[i][r]
-            else:
-                for i in range(m):
-                    for j in range(n):
-                        system[i * n + j][k] = system[i * n + j][k] + PY[i][r] * W[c - n][j]
+    # row (i, j): entry (i, j) of P_Y (M_R W - M_L); column (r, c): M[r][c]
+    system = [[PY[i][r] * W[c - n][j] if c >= n else -PY[i][r] if c == j else zero
+               for r in range(2 * m) for c in range(2 * n)]
+              for i in range(m) for j in range(n)]
     basis_vecs = int_kernel(flatten_to_int(system)[0])
     gens_out = []
     for vec in basis_vecs:
-        M = [[vec[r * 2 * n + c] for c in range(2 * n)] for r in range(2 * m)]
-        MR = [[M[r][n + j] for j in range(n)] for r in range(2 * m)]
-        F = matmul(matmul(PY, MR), DXinv)
+        M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
+        F = matmul(matmul(PY, [row[n:] for row in M]), DXinv)
         gens_out.append(HomGenerator(X, Y, M, F))
     return gens_out
 
@@ -238,12 +233,14 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     pulls the polarisation of Y back to that of X when ``polarised`` is
     set).  The search runs on the pencil engine (parallel.pencil_search):
     det(sum(c_i * M_i)) is computed once as a polynomial in c, and the
-    pull-back condition as the entries of M^T E_Y M - E_X, which must
-    vanish.  Returns Found with the first witness in the deterministic
-    coefficient order, NotFoundUpToBound, or NoHoms when the homomorphism
-    module is trivial.  The witness is rebuilt from its coefficients and
-    checked with the integer determinant before being returned.  A search
-    that the determinant does not rule out and that has more than
+    pull-back condition as the entries above the diagonal of
+    M^T E_Y M - E_X, which must vanish; both are built over integer
+    polynomials (intlinalg.det_polynomial, pullback_polynomials).  Returns
+    Found with the first witness in the deterministic coefficient order,
+    NotFoundUpToBound, or NoHoms when the homomorphism module is trivial.
+    The witness is rebuilt from its coefficients and checked with the
+    integer determinant before being returned.  A search that the
+    determinant does not rule out and that has more than
     parallel.MAX_CANDIDATES vectors raises PreconditionError.
     """
     if bound < 1:
@@ -254,14 +251,7 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     if X.dim != Y.dim:
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
-    gram_x = [list(row) for row in X.gram]
-    gram_y = [list(row) for row in Y.gram]
-    zero = ()
-    if polarised:  # M^T E_Y M - E_X is alternating: its upper triangle decides
-        P = pencil(mats)
-        pulled = matmul(transpose(P), matmul(gram_y, P))
-        zero = [integer_terms(pulled[i][j] - gram_x[i][j])
-                for i in range(len(P)) for j in range(i + 1, len(P))]
+    zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
     hit = pencil_search(mats, bound, zero=zero)
     if hit is None:
         return NotFoundUpToBound(bound=bound, tested=len(coefficient_values(bound)) ** len(mats))
@@ -269,6 +259,6 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     M = combination(c, mats)
     if det(M) not in (1, -1):
         raise AssertionError("witness is not unimodular")
-    if polarised and not mat_eq(matmul(transpose(M), matmul(gram_y, M)), gram_x):
+    if polarised and not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):
         raise AssertionError("witness does not pull the polarisation back")
     return Found(witness=tuple(tuple(row) for row in M), coefficients=c, tested=index + 1)

@@ -1,11 +1,13 @@
 """Exact linear algebra over Z and Q on plain list-of-list matrices.
 
 Everything here is fraction-free or Fraction-exact; no floats.  The
-determinant of an integer matrix pencil is taken over integer
-polynomials, with exact integer division and no Fraction.  Column spans
-are compared by flattening formal entries monomial by monomial,
-clearing denominators with a single common scale applied to both sides,
-and comparing canonical column Hermite forms.
+determinant of an integer matrix pencil and its pull-back conditions
+(det_polynomial, pullback_polynomials) are built over integer
+polynomials from one pencil of integer maps, with exact integer
+division and no Fraction.  Column spans are compared by flattening
+formal entries monomial by monomial, clearing denominators with a
+single common scale applied to both sides, and comparing canonical
+column Hermite forms.
 
 The linear systems behind Hom modules and polarisation families are
 almost empty, so the layer that solves them works on nonzeros only:
@@ -20,16 +22,16 @@ Conventions:
     zero columns trailing).
   * snf(M) returns (S, U, V) with S = U @ M @ V and s_i | s_{i+1}.
   * symplectic_basis(E) returns (U, D) with U^T E U = [[0, D], [-D, 0]].
-  * The integer routines (row_hnf, hnf, rank, int_kernel, snf) accept
-    ints and integral Fractions and raise PreconditionError on any other
-    entry.
+  * The integer routines (row_hnf, hnf, rank, int_kernel, snf and the
+    pencils) read entries through as_int: ints and integral Fractions are
+    accepted, any other entry is a PreconditionError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import combinations, compress
 from math import lcm
 from operator import add, mul, neg, sub
 
@@ -275,33 +277,12 @@ def combination(coefficients, mats):
     return [[sum(c * A[i][j] for c, A in pairs) for j in range(n)] for i in range(m)]
 
 
-def pencil(mats):
-    """sum(c_g * mats[g]) as a matrix of polynomials in generators c0, c1, ..."""
-    r = len(mats)
-    gens = GeneratorSet(f"c{g}" for g in range(r))
-    units = [tuple(int(h == g) for h in range(r)) for g in range(r)]
-    m, n = shape(mats[0])
-    return [[FormalScalar(gens, {units[g]: mats[g][i][j] for g in range(r)})
-             for j in range(n)] for i in range(m)]
-
-
-def integer_terms(p: FormalScalar):
-    """A polynomial with integer coefficients as (coefficient, exponents) pairs."""
-    out = []
-    for mono in p.monomials():
-        coeff = p.terms[mono]
-        if coeff.denominator != 1:
-            raise AssertionError(f"{p} has a non-integer coefficient")
-        out.append((coeff.numerator, mono))
-    return out
-
-
 def det_polynomial(mats):
     """det(sum(c_g * mats[g])) as (int coefficient, exponent tuple) pairs.
 
     Fraction-free Bareiss elimination over integer polynomials in
-    c0 ... c_{r-1}, each a map {exponent tuple: nonzero int} built straight
-    from the matrices: every intermediate entry is a minor of the pencil,
+    c0 ... c_{r-1}, each a map {exponent tuple: nonzero int} built by
+    _int_pencil: every intermediate entry is a minor of the pencil,
     so each division is exact, and _poly_div checks that it is.  A pivot
     that is the zero polynomial is replaced by a later row; the zero
     polynomial (no pairs) means every member is singular.  The pairs come
@@ -316,17 +297,9 @@ def det_polynomial(mats):
     n = len(mats[0])
     if any(len(M) != n or any(len(row) != n for row in M) for M in mats):
         raise PreconditionError("pencil matrices must be square and of one size")
-    r = len(mats)
-    A = [[{} for _ in range(n)] for _ in range(n)]
-    for g, M in enumerate(mats):
-        unit = tuple(int(h == g) for h in range(r))
-        for A_row, row in zip(A, M):
-            for entry, x in zip(A_row, row):
-                x = _as_int(x)
-                if x:
-                    entry[unit] = x
+    A = _int_pencil(mats)
     if n == 0:
-        return [(1, (0,) * r)]
+        return [(1, (0,) * len(mats))]
     negate = False
     prev = None
     for k in range(n - 1):
@@ -353,6 +326,33 @@ def det_polynomial(mats):
     d = A[n - 1][n - 1]
     sign = -1 if negate else 1
     return [(sign * d[mono], mono) for mono in sorted(d, key=_grlex_key)]
+
+
+def pullback_polynomials(mats, gram_y, gram_x):
+    """The entries above the diagonal of P^T E_Y P - E_X, P = sum(c_g * mats[g]).
+
+    One polynomial per entry (i, j), i < j, row by row, in det_polynomial's
+    form, summed with _add_product from the integer polynomials of P and
+    E_Y P.  For alternating E_Y and E_X they all vanish exactly when P
+    pulls E_Y back to E_X.
+    """
+    const = (0,) * len(mats)
+    P = _int_pencil(mats)
+    EP = _int_pencil([matmul(gram_y, M) for M in mats])
+    out = []
+    for i, j in combinations(range(len(gram_x)), 2):
+        acc = {const: -gram_x[i][j]}
+        for P_row, EP_row in zip(P, EP):
+            _add_product(acc, P_row[i], EP_row[j], 1)
+        out.append([(acc[mono], mono) for mono in sorted(acc, key=_grlex_key) if acc[mono]])
+    return out
+
+
+def _int_pencil(mats):
+    """sum(c_g * mats[g]) as a matrix of integer polynomials {unit exponent: int}."""
+    units = [tuple(int(h == g) for h in range(len(mats))) for g in range(len(mats))]
+    return [[{u: x for u, x in zip(units, map(as_int, entries)) if x} for entries in zip(*rows)]
+            for rows in zip(*mats)]
 
 
 def _add_product(acc, p, q, sign):
@@ -407,7 +407,7 @@ def _poly_div(f, g):
 
 # -- Hermite and Smith forms -------------------------------------------------
 
-def _as_int(x):
+def as_int(x):
     """An int or integral Fraction entry as an int; anything else is refused."""
     if type(x) is int:
         return x
@@ -424,7 +424,7 @@ def row_hnf(A):
     absolute value to keep intermediate entries small.
     """
     m, n = shape(A)
-    H = [[_as_int(x) for x in row] for row in A]
+    H = [[as_int(x) for x in row] for row in A]
     U = identity(m)
     pr = 0
     for col in range(n):
@@ -500,7 +500,7 @@ def int_kernel(M):
     for i, row in enumerate(M):
         # zero entries need no check: only a nonzero can be non-integral
         for j in compress(range(n), row):
-            cols[j][i] = _as_int(row[j])
+            cols[j][i] = as_int(row[j])
             holders[i].add(j)
     combos = [{j: 1} for j in range(n)]
     live = set(range(n))
@@ -541,7 +541,7 @@ def _add_multiple(dst, src, q):
 def snf(M):
     """(S, U, V) with S = U @ M @ V in Smith normal form, s_i | s_{i+1} >= 0."""
     m, n = shape(M)
-    S = [[_as_int(x) for x in row] for row in M]
+    S = [[as_int(x) for x in row] for row in M]
     U = identity(m)
     V = identity(n)
 

@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .intlinalg import (
+    as_int,
     combination,
     det,
     det_polynomial,
     flatten_to_int,
     hnf,
     int_kernel,
+    mat_eq,
     matmul,
     span_equal,
+    transpose,
 )
 from .parallel import coefficient_values, pencil_search
 from .torus import PolarisedTorus
@@ -32,12 +35,13 @@ from .verdicts import Found, NotFoundUpToBound
 
 
 class PPCandidate:
-    """A symmetric integer matrix proposed as a principal polarisation."""
+    """A symmetric integer matrix proposed as a principal polarisation
+    (ints or integral Fractions; any other entry is a PreconditionError)."""
 
     __slots__ = ("H",)
 
     def __init__(self, H):
-        H = tuple(tuple(int(x) for x in row) for row in H)
+        H = tuple(tuple(as_int(x) for x in row) for row in H)
         n = len(H)
         if any(len(row) != n for row in H):
             raise PreconditionError("candidate matrix must be square")
@@ -126,45 +130,29 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     n = A.dim
     PA = [list(r) for r in A.periods]
     PH = [list(r) for r in Ahat.periods]
-    sym = {}
-    for i in range(n):
-        for j in range(i, n):
-            sym[(i, j)] = len(sym)
+    sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
-    unknowns = s + 4 * n * n
     zero = A.gens.zero()
-    # one row per entry (i, j) of the identity, one column per unknown
-    system = [[zero] * unknowns for _ in range(2 * n * n)]
-    for i in range(n):
-        for j in range(2 * n):
-            row = system[i * 2 * n + j]
-            for k in range(n):
-                u = sym[(min(i, k), max(i, k))]
-                row[u] = row[u] + PA[k][j]
-            for r in range(2 * n):
-                u = s + j * 2 * n + r
-                row[u] = row[u] - PH[i][r]
+    # row (i, j): entry (i, j) of H P_A - P_Ahat C; columns: the entries of H
+    # on and above the diagonal, then C[r][c] column by column
+    system = [[PA[b][j] if a == i else PA[a][j] if b == i else zero for a, b in sym]
+              + [-PH[i][r] if c == j else zero for c in range(2 * n) for r in range(2 * n)]
+              for i in range(n) for j in range(2 * n)]
     vecs = int_kernel(flatten_to_int(system)[0])
     if not vecs:
         return AdmissibleFamily(A, Ahat, (), ())
-    r = len(vecs)
-    proj = [[vecs[g][u] for g in range(r)] for u in range(s)]
-    canon, U = hnf(proj)
-    full = matmul([[vecs[g][u] for g in range(r)] for u in range(unknowns)], U)
+    unknowns = transpose(vecs)  # one row per unknown
+    _, U = hnf(unknowns[:s])
+    full = matmul(unknowns, U)
     basis = []
     coords = []
-    for g in range(r):
+    for g in range(len(vecs)):
         H = [[0] * n for _ in range(n)]
-        for (i, j), u in sym.items():
-            H[i][j] = full[u][g]
-            H[j][i] = full[u][g]
+        for u, (i, j) in enumerate(sym):
+            H[i][j] = H[j][i] = full[u][g]
         C = [[full[s + j * 2 * n + row][g] for j in range(2 * n)] for row in range(2 * n)]
-        left = matmul(H, PA)
-        right = matmul(PH, C)
-        for i in range(n):
-            for j in range(2 * n):
-                if left[i][j] != right[i][j]:
-                    raise AssertionError("family element fails its containment identity")
+        if not mat_eq(matmul(H, PA), matmul(PH, C)):
+            raise AssertionError("family element fails its containment identity")
         basis.append(H)
         coords.append(C)
     return AdmissibleFamily(A, Ahat, basis, coords)

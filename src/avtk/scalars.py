@@ -186,13 +186,6 @@ class FormalScalar:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def leading_term(self):
-        """(monomial, coefficient) of the graded-lex largest term."""
-        if not self.terms:
-            raise ValueError("zero scalar has no leading term")
-        mono = max(self.terms, key=_grlex_key)
-        return mono, self.terms[mono]
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):

@@ -22,8 +22,10 @@ from math import lcm
 
 from .errors import PreconditionError
 from .intlinalg import (
+    as_int,
     det,
     elementary_divisors,
+    flatten_to_int,
     hnf,
     identity,
     int_kernel,
@@ -90,7 +92,8 @@ class TorsionPoint:
 class PolarisedTorus:
     """Period matrix plus polarisation form, all exact.
 
-    ``periods`` is n x 2n over FormalScalar, ``gram`` is 2n x 2n integer,
+    ``periods`` is n x 2n over FormalScalar, ``gram`` is 2n x 2n integer
+    (ints or integral Fractions; any other entry is a PreconditionError),
     alternating and nondegenerate.  Instances are immutable value objects;
     equality compares generators, periods and gram entrywise.
     """
@@ -115,7 +118,7 @@ class PolarisedTorus:
         m = len(gram)
         if m != 2 * n or any(len(r) != 2 * n for r in gram):
             raise PreconditionError("gram matrix must be 2n x 2n")
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        g = tuple(tuple(as_int(x) for x in row) for row in gram)
         for i in range(m):
             for j in range(m):
                 if g[i][j] != -g[j][i]:
@@ -576,8 +579,6 @@ def ambient_to_lattice(T: PolarisedTorus, vector):
     monomials, so the solution, when it exists, is unique; no solution
     means the vector is not a rational combination of the periods.
     """
-    from .intlinalg import flatten_to_int
-
     n = T.dim
     if len(vector) != n:
         raise PreconditionError("ambient vector length must equal the dimension")

@@ -9,9 +9,22 @@ from operator import add
 
 from avtk.errors import GeneratorMismatchError
 from avtk.homs import HomGenerator, _constant_right_block
-from avtk.intlinalg import hnf, integer_terms, matmul, pencil, shape, transpose
-from avtk.scalars import FormalScalar, _grlex_key
-from avtk.torus import DualResult
+from avtk.intlinalg import hnf, matmul, shape, transpose
+from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key
+from avtk.torus import DualResult, SubvarietyEmbedding
+
+
+def leading_term(p: FormalScalar):
+    """(monomial, coefficient) of the graded-lex largest term of p."""
+    if not p.terms:
+        raise ValueError("zero scalar has no leading term")
+    mono = max(p.terms, key=_grlex_key)
+    return mono, p.terms[mono]
+
+
+def embedding_to_doc(emb: SubvarietyEmbedding) -> dict:
+    """The document embedding_from_doc reads back into emb."""
+    return {"columns": [list(row) for row in emb.columns]}
 
 
 def _descending_key(mono):
@@ -27,7 +40,7 @@ def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
         )
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    g_mono, g_coeff = g.leading_term()
+    g_mono, g_coeff = leading_term(g)
     g_terms = list(g.terms.items())
     rem = dict(f.terms)
     # every monomial of rem has an entry; entries of cancelled ones are skipped
@@ -58,13 +71,46 @@ def exact_div(f: FormalScalar, g: FormalScalar) -> FormalScalar:
     return FormalScalar._trusted(f.gens, quotient)
 
 
+def pencil(mats):
+    """sum(c_g * mats[g]) as a matrix of polynomials in generators c0, c1, ..."""
+    r = len(mats)
+    gens = GeneratorSet(f"c{g}" for g in range(r))
+    units = [tuple(int(h == g) for h in range(r)) for g in range(r)]
+    m, n = shape(mats[0])
+    return [[FormalScalar(gens, {units[g]: mats[g][i][j] for g in range(r)})
+             for j in range(n)] for i in range(m)]
+
+
+def integer_terms(p: FormalScalar):
+    """A polynomial with integer coefficients as (coefficient, exponents) pairs."""
+    out = []
+    for mono in p.monomials():
+        coeff = p.terms[mono]
+        if coeff.denominator != 1:
+            raise AssertionError(f"{p} has a non-integer coefficient")
+        out.append((coeff.numerator, mono))
+    return out
+
+
+def formal_pullback_polynomials(mats, gram_y, gram_x):
+    """pullback_polynomials through the FormalScalar pencil and formal matmul.
+
+    The upper triangle of P^T E_Y P - E_X, row by row, each entry as
+    integer_terms; the reference the integer-map builder must match.
+    """
+    P = pencil(mats)
+    pulled = matmul(transpose(P), matmul(gram_y, P))
+    return [integer_terms(pulled[i][j] - gram_x[i][j])
+            for i in range(len(P)) for j in range(i + 1, len(P))]
+
+
 def formal_det_polynomial(mats):
     """det_polynomial by Bareiss elimination on FormalScalar entries.
 
-    The pencil is built with intlinalg.pencil, so coefficients are
-    Fractions, and each division is exact_div over Q.  This is the
-    reference the integer-polynomial det_polynomial must match pair for
-    pair, in the same order, on well-formed input.
+    The pencil is built with pencil above, so coefficients are Fractions,
+    and each division is exact_div over Q.  This is the reference the
+    integer-polynomial det_polynomial must match pair for pair, in the
+    same order, on well-formed input.
     """
     A = pencil(mats)
     n = len(A)

@@ -8,7 +8,6 @@ from avtk.documents import (
     canonical_json,
     digest,
     embedding_from_doc,
-    embedding_to_doc,
     fraction_matrix_doc,
     fraction_str,
     int_matrix_doc,
@@ -22,6 +21,7 @@ from avtk.documents import (
 from avtk.errors import DocumentError
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, SubvarietyEmbedding, TorsionPoint, product, standard_gram
+from oracles import embedding_to_doc
 
 G = GeneratorSet(("tau",))
 TAU = G.scalar("tau")

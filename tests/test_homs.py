@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from avtk.demos import run_demo
+from avtk.documents import scalar_matrix_doc, torus_from_doc
 from avtk.errors import PreconditionError
 from avtk.homs import (
     HomGenerator,
@@ -11,6 +15,7 @@ from avtk.homs import (
     isom_search,
 )
 from avtk.intlinalg import identity, matmul, mat_eq, transpose
+from avtk.ppsearch import admissible_family
 from avtk.scalars import GeneratorSet
 from avtk.torus import (
     PolarisedTorus,
@@ -73,6 +78,15 @@ def test_hom_generator_constructor_verifies_compatibility():
     E = curve(TAU_E)
     with pytest.raises(PreconditionError):
         HomGenerator(E, E, [[1, 0], [0, 2]], [[G2.one()]])
+
+
+def test_hom_generator_refuses_a_non_integral_rational_representation():
+    E = curve(TAU_E)
+    half = Fraction(3, 2)
+    with pytest.raises(PreconditionError, match="not an integer"):
+        HomGenerator(E, E, [[half, 0], [0, half]], [[1]])  # int() made this the identity
+    g = HomGenerator(E, E, [[Fraction(2), 0], [0, 2]], [[2]])
+    assert g.rational_rep == ((2, 0), (0, 2)) and type(g.rational_rep[0][0]) is int
 
 
 def test_hom_generators_satisfy_the_period_equation():
@@ -210,3 +224,53 @@ def test_isom_search_respects_the_bound():
     res = isom_search(E, curve(TAU_E, 2), bound=1)
     assert isinstance(res, NotFoundUpToBound)
     assert res.bound == 1 and res.tested == 3
+
+
+# -- the Hom modules and admissible families ---------------------------------------
+
+HOMS_DIGEST = "41e0e6ba45d0c27bc2aa8708de35aa13a2ca24c1685dbdd43cbfdc2545b8b42f"
+
+
+def _outcome(build, record):
+    """record(build()), or the message of the PreconditionError it raised."""
+    try:
+        return record(build())
+    except PreconditionError as exc:
+        return ["refused", str(exc)]
+
+
+def _hom_record(gens):
+    return [[[list(r) for r in g.rational_rep], scalar_matrix_doc(g.analytic_rep)]
+            for g in gens]
+
+
+def _family_record(fam):
+    return [[[list(r) for r in M] for M in mats] for mats in (fam.basis, fam.coordinates)]
+
+
+def test_hom_module_and_admissible_family_digest():
+    # pins every Hom generator (rational and analytic representation) and
+    # every family basis and coordinate matrix across changes to how the
+    # linear systems are built
+    G = GeneratorSet(("a", "b", "c"))
+    a, b, c = G.gens()
+    pairs = []
+    for d in (2, 3, 5, 7, 13):
+        S = PolarisedTorus(G, [[a, b, 1, 0], [b, c, 0, d]], standard_gram([1, d]))
+        Sd = PolarisedTorus(G, [list(r) for r in S.dual().display_periods],
+                            standard_gram([d, 1]))
+        for k in (1, 2, 3):
+            A = product([(S, Sd)[i % 2] for i in range(k)])
+            B = product([(Sd, S)[i % 2] for i in range(k)])
+            pairs += [(f"d={d} k={k} swap", A, B), (f"d={d} k={k} end", A, A),
+                      (f"d={d} k={k} dual", A, A.dual().torus)]
+    for name in ("ex-4.1", "ex-4.2", "ex-5.3", "lemma-5.4", "thm-3.2-generic"):
+        docs = run_demo(name).documents
+        tori = {key: torus_from_doc(doc) for key, doc in docs.items()}
+        pairs += [(f"{name} {x} {y}", tori[x], tori[y]) for x in tori for y in tori]
+    records = [[tag, _outcome(lambda: hom_module(X, Y), _hom_record),
+                _outcome(lambda: admissible_family(X, Y), _family_record)]
+               for tag, X, Y in pairs]
+    assert len(records) == 101
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == HOMS_DIGEST

@@ -23,6 +23,7 @@ from avtk.intlinalg import (
     int_kernel,
     matmul,
     mat_eq,
+    pullback_polynomials,
     rank,
     rat_inv,
     rat_solve,
@@ -35,7 +36,12 @@ from avtk.intlinalg import (
 )
 from avtk.scalars import FormalScalar, GeneratorSet
 from avtk.torus import pairing_type, standard_gram
-from oracles import dense_flatten_to_int, dense_int_kernel, formal_det_polynomial
+from oracles import (
+    dense_flatten_to_int,
+    dense_int_kernel,
+    formal_det_polynomial,
+    formal_pullback_polynomials,
+)
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -216,6 +222,54 @@ def test_det_polynomial_refuses_malformed_pencils():
     # integral Fractions are integers, and 0 x 0 matrices have det 1
     assert det_polynomial([[[Fraction(4, 2)]]]) == [(2, (1,))]
     assert det_polynomial([[], []]) == [(1, (0, 0))]
+
+
+# -- pull-back conditions of pencils ----------------------------------------------
+
+def alternating(draw, size):
+    """A random alternating integer matrix, degenerate or not."""
+    E = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            E[i][j] = draw(st.integers(-3, 3))
+            E[j][i] = -E[i][j]
+    return E
+
+
+@st.composite
+def pullback_cases(draw):
+    """r <= 4 integer 2k x 2k matrices, k <= 3, of mixed density, two
+    alternating grams and points c to evaluate at."""
+    size = 2 * draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=1, max_value=4))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    cells = st.lists(st.tuples(st.floats(0, 1), st.integers(-3, 3)),
+                     min_size=size * size * r, max_size=size * size * r)
+    flat = [x if u < density else 0 for u, x in draw(cells)]
+    mats = [[flat[(g * size + i) * size:(g * size + i + 1) * size] for i in range(size)]
+            for g in range(r)]
+    points = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                           min_size=1, max_size=4))
+    return mats, alternating(draw, size), alternating(draw, size), points
+
+
+@settings(max_examples=250, deadline=None)
+@given(pullback_cases())
+@example(([[[0, 1], [1, 0]], [[1, 0], [0, 1]]], [[0, 1], [-1, 0]], [[0, 1], [-1, 0]],
+          [[1, 0], [0, 1], [1, 1]]))  # c1^2 - c0^2 - 1: the member's det, minus 1
+@example(([[[0, 0], [0, 0]]], [[0, 2], [-2, 0]], [[0, 0], [0, 0]], [[3]]))  # the zero polynomial
+def test_pullback_polynomials_match_the_formal_route_and_the_integer_product(case):
+    mats, gram_y, gram_x, points = case
+    polys = pullback_polynomials(mats, gram_y, gram_x)
+    formal = formal_pullback_polynomials(mats, gram_y, gram_x)
+    assert [sorted(p) for p in polys] == [sorted(p) for p in formal]
+    assert polys == formal  # both in ascending graded-lex order
+    size = len(gram_y)
+    for c in points:
+        M = combination(c, mats)
+        pulled = matmul(transpose(M), matmul(gram_y, M))
+        assert [evaluate(p, c) for p in polys] == [
+            pulled[i][j] - gram_x[i][j] for i in range(size) for j in range(i + 1, size)]
 
 
 # -- Hermite form -------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from avtk.errors import PreconditionError
@@ -38,6 +40,14 @@ def swapped_pair(d):
 def test_candidate_must_be_symmetric():
     with pytest.raises(PreconditionError):
         PPCandidate([[1, 2], [3, 1]])
+
+
+def test_candidate_refuses_non_integral_entries():
+    with pytest.raises(PreconditionError, match="not an integer"):
+        PPCandidate([[Fraction(3, 2), 0], [0, 1]])  # int() made this the identity
+    with pytest.raises(PreconditionError, match="not an integer"):
+        PPCandidate([[1.0, 0], [0, 1]])
+    assert PPCandidate([[Fraction(4, 2), 1], [1, 1]]).H == ((2, 1), (1, 1))
 
 
 def test_leading_minors_and_definiteness():

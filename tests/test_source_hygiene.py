@@ -1,0 +1,59 @@
+"""Static checks on the sources of avtk, with the standard library's ast only.
+
+Every module may import only standard-library modules or avtk itself, and
+every name a module imports must be used in it, so that a deletion leaves
+no dead import behind.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "avtk").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree):
+    """(top-level module or None for a relative import, bound name) per import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            top = None if node.level else node.module.split(".")[0]
+            for alias in node.names:
+                yield top, alias.asname or alias.name
+
+
+def _exported(tree):
+    """The strings listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_the_sources_are_found():
+    assert {"homs.py", "intlinalg.py", "ppsearch.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_avtk(path):
+    foreign = {top for top, _ in _imports(_tree(path))
+               if top is not None and top != "avtk" and top not in sys.stdlib_module_names}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = {name for _, name in _imports(tree)} - used
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"

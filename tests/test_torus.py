@@ -54,6 +54,22 @@ def test_subgroup_elements_counts():
 
 # -- construction and basic invariants ----------------------------------------
 
+@pytest.mark.parametrize("gram", [
+    [[0, Fraction(3, 2)], [Fraction(-3, 2), 0]],  # int() made this principal
+    [[0, 1.9], [-1.9, 0]],  # int() made this 1
+    [[0, "1"], ["-1", 0]],
+])
+def test_constructor_refuses_non_integral_gram_entries(gram):
+    with pytest.raises(PreconditionError, match="not an integer"):
+        PolarisedTorus(G, [[TAU, 1]], gram)
+
+
+def test_constructor_takes_integral_fractions_in_the_gram_as_ints():
+    T = PolarisedTorus(G, [[TAU, 2]], [[0, Fraction(2)], [Fraction(-2), 0]])
+    assert T.gram == ((0, 2), (-2, 0)) and type(T.gram[0][1]) is int
+    assert T == curve(2)
+
+
 def test_constructor_validates():
     with pytest.raises(PreconditionError):
         PolarisedTorus(G, [[TAU, 1, 2]], standard_gram([1]))  # wrong width
