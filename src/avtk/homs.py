@@ -156,7 +156,9 @@ class IdempotentData:
 
     epsilon is the rational projector onto the subtorus factor, exponent
     is the largest divisor of the restricted type, and norm is the
-    integral endomorphism exponent * epsilon.
+    integral endomorphism exponent * epsilon.  The exponent and the norm
+    entries are read through as_int, so a non-integral one is a
+    PreconditionError.
     """
 
     __slots__ = ("embedding", "epsilon", "exponent", "norm")
@@ -164,8 +166,8 @@ class IdempotentData:
     def __init__(self, embedding, epsilon, exponent, norm):
         object.__setattr__(self, "embedding", embedding)
         object.__setattr__(self, "epsilon", tuple(tuple(x) for x in epsilon))
-        object.__setattr__(self, "exponent", int(exponent))
-        object.__setattr__(self, "norm", tuple(tuple(int(x) for x in row) for row in norm))
+        object.__setattr__(self, "exponent", as_int(exponent))
+        object.__setattr__(self, "norm", tuple(tuple(map(as_int, row)) for row in norm))
 
     def __setattr__(self, *args):
         raise AttributeError("IdempotentData is immutable")

@@ -17,6 +17,10 @@ Their inputs and outputs stay dense matrices, and every result is
 canonical, so it does not depend on how it was computed.
 
 Conventions:
+  * Each job has one elimination: fraction-free Bareiss for det over Z
+    and Q; one Gauss-Jordan over Fractions for rat_inv and rat_solve; the
+    sparse kernel for int_kernel, saturate_columns and rank; the row HNF
+    for hnf; the SNF for snf and elementary_divisors.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
@@ -32,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
-from math import lcm
+from math import lcm, prod
 from operator import add, mul, neg, sub
 
 from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
@@ -181,10 +185,13 @@ def mat_eq(A, B):
 # -- determinants ------------------------------------------------------------
 
 def det(M):
-    """Exact determinant.
+    """Exact determinant over Z or Q, by fraction-free Bareiss elimination.
 
-    Integer matrices go through fraction-free Bareiss elimination; anything
-    containing Fractions falls back to exact rational elimination.
+    A matrix of ints gives an int.  A matrix holding a Fraction has each
+    row put over its common denominator; the integer numerators go through
+    the same elimination, and the result is a Fraction: that determinant
+    over the product of the row denominators.  Any entry that is neither
+    an int nor a Fraction is a PreconditionError.
     """
     n, n2 = shape(M)
     if n != n2:
@@ -193,7 +200,12 @@ def det(M):
         return 1
     if all(isinstance(x, int) for row in M for x in row):
         return _det_bareiss(M)
-    return _det_fraction(M)
+    for row in M:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise PreconditionError(f"determinant entry {x!r} is not an int or a Fraction")
+    rows = _over_common_denominator(M)
+    return Fraction(_det_bareiss([v for v, _, _ in rows]), prod(d for _, d, _ in rows))
 
 
 def _det_bareiss(M):
@@ -216,33 +228,6 @@ def _det_bareiss(M):
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
-
-
-def _det_fraction(M):
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if A[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        result *= A[k][k]
-        inv = 1 / A[k][k]
-        for i in range(k + 1, n):
-            if A[i][k] == 0:
-                continue
-            f = A[i][k] * inv
-            for j in range(k, n):
-                A[i][j] -= f * A[k][j]
-    return sign * result
 
 
 def det_mod2(M):
@@ -475,9 +460,8 @@ def hnf(M):
 
 
 def rank(M):
-    """Rank of an integer matrix (count of nonzero rows of its row HNF)."""
-    H, _ = row_hnf(M)
-    return sum(1 for row in H if any(row))
+    """Rank of an integer matrix: its column count less its kernel's rank."""
+    return shape(M)[1] - len(int_kernel(M))
 
 
 def int_kernel(M):
@@ -618,88 +602,57 @@ def elementary_divisors(M):
 def saturate_columns(M):
     """Basis of the saturation (Q-span of columns) intersected with Z^m.
 
-    Returned as an m x r matrix in canonical column Hermite form; r is the
-    rank of M.  The zero matrix saturates to an m x 0 matrix.
+    The saturation is the kernel of the left kernel: the integer vectors
+    that every y with y^T M = 0 annihilates.  Both kernels come from
+    int_kernel, so the basis is returned as an m x r matrix in canonical
+    column Hermite form; r is the rank of M.  An empty left kernel gives
+    identity(m), and the zero matrix saturates to an m x 0 matrix.
     """
     m, n = shape(M)
-    S, U, V = snf(M)
-    r = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
-    if r == 0:
-        return [[] for _ in range(m)]
-    Uinv = rat_inv(U)
-    basis = [[int(Uinv[i][j]) for j in range(r)] for i in range(m)]
-    H, _ = hnf(basis)
-    return [[H[i][j] for j in range(r)] for i in range(m)]
+    left = int_kernel(transpose(M)) if n else identity(m)
+    if not left:
+        return identity(m)
+    basis = int_kernel(left)
+    return [[col[i] for col in basis] for i in range(m)]
 
 
 # -- rational elimination ----------------------------------------------------
 
 def rat_inv(M):
-    """Exact inverse of a square matrix over Q (ValueError if singular)."""
+    """Exact inverse of a square matrix over Q (ValueError if singular).
+
+    [M | I] is brought to reduced row echelon form by _gauss_jordan; M is
+    invertible exactly when every column of M holds a pivot, and the right
+    block is then the inverse, all Fractions.
+    """
     n, n2 = shape(M)
     if n != n2:
         raise ValueError("inverse of a non-square matrix")
-    A = [[Fraction(x) for x in row] for row in M]
-    B = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if A[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            B[k], B[piv] = B[piv], B[k]
-        inv = 1 / A[k][k]
-        A[k] = [x * inv for x in A[k]]
-        B[k] = [x * inv for x in B[k]]
-        for i in range(n):
-            if i != k and A[i][k] != 0:
-                f = A[i][k]
-                A[i] = [a - f * p for a, p in zip(A[i], A[k])]
-                B[i] = [b - f * p for b, p in zip(B[i], B[k])]
-    return B
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(M)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in aug]
 
 
 def rat_solve(A, b):
     """One exact solution x of A x = b over Q, or None if inconsistent.
 
-    A may be rectangular; free variables are set to zero and the full
-    system is verified, so overdetermined consistent systems work.
+    A may be rectangular.  [A | b] is brought to reduced row echelon form
+    by _gauss_jordan; the system is inconsistent when a row without a pivot
+    keeps a nonzero right-hand side.  Free variables are set to zero, and
+    the full system is verified, so overdetermined consistent systems work.
     """
     m, n = shape(A)
     if len(b) != m:
         raise ValueError("dimension mismatch")
     aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    pivots = _gauss_jordan(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][n]
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
     # paranoia: verify (cheap at these sizes, catches elimination slips)
     for i in range(m):
         total = Fraction(0)
@@ -709,6 +662,34 @@ def rat_solve(A, b):
         if total != Fraction(b[i]):
             return None
     return x
+
+
+def _gauss_jordan(rows, n):
+    """Reduce rows of Fractions in place on their first n columns; the pivot columns.
+
+    Each pivot, the first nonzero at or below the next pivot row, is
+    scaled to 1 and cleared from every other row, each row operation
+    applied to the whole row, so rows ends in reduced row echelon form
+    over those columns.
+    """
+    m = len(rows)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        pivot_row = rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * p for a, p in zip(rows[i], pivot_row)]
+        pivots.append(c)
+    return pivots
 
 
 # -- symplectic reduction ----------------------------------------------------

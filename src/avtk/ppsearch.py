@@ -81,7 +81,8 @@ class AdmissibleFamily:
     basis element B, the integer 2n x 2n matrix C with
     B @ periods_A = periods_Ahat @ C, so a combination sum(c_i B_i) maps
     the lattice onto (not just into) the target exactly when
-    det(sum(c_i C_i)) = +-1.
+    det(sum(c_i C_i)) = +-1.  Entries are read through as_int: an entry
+    that is not an int or an integral Fraction is a PreconditionError.
     """
 
     __slots__ = ("source", "target", "basis", "coordinates")
@@ -90,12 +91,12 @@ class AdmissibleFamily:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(
-            self, "basis", tuple(tuple(tuple(int(x) for x in row) for row in B) for B in basis)
+            self, "basis", tuple(tuple(tuple(map(as_int, row)) for row in B) for B in basis)
         )
         object.__setattr__(
             self,
             "coordinates",
-            tuple(tuple(tuple(int(x) for x in row) for row in C) for C in coordinates),
+            tuple(tuple(tuple(map(as_int, row)) for row in C) for C in coordinates),
         )
 
     def __setattr__(self, *args):

@@ -183,9 +183,6 @@ class FormalScalar:
         """Monomials in ascending graded lexicographic order."""
         return sorted(self.terms, key=_grlex_key)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):

@@ -9,7 +9,7 @@ from operator import add
 
 from avtk.errors import GeneratorMismatchError
 from avtk.homs import HomGenerator, _constant_right_block
-from avtk.intlinalg import hnf, matmul, shape, transpose
+from avtk.intlinalg import hnf, matmul, row_hnf, shape, snf, transpose
 from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key
 from avtk.torus import DualResult, SubvarietyEmbedding
 
@@ -239,3 +239,140 @@ def dual_hom(f: HomGenerator, dual_domain: DualResult | None = None,
     MR = [[Mhat[r][nh + j] for j in range(nh)] for r in range(2 * n)]
     F = matmul(matmul([list(r) for r in dX.torus.periods], MR), Dinv)
     return HomGenerator(dY.torus, dX.torus, Mhat, F)
+
+
+# -- eliminations intlinalg no longer runs, kept as references -------------------
+
+def fraction_det(M):
+    """The determinant by Gaussian elimination over Fractions; always a Fraction.
+
+    The reference for det on rational matrices.  Entries are converted
+    with Fraction(x).
+    """
+    n = len(M)
+    A = [[Fraction(x) for x in row] for row in M]
+    sign = 1
+    result = Fraction(1)
+    for k in range(n):
+        piv = None
+        for r in range(k, n):
+            if A[r][k] != 0:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        result *= A[k][k]
+        inv = 1 / A[k][k]
+        for i in range(k + 1, n):
+            if A[i][k] == 0:
+                continue
+            f = A[i][k] * inv
+            for j in range(k, n):
+                A[i][j] -= f * A[k][j]
+    return sign * result
+
+
+def gauss_jordan_inverse(M):
+    """The inverse over Q by Gauss-Jordan on M and I side by side.
+
+    The reference for rat_inv: the same messages and all-Fraction results.
+    """
+    n, n2 = shape(M)
+    if n != n2:
+        raise ValueError("inverse of a non-square matrix")
+    A = [[Fraction(x) for x in row] for row in M]
+    B = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = None
+        for r in range(k, n):
+            if A[r][k] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            B[k], B[piv] = B[piv], B[k]
+        inv = 1 / A[k][k]
+        A[k] = [x * inv for x in A[k]]
+        B[k] = [x * inv for x in B[k]]
+        for i in range(n):
+            if i != k and A[i][k] != 0:
+                f = A[i][k]
+                A[i] = [a - f * p for a, p in zip(A[i], A[k])]
+                B[i] = [b - f * p for b, p in zip(B[i], B[k])]
+    return B
+
+
+def gauss_jordan_solve(A, b):
+    """One solution of A x = b over Q, free variables zero, or None.
+
+    The reference for rat_solve: Gauss-Jordan on [A | b], then the full
+    system is checked.
+    """
+    m, n = shape(A)
+    if len(b) != m:
+        raise ValueError("dimension mismatch")
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if aug[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for row_idx, c in enumerate(pivots):
+        x[c] = aug[row_idx][n]
+    for i in range(m):
+        total = Fraction(0)
+        for j in range(n):
+            if x[j]:
+                total += Fraction(A[i][j]) * x[j]
+        if total != Fraction(b[i]):
+            return None
+    return x
+
+
+def snf_saturate_columns(M):
+    """The saturation of the column span through the Smith form.
+
+    With S = U M V, the first r columns of U^-1 (r the rank) span the
+    saturation; their canonical column Hermite form is the reference for
+    saturate_columns.  The zero matrix gives an m x 0 matrix.
+    """
+    m, n = shape(M)
+    S, U, _ = snf(M)
+    r = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
+    if r == 0:
+        return [[] for _ in range(m)]
+    Uinv = gauss_jordan_inverse(U)
+    basis = [[int(Uinv[i][j]) for j in range(r)] for i in range(m)]
+    H, _ = hnf(basis)
+    return [[H[i][j] for j in range(r)] for i in range(m)]
+
+
+def row_hnf_rank(M):
+    """The rank as the count of nonzero rows of the row Hermite form."""
+    H, _ = row_hnf(M)
+    return sum(1 for row in H if any(row))

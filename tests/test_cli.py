@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,11 +7,13 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avtk import cli
+from avtk.demos import demo_list
 from avtk.documents import canonical_json, point_to_doc, torus_to_doc
 from avtk.parallel import MAX_CANDIDATES
 from avtk.ppsearch import MAX_MODULUS
@@ -537,3 +540,65 @@ def test_loaders_exit_cleanly_on_any_json(command, docs, data):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().count("\n") == 1
+
+
+# -- one digest over the demos and the queries on the documents they write -----------
+
+# SHA-256 of every run below: its argv, exit code, --json report without the
+# timing, and stderr.  It pins the outputs across changes to the eliminations
+# in intlinalg, which the runs reach: det over Q (quotient), rat_solve
+# (ambient points), rat_inv and saturate_columns (idempotent) and rank
+# (every embedding).
+CLI_RESULTS_DIGEST = "2e98aecd15041f22bec9c0741d96526b9c5a4953303342c55c22f70b33dddf0f"
+
+
+def _factor_embeddings(dim):
+    """Columns of the first curve factor and of the rest, as embedding documents."""
+    first = [0, dim]
+    rest = [i for i in range(2 * dim) if i not in first]
+    return [{"columns": [[int(i == j) for j in idx] for i in range(2 * dim)]}
+            for idx in (first, rest)]
+
+
+def test_cli_results_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    records = []
+
+    def run(argv):
+        code, report, err = _in_process(argv + ["--json"], capsys)
+        records.append([argv, code, report, err])
+        return report
+
+    def write(name, doc):
+        Path("inputs", name).write_text(canonical_json(doc))
+        return f"inputs/{name}"
+
+    for name in demo_list():
+        run(["demo", name, "--out", name])
+    for name in ("ex-4.1", "ex-4.2", "thm-3.2-generic"):
+        run(["demo", name, "--n", "3", "--out", f"{name}-n3"])
+    docs = sorted(p.as_posix() for p in Path(".").glob("*/*.json") if p.name != "report.json")
+    Path("inputs").mkdir()
+    for k, doc in enumerate(docs):
+        torus = json.loads(Path(doc).read_text())
+        dim = torus["dim"]
+        run(["type", doc])
+        run(["dual", doc])
+        kernel = run(["kernel", doc])
+        points = [write(f"point-{k}-{j}.json", {"coords": g["coords"], "basis": g["basis"]})
+                  for j, g in enumerate(kernel["payload"]["generators"][:2])]
+        if points:
+            run(["quotient", doc, points[0]])
+            run(["complement", doc, *points])
+        ambient = write(f"ambient-{k}.json",
+                        {"coords": ["1/2"] + ["0"] * (dim - 1), "basis": "ambient"})
+        run(["quotient", doc, ambient])
+        if dim > 1:
+            for j, emb in enumerate(_factor_embeddings(dim)):
+                path = write(f"embedding-{k}-{j}.json", emb)
+                run(["sub", doc, path])
+                run(["idempotent", doc, path])
+        run(["degree", write(f"gram-{k}.json", torus["gram"])])
+    assert len(docs) == 26
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == CLI_RESULTS_DIGEST

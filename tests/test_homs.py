@@ -9,6 +9,7 @@ from avtk.documents import scalar_matrix_doc, torus_from_doc
 from avtk.errors import PreconditionError
 from avtk.homs import (
     HomGenerator,
+    IdempotentData,
     complementary_subvariety,
     hom_module,
     idempotent,
@@ -87,6 +88,16 @@ def test_hom_generator_refuses_a_non_integral_rational_representation():
         HomGenerator(E, E, [[half, 0], [0, half]], [[1]])  # int() made this the identity
     g = HomGenerator(E, E, [[Fraction(2), 0], [0, 2]], [[2]])
     assert g.rational_rep == ((2, 0), (0, 2)) and type(g.rational_rep[0][0]) is int
+
+
+def test_idempotent_data_refuses_a_non_integral_norm():
+    with pytest.raises(PreconditionError, match="not an integer"):
+        IdempotentData(None, [[1]], 2, [[Fraction(3, 2)]])  # int() made the norm ((1,),)
+    with pytest.raises(PreconditionError, match="not an integer"):
+        IdempotentData(None, [[1]], Fraction(5, 2), [[2]])
+    data = IdempotentData(None, [[Fraction(1, 2)]], Fraction(2), [[Fraction(2, 2)]])
+    assert data.exponent == 2 and data.norm == ((1,),)
+    assert type(data.exponent) is int and type(data.norm[0][0]) is int
 
 
 def test_hom_generators_satisfy_the_period_equation():

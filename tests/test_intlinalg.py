@@ -41,6 +41,11 @@ from oracles import (
     dense_int_kernel,
     formal_det_polynomial,
     formal_pullback_polynomials,
+    fraction_det,
+    gauss_jordan_inverse,
+    gauss_jordan_solve,
+    row_hnf_rank,
+    snf_saturate_columns,
 )
 
 
@@ -401,7 +406,7 @@ def test_int_kernel_matches_the_dense_oracle(M):
 
 
 def test_integer_routines_refuse_non_integral_entries():
-    for call in (int_kernel, row_hnf, hnf, rank, snf):
+    for call in (int_kernel, row_hnf, hnf, rank, snf, saturate_columns):
         with pytest.raises(PreconditionError):
             call([[Fraction(3, 2), 2]])
     # integral Fractions are integers
@@ -440,6 +445,137 @@ def test_rat_solve():
 def test_rat_inv_singular_raises():
     with pytest.raises(ValueError):
         rat_inv([[1, 2], [2, 4]])
+
+
+# -- the eliminations against the references they replaced ---------------------
+
+_RATIONAL = st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Square, tall or wide matrices of ints, or of ints and Fractions.
+
+    Some are rank-deficient (a row or a column a combination of two
+    others), some have zero rows or zero columns, some have full row rank;
+    [] and [[], ...] stand for the matrices with no column.
+    """
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 6)) if m else 0
+    entry = _RATIONAL if draw(st.booleans()) else st.integers(-9, 9)
+    kind = draw(st.sampled_from(["random", "deficient", "full-row-rank", "zeros"]))
+    if kind == "full-row-rank" and m <= n:  # a nonzero diagonal under random entries
+        M = [[draw(entry) if j > i else 0 for j in range(n)] for i in range(m)]
+        for i in range(m):
+            M[i][i] = draw(entry.filter(bool))
+        return draw(st.permutations(M))
+    M = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if kind == "deficient" and m >= 3 and n >= 3:
+        q = [draw(_RATIONAL) for _ in range(4)]
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        M[i] = [q[0] * a + q[1] * b for a, b in zip(M[j], M[k])]
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        for row in M:
+            row[i] = q[2] * row[j] + q[3] * row[k]
+    if kind == "zeros" and m and n:
+        M[draw(st.integers(0, m - 1))] = [0] * n
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = Fraction(0) if draw(st.booleans()) else 0
+    return M
+
+
+def _outcome(call, *args):
+    """(the value, or the type and message of the error raised)."""
+    try:
+        return call(*args)
+    except (ValueError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices(square=True))
+@example([[Fraction(1, 2), 1], [1, 2]])  # singular over Q
+@example([[Fraction(4, 2)]])  # a Fraction with an integer value
+def test_det_matches_the_fraction_oracle_in_value_and_type(M):
+    want = fraction_det(M)
+    if all(type(x) is int for row in M for x in row):
+        want = int(want)
+    got = det(M)
+    assert got == want and type(got) is type(want)
+
+
+_S = GeneratorSet(("s",)).scalar("s")
+
+
+@pytest.mark.parametrize("M", [[[1.5]], [[1, 2], [0, 0.5]], [[_S]],
+                               [[Fraction(1, 2), _S], [1, 1]]])
+def test_det_refuses_entries_that_are_not_ints_or_fractions(M):
+    with pytest.raises(PreconditionError, match="not an int or a Fraction"):
+        det(M)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices(square=True) | rational_matrices())
+def test_rat_inv_matches_the_gauss_jordan_oracle_in_value_and_type(M):
+    want = _outcome(gauss_jordan_inverse, M)
+    got = _outcome(rat_inv, M)
+    assert got == want
+    if isinstance(want, list):
+        assert _types(got) == [[Fraction] * len(M)] * len(M)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): b is A x for a random x, or a random vector that is often inconsistent."""
+    A = draw(rational_matrices())
+    if draw(st.booleans()):
+        x = [draw(_RATIONAL) for _ in range(len(A[0]) if A else 0)]
+        b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in A]
+    else:
+        b = [draw(_RATIONAL) for _ in A]
+    return A, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+@example(([[1, 1], [2, 2], [0, 0]], [1, 2, 1]))  # an inconsistent right-hand side
+@example(([[], []], [0, 1]))  # no unknowns
+def test_rat_solve_matches_the_gauss_jordan_oracle_in_value_and_type(system):
+    A, b = system
+    want = gauss_jordan_solve(A, b)
+    got = rat_solve(A, b)
+    assert got == want
+    if want is not None:
+        assert [type(x) for x in got] == [Fraction] * len(want)
+
+
+@st.composite
+def integer_or_integral_fraction_matrices(draw):
+    """integer_matrices, with some entries as Fractions of integer value."""
+    M = draw(integer_matrices())
+    if draw(st.booleans()):
+        M = [[Fraction(x) if draw(st.booleans()) else x for x in row] for row in M]
+    return M
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_or_integral_fraction_matrices())
+@example([[2], [4]])
+@example([[1, 0], [0, 1], [0, 0]])  # a left kernel and full column rank
+@example([[1, 2, 3], [4, 5, 6]])  # an empty left kernel
+def test_saturate_columns_matches_the_snf_oracle_in_value_and_type(M):
+    got = saturate_columns(M)
+    assert got == snf_saturate_columns(M)
+    assert all(type(x) is int for row in got for x in row)
+    assert len(got) == len(M)
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_or_integral_fraction_matrices())
+def test_rank_matches_the_row_hnf_oracle(M):
+    got = rank(M)
+    assert got == row_hnf_rank(M) and type(got) is int
 
 
 # -- span comparison ------------------------------------------------------------

@@ -50,6 +50,17 @@ def test_candidate_refuses_non_integral_entries():
     assert PPCandidate([[Fraction(4, 2), 1], [1, 1]]).H == ((2, 1), (1, 1))
 
 
+def test_admissible_family_refuses_non_integral_entries():
+    # int() made this basis the identity and these coordinates ((0,),)
+    with pytest.raises(PreconditionError, match="not an integer"):
+        AdmissibleFamily(None, None, [[[Fraction(3, 2), 0], [0, 1.9]]], [[[Fraction(1, 2)]]])
+    with pytest.raises(PreconditionError, match="not an integer"):
+        AdmissibleFamily(None, None, [[[1, 0], [0, 1]]], [[[Fraction(1, 2)]]])
+    fam = AdmissibleFamily(None, None, [[[Fraction(4, 2), 1], [1, 1]]], [[[Fraction(3, 1)]]])
+    assert fam.basis == (((2, 1), (1, 1)),) and fam.coordinates == (((3,),),)
+    assert type(fam.basis[0][0][0]) is int and type(fam.coordinates[0][0][0]) is int
+
+
 def test_leading_minors_and_definiteness():
     H = PPCandidate([[2, 1], [1, 1]])
     assert H.leading_minors() == (2, 1)

@@ -1,8 +1,10 @@
 """Static checks on the sources of avtk, with the standard library's ast only.
 
-Every module may import only standard-library modules or avtk itself, and
-every name a module imports must be used in it, so that a deletion leaves
-no dead import behind.
+Every module may import only standard-library modules or avtk itself,
+every name a module imports must be used in it, and every module-level
+function or class whose name starts with '_' must be referred to outside
+its own definition, so that a deletion leaves no dead import or private
+helper behind.
 """
 
 import ast
@@ -57,3 +59,34 @@ def test_every_imported_name_is_used(path):
     used |= _exported(tree)
     unused = {name for _, name in _imports(tree)} - used
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def _private_definitions(tree):
+    """The module-level functions and classes whose names start with '_'."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def _referenced_names(nodes):
+    """The names loaded or looked up as attributes anywhere under nodes."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def test_every_private_module_level_definition_is_referenced():
+    trees = {path.name: _tree(path) for path in SOURCES}
+    unreferenced = []
+    for name, tree in trees.items():
+        for definition in _private_definitions(tree):
+            elsewhere = [t for other, t in trees.items() if other != name]
+            outside = [node for node in tree.body if node is not definition]
+            if definition.name not in _referenced_names(elsewhere + outside):
+                unreferenced.append(f"{name}:{definition.name}")
+    assert not unreferenced, f"private definitions nothing refers to: {unreferenced}"
