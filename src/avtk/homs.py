@@ -12,8 +12,13 @@ W = D_X^-1 @ Z_X, the identity on the left half reads
 
     periods_Y @ (M_R @ W - M_L) = 0,
 
-linear in the entries of M; it flattens, monomial by monomial, into an
-integer linear system whose kernel is the whole homomorphism module.
+linear in the entries of M.  P_Y and W are put over one common
+denominator each, once per call, as integer polynomials
+(intlinalg._int_slices); each monomial of each entry of the identity is
+then an integer row in the entries of M, built from sparse products of
+those slices.  The kernel of these rows is the whole homomorphism
+module, and int_kernel returns its canonical Hermite basis whatever the
+order, number or scale of the rows.
 
 An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
@@ -25,13 +30,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import PreconditionError
 from .intlinalg import (
+    _add_product,
+    _add_row_times,
+    _int_slices,
     as_int,
     combination,
     det,
-    flatten_to_int,
     int_kernel,
     mat_eq,
     matmul,
@@ -58,7 +66,10 @@ class HomGenerator:
     FormalScalar polynomials (the module docstring says why F has no
     denominators), with int and Fraction entries taken as constants.  The
     defining identity F @ periods_X == periods_Y @ M is verified on
-    construction, so a HomGenerator in hand is proof of itself.
+    construction, over integer polynomials: with F, periods_X and
+    periods_Y each over one common denominator, both sides are multiplied
+    by the three denominators, so the check is exact for any F.  A
+    HomGenerator in hand is proof of itself.
     """
 
     __slots__ = ("domain", "codomain", "rational_rep", "analytic_rep")
@@ -74,9 +85,21 @@ class HomGenerator:
             raise PreconditionError("rational representation has wrong shape")
         if len(F) != codomain.dim or any(len(r) != domain.dim for r in F):
             raise PreconditionError("analytic representation has wrong shape")
-        FP = matmul([list(r) for r in F], [list(r) for r in domain.periods])
-        PM = matmul([list(r) for r in codomain.periods], [list(r) for r in M])
-        if not mat_eq(FP, PM):
+        self._verify(domain, codomain, M, F,
+                     _int_slices(domain.periods), _int_slices(codomain.periods))
+
+    def _verify(self, domain, codomain, M, F, px, py):
+        """Fill the slots once F @ periods_X == periods_Y @ M holds.
+
+        px and py are the _int_slices of the two period matrices, so that
+        hom_module computes them once for all of its generators.
+        """
+        for row in F:
+            for x in row:
+                if x.gens != domain.gens:
+                    raise PreconditionError(
+                        f"cannot combine scalars over {x.gens.names} and {domain.gens.names}")
+        if domain.gens != codomain.gens or not _identity_holds(F, M, px, py):
             raise PreconditionError(
                 "representations do not satisfy F @ periods = periods @ M"
             )
@@ -103,6 +126,28 @@ class HomGenerator:
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
 
 
+def _identity_holds(F, M, px, py):
+    """F @ P_X == P_Y @ M, with P_X = PX / dX and P_Y = PY / dY as sliced.
+
+    With F = FS / dF, the identity times dF * dX * dY reads
+    dY * FS @ PX == dF * dX * PY @ M, entry by entry over integer
+    polynomials.
+    """
+    dF, FS = _int_slices(F)
+    (dX, PX), (dY, PY) = px, py
+    for F_row, PY_row in zip(FS, PY):
+        acc = [{} for _ in M[0]]  # entry (i, j) of the difference, j by j
+        for f, PX_row in zip(F_row, PX):
+            if f:
+                for a, q in zip(acc, PX_row):
+                    if q:
+                        _add_product(a, f, q, dY)
+        _add_row_times(acc, PY_row, M, -dF * dX)
+        if any(x for a in acc for x in a.values()):
+            return False
+    return True
+
+
 def _constant_right_block(T: PolarisedTorus):
     n = T.dim
     R = T.right_block()
@@ -127,27 +172,50 @@ def _constant_right_block(T: PolarisedTorus):
 def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     """Basis of Hom(X, Y) as verified HomGenerators (may be empty).
 
-    The basis is the canonical Hermite basis of the saturated integer
-    kernel of the flattened identity, so repeated runs agree entry for
-    entry.
+    One integer row per (entry (i, j) of P_Y (M_R W - M_L), monomial),
+    scaled by the denominators of P_Y and W; the basis is the canonical
+    Hermite basis of the saturated integer kernel of those rows, so
+    repeated runs agree entry for entry.  Each generator's F is
+    P_Y @ (M_R @ D_X^-1), checked against the periods sliced once here.
     """
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
     DXinv = _constant_right_block(X)
-    W = matmul(DXinv, X.left_block())
-    PY = [list(r) for r in Y.periods]
-    zero = X.gens.zero()
-    # row (i, j): entry (i, j) of P_Y (M_R W - M_L); column (r, c): M[r][c]
-    system = [[PY[i][r] * W[c - n][j] if c >= n else -PY[i][r] if c == j else zero
-               for r in range(2 * m) for c in range(2 * n)]
-              for i in range(m) for j in range(n)]
-    basis_vecs = int_kernel(flatten_to_int(system)[0])
+    px, py = _int_slices(X.periods), _int_slices(Y.periods)
+    dW, W = _int_slices(matmul(DXinv, X.left_block()))
+    width = 4 * m * n
+    system = []
+    for PY_row in py[1]:
+        for j in range(n):
+            rows = {}  # monomial: its coefficients in entry (i, j), M[r][c] at r * 2n + c
+            for r, p in enumerate(PY_row):
+                base = 2 * n * r
+                for mono, x in p.items():
+                    rows.setdefault(mono, [0] * width)[base + j] -= dW * x
+                for t, W_row in enumerate(W):
+                    for m1, c1 in p.items():
+                        for m2, c2 in W_row[j].items():
+                            row = rows.setdefault(tuple(map(add, m1, m2)), [0] * width)
+                            row[base + n + t] += c1 * c2
+            system += rows.values()
+    # F = P_Y @ M_R @ D_X^-1 = PY @ (M_R @ DI) / (dY * dI), DI integer
+    dI = lcm(*(x.denominator for row in DXinv for x in row))
+    DI = [[int(x * dI) for x in row] for row in DXinv]
+    scale = py[0] * dI
     gens_out = []
-    for vec in basis_vecs:
+    for vec in int_kernel(system or [[0] * width]):
         M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
-        F = matmul(matmul(PY, [row[n:] for row in M]), DXinv)
-        gens_out.append(HomGenerator(X, Y, M, F))
+        K = matmul([row[n:] for row in M], DI)
+        F = []
+        for PY_row in py[1]:
+            acc = [{} for _ in range(n)]
+            _add_row_times(acc, PY_row, K, 1)
+            F.append(tuple(FormalScalar._trusted(
+                X.gens, {mono: Fraction(x, scale) for mono, x in a.items() if x}) for a in acc))
+        g = object.__new__(HomGenerator)
+        g._verify(X, Y, tuple(map(tuple, M)), tuple(F), px, py)
+        gens_out.append(g)
     return gens_out
 
 

@@ -11,10 +11,14 @@ column Hermite forms.
 
 The linear systems behind Hom modules and polarisation families are
 almost empty, so the layer that solves them works on nonzeros only:
-flatten_to_int visits each entry's nonzero terms, int_kernel eliminates
-on sparse columns, and the formal path of matmul skips zero factors.
-Their inputs and outputs stay dense matrices, and every result is
-canonical, so it does not depend on how it was computed.
+_int_slices puts a period matrix over one common denominator as integer
+polynomials, from which homs and ppsearch build each system and check
+each result with the sparse products _add_product and _add_row_times;
+int_kernel eliminates on sparse columns.  flatten_to_int visits each
+entry's nonzero terms for the span comparisons, and the formal path of
+matmul skips zero factors.  Their inputs and outputs stay
+dense matrices, and every result is canonical, so it does not depend on
+how it was computed.
 
 Conventions:
   * Each job has one elimination: fraction-free Bareiss for det over Z
@@ -200,12 +204,16 @@ def det(M):
         return 1
     if all(isinstance(x, int) for row in M for x in row):
         return _det_bareiss(M)
+    _require_rational(M, "determinant")
+    rows = _over_common_denominator(M)
+    return Fraction(_det_bareiss([v for v, _, _ in rows]), prod(d for _, d, _ in rows))
+
+
+def _require_rational(M, what):
     for row in M:
         for x in row:
             if not isinstance(x, (int, Fraction)):
-                raise PreconditionError(f"determinant entry {x!r} is not an int or a Fraction")
-    rows = _over_common_denominator(M)
-    return Fraction(_det_bareiss([v for v, _, _ in rows]), prod(d for _, d, _ in rows))
+                raise PreconditionError(f"{what} entry {x!r} is not an int or a Fraction")
 
 
 def _det_bareiss(M):
@@ -340,6 +348,15 @@ def _int_pencil(mats):
             for rows in zip(*mats)]
 
 
+def _int_slices(M):
+    """A matrix of FormalScalars as (d, P): d the least common denominator of
+    its coefficients, P[i][j] the integer polynomial {exponent tuple: int} of
+    d * M[i][j], empty for a zero entry."""
+    d = lcm(*{c.denominator for row in M for x in row for c in x.terms.values()})
+    return d, [[{mono: c.numerator * (d // c.denominator) for mono, c in x.terms.items()}
+                for x in row] for row in M]
+
+
 def _add_product(acc, p, q, sign):
     """acc += sign * p * q for integer polynomials {exponent tuple: int}."""
     get = acc.get
@@ -349,6 +366,18 @@ def _add_product(acc, p, q, sign):
         for m2, c2 in q_items:
             mono = tuple(map(add, m1, m2))
             acc[mono] = get(mono, 0) + c1 * c2
+
+
+def _add_row_times(acc, row, K, scale):
+    """acc[j] += scale * sum(row[r] * K[r][j]) for integer polynomials row[r]
+    and an integer matrix K."""
+    for p, K_row in zip(row, K):
+        if p:
+            for a, c in zip(acc, K_row):
+                if c:
+                    k = scale * c
+                    for mono, x in p.items():
+                        a[mono] = a.get(mono, 0) + k * x
 
 
 def _poly_div(f, g):
@@ -623,11 +652,13 @@ def rat_inv(M):
 
     [M | I] is brought to reduced row echelon form by _gauss_jordan; M is
     invertible exactly when every column of M holds a pivot, and the right
-    block is then the inverse, all Fractions.
+    block is then the inverse, all Fractions.  Any entry that is neither an
+    int nor a Fraction is a PreconditionError.
     """
     n, n2 = shape(M)
     if n != n2:
         raise ValueError("inverse of a non-square matrix")
+    _require_rational(M, "inverse")
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(M)]
     if len(_gauss_jordan(aug, n)) < n:
@@ -642,10 +673,14 @@ def rat_solve(A, b):
     by _gauss_jordan; the system is inconsistent when a row without a pivot
     keeps a nonzero right-hand side.  Free variables are set to zero, and
     the full system is verified, so overdetermined consistent systems work.
+    Any entry of A or b that is neither an int nor a Fraction is a
+    PreconditionError.
     """
     m, n = shape(A)
     if len(b) != m:
         raise ValueError("dimension mismatch")
+    _require_rational(A, "system")
+    _require_rational([b], "system")
     aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
     pivots = _gauss_jordan(aug, n)
     if any(row[n] for row in aug[len(pivots):]):

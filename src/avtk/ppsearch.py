@@ -5,26 +5,30 @@ model Ahat of its dual comes down to an integer symmetric positive
 definite matrix H whose action sends the lattice of A onto the lattice
 of Ahat.  Containment of the image lattice is linear in the entries of
 H, so phase one solves it once and for all: the admissible symmetric
-matrices form a lattice, usually of very small rank.  Positivity and
-surjectivity are not linear, so phase two enumerates bounded integer
-combinations of that family on the pencil engine of ``parallel``: the
-coordinate determinant (surjectivity) and the leading principal minors
-(positivity) are computed once as polynomials in the coefficients and
-evaluated per candidate.
+matrices form a lattice, usually of very small rank.  The identity
+H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
+P_Ahat are each put over one common denominator once per call
+(intlinalg._int_slices), and each monomial of each entry gives one
+integer row in the entries of H and C.  Positivity and surjectivity are
+not linear, so phase two enumerates bounded integer combinations of that
+family on the pencil engine of ``parallel``: the coordinate determinant
+(surjectivity) and the leading principal minors (positivity) are
+computed once as polynomials in the coefficients and evaluated per
+candidate.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
 from .intlinalg import (
+    _add_row_times,
+    _int_slices,
     as_int,
     combination,
     det,
     det_polynomial,
-    flatten_to_int,
     hnf,
     int_kernel,
-    mat_eq,
     matmul,
     span_equal,
     transpose,
@@ -117,29 +121,39 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     """All integer symmetric H whose image of A's lattice lies in Ahat's.
 
     The n(n+1)/2 independent entries of H and the target-lattice
-    coordinates of each image column are integer unknowns; requiring
-    H @ periods_A = periods_Ahat @ C entrywise, monomial by monomial,
-    is an integer linear system whose kernel projects bijectively onto
-    the family (the coordinates C are determined by H).  The basis
-    returned is the Hermite basis of the projection, and every element
-    is re-verified against the containment it encodes.
+    coordinates of each image column are integer unknowns.  Each monomial
+    of each entry of dA * dH * (H @ P_A - P_Ahat @ C), where dA and dH are
+    the common denominators of the two period matrices, gives one integer
+    row; the kernel of those rows projects bijectively onto the family
+    (the coordinates C are determined by H).  The basis returned is the
+    Hermite basis of the projection, and every element is re-verified
+    against the containment it encodes, over the same integer polynomials.
     """
     if A.gens != Ahat.gens:
         raise PreconditionError("tori live over different generator sets")
     if A.dim != Ahat.dim:
         raise PreconditionError("tori have different dimensions")
     n = A.dim
-    PA = [list(r) for r in A.periods]
-    PH = [list(r) for r in Ahat.periods]
+    pa, ph = _int_slices(A.periods), _int_slices(Ahat.periods)
+    (dA, PA), (dH, PH) = pa, ph
     sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
-    zero = A.gens.zero()
-    # row (i, j): entry (i, j) of H P_A - P_Ahat C; columns: the entries of H
-    # on and above the diagonal, then C[r][c] column by column
-    system = [[PA[b][j] if a == i else PA[a][j] if b == i else zero for a, b in sym]
-              + [-PH[i][r] if c == j else zero for c in range(2 * n) for r in range(2 * n)]
-              for i in range(n) for j in range(2 * n)]
-    vecs = int_kernel(flatten_to_int(system)[0])
+    width = s + 4 * n * n
+    system = []
+    for i in range(n):
+        for j in range(2 * n):
+            # columns: the entries of H on and above the diagonal, then
+            # C[r][c] column by column
+            rows = {}
+            for u, (a, b) in enumerate(sym):
+                if i in (a, b):
+                    for mono, x in PA[b if a == i else a][j].items():
+                        rows.setdefault(mono, [0] * width)[u] = dH * x
+            for r, p in enumerate(PH[i]):
+                for mono, x in p.items():
+                    rows.setdefault(mono, [0] * width)[s + 2 * n * j + r] = -dA * x
+            system += rows.values()
+    vecs = int_kernel(system or [[0] * width])
     if not vecs:
         return AdmissibleFamily(A, Ahat, (), ())
     unknowns = transpose(vecs)  # one row per unknown
@@ -152,11 +166,25 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
         for u, (i, j) in enumerate(sym):
             H[i][j] = H[j][i] = full[u][g]
         C = [[full[s + j * 2 * n + row][g] for j in range(2 * n)] for row in range(2 * n)]
-        if not mat_eq(matmul(H, PA), matmul(PH, C)):
+        if not _containment_holds(H, C, pa, ph):
             raise AssertionError("family element fails its containment identity")
         basis.append(H)
         coords.append(C)
     return AdmissibleFamily(A, Ahat, basis, coords)
+
+
+def _containment_holds(H, C, pa, ph):
+    """H @ P_A == P_Ahat @ C for integer H and C, with P_A = PA / dA and
+    P_Ahat = PH / dH as sliced: dH * H @ PA == dA * PH @ C, entry by entry
+    over integer polynomials."""
+    (dA, PA), (dH, PH) = pa, ph
+    diff = [[{} for _ in C[0]] for _ in H]
+    for acc, PH_row in zip(diff, PH):
+        _add_row_times(acc, PH_row, C, -dA)
+    Ht = transpose(H)
+    for j, PA_col in enumerate(zip(*PA)):  # column j of H @ PA is PA_col @ H^T
+        _add_row_times([acc[j] for acc in diff], PA_col, Ht, dH)
+    return not any(x for acc in diff for a in acc for x in a.values())
 
 
 def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,

@@ -9,7 +9,17 @@ from operator import add
 
 from avtk.errors import GeneratorMismatchError
 from avtk.homs import HomGenerator, _constant_right_block
-from avtk.intlinalg import hnf, matmul, row_hnf, shape, snf, transpose
+from avtk.intlinalg import (
+    flatten_to_int,
+    hnf,
+    int_kernel,
+    mat_eq,
+    matmul,
+    row_hnf,
+    shape,
+    snf,
+    transpose,
+)
 from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key
 from avtk.torus import DualResult, SubvarietyEmbedding
 
@@ -376,3 +386,90 @@ def row_hnf_rank(M):
     """The rank as the count of nonzero rows of the row Hermite form."""
     H, _ = row_hnf(M)
     return sum(1 for row in H if any(row))
+
+
+# -- the symbolic Hom and family systems, kept as references --------------------
+
+def symbolic_hom_system(X, Y):
+    """The integer system of hom_module, built as one FormalScalar per cell.
+
+    Row (i, j) is entry (i, j) of P_Y (M_R W - M_L), column (r, c) the
+    unknown M[r][c]; flatten_to_int flattens it monomial by monomial.
+    """
+    n, m = X.dim, Y.dim
+    DXinv = _constant_right_block(X)
+    W = matmul(DXinv, X.left_block())
+    PY = [list(r) for r in Y.periods]
+    zero = X.gens.zero()
+    system = [[PY[i][r] * W[c - n][j] if c >= n else -PY[i][r] if c == j else zero
+               for r in range(2 * m) for c in range(2 * n)]
+              for i in range(m) for j in range(n)]
+    return flatten_to_int(system)[0]
+
+
+def formal_identity_holds(F, PX, PY, M):
+    """F @ P_X == P_Y @ M by two formal matmuls."""
+    return mat_eq(matmul([list(r) for r in F], [list(r) for r in PX]),
+                  matmul([list(r) for r in PY], [list(r) for r in M]))
+
+
+def symbolic_hom_module(X, Y):
+    """hom_module through symbolic_hom_system, as (M, F) pairs.
+
+    F = (P_Y @ M_R) @ D_X^-1 by formal matmul, and each pair is checked
+    with formal_identity_holds.
+    """
+    n, m = X.dim, Y.dim
+    DXinv = _constant_right_block(X)
+    PY = [list(r) for r in Y.periods]
+    out = []
+    for vec in int_kernel(symbolic_hom_system(X, Y)):
+        M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
+        F = matmul(matmul(PY, [row[n:] for row in M]), DXinv)
+        assert formal_identity_holds(F, X.periods, PY, M)
+        out.append((M, F))
+    return out
+
+
+def symbolic_family_system(A, Ahat):
+    """The integer system of admissible_family, built as one FormalScalar per cell.
+
+    Row (i, j) is entry (i, j) of H P_A - P_Ahat C; the columns are the
+    entries of H on and above the diagonal, then C[r][c] column by column.
+    """
+    n = A.dim
+    PA = [list(r) for r in A.periods]
+    PH = [list(r) for r in Ahat.periods]
+    sym = [(a, b) for a in range(n) for b in range(a, n)]
+    zero = A.gens.zero()
+    system = [[PA[b][j] if a == i else PA[a][j] if b == i else zero for a, b in sym]
+              + [-PH[i][r] if c == j else zero for c in range(2 * n) for r in range(2 * n)]
+              for i in range(n) for j in range(2 * n)]
+    return flatten_to_int(system)[0]
+
+
+def symbolic_admissible_family(A, Ahat):
+    """admissible_family through symbolic_family_system, as (basis, coordinates).
+
+    The basis is the Hermite basis of the kernel's projection onto the
+    entries of H, and each element is checked with formal_identity_holds.
+    """
+    n = A.dim
+    s = n * (n + 1) // 2
+    sym = [(a, b) for a in range(n) for b in range(a, n)]
+    vecs = int_kernel(symbolic_family_system(A, Ahat))
+    if not vecs:
+        return [], []
+    unknowns = transpose(vecs)
+    _, U = hnf(unknowns[:s])
+    full = matmul(unknowns, U)
+    basis, coords = [], []
+    for g in range(len(vecs)):
+        H = [[0] * n for _ in range(n)]
+        for u, (i, j) in enumerate(sym):
+            H[i][j] = H[j][i] = full[u][g]
+        C = [[full[s + j * 2 * n + row][g] for j in range(2 * n)] for row in range(2 * n)]
+        assert formal_identity_holds(H, A.periods, Ahat.periods, C)
+        basis.append(H)
+        coords.append(C)
+    return basis, coords

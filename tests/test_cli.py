@@ -602,3 +602,32 @@ def test_cli_results_digest(tmp_path, monkeypatch, capsys):
     assert len(docs) == 26
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == CLI_RESULTS_DIGEST
+
+
+CLI_HOM_SEARCH_DIGEST = "33109fd2738bfe03104677d0319e1c4d70d3be9b9c9083aca0aa27ff0ee4ace0"
+
+
+def test_cli_hom_and_search_digest(tmp_path, monkeypatch, capsys):
+    # pins the Hom generators (analytic representations rendered through
+    # the CLI) and the search reports on the documents the demos write
+    monkeypatch.chdir(tmp_path)
+    for argv in (["demo", "ex-5.3", "--out", "ex-5.3"],
+                 ["demo", "lemma-5.4", "--out", "lemma-5.4"],
+                 ["demo", "ex-4.1", "--n", "3", "--out", "ex-4.1-n3"]):
+        _in_process(argv, capsys)
+    pairs = [("ex-5.3/surface.json", "ex-5.3/surface-dual.json"),
+             ("ex-5.3/product.json", "ex-5.3/product-dual.json"),
+             ("lemma-5.4/product.json", "lemma-5.4/product-dual.json"),
+             ("ex-4.1-n3/quotient-standard.json", "ex-4.1-n3/dual.json")]
+    calls = []
+    for x, y in pairs:
+        calls += [["hom", x, y],
+                  ["isom-search", x, y, "--bound", "1"],
+                  ["isom-search", x, y, "--bound", "1", "--polarised"],
+                  ["pp-search", x, y, "--bound", "2"]]
+    calls.append(["pp-search", "ex-5.3/surface.json", "--bound", "2"])
+    records = [[argv, *_in_process(argv + ["--json"], capsys)] for argv in calls]
+    assert [code for _, code, _, _ in records] == [0, 3, 3, 3, 0, 0, 0, 3, 0, 0, 0, 3,
+                                                   0, 3, 3, 3, 3]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == CLI_HOM_SEARCH_DIGEST

@@ -3,8 +3,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from avtk.demos import run_demo
+from avtk.demos import quotient_display, run_demo
 from avtk.documents import scalar_matrix_doc, torus_from_doc
 from avtk.errors import PreconditionError
 from avtk.homs import (
@@ -15,9 +16,9 @@ from avtk.homs import (
     idempotent,
     isom_search,
 )
-from avtk.intlinalg import identity, matmul, mat_eq, transpose
+from avtk.intlinalg import det, identity, matmul, mat_eq, transpose
 from avtk.ppsearch import admissible_family
-from avtk.scalars import GeneratorSet
+from avtk.scalars import FormalScalar, GeneratorSet
 from avtk.torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
@@ -26,7 +27,7 @@ from avtk.torus import (
     standard_gram,
 )
 from avtk.verdicts import Found, NoHoms, NotFoundUpToBound
-from oracles import dual_hom
+from oracles import dual_hom, symbolic_admissible_family, symbolic_hom_module
 
 G2 = GeneratorSet(("tau_E", "tau_F"))
 TAU_E = G2.scalar("tau_E")
@@ -285,3 +286,142 @@ def test_hom_module_and_admissible_family_digest():
     assert len(records) == 101
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == HOMS_DIGEST
+
+
+# -- the integer-polynomial systems against the symbolic reference ------------------
+
+G_AB = GeneratorSet(("a", "b"))
+_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+_MONOS = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
+
+
+@st.composite
+def _polynomials(draw):
+    """0 about a third of the time, else up to three terms with Fraction coefficients."""
+    if draw(st.integers(0, 2)) == 0:
+        return G_AB.zero()
+    terms = draw(st.dictionaries(_MONOS, _COEFFS, min_size=1, max_size=3))
+    return FormalScalar(G_AB, terms)
+
+
+@st.composite
+def _constant_invertible(draw, n):
+    """An n x n matrix of ints and Fractions with nonzero determinant."""
+    entries = st.sampled_from([0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+    R = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    assume(det(R) != 0)
+    return R
+
+
+def _torus(left, right):
+    n = len(left)
+    return PolarisedTorus(G_AB, [list(lrow) + list(rrow) for lrow, rrow in zip(left, right)],
+                          standard_gram([1] * n))
+
+
+@st.composite
+def _left_blocks(draw, n):
+    return [[draw(_polynomials()) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def _torus_pairs(draw, same_dim=False):
+    """(X, Y) of dims 1-3 over two generators with constant invertible right
+    blocks.  Y is random, X itself, or [Q Z_X | D_Y] for a constant invertible
+    Q, which makes Hom(X, Y) nonzero."""
+    n = draw(st.integers(1, 3))
+    X = _torus(draw(_left_blocks(n)), draw(_constant_invertible(n)))
+    kind = draw(st.sampled_from(["random", "same", "related"]))
+    if kind == "same":
+        return X, X
+    if kind == "related":
+        Q = draw(_constant_invertible(n))
+        return X, _torus(matmul(Q, X.left_block()), draw(_constant_invertible(n)))
+    m = n if same_dim else draw(st.integers(1, 3))
+    return X, _torus(draw(_left_blocks(m)), draw(_constant_invertible(m)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_torus_pairs())
+def test_hom_module_matches_the_symbolic_system(pair):
+    X, Y = pair
+    got = [([list(r) for r in g.rational_rep], [list(r) for r in g.analytic_rep])
+           for g in hom_module(X, Y)]
+    assert got == symbolic_hom_module(X, Y)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_torus_pairs(same_dim=True))
+def test_admissible_family_matches_the_symbolic_system(pair):
+    A, Ahat = pair
+    fam = admissible_family(A, Ahat)
+    basis, coords = symbolic_admissible_family(A, Ahat)
+    assert [[list(r) for r in B] for B in fam.basis] == basis
+    assert [[list(r) for r in C] for C in fam.coordinates] == coords
+
+
+# -- the self-check refuses every wrong identity ------------------------------------
+
+def _ex41_standard_and_dual(n=3):
+    """ex-4.1's quotient in its standard frame (D_X = diag(1, 3, ...)) and its dual."""
+    dtype = (1,) + (3,) * (n - 1)
+    tauF = G2.scalar("tau_F")
+    left_B = [[tauF if i == j else G2.zero() for j in range(n - 1)] for i in range(n - 1)]
+    X = PolarisedTorus(G2, quotient_display(G2, "tau_E", left_B, dtype),
+                       standard_gram(list(dtype)))
+    return X, X.dual().torus
+
+
+def _generators():
+    X, Y = _ex41_standard_and_dual()
+    E2 = PolarisedTorus(G2, [[2 * TAU_E, 2]], standard_gram([1]))
+    return hom_module(X, Y) + hom_module(Y, Y) + hom_module(E2, curve(TAU_E))
+
+
+_MISMATCH = "representations do not satisfy F @ periods = periods @ M"
+
+
+def test_hom_generator_accepts_fraction_analytic_representations():
+    gens = _generators()
+    with_fractions = [g for g in gens if any(c.denominator != 1 for row in g.analytic_rep
+                                             for x in row for c in x.terms.values())]
+    assert len(with_fractions) >= 2
+    for g in gens:
+        assert HomGenerator(g.domain, g.codomain, g.rational_rep, g.analytic_rep) == g
+    E2 = PolarisedTorus(G2, [[2 * TAU_E, 2]], standard_gram([1]))
+    g = HomGenerator(E2, curve(TAU_E), identity(2), [[Fraction(1, 2)]])
+    assert g.analytic_rep == ((G2.constant(Fraction(1, 2)),),)
+
+
+def test_hom_generator_refuses_an_analytic_coefficient_changed_by_a_half():
+    for g in _generators():
+        F = [list(r) for r in g.analytic_rep]
+        for i, row in enumerate(F):
+            for j, x in enumerate(row):
+                mono = next(iter(x.terms), (0, 0))
+                terms = dict(x.terms)
+                terms[mono] = terms.get(mono, 0) + Fraction(1, 2)
+                bad = [list(r) for r in F]
+                bad[i][j] = FormalScalar(G2, terms)
+                with pytest.raises(PreconditionError, match=_MISMATCH):
+                    HomGenerator(g.domain, g.codomain, g.rational_rep, bad)
+
+
+def test_hom_generator_refuses_a_rational_entry_changed_by_one():
+    for g in _generators():
+        for r, row in enumerate(g.rational_rep):
+            for c in range(len(row)):
+                bad = [list(x) for x in g.rational_rep]
+                bad[r][c] += 1
+                with pytest.raises(PreconditionError, match=_MISMATCH):
+                    HomGenerator(g.domain, g.codomain, bad, g.analytic_rep)
+
+
+def test_hom_generator_refuses_an_analytic_representation_over_other_generators():
+    other = GeneratorSet(("x", "y"))
+    for g in _generators():
+        F = [[FormalScalar(other, x.terms) for x in row] for row in g.analytic_rep]
+        with pytest.raises(PreconditionError,
+                           match=r"cannot combine scalars over \('x', 'y'\) and "
+                                 r"\('tau_E', 'tau_F'\)"):
+            HomGenerator(g.domain, g.codomain, g.rational_rep, F)

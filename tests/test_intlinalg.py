@@ -515,6 +515,25 @@ def test_det_refuses_entries_that_are_not_ints_or_fractions(M):
         det(M)
 
 
+@pytest.mark.parametrize("M", [[[0.1]], [[1, 2], [0, 0.5]], [[_S]],
+                               [[Fraction(1, 2), _S], [1, 1]]])
+def test_rat_inv_and_rat_solve_refuse_entries_that_are_not_ints_or_fractions(M):
+    # a float was taken at its binary value: rat_inv([[0.1]]) gave
+    # 36028797018963968/3602879701896397
+    with pytest.raises(PreconditionError, match="inverse entry .* not an int or a Fraction"):
+        rat_inv(M)
+    with pytest.raises(PreconditionError, match="system entry .* not an int or a Fraction"):
+        rat_solve(M, [1] * len(M))
+
+
+def test_rat_solve_refuses_a_right_hand_side_that_is_not_ints_or_fractions():
+    with pytest.raises(PreconditionError, match="system entry 0.5 is not an int or a Fraction"):
+        rat_solve([[1, 0], [0, 2]], [1, 0.5])
+    with pytest.raises(PreconditionError, match="not an int or a Fraction"):
+        rat_solve([[1]], [_S])
+    assert rat_solve([[Fraction(1, 2)]], [1]) == [2]
+
+
 @settings(max_examples=400, deadline=None)
 @given(rational_matrices(square=True) | rational_matrices())
 def test_rat_inv_matches_the_gauss_jordan_oracle_in_value_and_type(M):

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from avtk.errors import PreconditionError
-from avtk.intlinalg import matmul, span_equal
+from avtk.intlinalg import _int_slices, matmul, span_equal, transpose
 from avtk.ppsearch import (
     MAX_MODULUS,
     AdmissibleFamily,
     PPCandidate,
+    _containment_holds,
     admissible_family,
     obstruction_check,
     obstruction_report,
@@ -89,6 +90,33 @@ def test_family_members_map_source_into_target():
         lhs = matmul([list(r) for r in Bmat], [list(r) for r in A.periods])
         rhs = matmul([list(r) for r in Ahat.periods], [list(r) for r in Cmat])
         assert lhs == rhs
+
+
+def test_containment_check_refuses_every_changed_entry():
+    # the check admissible_family runs on each element, over integer polynomials
+    A, Ahat = swapped_pair(3)
+    pa, ph = _int_slices(A.periods), _int_slices(Ahat.periods)
+    fam = admissible_family(A, Ahat)
+    for Bmat, Cmat in zip(fam.basis, fam.coordinates):
+        H, C = [list(r) for r in Bmat], [list(r) for r in Cmat]
+        assert _containment_holds(H, C, pa, ph)
+        for M in (H, C):
+            for row in M:
+                for j in range(len(row)):
+                    row[j] += 1
+                    assert not _containment_holds(H, C, pa, ph)
+                    row[j] -= 1
+
+
+def test_containment_check_takes_h_as_it_is():
+    # an asymmetric H that holds: E x E -> E x E, (x, y) -> (y, 0)
+    E = PolarisedTorus(G, [[A_, 1]], standard_gram([1]))
+    EE = product([E, E])
+    slices = _int_slices(EE.periods)
+    H = [[0, 1], [0, 0]]
+    C = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert _containment_holds(H, C, slices, slices)
+    assert not _containment_holds(transpose(H), C, slices, slices)
 
 
 def test_family_member_builds_combinations():

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
+from avtk.demos import run_demo  # noqa: E402
+from avtk.documents import torus_from_doc  # noqa: E402
+from avtk.homs import hom_module  # noqa: E402
 from avtk.intlinalg import det, det_polynomial, hnf, snf  # noqa: E402
+from avtk.scalars import GeneratorSet  # noqa: E402
+from avtk.torus import PolarisedTorus, product, standard_gram  # noqa: E402
 
 entries = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
 
@@ -75,3 +80,58 @@ def test_det_polynomial_matches_sympy(mats):
     theirs = sympy.Poly(member.det().expand(), *c).terms()
     assert sorted(det_polynomial(mats)) == sorted(
         (int(coeff), mono) for mono, coeff in theirs if coeff != 0)
+
+
+# -- Hom modules: the identity and the rank, expanded by sympy ---------------------
+
+def _to_sympy(M, gens):
+    """A matrix of FormalScalars or ints as a sympy Matrix over the generators."""
+    syms = sympy.symbols(gens.names)
+
+    def scalar(x):
+        if not hasattr(x, "terms"):
+            return sympy.Integer(x)
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod([g ** e for g, e in zip(syms, mono)])
+                    for mono, c in x.terms.items()), sympy.Integer(0))
+
+    return sympy.Matrix([[scalar(x) for x in row] for row in M]), syms
+
+
+def _hom_nullity(X, Y):
+    """The dimension over Q of the M with P_Y (M_R D_X^-1 Z_X - M_L) = 0."""
+    n, m = X.dim, Y.dim
+    PX, syms = _to_sympy(X.periods, X.gens)
+    PY, _ = _to_sympy(Y.periods, Y.gens)
+    unknowns = sympy.symbols(f"m0:{4 * m * n}")
+    M = sympy.Matrix(2 * m, 2 * n, unknowns)
+    identity = PY * (M[:, n:] * PX[:, n:].inv() * PX[:, :n] - M[:, :n])
+    equations = []
+    for entry in identity:
+        poly = sympy.Poly(sympy.expand(entry), *syms)
+        equations += poly.coeffs()
+    A, _ = sympy.linear_eq_to_matrix(equations, unknowns)
+    return len(A.nullspace())
+
+
+def _surface_pairs():
+    G = GeneratorSet(("a", "b", "c"))
+    a, b, c = G.gens()
+    S = PolarisedTorus(G, [[a, b, 1, 0], [b, c, 0, 3]], standard_gram([1, 3]))
+    Sd = PolarisedTorus(G, [list(r) for r in S.dual().display_periods], standard_gram([3, 1]))
+    pairs = [(S, Sd), (product([S, Sd]), product([Sd, S]))]
+    tori = {k: torus_from_doc(v) for k, v in run_demo("ex-5.3").documents.items()}
+    return pairs + [(tori["product"], tori["product-dual"])]
+
+
+@pytest.mark.parametrize("k", range(3), ids=["SxS^ k=1", "SxS^ k=2", "ex-5.3"])
+def test_hom_module_matches_sympy(k):
+    X, Y = _surface_pairs()[k]
+    gens = hom_module(X, Y)
+    PX, _ = _to_sympy(X.periods, X.gens)
+    PY, _ = _to_sympy(Y.periods, Y.gens)
+    for g in gens:
+        F, _ = _to_sympy(g.analytic_rep, X.gens)
+        M = sympy.Matrix([list(r) for r in g.rational_rep])
+        assert sympy.expand(F * PX - PY * M) == sympy.zeros(Y.dim, 2 * X.dim)
+    assert len(gens) == _hom_nullity(X, Y)
