@@ -39,7 +39,7 @@ from .documents import (
 )
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
 from .errors import DocumentError, PreconditionError, ScalarParseError
-from .homs import complementary_subvariety, hom_module, idempotent, isom_search
+from .homs import hom_module, idempotent, isom_search
 from .ppsearch import admissible_family, obstruction_report, pp_search
 from .torus import isogeny_degree, restricted_polarisation
 from .verdicts import Found, NoHoms
@@ -223,7 +223,7 @@ def _run_command(args):
         edoc = _load_json(args.embedding)
         emb = embedding_from_doc(edoc, T)
         data = idempotent(emb)
-        comp = complementary_subvariety(emb)
+        comp = data.complement()
         payload = {
             "epsilon": fraction_matrix_doc(data.epsilon),
             "exponent": data.exponent,
@@ -380,18 +380,16 @@ def main(argv=None) -> int:
         verdict=verdict,
         timing_seconds=elapsed,
     )
+    text = report.to_json() if args.json or args.out else None  # serialised once
     if args.json:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(text)
     else:
         _emit_human(payload)
         print(f"verdict: {verdict}")
-    if args.out and args.command != "demo":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    elif args.out and args.command == "demo":
-        path = os.path.join(args.out, "report.json")
+    if args.out:
+        path = os.path.join(args.out, "report.json") if args.command == "demo" else args.out
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
     return code
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .documents import scalar_matrix_doc, torus_to_doc
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
 from .errors import PreconditionError
-from .homs import complementary_subvariety, hom_module, idempotent, isom_search
+from .homs import hom_module, idempotent, isom_search
 from .intlinalg import det, matmul, span_equal, transpose
 from .ppsearch import (
     MAX_MODULUS,
@@ -243,9 +243,9 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
     _check("curve restricted type", restricted_polarisation(A, emb_E)[1] == (dn,), checks)
     _check("complement restricted type",
            restricted_polarisation(A, emb_B)[1] == tuple(sorted(dtype[1:])), checks)
-    _check("complementary subvariety", complementary_subvariety(emb_E) == emb_B, checks)
-
     data_E = idempotent(emb_E)
+    _check("complementary subvariety", data_E.complement() == emb_B, checks)
+
     data_B = idempotent(emb_B)
     m = 2 * n
     _check("idempotents sum to identity",

@@ -36,10 +36,13 @@ from .errors import PreconditionError
 from .intlinalg import (
     _add_product,
     _add_row_times,
+    _divide_exactly,
+    _formal_product,
     _int_slices,
     as_int,
     combination,
     det,
+    int_inverse,
     int_kernel,
     mat_eq,
     matmul,
@@ -206,15 +209,9 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     gens_out = []
     for vec in int_kernel(system or [[0] * width]):
         M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
-        K = matmul([row[n:] for row in M], DI)
-        F = []
-        for PY_row in py[1]:
-            acc = [{} for _ in range(n)]
-            _add_row_times(acc, PY_row, K, 1)
-            F.append(tuple(FormalScalar._trusted(
-                X.gens, {mono: Fraction(x, scale) for mono, x in a.items() if x}) for a in acc))
+        F = _formal_product(X.gens, py[1], matmul([row[n:] for row in M], DI), scale)
         g = object.__new__(HomGenerator)
-        g._verify(X, Y, tuple(map(tuple, M)), tuple(F), px, py)
+        g._verify(X, Y, tuple(map(tuple, M)), tuple(map(tuple, F)), px, py)
         gens_out.append(g)
     return gens_out
 
@@ -240,55 +237,54 @@ class IdempotentData:
     def __setattr__(self, *args):
         raise AttributeError("IdempotentData is immutable")
 
+    def complement(self) -> SubvarietyEmbedding:
+        """The complementary subtorus: the saturated image of 1 - epsilon,
+        that is of exponent * I - norm.
+
+        The complement of the whole torus is the rank-0 embedding.  That
+        the two sublattices together have finite index is verified.
+        """
+        emb = self.embedding
+        m2 = 2 * emb.torus.dim
+        e = self.exponent
+        out = SubvarietyEmbedding(emb.torus, saturate_columns(
+            [[e * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(self.norm)]))
+        joint = [list(emb.columns[i]) + list(out.columns[i]) for i in range(m2)]
+        if out.rank + emb.rank != m2 or det(joint) == 0:
+            raise AssertionError("complement does not span the torus with the input")
+        return out
+
 
 def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
     """Symmetric idempotent of a sublattice: J (J^T E J)^(-1) J^T E.
 
     Requires the restricted form to be nondegenerate.  The projector is
-    idempotent by construction; the norm endomorphism (exponent times the
-    projector) must be integral, which is exactly the condition for the
-    sublattice to behave like a polarised subtorus, and is verified.
+    N / d, N = J adj(J^T E J) J^T E and d = det(J^T E J), checked to be
+    idempotent as N^2 = d N; the norm endomorphism exponent * N / d is
+    checked to be integral.
     """
     T = emb.torus
     J = [list(r) for r in emb.columns]
     E = [list(r) for r in T.gram]
     gram_b, rtype = restricted_polarisation(T, emb)
-    alpha = rat_inv(gram_b)
-    eps = matmul(J, matmul(alpha, matmul(transpose(J), E)))
-    if not mat_eq(matmul(eps, eps), eps):
+    adj, d = int_inverse(gram_b)
+    N = matmul(J, matmul(adj, matmul(transpose(J), E)))
+    if not mat_eq(matmul(N, N), [[d * x for x in row] for row in N]):
         raise AssertionError("projector is not idempotent")
     exponent = rtype[-1]
-    norm = [[Fraction(exponent) * x for x in row] for row in eps]
-    for row in norm:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise PreconditionError(
-                    "norm endomorphism is not integral; the sublattice does not "
-                    "carry the restricted polarisation as a subtorus"
-                )
+    norm = _divide_exactly([[exponent * x for x in row] for row in N], d)
+    if norm is None:
+        raise PreconditionError(
+            "norm endomorphism is not integral; the sublattice does not "
+            "carry the restricted polarisation as a subtorus"
+        )
+    eps = [[Fraction(x, d) for x in row] for row in N]
     return IdempotentData(emb, eps, exponent, norm)
 
 
 def complementary_subvariety(emb: SubvarietyEmbedding) -> SubvarietyEmbedding:
-    """The complementary subtorus: saturation of the image of 1 - epsilon.
-
-    The complement of the whole torus is the rank-0 embedding.  Together
-    the two sublattices span a finite-index sublattice of the full
-    lattice, which is verified.
-    """
-    T = emb.torus
-    data = idempotent(emb)
-    m2 = 2 * T.dim
-    comp = [[(Fraction(1) if i == j else Fraction(0)) - data.epsilon[i][j]
-             for j in range(m2)] for i in range(m2)]
-    denom = lcm(*(x.denominator for row in comp for x in row))
-    scaled = [[int(x * denom) for x in row] for row in comp]
-    cols = saturate_columns(scaled)
-    out = SubvarietyEmbedding(T, cols)
-    joint = [list(emb.columns[i]) + list(out.columns[i]) for i in range(m2)]
-    if out.rank + emb.rank != m2 or det(joint) == 0:
-        raise AssertionError("complement does not span the torus with the input")
-    return out
+    """The complementary subtorus of emb; see IdempotentData.complement."""
+    return idempotent(emb).complement()
 
 
 # -- bounded isomorphism search ------------------------------------------------

@@ -1,30 +1,22 @@
-"""Exact linear algebra over Z and Q on plain list-of-list matrices.
+"""Exact linear algebra over Z and Q on plain list-of-list matrices; no floats.
 
-Everything here is fraction-free or Fraction-exact; no floats.  The
-determinant of an integer matrix pencil and its pull-back conditions
-(det_polynomial, pullback_polynomials) are built over integer
-polynomials from one pencil of integer maps, with exact integer
-division and no Fraction.  Column spans are compared by flattening
-formal entries monomial by monomial, clearing denominators with a
-single common scale applied to both sides, and comparing canonical
-column Hermite forms.
-
-The linear systems behind Hom modules and polarisation families are
-almost empty, so the layer that solves them works on nonzeros only:
-_int_slices puts a period matrix over one common denominator as integer
-polynomials, from which homs and ppsearch build each system and check
-each result with the sparse products _add_product and _add_row_times;
-int_kernel eliminates on sparse columns.  flatten_to_int visits each
-entry's nonzero terms for the span comparisons, and the formal path of
-matmul skips zero factors.  Their inputs and outputs stay
-dense matrices, and every result is canonical, so it does not depend on
-how it was computed.
+Rational matrices are worked on as integers over one denominator per
+row, and Fractions are built only for results.  det_polynomial and
+pullback_polynomials run on integer polynomials of one pencil of integer
+maps, with exact division.  _int_slices puts a period matrix over one
+common denominator as integer polynomials, from which homs, ppsearch and
+torus build their sparse systems and products (_add_product,
+_add_row_times, _formal_product); int_kernel eliminates on sparse
+columns.  Column spans are compared by flattening formal entries over
+one common scale and comparing canonical column Hermite forms.  Inputs
+and outputs are dense matrices, and every result is canonical.
 
 Conventions:
   * Each job has one elimination: fraction-free Bareiss for det over Z
-    and Q; one Gauss-Jordan over Fractions for rat_inv and rat_solve; the
-    sparse kernel for int_kernel, saturate_columns and rank; the row HNF
-    for hnf; the SNF for snf and elementary_divisors.
+    and Q; one fraction-free Gauss-Jordan on integer rows (_gauss_jordan)
+    for rat_inv, rat_solve and int_inverse, the adjugate and determinant;
+    the sparse kernel for int_kernel, saturate_columns and rank; the row
+    HNF for hnf; the SNF for snf and elementary_divisors.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
@@ -357,6 +349,17 @@ def _int_slices(M):
                 for x in row] for row in M]
 
 
+def _formal_product(gens, P, K, scale):
+    """P @ K / scale as FormalScalars over gens, P integer polynomials, K integers."""
+    out = []
+    for row in P:
+        acc = [{} for _ in K[0]]
+        _add_row_times(acc, row, K, 1)
+        out.append([FormalScalar._trusted(gens, {mono: Fraction(c, scale)
+                                                 for mono, c in a.items() if c}) for a in acc])
+    return out
+
+
 def _add_product(acc, p, q, sign):
     """acc += sign * p * q for integer polynomials {exponent tuple: int}."""
     get = acc.get
@@ -647,68 +650,85 @@ def saturate_columns(M):
 
 # -- rational elimination ----------------------------------------------------
 
-def rat_inv(M):
-    """Exact inverse of a square matrix over Q (ValueError if singular).
-
-    [M | I] is brought to reduced row echelon form by _gauss_jordan; M is
-    invertible exactly when every column of M holds a pivot, and the right
-    block is then the inverse, all Fractions.  Any entry that is neither an
-    int nor a Fraction is a PreconditionError.
+def int_inverse(M):
+    """(adj(M), det(M)) of a square integer matrix, M @ adj == det * I, from
+    _gauss_jordan on [M | I] (ValueError if singular); entries go through as_int.
     """
     n, n2 = shape(M)
     if n != n2:
         raise ValueError("inverse of a non-square matrix")
-    _require_rational(M, "inverse")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(M)]
-    if len(_gauss_jordan(aug, n)) < n:
+    rows = [[as_int(x) for x in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(M)]
+    pivots, d, sign = _gauss_jordan(rows, n)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
+    return [[sign * x for x in row[n:]] for row in rows], sign * d
+
+
+def rat_inv(M):
+    """Exact inverse of a square matrix over Q (ValueError if singular).
+
+    With row i over its common denominator e_i, M = diag(e)^-1 M' and the
+    inverse is adj(M') diag(e) / det(M'), all Fractions.  Any entry that
+    is neither an int nor a Fraction is a PreconditionError.
+    """
+    if len(M) != shape(M)[1]:
+        raise ValueError("inverse of a non-square matrix")
+    _require_rational(M, "inverse")
+    rows = _over_common_denominator(M)
+    adj, d = int_inverse([v for v, _, _ in rows])
+    scales = [e for _, e, _ in rows]
+    return [[Fraction(x * e, d) for x, e in zip(row, scales)] for row in adj]
 
 
 def rat_solve(A, b):
     """One exact solution x of A x = b over Q, or None if inconsistent.
 
-    A may be rectangular.  [A | b] is brought to reduced row echelon form
-    by _gauss_jordan; the system is inconsistent when a row without a pivot
-    keeps a nonzero right-hand side.  Free variables are set to zero, and
-    the full system is verified, so overdetermined consistent systems work.
-    Any entry of A or b that is neither an int nor a Fraction is a
-    PreconditionError.
+    A may be rectangular.  The rows of [A | b], each over its common
+    denominator, go through _gauss_jordan; a row without a pivot and with a
+    nonzero right-hand side means no solution.  Free variables are zero,
+    x = X / d (d the last pivot), and A' X = d b' is verified on all rows.
+    Entries that are not ints or Fractions are a PreconditionError.
     """
     m, n = shape(A)
     if len(b) != m:
         raise ValueError("dimension mismatch")
     _require_rational(A, "system")
     _require_rational([b], "system")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    pivots = _gauss_jordan(aug, n)
-    if any(row[n] for row in aug[len(pivots):]):
+    scaled = [v for v, _, _ in _over_common_denominator([[*row, c] for row, c in zip(A, b)])]
+    rows = [list(v) for v in scaled]
+    pivots, d, _ = _gauss_jordan(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
         return None
-    x = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        x[c] = row[n]
+    X = [0] * n
+    for row, c in zip(rows, pivots):
+        X[c] = row[n]
     # paranoia: verify (cheap at these sizes, catches elimination slips)
-    for i in range(m):
-        total = Fraction(0)
-        for j in range(n):
-            if x[j]:
-                total += Fraction(A[i][j]) * x[j]
-        if total != Fraction(b[i]):
-            return None
-    return x
+    if any(sum(map(mul, v, X)) != d * v[n] for v in scaled):
+        return None
+    return [Fraction(x, d) for x in X]
+
+
+def _divide_exactly(M, d):
+    """The integer matrix M / d, or None unless d divides every entry."""
+    if any(x % d for row in M for x in row):
+        return None
+    return [[x // d for x in row] for row in M]
 
 
 def _gauss_jordan(rows, n):
-    """Reduce rows of Fractions in place on their first n columns; the pivot columns.
+    """Fraction-free Gauss-Jordan on integer rows, in place, over their first
+    n columns; returns (pivot columns, last pivot d, sign of the row swaps).
 
-    Each pivot, the first nonzero at or below the next pivot row, is
-    scaled to 1 and cleared from every other row, each row operation
-    applied to the whole row, so rows ends in reduced row echelon form
-    over those columns.
+    The pivot p, the first nonzero at or below the next pivot row, stays;
+    every other row becomes (p * row - f * pivot row) / prev, f its entry
+    in the pivot column, prev the previous pivot.  Each entry is a minor
+    (Bareiss, Math. Comp. 22, 1968), so the division is exact, and each
+    row ends as d times the reduced row echelon form over Fractions.
     """
     m = len(rows)
     pivots = []
+    prev = sign = 1
     for c in range(n):
         r = len(pivots)
         if r == m:
@@ -716,15 +736,20 @@ def _gauss_jordan(rows, n):
         piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        pivot_row = rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [a - f * p for a, p in zip(rows[i], pivot_row)]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(p * a - f * q) // prev for a, q in zip(row, pivot_row)]
+            elif i != r and p != prev:
+                rows[i] = [p * a // prev for a in row]
         pivots.append(c)
-    return pivots
+        prev = p
+    return pivots, prev, sign
 
 
 # -- symplectic reduction ----------------------------------------------------

@@ -19,20 +19,25 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
+from operator import mul
 
 from .errors import PreconditionError
 from .intlinalg import (
+    _divide_exactly,
+    _formal_product,
+    _int_slices,
+    _over_common_denominator,
     as_int,
     det,
     elementary_divisors,
     flatten_to_int,
     hnf,
     identity,
+    int_inverse,
     int_kernel,
     mat_eq,
     matmul,
     rank,
-    rat_inv,
     rat_solve,
     saturate_columns,
     shape,
@@ -62,6 +67,10 @@ class TorsionPoint:
     def lift(self):
         """The canonical lift in [0,1)^(2n) as a list of Fractions."""
         return list(self.coords)
+
+    def integer_lift(self):
+        """order * lift(), as ints."""
+        return [c.numerator * (self.order // c.denominator) for c in self.coords]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -204,24 +213,18 @@ class PolarisedTorus:
         type repeated twice (order-1 generators are dropped); the cyclic
         groups they generate give the whole kernel as a direct sum.
         """
-        gens_mat, orders = self._kernel_basis()
-        points = []
-        for j, order in enumerate(orders):
-            if order == 1:
-                continue
-            points.append(TorsionPoint([gens_mat[i][j] for i in range(len(gens_mat))]))
+        V, orders = self._kernel_basis()
+        points = [TorsionPoint([Fraction(row[j], o) for row in V])
+                  for j, o in enumerate(orders) if o > 1]
         for p, order in zip(points, [o for o in orders if o > 1]):
             if p.order != order:
                 raise AssertionError("kernel generator has unexpected order")
         return points
 
     def _kernel_basis(self):
-        """Basis W of the dual lattice with W = V diag(1/s); orders s."""
+        """(V, s): V diag(1/s) is a basis of the dual lattice, s a divisibility chain."""
         S, U, V = snf([list(r) for r in self.gram])
-        m = 2 * self.dim
-        orders = [S[i][i] for i in range(m)]
-        W = [[Fraction(V[i][j], orders[j]) for j in range(m)] for i in range(m)]
-        return W, orders
+        return V, [S[i][i] for i in range(2 * self.dim)]
 
     def kernel_elements(self):
         """Every element of the polarising kernel, as a set of points.
@@ -230,16 +233,10 @@ class PolarisedTorus:
         this is a test oracle for small groups; compare kernels with
         ``subgroup_lattice(self.polarising_kernel(), 2 * self.dim)``.
         """
-        W, orders = self._kernel_basis()
-        m = 2 * self.dim
-        points = set()
-        for combo in iter_product(*(range(o) for o in orders)):
-            coords = [
-                sum(Fraction(combo[j]) * W[i][j] for j in range(m))
-                for i in range(m)
-            ]
-            points.add(TorsionPoint(coords))
-        return points
+        V, orders = self._kernel_basis()
+        return {TorsionPoint([sum(Fraction(c * v, o) for c, v, o in zip(combo, row, orders))
+                              for row in V])
+                for combo in iter_product(*(range(o) for o in orders))}
 
     # -- operations returning new tori ------------------------------------
 
@@ -249,33 +246,33 @@ class PolarisedTorus:
         The point must pair integrally with the lattice (i.e. lie in the
         polarising kernel); cyclic groups are automatically isotropic.  The
         new lattice basis is the canonical column Hermite basis of the
-        extended lattice, the form is carried along by base change.
+        extended lattice, the form is carried along by base change.  With
+        the point x / k and that basis H / k, x E must vanish modulo k and
+        H^T E H modulo k^2, and |det H| must be k^(m-1).
         """
         m = 2 * self.dim
         if len(point.coords) != m:
             raise PreconditionError("point dimension does not match the torus")
-        pairings = matmul([point.lift()], self.gram)[0]
-        for j, val in enumerate(pairings):
-            if val.denominator != 1:
+        k = point.order
+        x = point.integer_lift()
+        for j, y in enumerate(matmul([x], self.gram)[0]):
+            if y % k:
                 raise PreconditionError(
                     f"point is not in the polarising kernel: pairing with basis "
-                    f"vector {j} gives {val}"
+                    f"vector {j} gives {Fraction(y, k)}"
                 )
-        B = subgroup_lattice([point], m)
-        if abs(det(B)) != Fraction(1, point.order):
+        H, _ = hnf([[k * (i == j) for j in range(m)] + [x[i]] for i in range(m)])
+        H = [row[:m] for row in H]
+        if abs(det(H)) != k ** (m - 1):
             raise AssertionError("quotient basis has wrong index")
-        new_periods = matmul([list(r) for r in self.periods], B)
-        new_gram_q = matmul(transpose(B), matmul([list(r) for r in self.gram], B))
-        new_gram = []
-        for row in new_gram_q:
-            out = []
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise AssertionError("induced form is not integral on the new lattice")
-                out.append(int(x))
-            new_gram.append(out)
-        torus = PolarisedTorus(self.gens, new_periods, new_gram, self.assumptions)
-        return QuotientResult(torus=torus, basis=B, source=self)
+        dP, P = _int_slices(self.periods)
+        new_gram = _divide_exactly(matmul(transpose(H), matmul(self.gram, H)), k * k)
+        if new_gram is None:
+            raise AssertionError("induced form is not integral on the new lattice")
+        torus = PolarisedTorus(self.gens, _formal_product(self.gens, P, H, dP * k), new_gram,
+                               self.assumptions)
+        basis = [[Fraction(h, k) for h in row] for row in H]
+        return QuotientResult(torus=torus, basis=basis, source=self)
 
     def symplectic_complement(self, points):
         """Generators of the orthogonal complement, inside the kernel, of
@@ -284,24 +281,28 @@ class PolarisedTorus:
         Orthogonality of x and g means the form takes an integer value on
         their lifts.  Returns generators of a direct-sum decomposition
         (order-1 generators dropped).
+
+        On integers: the kernel basis is V' / t, t the last order, and a
+        point x / k pairs with V' c / t to x E V' c / (k t).  The relation
+        matrix adj(BS) diag(s) / det(BS) must be integral, and only the
+        generators V' BS Uc^-1 / t are built as Fractions.
         """
         m = 2 * self.dim
-        W, orders = self._kernel_basis()
-        gram = [list(r) for r in self.gram]
-        gram_w = matmul(gram, W)
-        pair_rows = []
-        for g in points:
-            lift = [g.lift()]
-            if any(val.denominator != 1 for val in matmul(lift, gram)[0]):
+        V, orders = self._kernel_basis()
+        top = orders[-1]
+        Vs = [[v * (top // s) for v, s in zip(row, orders)] for row in V]
+        wide = []
+        for i, g in enumerate(points):
+            if len(g.coords) != m:
+                raise PreconditionError("point dimension does not match the torus")
+            xE = matmul([g.integer_lift()], self.gram)[0]
+            if any(y % g.order for y in xE):
                 raise PreconditionError(
                     "complement of a point outside the polarising kernel"
                 )
-            pair_rows.append(matmul(lift, gram_w)[0])
-        if pair_rows:
-            scale = lcm(*(v.denominator for row in pair_rows for v in row))
-            T = [[int(v * scale) for v in row] for row in pair_rows]
-            wide = [row + [-scale if r == i else 0 for r in range(len(T))]
-                    for i, row in enumerate(T)]
+            wide.append(matmul([xE], Vs)[0]
+                        + [-g.order * top if r == i else 0 for r in range(len(points))])
+        if wide:
             kern = int_kernel(wide)
             gens_cols = [[col[i] for col in kern] for i in range(m)]
         else:  # no conditions: every coefficient vector is a solution
@@ -310,21 +311,22 @@ class PolarisedTorus:
                 for i in range(m)]
         BS, _ = hnf(full)
         BS = [row[:m] for row in BS]  # full rank: first m columns are the basis
-        if rank(BS) != m:
-            raise AssertionError("solution lattice must have full rank")
-        C = matmul(rat_inv(BS), [[orders[i] if i == j else 0 for j in range(m)] for i in range(m)])
-        if any(Fraction(x).denominator != 1 for row in C for x in row):
+        try:
+            adj, d = int_inverse(BS)
+        except ValueError:
+            raise AssertionError("solution lattice must have full rank") from None
+        C = _divide_exactly([[a * s for a, s in zip(row, orders)] for row in adj], d)
+        if C is None:
             raise AssertionError("relation matrix must be integral")
-        Cint = [[int(x) for x in row] for row in C]
-        St, Uc, _ = snf(Cint)
-        coeff = matmul(BS, rat_inv(Uc))
-        point_mat = matmul(W, coeff)
+        St, Uc, _ = snf(C)
+        adj_u, det_u = int_inverse(Uc)
+        P = matmul(Vs, matmul(BS, adj_u))
         out = []
         for j in range(m):
             order = St[j][j]
             if order == 1:
                 continue
-            p = TorsionPoint([point_mat[i][j] for i in range(m)])
+            p = TorsionPoint([Fraction(det_u * row[j], top) for row in P])
             if p.order != order:
                 raise AssertionError("complement generator has unexpected order")
             out.append(p)
@@ -397,11 +399,16 @@ class QuotientResult:
         raise AttributeError("QuotientResult is immutable")
 
     def push_point(self, point: TorsionPoint) -> TorsionPoint:
-        Binv = rat_inv([list(r) for r in self.basis])
-        lift = point.lift()
-        return TorsionPoint(
-            [sum(Binv[i][j] * lift[j] for j in range(len(lift))) for i in range(len(lift))]
-        )
+        """The image B^-1 x of a source point x / k: with the basis rows over
+        their denominators, B = diag(e)^-1 B', it is adj(B') diag(e) x / (det(B') k)."""
+        m = len(self.basis)
+        if len(point.coords) != m:
+            raise PreconditionError("point dimension does not match the torus")
+        rows = _over_common_denominator(self.basis)
+        adj, d = int_inverse([v for v, _, _ in rows])
+        y = [e * x for (_, e, _), x in zip(rows, point.integer_lift())]
+        dk = d * point.order
+        return TorsionPoint([Fraction(sum(map(mul, row, y)), dk) for row in adj])
 
 
 class DualResult:

@@ -7,21 +7,33 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import add
 
-from avtk.errors import GeneratorMismatchError
-from avtk.homs import HomGenerator, _constant_right_block
+from avtk.errors import GeneratorMismatchError, PreconditionError
+from avtk.homs import HomGenerator, IdempotentData, _constant_right_block
 from avtk.intlinalg import (
+    det,
     flatten_to_int,
     hnf,
+    identity,
     int_kernel,
     mat_eq,
     matmul,
+    rank,
     row_hnf,
+    saturate_columns,
     shape,
     snf,
     transpose,
 )
 from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key
-from avtk.torus import DualResult, SubvarietyEmbedding
+from avtk.torus import (
+    DualResult,
+    PolarisedTorus,
+    QuotientResult,
+    SubvarietyEmbedding,
+    TorsionPoint,
+    restricted_polarisation,
+    subgroup_lattice,
+)
 
 
 def leading_term(p: FormalScalar):
@@ -364,6 +376,35 @@ def gauss_jordan_solve(A, b):
     return x
 
 
+def fraction_gauss_jordan(rows, n):
+    """Reduce rows of Fractions in place on their first n columns; the pivot columns.
+
+    Each pivot, the first nonzero at or below the next pivot row, is
+    scaled to 1 and cleared from every other row, each row operation
+    applied to the whole row, so rows ends in reduced row echelon form
+    over those columns.  The reference for the fraction-free _gauss_jordan,
+    whose rows are d times these.
+    """
+    m = len(rows)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        pivot_row = rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * p for a, p in zip(rows[i], pivot_row)]
+        pivots.append(c)
+    return pivots
+
+
 def snf_saturate_columns(M):
     """The saturation of the column span through the Smith form.
 
@@ -473,3 +514,123 @@ def symbolic_admissible_family(A, Ahat):
         basis.append(H)
         coords.append(C)
     return basis, coords
+
+
+# -- the Fraction torsion and subtorus pipelines, kept as references -------------
+
+def _fraction_kernel_basis(T):
+    """(W, s): W = V diag(1/s) as Fractions, from the Smith form of the gram."""
+    S, _, V = snf([list(r) for r in T.gram])
+    m = 2 * T.dim
+    orders = [S[i][i] for i in range(m)]
+    return [[Fraction(V[i][j], orders[j]) for j in range(m)] for i in range(m)], orders
+
+
+def fraction_quotient(T, point):
+    """PolarisedTorus.quotient with the basis, periods and form over Fractions."""
+    m = 2 * T.dim
+    if len(point.coords) != m:
+        raise PreconditionError("point dimension does not match the torus")
+    for j, val in enumerate(matmul([point.lift()], T.gram)[0]):
+        if val.denominator != 1:
+            raise PreconditionError(
+                f"point is not in the polarising kernel: pairing with basis "
+                f"vector {j} gives {val}"
+            )
+    B = subgroup_lattice([point], m)
+    if abs(det(B)) != Fraction(1, point.order):
+        raise AssertionError("quotient basis has wrong index")
+    new_periods = matmul([list(r) for r in T.periods], B)
+    new_gram = []
+    for row in matmul(transpose(B), matmul([list(r) for r in T.gram], B)):
+        if any(Fraction(x).denominator != 1 for x in row):
+            raise AssertionError("induced form is not integral on the new lattice")
+        new_gram.append([int(x) for x in row])
+    torus = PolarisedTorus(T.gens, new_periods, new_gram, T.assumptions)
+    return QuotientResult(torus=torus, basis=B, source=T)
+
+
+def fraction_push_point(qres, point):
+    """QuotientResult.push_point through the Fraction inverse of the basis."""
+    Binv = gauss_jordan_inverse([list(r) for r in qres.basis])
+    lift = point.lift()
+    return TorsionPoint([sum(b * x for b, x in zip(row, lift)) for row in Binv])
+
+
+def fraction_symplectic_complement(T, points):
+    """PolarisedTorus.symplectic_complement with W, the pairings and both
+    inverses over Fractions."""
+    m = 2 * T.dim
+    W, orders = _fraction_kernel_basis(T)
+    gram = [list(r) for r in T.gram]
+    gram_w = matmul(gram, W)
+    pair_rows = []
+    for g in points:
+        lift = [g.lift()]
+        if any(val.denominator != 1 for val in matmul(lift, gram)[0]):
+            raise PreconditionError("complement of a point outside the polarising kernel")
+        pair_rows.append(matmul(lift, gram_w)[0])
+    if pair_rows:
+        scale = lcm(*(v.denominator for row in pair_rows for v in row))
+        ints = [[int(v * scale) for v in row] for row in pair_rows]
+        wide = [row + [-scale if r == i else 0 for r in range(len(ints))]
+                for i, row in enumerate(ints)]
+        kern = int_kernel(wide)
+        gens_cols = [[col[i] for col in kern] for i in range(m)]
+    else:
+        gens_cols = identity(m)
+    full = [gens_cols[i] + [orders[i] if j == i else 0 for j in range(m)] for i in range(m)]
+    BS, _ = hnf(full)
+    BS = [row[:m] for row in BS]
+    if rank(BS) != m:
+        raise AssertionError("solution lattice must have full rank")
+    C = matmul(gauss_jordan_inverse(BS),
+               [[orders[i] if i == j else 0 for j in range(m)] for i in range(m)])
+    if any(Fraction(x).denominator != 1 for row in C for x in row):
+        raise AssertionError("relation matrix must be integral")
+    St, Uc, _ = snf([[int(x) for x in row] for row in C])
+    point_mat = matmul(W, matmul(BS, gauss_jordan_inverse(Uc)))
+    out = []
+    for j in range(m):
+        order = St[j][j]
+        if order == 1:
+            continue
+        p = TorsionPoint([point_mat[i][j] for i in range(m)])
+        if p.order != order:
+            raise AssertionError("complement generator has unexpected order")
+        out.append(p)
+    return out
+
+
+def fraction_idempotent(emb):
+    """idempotent with the projector J (J^T E J)^-1 J^T E over Fractions."""
+    T = emb.torus
+    J = [list(r) for r in emb.columns]
+    gram_b, rtype = restricted_polarisation(T, emb)
+    eps = matmul(J, matmul(gauss_jordan_inverse(gram_b),
+                           matmul(transpose(J), [list(r) for r in T.gram])))
+    if not mat_eq(matmul(eps, eps), eps):
+        raise AssertionError("projector is not idempotent")
+    exponent = rtype[-1]
+    norm = [[Fraction(exponent) * x for x in row] for row in eps]
+    if any(x.denominator != 1 for row in norm for x in row):
+        raise PreconditionError(
+            "norm endomorphism is not integral; the sublattice does not "
+            "carry the restricted polarisation as a subtorus"
+        )
+    return IdempotentData(emb, eps, exponent, norm)
+
+
+def fraction_complementary_subvariety(emb):
+    """complementary_subvariety from 1 - epsilon over Fractions, cleared by
+    the lcm of its denominators."""
+    T = emb.torus
+    m2 = 2 * T.dim
+    eps = fraction_idempotent(emb).epsilon
+    comp = [[int(i == j) - eps[i][j] for j in range(m2)] for i in range(m2)]
+    denom = lcm(*(Fraction(x).denominator for row in comp for x in row))
+    out = SubvarietyEmbedding(T, saturate_columns([[int(x * denom) for x in row] for row in comp]))
+    joint = [list(emb.columns[i]) + list(out.columns[i]) for i in range(m2)]
+    if out.rank + emb.rank != m2 or det(joint) == 0:
+        raise AssertionError("complement does not span the torus with the input")
+    return out

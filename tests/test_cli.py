@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from avtk import cli
 from avtk.demos import demo_list
-from avtk.documents import canonical_json, point_to_doc, torus_to_doc
+from avtk.documents import Report, canonical_json, point_to_doc, torus_to_doc
 from avtk.parallel import MAX_CANDIDATES
 from avtk.ppsearch import MAX_MODULUS
 from avtk.scalars import GeneratorSet
@@ -289,6 +289,21 @@ def test_report_out_file(curve_doc, tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out.read_text())
     assert data["payload"]["type"] == [3]
+
+
+@pytest.mark.parametrize("demo", [False, True])
+def test_json_and_out_write_one_serialisation_to_both(demo, curve_doc, tmp_path, monkeypatch,
+                                                      capsys):
+    calls = []
+    to_json = Report.to_json
+    monkeypatch.setattr(Report, "to_json", lambda self, *a: calls.append(1) or to_json(self, *a))
+    out = tmp_path / "out"
+    argv = (["demo", "thm-3.2-generic", "--out", str(out), "--json"] if demo
+            else ["type", curve_doc, "--out", str(out), "--json"])
+    assert run_cli(argv) == 0
+    written = (out / "report.json" if demo else out).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == written
+    assert len(calls) == 1
 
 
 # -- demos through the CLI ----------------------------------------------------------

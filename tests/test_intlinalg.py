@@ -20,6 +20,7 @@ from avtk.intlinalg import (
     flatten_to_int,
     hnf,
     identity,
+    int_inverse,
     int_kernel,
     matmul,
     mat_eq,
@@ -42,6 +43,7 @@ from oracles import (
     formal_det_polynomial,
     formal_pullback_polynomials,
     fraction_det,
+    fraction_gauss_jordan,
     gauss_jordan_inverse,
     gauss_jordan_solve,
     row_hnf_rank,
@@ -442,6 +444,14 @@ def test_rat_solve():
     assert x == [Fraction(1), Fraction(1)]
 
 
+def test_rat_solve_refuses_a_solution_that_does_not_verify(monkeypatch):
+    # a wrong last pivot stands in for an elimination slip
+    gauss_jordan = intlinalg._gauss_jordan
+    monkeypatch.setattr(intlinalg, "_gauss_jordan",
+                        lambda rows, n: (lambda p, d, s: (p, 2 * d, s))(*gauss_jordan(rows, n)))
+    assert rat_solve([[2, 1], [1, 1]], [3, 2]) is None
+
+
 def test_rat_inv_singular_raises():
     with pytest.raises(ValueError):
         rat_inv([[1, 2], [2, 4]])
@@ -542,6 +552,64 @@ def test_rat_inv_matches_the_gauss_jordan_oracle_in_value_and_type(M):
     assert got == want
     if isinstance(want, list):
         assert _types(got) == [[Fraction] * len(M)] * len(M)
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, n): a zero-heavy integer matrix and a count n of its columns to
+    eliminate on, so that pivots need row swaps, columns lack pivots and
+    rows end up zero."""
+    m, width = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entry = st.integers(-9, 9) | st.just(0) | st.just(0)
+    rows = [[draw(entry) for _ in range(width)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):  # a row that is a combination of two others
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, draw(st.integers(0, width))
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_rows())
+@example(([[0, 1, 5], [1, 0, 7]], 2))  # a row swap
+@example(([[2, 4, 1], [1, 2, 1], [3, 6, 2]], 2))  # a column with no pivot
+def test_gauss_jordan_rows_are_d_times_the_fraction_gauss_jordan_rows(case):
+    rows, n = case
+    ref = [[Fraction(x) for x in row] for row in rows]
+    want = fraction_gauss_jordan(ref, n)
+    got, d, sign = intlinalg._gauss_jordan(rows, n)
+    assert got == want and sign in (1, -1)
+    assert rows == [[d * x for x in row] for row in ref]
+    assert all(type(x) is int for row in rows for x in row) and type(d) is int
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """Square, zero-heavy, often singular or needing a row swap, sometimes
+    with integral Fractions; some are not square."""
+    n = draw(st.integers(0, 6))
+    cols = n if draw(st.integers(0, 9)) else n + 1
+    entry = st.integers(-6, 6) | st.just(0) | st.just(0) | st.just(Fraction(4, 2))
+    return [[draw(entry) for _ in range(cols)] for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_integer_matrices())
+@example([[0, 1], [1, 0]])  # one swap: det -1
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[0, 1], [0, 2]])  # singular, and the first column has no pivot
+@example([])
+def test_int_inverse_is_the_adjugate_and_the_determinant(M):
+    want = _outcome(gauss_jordan_inverse, M)
+    got = _outcome(int_inverse, M)
+    if not isinstance(want, list):
+        assert got == want  # non-square or singular, by the same message
+        return
+    adj, d = got
+    n = len(M)
+    assert d == det(M) and type(d) is int and d != 0
+    assert matmul(M, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
+    assert adj == [[d * x for x in row] for row in want]
+    assert all(type(x) is int for row in adj for x in row)
 
 
 @st.composite

@@ -172,6 +172,22 @@ def test_quotient_by_full_cyclic_kernel_part():
     assert q.torus.polarisation_type() == (1,)
 
 
+@pytest.mark.parametrize("coords", [[Fraction(1, 3)], [Fraction(1, 3), 0], [0] * 5,
+                                    [Fraction(1, 3)] + [0] * 5])
+def test_complement_and_push_point_refuse_a_point_of_another_dimension(coords):
+    # complement raised "shape mismatch (1, 2) @ (4, 4)" from matmul; push_point
+    # returned TorsionPoint((1/3, 0)) for 2 coordinates and an IndexError for 6
+    T = product([curve(1), curve(3)])
+    q = T.quotient(TorsionPoint([0, 0, 0, Fraction(1, 3)]))
+    point = TorsionPoint(coords)
+    with pytest.raises(PreconditionError, match="^point dimension does not match the torus$"):
+        T.symplectic_complement([point])
+    with pytest.raises(PreconditionError, match="^point dimension does not match the torus$"):
+        T.symplectic_complement([TorsionPoint([0, 0, 0, Fraction(1, 3)]), point])
+    with pytest.raises(PreconditionError, match="^point dimension does not match the torus$"):
+        q.push_point(point)
+
+
 def test_push_point_respects_orders():
     T = curve(4)
     g = TorsionPoint([0, Fraction(1, 2)])
