@@ -157,10 +157,7 @@ def point_from_doc(doc: dict, torus: PolarisedTorus) -> TorsionPoint:
             raise DocumentError(
                 f"ambient point needs {torus.dim} coordinates, got {len(coords)}"
             )
-        lattice = ambient_to_lattice(torus, coords)
-        if lattice is None:
-            raise DocumentError("ambient point is not rational over the lattice")
-        return TorsionPoint(lattice)
+        return TorsionPoint(ambient_to_lattice(torus, coords))
     raise DocumentError("point basis must be 'lattice' or 'ambient'")
 
 

@@ -12,13 +12,14 @@ W = D_X^-1 @ Z_X, the identity on the left half reads
 
     periods_Y @ (M_R @ W - M_L) = 0,
 
-linear in the entries of M.  P_Y and W are put over one common
+linear in the entries of M.  P_X and P_Y are put over one common
 denominator each, once per call, as integer polynomials
-(intlinalg._int_slices); each monomial of each entry of the identity is
-then an integer row in the entries of M, built from sparse products of
-those slices.  The kernel of these rows is the whole homomorphism
-module, and int_kernel returns its canonical Hermite basis whatever the
-order, number or scale of the rows.
+(intlinalg._int_slices), and W is taken from the slice of Z_X: with
+D_X^-1 = DI / dI for an integer DI, W = (DI @ dX Z_X) / (dI dX).  Each
+monomial of each entry of the identity is then an integer row in the
+entries of M, built from sparse products of those slices.  The kernel of
+these rows is the whole homomorphism module, and int_kernel returns its
+canonical Hermite basis whatever the order, number or scale of the rows.
 
 An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
@@ -185,8 +186,16 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
     DXinv = _constant_right_block(X)
+    dI = lcm(*(x.denominator for row in DXinv for x in row))
+    DI = [[int(x * dI) for x in row] for row in DXinv]
     px, py = _int_slices(X.periods), _int_slices(Y.periods)
-    dW, W = _int_slices(matmul(DXinv, X.left_block()))
+    # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
+    dW, DIt = dI * px[0], transpose(DI)
+    Wcols = []
+    for j in range(n):
+        acc = [{} for _ in range(n)]
+        _add_row_times(acc, [PX_row[j] for PX_row in px[1]], DIt, 1)
+        Wcols.append([{mono: c for mono, c in a.items() if c} for a in acc])
     width = 4 * m * n
     system = []
     for PY_row in py[1]:
@@ -196,15 +205,13 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
                 base = 2 * n * r
                 for mono, x in p.items():
                     rows.setdefault(mono, [0] * width)[base + j] -= dW * x
-                for t, W_row in enumerate(W):
+                for t, w in enumerate(Wcols[j]):
                     for m1, c1 in p.items():
-                        for m2, c2 in W_row[j].items():
+                        for m2, c2 in w.items():
                             row = rows.setdefault(tuple(map(add, m1, m2)), [0] * width)
                             row[base + n + t] += c1 * c2
             system += rows.values()
     # F = P_Y @ M_R @ D_X^-1 = PY @ (M_R @ DI) / (dY * dI), DI integer
-    dI = lcm(*(x.denominator for row in DXinv for x in row))
-    DI = [[int(x * dI) for x in row] for row in DXinv]
     scale = py[0] * dI
     gens_out = []
     for vec in int_kernel(system or [[0] * width]):
@@ -260,8 +267,9 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
 
     Requires the restricted form to be nondegenerate.  The projector is
     N / d, N = J adj(J^T E J) J^T E and d = det(J^T E J), checked to be
-    idempotent as N^2 = d N; the norm endomorphism exponent * N / d is
-    checked to be integral.
+    idempotent as N^2 = d N.  The norm endomorphism exponent * N / d is
+    integral because the exponent, the largest elementary divisor of
+    J^T E J, clears the denominators of its inverse; that is asserted.
     """
     T = emb.torus
     J = [list(r) for r in emb.columns]
@@ -274,10 +282,7 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
     exponent = rtype[-1]
     norm = _divide_exactly([[exponent * x for x in row] for row in N], d)
     if norm is None:
-        raise PreconditionError(
-            "norm endomorphism is not integral; the sublattice does not "
-            "carry the restricted polarisation as a subtorus"
-        )
+        raise AssertionError("norm endomorphism is not integral")
     eps = [[Fraction(x, d) for x in row] for row in N]
     return IdempotentData(emb, eps, exponent, norm)
 

@@ -6,10 +6,11 @@ pullback_polynomials run on integer polynomials of one pencil of integer
 maps, with exact division.  _int_slices puts a period matrix over one
 common denominator as integer polynomials, from which homs, ppsearch and
 torus build their sparse systems and products (_add_product,
-_add_row_times, _formal_product); int_kernel eliminates on sparse
-columns.  Column spans are compared by flattening formal entries over
-one common scale and comparing canonical column Hermite forms.  Inputs
-and outputs are dense matrices, and every result is canonical.
+_add_row_times, _formal_product), the W = D_X^-1 @ Z_X of hom_module
+among them; int_kernel eliminates on sparse columns.  Column spans are
+compared by flattening formal entries over one common scale and
+comparing canonical column Hermite forms.  Inputs and outputs are dense
+matrices, and every result is canonical.
 
 Conventions:
   * Each job has one elimination: fraction-free Bareiss for det over Z
@@ -35,7 +36,7 @@ from itertools import combinations, compress
 from math import lcm, prod
 from operator import add, mul, neg, sub
 
-from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
+from .errors import PreconditionError, RankDeficiencyError
 from .scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
 
 
@@ -83,12 +84,11 @@ def matmul(A, B):
     entry.  An entry is a Fraction exactly when its row of A or its column
     of B holds one, as the entry-by-entry sum a0*b0 + a1*b1 + ... gives.
 
-    Otherwise each output entry is that sum, taken by _dot: an entry with
-    a formal factor accumulates one term map, skipping zero factors, and
-    is a FormalScalar; any other entry is the plain left-to-right sum, so
-    it has the type Python's own arithmetic gives it.  Formal entries over
-    different generator sets in one row of A and one column of B raise
-    GeneratorMismatchError, as combining them entry by entry would.
+    Otherwise each output entry is that sum, sum(map(mul, a, b)), taken in
+    the operands' own arithmetic: an entry with a formal factor is a
+    FormalScalar, any other entry has the type Python's arithmetic gives
+    it, and formal entries over different generator sets in one row of A
+    and one column of B raise GeneratorMismatchError.
     """
     m, k = shape(A)
     k2, n = shape(B)
@@ -103,69 +103,8 @@ def matmul(A, B):
             ]
             for a, da, fa in _over_common_denominator(A)
         ]
-    cols = [(b, _formal_gens(b)) for b in zip(*B)]
-    out = []
-    for a in A:
-        ga = _formal_gens(a) if cols else None
-        out.append([_dot(a, b, _same_gens(ga, gb)) for b, gb in cols])
-    return out
-
-
-def _formal_gens(vector):
-    """The generator set of a vector's formal entries, None if it has none."""
-    gens = None
-    for x in vector:
-        if isinstance(x, FormalScalar):
-            gens = _same_gens(gens, x.gens)
-    return gens
-
-
-def _same_gens(g, h):
-    """The generator set of g and h, either of which may be None."""
-    if g is None or g is h:
-        return h
-    if h is not None and h != g:
-        raise GeneratorMismatchError(f"cannot combine scalars over {g.names} and {h.names}")
-    return g
-
-
-def _dot(a, b, gens):
-    """sum(a[t] * b[t]) with the value and type the term-by-term sum has.
-
-    gens is None when no factor is formal: the products are then summed as
-    they are.  Otherwise they go into one term map, zero factors skipped,
-    and the entry is one FormalScalar over gens.
-    """
-    if gens is None:
-        acc = None
-        for x, y in zip(a, b):
-            p = x * y
-            acc = p if acc is None else acc + p
-        return acc
-    terms = {}
-    const = 0  # the sum of the products with no formal factor
-    for x, y in zip(a, b):
-        if not (x and y):  # a zero int or Fraction factor (a FormalScalar is always true)
-            continue
-        if isinstance(x, FormalScalar):
-            if isinstance(y, FormalScalar):
-                for m1, c1 in x.terms.items():
-                    for m2, c2 in y.terms.items():
-                        mono = tuple(map(add, m1, m2))
-                        terms[mono] = terms.get(mono, 0) + c1 * c2
-                continue
-            f, c = x, y
-        elif isinstance(y, FormalScalar):
-            f, c = y, x
-        else:
-            const += x * y
-            continue
-        for mono, coeff in f.terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff * c
-    if const:
-        one = (0,) * len(gens)
-        terms[one] = terms.get(one, 0) + Fraction(const)
-    return FormalScalar._trusted(gens, {mono: c for mono, c in terms.items() if c})
+    cols = list(zip(*B))
+    return [[sum(map(mul, a, b)) for b in cols] for a in A]
 
 
 def mat_copy(M):

@@ -192,6 +192,24 @@ def test_quotient_outside_kernel_exits_two(tmp_path, capsys):
     assert run_cli(["quotient", tdoc, pdoc]) == 2
 
 
+def test_quotient_by_an_ambient_point_off_the_periods_exits_two(tmp_path, capsys):
+    # the periods t and 2t span Q*t, so the constant 1/2 has no lattice coordinates
+    tdoc = write_doc(tmp_path / "t.json", {"generators": ["t"], "dim": 1,
+                                           "periods": [["t", "2*t"]],
+                                           "gram": [[0, 2], [-2, 0]]})
+    pdoc = write_doc(tmp_path / "p.json", {"coords": ["1/2"], "basis": "ambient"})
+    assert run_cli(["quotient", tdoc, pdoc]) == 2
+    assert "vector is not a rational combination of the periods" in capsys.readouterr().err
+
+
+def test_pp_search_refuses_periods_dependent_over_q(tmp_path, capsys):
+    # the columns 2 and 1 are dependent over Q: span_equal refuses the witness check
+    doc = write_doc(tmp_path / "d.json", {"generators": ["t"], "dim": 1,
+                                          "periods": [["2", "1"]]})
+    assert run_cli(["pp-search", doc]) == 2
+    assert "linearly dependent" in capsys.readouterr().err
+
+
 def test_dual_json_report(curve_doc, capsys):
     assert run_cli(["dual", curve_doc, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -230,5 +230,5 @@ def test_idempotent_refuses_a_norm_that_is_not_integral(monkeypatch):
     restricted = avtk.homs.restricted_polarisation
     monkeypatch.setattr(avtk.homs, "restricted_polarisation",
                         lambda T, e: (restricted(T, e)[0], (1,)))
-    with pytest.raises(PreconditionError, match="norm endomorphism is not integral"):
+    with pytest.raises(AssertionError, match="norm endomorphism is not integral"):
         idempotent(emb)
