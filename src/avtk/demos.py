@@ -57,6 +57,15 @@ def _check(label, cond, checks):
         raise AssertionError(f"demo check failed: {label}")
 
 
+def _lattice_coords(T, vector):
+    """ambient_to_lattice(T, vector), or None when the vector is not a
+    rational combination of the periods, so that its check fails by label."""
+    try:
+        return ambient_to_lattice(T, vector)
+    except PreconditionError:
+        return None
+
+
 def parse_type(text) -> tuple:
     try:
         if isinstance(text, (tuple, list)):
@@ -161,7 +170,7 @@ def _quotient_pipeline(gens, E, factors, dtype, checks, payload):
     ambient = [Fraction(0)] * n
     ambient[0] = Fraction(1)
     ambient[n - 1] = ambient[n - 1] - 1
-    coords = ambient_to_lattice(prod, ambient)
+    coords = _lattice_coords(prod, ambient)
     _check("kernel point is rational over the lattice", coords is not None, checks)
     point = TorsionPoint(coords)
     _check("kernel point order", point.order == dn, checks)
@@ -191,7 +200,7 @@ def _display_replay(gens, A, display, dtype, checks, payload):
     old_cols = matmul(Sinv, display)
     U = []
     for j in range(2 * n):
-        col = ambient_to_lattice(A, [old_cols[i][j] for i in range(n)])
+        col = _lattice_coords(A, [old_cols[i][j] for i in range(n)])
         _check(f"display column {j} lies in the lattice",
                col is not None and all(x.denominator == 1 for x in col), checks)
         U.append([int(x) for x in col])
@@ -225,7 +234,7 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
     tauE = gens.scalar("tau_E")
     e_cols = []
     for vec in ([dn * tauE] + [gens.zero()] * (n - 1), [gens.constant(dn)] + [gens.zero()] * (n - 1)):
-        col = ambient_to_lattice(A, list(vec))
+        col = _lattice_coords(A, list(vec))
         _check("factor vector lies in the lattice",
                col is not None and all(x.denominator == 1 for x in col), checks)
         e_cols.append([int(x) for x in col])
@@ -235,7 +244,7 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
         for entry in (tauF, gens.constant(d)):
             vec = [gens.zero()] * n
             vec[i + 1] = entry
-            col = ambient_to_lattice(A, vec)
+            col = _lattice_coords(A, vec)
             _check("factor vector lies in the lattice",
                    col is not None and all(x.denominator == 1 for x in col), checks)
             b_cols.append([int(x) for x in col])

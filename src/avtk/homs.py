@@ -14,7 +14,7 @@ W = D_X^-1 @ Z_X, the identity on the left half reads
 
 linear in the entries of M.  P_X and P_Y are put over one common
 denominator each, once per call, as integer polynomials
-(intlinalg._int_slices), and W is taken from the slice of Z_X: with
+(scalars.monomial_flatten), and W is taken from the slice of Z_X: with
 D_X^-1 = DI / dI for an integer DI, W = (DI @ dX Z_X) / (dI dX).  Each
 monomial of each entry of the identity is then an integer row in the
 entries of M, built from sparse products of those slices.  The kernel of
@@ -30,7 +30,6 @@ of the combination once, as a polynomial in its coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .errors import PreconditionError
@@ -39,7 +38,7 @@ from .intlinalg import (
     _add_row_times,
     _divide_exactly,
     _formal_product,
-    _int_slices,
+    _over_common_denominator,
     as_int,
     combination,
     det,
@@ -48,11 +47,10 @@ from .intlinalg import (
     mat_eq,
     matmul,
     pullback_polynomials,
-    rat_inv,
     saturate_columns,
     transpose,
 )
-from .scalars import FormalScalar
+from .scalars import FormalScalar, monomial_flatten
 from .torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
@@ -71,9 +69,9 @@ class HomGenerator:
     denominators), with int and Fraction entries taken as constants.  The
     defining identity F @ periods_X == periods_Y @ M is verified on
     construction, over integer polynomials: with F, periods_X and
-    periods_Y each over one common denominator, both sides are multiplied
-    by the three denominators, so the check is exact for any F.  A
-    HomGenerator in hand is proof of itself.
+    periods_Y each put over one common denominator by monomial_flatten,
+    both sides are multiplied by the three denominators, so the check is
+    exact for any F.  A HomGenerator in hand is proof of itself.
     """
 
     __slots__ = ("domain", "codomain", "rational_rep", "analytic_rep")
@@ -90,13 +88,14 @@ class HomGenerator:
         if len(F) != codomain.dim or any(len(r) != domain.dim for r in F):
             raise PreconditionError("analytic representation has wrong shape")
         self._verify(domain, codomain, M, F,
-                     _int_slices(domain.periods), _int_slices(codomain.periods))
+                     monomial_flatten(domain.periods), monomial_flatten(codomain.periods))
 
     def _verify(self, domain, codomain, M, F, px, py):
         """Fill the slots once F @ periods_X == periods_Y @ M holds.
 
-        px and py are the _int_slices of the two period matrices, so that
-        hom_module computes them once for all of its generators.
+        px and py are the monomial_flatten slices (d, P) of the two period
+        matrices, so that hom_module computes them once for all of its
+        generators; F is flattened here, by the same route.
         """
         for row in F:
             for x in row:
@@ -137,7 +136,7 @@ def _identity_holds(F, M, px, py):
     dY * FS @ PX == dF * dX * PY @ M, entry by entry over integer
     polynomials.
     """
-    dF, FS = _int_slices(F)
+    dF, FS = monomial_flatten(F)
     (dX, PX), (dY, PY) = px, py
     for F_row, PY_row in zip(FS, PY):
         acc = [{} for _ in M[0]]  # entry (i, j) of the difference, j by j
@@ -153,24 +152,25 @@ def _identity_holds(F, M, px, py):
 
 
 def _constant_right_block(T: PolarisedTorus):
-    n = T.dim
-    R = T.right_block()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = R[i][j]
+    """(DI, dI) with D_T^-1 = DI / dI for the right period block D_T, DI an
+    integer matrix: with row i of D_T over its denominator e_i,
+    D_T = diag(e)^-1 D' for an integer D', so D_T^-1 = adj(D') diag(e) / det(D').
+    """
+    rows = []
+    for i, row in enumerate(T.right_block()):
+        for j, x in enumerate(row):
             if not x.is_constant():
                 raise PreconditionError(
                     f"right period block entry ({i},{j}) = {x} is not constant; "
                     "bring the torus to a frame with a constant right block first"
                 )
-            row.append(x.constant_value())
-        out.append(row)
+        rows.append([x.constant_value() for x in row])
+    scaled = _over_common_denominator(rows)
     try:
-        return rat_inv(out)
+        adj, dI = int_inverse([v for v, _, _ in scaled])
     except ValueError:
         raise PreconditionError("right period block is singular over Q") from None
+    return [[x * e for x, (_, e, _) in zip(row, scaled)] for row in adj], dI
 
 
 def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
@@ -185,10 +185,8 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
-    DXinv = _constant_right_block(X)
-    dI = lcm(*(x.denominator for row in DXinv for x in row))
-    DI = [[int(x * dI) for x in row] for row in DXinv]
-    px, py = _int_slices(X.periods), _int_slices(Y.periods)
+    DI, dI = _constant_right_block(X)
+    px, py = monomial_flatten(X.periods), monomial_flatten(Y.periods)
     # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
     dW, DIt = dI * px[0], transpose(DI)
     Wcols = []

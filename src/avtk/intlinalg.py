@@ -3,14 +3,15 @@
 Rational matrices are worked on as integers over one denominator per
 row, and Fractions are built only for results.  det_polynomial and
 pullback_polynomials run on integer polynomials of one pencil of integer
-maps, with exact division.  _int_slices puts a period matrix over one
-common denominator as integer polynomials, from which homs, ppsearch and
-torus build their sparse systems and products (_add_product,
-_add_row_times, _formal_product), the W = D_X^-1 @ Z_X of hom_module
-among them; int_kernel eliminates on sparse columns.  Column spans are
-compared by flattening formal entries over one common scale and
-comparing canonical column Hermite forms.  Inputs and outputs are dense
-matrices, and every result is canonical.
+maps, with exact division.  scalars.monomial_flatten puts a period
+matrix over one common denominator as integer polynomials, from which
+homs, ppsearch and torus build their sparse systems and products
+(_add_product, _add_row_times, _formal_product), the W = D_X^-1 @ Z_X of
+hom_module among them; int_kernel eliminates on sparse columns.
+flatten_to_int lays one monomial_flatten of several matrices out as
+dense integer matrices, and column spans are compared on that layout by
+canonical column Hermite forms.  Inputs and outputs are dense matrices,
+and every result is canonical.
 
 Conventions:
   * Each job has one elimination: fraction-free Bareiss for det over Z
@@ -36,7 +37,7 @@ from itertools import combinations, compress
 from math import lcm, prod
 from operator import add, mul, neg, sub
 
-from .errors import PreconditionError, RankDeficiencyError
+from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
 from .scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
 
 
@@ -277,15 +278,6 @@ def _int_pencil(mats):
     units = [tuple(int(h == g) for h in range(len(mats))) for g in range(len(mats))]
     return [[{u: x for u, x in zip(units, map(as_int, entries)) if x} for entries in zip(*rows)]
             for rows in zip(*mats)]
-
-
-def _int_slices(M):
-    """A matrix of FormalScalars as (d, P): d the least common denominator of
-    its coefficients, P[i][j] the integer polynomial {exponent tuple: int} of
-    d * M[i][j], empty for a zero entry."""
-    d = lcm(*{c.denominator for row in M for x in row for c in x.terms.values()})
-    return d, [[{mono: c.numerator * (d // c.denominator) for mono, c in x.terms.items()}
-                for x in row] for row in M]
 
 
 def _formal_product(gens, P, K, scale):
@@ -802,35 +794,16 @@ def symplectic_basis(E):
 
 # -- span comparison on formal matrices ---------------------------------------
 
-def as_scalar_matrix(M, gens: GeneratorSet | None = None):
-    """Coerce a matrix of ints/Fractions/FormalScalars to all-FormalScalar."""
-    found = None
-    for row in M:
-        for x in row:
-            if isinstance(x, FormalScalar):
-                if found is None:
-                    found = x.gens
-                elif x.gens != found:
-                    raise PreconditionError("matrix mixes generator sets")
-    if found is None:
-        found = gens if gens is not None else GeneratorSet(())
-    out = []
-    for row in M:
-        out.append(
-            [x if isinstance(x, FormalScalar) else found.constant(x) for x in row]
-        )
-    return out
-
-
 def flatten_to_int(*matrices):
     """Flatten scalar matrices over shared monomials and one common scale.
 
     All matrices must have the same number of rows (PreconditionError
-    otherwise).  Rows of the result are indexed by (matrix row, monomial),
-    with monomials in the ascending graded-lex order of monomial_flatten;
-    a single common denominator scale is applied across every input so
-    lattice relations survive.  Only the nonzero terms of each entry are
-    visited; every other cell of the output is 0.  When no input has a
+    otherwise) and their entries one generator set
+    (GeneratorMismatchError otherwise).  The matrices, side by side, go
+    through one monomial_flatten, so a single common denominator scales
+    every input and lattice relations survive.  Rows of each result are
+    indexed by (matrix row, monomial), monomials in ascending graded-lex
+    order, and every cell that no term reaches is 0.  When no input has a
     nonzero entry each output has max(rows, 1) zero rows.  Returns the
     list of integer matrices.
     """
@@ -839,20 +812,22 @@ def flatten_to_int(*matrices):
     nrows = len(matrices[0])
     if any(len(M) != nrows for M in matrices):
         raise PreconditionError("flattened matrices must have the same number of rows")
-    widths = [len(M[0]) if M and M[0] else 0 for M in matrices]
     combined = [[x for M in matrices for x in M[i]] for i in range(nrows)]
-    monomials, table = monomial_flatten(combined)
-    count = len(monomials)
-    denom = lcm(*{c.denominator for row in table for cell in row for _, c in cell})
-    outs = []
-    offset = 0
-    for w in widths:
-        flat = zeros(nrows * count if count else max(nrows, 1), w)
-        for i, row in enumerate(table):
-            for j, cell in enumerate(row[offset : offset + w]):
-                for k, c in cell:
-                    flat[i * count + k][j] = c.numerator * (denom // c.denominator)
-        outs.append(flat)
+    if len({x.gens for row in combined for x in row}) > 1:
+        raise GeneratorMismatchError("matrix mixes generator sets")
+    _, P = monomial_flatten(combined)
+    monomials = sorted({mono for row in P for p in row for mono in p}, key=_grlex_key)
+    index = {mono: k for k, mono in enumerate(monomials)}
+    count = len(index)
+    flat = zeros(nrows * count or max(nrows, 1), len(combined[0]) if nrows else 0)
+    for i, row in enumerate(P):
+        for j, p in enumerate(row):
+            for mono, c in p.items():
+                flat[i * count + index[mono]][j] = c
+    outs, offset = [], 0
+    for M in matrices:
+        w = len(M[0]) if M else 0
+        outs.append([r[offset : offset + w] for r in flat])
         offset += w
     return outs
 
@@ -860,16 +835,19 @@ def flatten_to_int(*matrices):
 def span_equal(A, B, gens: GeneratorSet | None = None) -> bool:
     """Do the columns of A and B generate the same lattice?
 
-    Entries may be formal scalars; both sides are flattened monomial by
-    monomial and scaled by one common integer before comparing canonical
-    column Hermite forms.  Each side must have full column rank, otherwise
+    Entries may be formal scalars, ints or Fractions; an int or Fraction
+    is taken as a constant over the generator set of the first formal
+    entry, or over ``gens`` when there is none.  Both sides are flattened
+    together by flatten_to_int and compared by canonical column Hermite
+    forms.  Each side must have full column rank, otherwise
     RankDeficiencyError is raised.
     """
-    A = as_scalar_matrix(A, gens)
-    B = as_scalar_matrix(B, gens)
     if len(A) != len(B):
         raise PreconditionError("span comparison of matrices with different row counts")
-    ZA, ZB = flatten_to_int(A, B)
+    found = next((x.gens for M in (A, B) for row in M for x in row
+                  if isinstance(x, FormalScalar)), gens or GeneratorSet(()))
+    ZA, ZB = flatten_to_int(*([[x if isinstance(x, FormalScalar) else found.constant(x)
+                                for x in row] for row in M] for M in (A, B)))
     _require_full_column_rank(ZA, "left")
     _require_full_column_rank(ZB, "right")
     HA, _ = hnf(ZA)

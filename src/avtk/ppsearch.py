@@ -8,7 +8,7 @@ H, so phase one solves it once and for all: the admissible symmetric
 matrices form a lattice, usually of very small rank.  The identity
 H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
 P_Ahat are each put over one common denominator once per call
-(intlinalg._int_slices), and each monomial of each entry gives one
+(scalars.monomial_flatten), and each monomial of each entry gives one
 integer row in the entries of H and C.  Positivity and surjectivity are
 not linear, so phase two enumerates bounded integer combinations of that
 family on the pencil engine of ``parallel``: the coordinate determinant
@@ -22,7 +22,6 @@ from __future__ import annotations
 from .errors import PreconditionError
 from .intlinalg import (
     _add_row_times,
-    _int_slices,
     as_int,
     combination,
     det,
@@ -34,6 +33,7 @@ from .intlinalg import (
     transpose,
 )
 from .parallel import coefficient_values, pencil_search
+from .scalars import monomial_flatten
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
 
@@ -134,7 +134,7 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     if A.dim != Ahat.dim:
         raise PreconditionError("tori have different dimensions")
     n = A.dim
-    pa, ph = _int_slices(A.periods), _int_slices(Ahat.periods)
+    pa, ph = monomial_flatten(A.periods), monomial_flatten(Ahat.periods)
     (dA, PA), (dH, PH) = pa, ph
     sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
@@ -175,8 +175,8 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
 
 def _containment_holds(H, C, pa, ph):
     """H @ P_A == P_Ahat @ C for integer H and C, with P_A = PA / dA and
-    P_Ahat = PH / dH as sliced: dH * H @ PA == dA * PH @ C, entry by entry
-    over integer polynomials."""
+    P_Ahat = PH / dH from monomial_flatten: dH * H @ PA == dA * PH @ C,
+    entry by entry over integer polynomials."""
     (dA, PA), (dH, PH) = pa, ph
     diff = [[{} for _ in C[0]] for _ in H]
     for acc, PH_row in zip(diff, PH):

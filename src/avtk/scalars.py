@@ -11,10 +11,14 @@ carried as declarations on the objects that need them.
 Monomials are exponent tuples aligned with the generator tuple and ordered
 by graded lexicographic order (total degree first, then lexicographic on
 exponents).  That order fixes leading terms, canonical string rendering and
-the monomial indices produced by :func:`monomial_flatten`, which give the
-row layout of ``intlinalg.flatten_to_int``: one row per (matrix row,
-monomial), monomials ascending.  The flattening stores only nonzero
-coefficients; the layout it describes is the same dense one.
+the row layout of ``intlinalg.flatten_to_int``: one row per (matrix row,
+monomial), monomials ascending.
+
+:func:`monomial_flatten` is the one way from formal matrices to integers:
+it puts a matrix over its least common denominator as integer polynomials
+``{exponent tuple: int}``.  The systems of ``homs`` and ``ppsearch``, the
+quotients of ``torus`` and ``flatten_to_int`` all start from it, so no
+other module reads a scalar's term map.
 
 Every scalar is canonical: each monomial is a tuple of non-negative ints
 as long as the generator tuple, each coefficient is a nonzero
@@ -34,6 +38,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -466,31 +471,13 @@ def parse_scalar(gens: GeneratorSet, text: str) -> FormalScalar:
 # -- matrix flattening ------------------------------------------------------
 
 def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
-    """Flatten a scalar matrix into (monomials, coefficient table).
+    """A matrix of FormalScalars as (d, P): d the least common denominator
+    of its coefficients, P[i][j] the integer polynomial {exponent tuple: int}
+    of d * matrix[i][j], empty for a zero entry.
 
-    Returns the sorted tuple of all monomials occurring anywhere in the
-    matrix (ascending graded-lex) plus, for each position, the tuple of
-    (monomial index, coefficient) pairs of that entry's nonzero terms, in
-    ascending index order.  Absent pairs are zero coefficients, so two
-    matrices flattened together can be compared coefficient by
-    coefficient without a dense tuple per entry.
+    The entries are not checked to share one generator set; the callers
+    that combine matrices from outside check that themselves.
     """
-    gens = None
-    union = set()
-    for row in matrix:
-        for entry in row:
-            if gens is None:
-                gens = entry.gens
-            elif entry.gens is not gens and entry.gens != gens:
-                raise GeneratorMismatchError("matrix mixes generator sets")
-            union.update(entry.terms)
-    monomials = tuple(sorted(union, key=_grlex_key))
-    index = {m: k for k, m in enumerate(monomials)}
-    table = tuple(
-        tuple(
-            tuple(sorted((index[m], c) for m, c in entry.terms.items())) if entry.terms else ()
-            for entry in row
-        )
-        for row in matrix
-    )
-    return monomials, table
+    d = lcm(*{c.denominator for row in matrix for x in row for c in x.terms.values()})
+    return d, [[{mono: c.numerator * (d // c.denominator) for mono, c in x.terms.items()}
+                for x in row] for row in matrix]

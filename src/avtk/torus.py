@@ -25,7 +25,6 @@ from .errors import PreconditionError
 from .intlinalg import (
     _divide_exactly,
     _formal_product,
-    _int_slices,
     _over_common_denominator,
     as_int,
     det,
@@ -44,7 +43,7 @@ from .intlinalg import (
     snf,
     transpose,
 )
-from .scalars import FormalScalar, GeneratorSet
+from .scalars import FormalScalar, GeneratorSet, monomial_flatten
 
 
 class TorsionPoint:
@@ -265,7 +264,7 @@ class PolarisedTorus:
         H = [row[:m] for row in H]
         if abs(det(H)) != k ** (m - 1):
             raise AssertionError("quotient basis has wrong index")
-        dP, P = _int_slices(self.periods)
+        dP, P = monomial_flatten(self.periods)
         new_gram = _divide_exactly(matmul(transpose(H), matmul(self.gram, H)), k * k)
         if new_gram is None:
             raise AssertionError("induced form is not integral on the new lattice")

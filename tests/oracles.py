@@ -8,7 +8,7 @@ from math import lcm
 from operator import add
 
 from avtk.errors import GeneratorMismatchError, PreconditionError
-from avtk.homs import HomGenerator, IdempotentData, _constant_right_block
+from avtk.homs import HomGenerator, IdempotentData
 from avtk.intlinalg import (
     det,
     flatten_to_int,
@@ -18,6 +18,7 @@ from avtk.intlinalg import (
     mat_eq,
     matmul,
     rank,
+    rat_inv,
     row_hnf,
     saturate_columns,
     shape,
@@ -218,6 +219,12 @@ def dense_flatten_to_int(*matrices):
     return outs
 
 
+def right_block_inverse(T):
+    """D_T^-1 over Fractions through rat_inv, the reference for the integer
+    pair (DI, dI) of homs._constant_right_block."""
+    return rat_inv([[x.constant_value() for x in row] for row in T.right_block()])
+
+
 def dual_hom(f: HomGenerator, dual_domain: DualResult | None = None,
              dual_codomain: DualResult | None = None) -> HomGenerator:
     """The induced homomorphism between the duals, in their recorded bases.
@@ -256,7 +263,7 @@ def dual_hom(f: HomGenerator, dual_domain: DualResult | None = None,
     Mt = transpose([list(r) for r in f.rational_rep])
     inner = matmul([[-x for x in row] for row in JX], matmul(Mt, JY))
     Mhat = matmul(transpose(PX), matmul(inner, PY))
-    Dinv = _constant_right_block(dY.torus)
+    Dinv = right_block_inverse(dY.torus)
     nh = dY.torus.dim
     MR = [[Mhat[r][nh + j] for j in range(nh)] for r in range(2 * n)]
     F = matmul(matmul([list(r) for r in dX.torus.periods], MR), Dinv)
@@ -438,7 +445,7 @@ def symbolic_hom_system(X, Y):
     unknown M[r][c]; flatten_to_int flattens it monomial by monomial.
     """
     n, m = X.dim, Y.dim
-    DXinv = _constant_right_block(X)
+    DXinv = right_block_inverse(X)
     W = matmul(DXinv, X.left_block())
     PY = [list(r) for r in Y.periods]
     zero = X.gens.zero()
@@ -461,7 +468,7 @@ def symbolic_hom_module(X, Y):
     with formal_identity_holds.
     """
     n, m = X.dim, Y.dim
-    DXinv = _constant_right_block(X)
+    DXinv = right_block_inverse(X)
     PY = [list(r) for r in Y.periods]
     out = []
     for vec in int_kernel(symbolic_hom_system(X, Y)):

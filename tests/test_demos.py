@@ -1,6 +1,9 @@
 import pytest
 
+from avtk import demos
 from avtk.demos import (
+    _display_replay,
+    _quotient_pipeline,
     ambient_shift,
     demo_list,
     parse_type,
@@ -66,6 +69,33 @@ def test_quotient_display_shape():
     assert len(display) == 2 and len(display[0]) == 4
     assert display[0][2] == gens.one()
     assert display[1][3] == gens.constant(3)
+
+
+def test_display_replay_fails_its_check_on_a_column_off_the_periods(monkeypatch):
+    # the column is no rational combination of the periods: its labelled
+    # check fails, where the PreconditionError of ambient_to_lattice escaped
+    gens = GeneratorSet(("tau_E", "tau_F"))
+    tauE, tauF = gens.gens()
+    dtype = (1, 3)
+    E = scaled_curve(gens, "tau_E", 3)
+    *_, A = _quotient_pipeline(gens, E, [typed_curve(gens, "tau_F", 3)], dtype, {}, {})
+    display = quotient_display(gens, "tau_E", [[tauF]], dtype)
+    display[0][1] = display[0][1] + tauE * tauF
+    monkeypatch.setattr(demos, "span_equal", lambda *args: True)
+    checks = {}
+    with pytest.raises(AssertionError, match="display column 1 lies in the lattice"):
+        _display_replay(gens, A, display, dtype, checks, {})
+    assert checks["display column 0 lies in the lattice"] is True
+    assert checks["display column 1 lies in the lattice"] is False
+
+
+def test_quotient_pipeline_fails_its_check_on_a_point_off_the_periods(monkeypatch):
+    def off_the_periods(T, vector):
+        raise PreconditionError("vector is not a rational combination of the periods")
+
+    monkeypatch.setattr(demos, "ambient_to_lattice", off_the_periods)
+    with pytest.raises(AssertionError, match="kernel point is rational over the lattice"):
+        run_demo("ex-4.1")
 
 
 def test_quotient_demo_checks_all_pass():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,6 @@ from avtk.errors import GeneratorMismatchError, PreconditionError, RankDeficienc
 from avtk.homs import hom_module
 from avtk.intlinalg import (
     _poly_div,
-    as_scalar_matrix,
     combination,
     det,
     det_mod2,
@@ -35,7 +35,7 @@ from avtk.intlinalg import (
     symplectic_basis,
     transpose,
 )
-from avtk.scalars import FormalScalar, GeneratorSet
+from avtk.scalars import FormalScalar, GeneratorSet, monomial_flatten
 from avtk.torus import pairing_type, standard_gram
 from oracles import (
     dense_flatten_to_int,
@@ -763,6 +763,32 @@ def test_flatten_to_int_matches_the_dense_oracle(group):
     assert all(type(x) is int for Z in got for row in Z for x in row)
 
 
+@settings(max_examples=100, deadline=None)
+@given(formal_matrix_groups())
+def test_monomial_flatten_round_trips_through_its_denominator(group):
+    for M in group:
+        d, P = monomial_flatten(M)
+        denominators = [c.denominator for row in M for x in row for c in x.terms.values()]
+        assert d == lcm(1, *denominators)
+        assert len(P) == len(M) and [len(r) for r in P] == [len(r) for r in M]
+        for row, P_row in zip(M, P):
+            for x, p in zip(row, P_row):
+                assert all(type(c) is int and c for c in p.values())
+                assert FormalScalar(x.gens, {m: Fraction(c, d) for m, c in p.items()}) == x
+
+
+def test_flatten_to_int_and_span_equal_refuse_mixed_generator_sets():
+    s, x = _MM_GENS.scalar("s"), _OTHER_GENS.scalar("x")
+    for groups in (([[s, x]],), ([[s]], [[x]]), ([[s], [_OTHER_GENS.zero()]],)):
+        with pytest.raises(GeneratorMismatchError):
+            flatten_to_int(*groups)
+    for A, B in (([[s, x]], [[s, s]]), ([[s]], [[x]]), ([[s, 1]], [[x, 1]])):
+        with pytest.raises(GeneratorMismatchError):
+            span_equal(A, B)
+        with pytest.raises(GeneratorMismatchError):
+            span_equal(A, B, _MM_GENS)
+
+
 # -- symplectic reduction ---------------------------------------------------------
 
 def test_symplectic_basis_postcondition_randomized():
@@ -801,9 +827,16 @@ def test_symplectic_basis_rejects_bad_forms():
         symplectic_basis([[0, 0], [0, 0]])  # degenerate
 
 
-def test_as_scalar_matrix_promotes_integers():
-    M = as_scalar_matrix([[1, 2]], G)
-    assert M[0][0] == G.one()
+def test_span_equal_promotes_integers_over_gens():
+    # ints and Fractions are constants: over gens when no entry is formal,
+    # over the formal entries' generator set otherwise
+    U = [[2, 1], [1, 1]]
+    assert span_equal([[1, 0], [0, 1]], U, G)
+    assert span_equal([[1, 0], [0, 1]], U)
+    assert not span_equal([[1, 0], [0, 2]], U, G)
+    assert span_equal([[T, 1], [1, 0]], matmul([[T, 1], [1, 0]], U), G)
+    assert span_equal([[Fraction(1, 2)]], [[G.constant(Fraction(-1, 2))]], G)
+    assert not span_equal([[1]], [[G.constant(2)]], G)
 
 
 # -- hypothesis properties ---------------------------------------------------------

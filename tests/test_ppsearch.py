@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from avtk.errors import PreconditionError
-from avtk.intlinalg import _int_slices, matmul, span_equal, transpose
+from avtk.intlinalg import matmul, span_equal, transpose
 from avtk.ppsearch import (
     MAX_MODULUS,
     AdmissibleFamily,
@@ -14,7 +14,7 @@ from avtk.ppsearch import (
     obstruction_report,
     pp_search,
 )
-from avtk.scalars import GeneratorSet
+from avtk.scalars import GeneratorSet, monomial_flatten
 from avtk.torus import PolarisedTorus, product, standard_gram
 from avtk.verdicts import Found, NotFoundUpToBound
 
@@ -95,7 +95,7 @@ def test_family_members_map_source_into_target():
 def test_containment_check_refuses_every_changed_entry():
     # the check admissible_family runs on each element, over integer polynomials
     A, Ahat = swapped_pair(3)
-    pa, ph = _int_slices(A.periods), _int_slices(Ahat.periods)
+    pa, ph = monomial_flatten(A.periods), monomial_flatten(Ahat.periods)
     fam = admissible_family(A, Ahat)
     for Bmat, Cmat in zip(fam.basis, fam.coordinates):
         H, C = [list(r) for r in Bmat], [list(r) for r in Cmat]
@@ -112,7 +112,7 @@ def test_containment_check_takes_h_as_it_is():
     # an asymmetric H that holds: E x E -> E x E, (x, y) -> (y, 0)
     E = PolarisedTorus(G, [[A_, 1]], standard_gram([1]))
     EE = product([E, E])
-    slices = _int_slices(EE.periods)
+    slices = monomial_flatten(EE.periods)
     H = [[0, 1], [0, 0]]
     C = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     assert _containment_holds(H, C, slices, slices)

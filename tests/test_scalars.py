@@ -114,14 +114,16 @@ def test_constants_hash_like_the_numbers_they_equal():
 
 def test_monomial_flatten_round_trip():
     M = [[X * Y + 2, Y], [G.zero(), X - Fraction(1, 2)]]
-    monos, table = monomial_flatten(M)
-    assert monos == ((0, 0), (0, 1), (1, 0), (1, 1))  # 1, y, x, x*y
-    half = Fraction(1, 2)
-    # (monomial index, coefficient) for each nonzero term only
-    assert table == (
-        (((0, 2), (3, 1)), ((1, 1),)),
-        ((), ((0, -half), (2, 1))),
-    )
+    d, P = monomial_flatten(M)
+    assert d == 2  # the one common denominator
+    # d * M[i][j] as {exponent tuple: int}, nonzero terms only
+    assert P == [
+        [{(1, 1): 2, (0, 0): 4}, {(0, 1): 2}],
+        [{}, {(1, 0): 2, (0, 0): -1}],
+    ]
+    assert all(type(c) is int for row in P for p in row for c in p.values())
+    assert monomial_flatten([[X, Y]]) == (1, [[{(1, 0): 1}, {(0, 1): 1}]])
+    assert monomial_flatten([]) == (1, [])
 
 
 @st.composite

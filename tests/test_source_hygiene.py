@@ -4,7 +4,8 @@ Every module may import only standard-library modules or avtk itself,
 every name a module imports must be used in it, and every module-level
 function or class whose name starts with '_' must be referred to outside
 its own definition, so that a deletion leaves no dead import or private
-helper behind.
+helper behind.  Only scalars.py reads the term map of a FormalScalar, so
+formal matrices reach integers by one route, scalars.monomial_flatten.
 """
 
 import ast
@@ -90,3 +91,11 @@ def test_every_private_module_level_definition_is_referenced():
             if definition.name not in _referenced_names(elsewhere + outside):
                 unreferenced.append(f"{name}:{definition.name}")
     assert not unreferenced, f"private definitions nothing refers to: {unreferenced}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
+                         ids=lambda p: p.name)
+def test_only_scalars_reads_the_term_map(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Attribute) and node.attr == "terms")
+    assert not lines, f"{path.name} reads .terms on lines {lines}; use monomial_flatten"
