@@ -52,7 +52,7 @@ def torus_to_doc(T: PolarisedTorus) -> dict:
     return {
         "generators": list(T.gens.names),
         "dim": T.dim,
-        "periods": [[render_scalar(x) for x in row] for row in T.periods],
+        "periods": scalar_matrix_doc(T.periods),
         "gram": [list(row) for row in T.gram],
         "assumptions": T.assumptions,
     }
@@ -187,10 +187,7 @@ def int_matrix_from_doc(value, what: str = "matrix") -> list:
 
 
 def scalar_matrix_doc(M) -> list:
-    out = []
-    for row in M:
-        out.append([x if isinstance(x, str) else render_scalar(x) for x in row])
-    return out
+    return [[render_scalar(x) for x in row] for row in M]
 
 
 def fraction_matrix_doc(M) -> list:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .errors import PreconditionError, ScalarParseError
+from .scalars import GeneratorSet
 
 
 MAX_DISCRIMINANT = 10**12  # |disc| cap: the squarefree test is trial division up to sqrt|disc|
@@ -220,7 +221,13 @@ def formal_quotient_isomorphic(name: str, n: int) -> FormalVerdict:
     subgroup, n > 1, is never isomorphic to the original curve.
 
     Returns the negative verdict with a short arithmetic certificate.
+    The period must be a generator name, by GeneratorSet's rule; anything
+    else, such as "1/2", is a ScalarParseError.
     """
+    try:
+        GeneratorSet((name,))
+    except ValueError as exc:
+        raise ScalarParseError(f"formal period: {exc}", 0) from None
     if not isinstance(n, int) or n <= 1:
         raise PreconditionError("order must be an integer greater than 1")
     t = name

@@ -21,10 +21,14 @@ entries of M, built from sparse products of those slices.  The kernel of
 these rows is the whole homomorphism module, and int_kernel returns its
 canonical Hermite basis whatever the order, number or scale of the rows.
 
+Every generator is checked against that identity, F @ P_X == P_Y @ M,
+by intlinalg.period_identity_holds on the same integer slices.
+
 An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
 with the pencil engine of ``parallel``, which computes the determinant
-of the combination once, as a polynomial in its coefficients.
+of the combination once, as a polynomial in its coefficients, and
+returns the verdict.
 """
 
 from __future__ import annotations
@@ -34,18 +38,17 @@ from operator import add
 
 from .errors import PreconditionError
 from .intlinalg import (
-    _add_product,
     _add_row_times,
     _divide_exactly,
     _formal_product,
     _over_common_denominator,
     as_int,
-    combination,
     det,
     int_inverse,
     int_kernel,
     mat_eq,
     matmul,
+    period_identity_holds,
     pullback_polynomials,
     saturate_columns,
     transpose,
@@ -56,7 +59,7 @@ from .torus import (
     SubvarietyEmbedding,
     restricted_polarisation,
 )
-from .parallel import coefficient_values, pencil_search
+from .parallel import pencil_search
 from .verdicts import Found, NoHoms, NotFoundUpToBound
 
 
@@ -102,7 +105,8 @@ class HomGenerator:
                 if x.gens != domain.gens:
                     raise PreconditionError(
                         f"cannot combine scalars over {x.gens.names} and {domain.gens.names}")
-        if domain.gens != codomain.gens or not _identity_holds(F, M, px, py):
+        if domain.gens != codomain.gens or not period_identity_holds(
+                monomial_flatten(F), M, px, py):
             raise PreconditionError(
                 "representations do not satisfy F @ periods = periods @ M"
             )
@@ -129,28 +133,6 @@ class HomGenerator:
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
 
 
-def _identity_holds(F, M, px, py):
-    """F @ P_X == P_Y @ M, with P_X = PX / dX and P_Y = PY / dY as sliced.
-
-    With F = FS / dF, the identity times dF * dX * dY reads
-    dY * FS @ PX == dF * dX * PY @ M, entry by entry over integer
-    polynomials.
-    """
-    dF, FS = monomial_flatten(F)
-    (dX, PX), (dY, PY) = px, py
-    for F_row, PY_row in zip(FS, PY):
-        acc = [{} for _ in M[0]]  # entry (i, j) of the difference, j by j
-        for f, PX_row in zip(F_row, PX):
-            if f:
-                for a, q in zip(acc, PX_row):
-                    if q:
-                        _add_product(a, f, q, dY)
-        _add_row_times(acc, PY_row, M, -dF * dX)
-        if any(x for a in acc for x in a.values()):
-            return False
-    return True
-
-
 def _constant_right_block(T: PolarisedTorus):
     """(DI, dI) with D_T^-1 = DI / dI for the right period block D_T, DI an
     integer matrix: with row i of D_T over its denominator e_i,
@@ -167,10 +149,10 @@ def _constant_right_block(T: PolarisedTorus):
         rows.append([x.constant_value() for x in row])
     scaled = _over_common_denominator(rows)
     try:
-        adj, dI = int_inverse([v for v, _, _ in scaled])
+        adj, dI = int_inverse([v for v, _ in scaled])
     except ValueError:
         raise PreconditionError("right period block is singular over Q") from None
-    return [[x * e for x, (_, e, _) in zip(row, scaled)] for row in adj], dI
+    return [[x * e for x, (_, e) in zip(row, scaled)] for row in adj], dI
 
 
 def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
@@ -285,11 +267,6 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
     return IdempotentData(emb, eps, exponent, norm)
 
 
-def complementary_subvariety(emb: SubvarietyEmbedding) -> SubvarietyEmbedding:
-    """The complementary subtorus of emb; see IdempotentData.complement."""
-    return idempotent(emb).complement()
-
-
 # -- bounded isomorphism search ------------------------------------------------
 
 def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
@@ -305,12 +282,11 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     pull-back condition as the entries above the diagonal of
     M^T E_Y M - E_X, which must vanish; both are built over integer
     polynomials (intlinalg.det_polynomial, pullback_polynomials).  Returns
-    Found with the first witness in the deterministic coefficient order,
-    NotFoundUpToBound, or NoHoms when the homomorphism module is trivial.
-    The witness is rebuilt from its coefficients and checked with the
-    integer determinant before being returned.  A search that the
-    determinant does not rule out and that has more than
-    parallel.MAX_CANDIDATES vectors raises PreconditionError.
+    the engine's Found, with the first witness in the deterministic
+    coefficient order, or NotFoundUpToBound; NoHoms when the homomorphism
+    module is trivial.  A polarised witness is checked to pull the form
+    back.  A search that the determinant does not rule out and that has
+    more than parallel.MAX_CANDIDATES vectors raises PreconditionError.
     """
     if bound < 1:
         raise PreconditionError("search bound must be at least 1")
@@ -321,13 +297,9 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
     zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
-    hit = pencil_search(mats, bound, zero=zero)
-    if hit is None:
-        return NotFoundUpToBound(bound=bound, tested=len(coefficient_values(bound)) ** len(mats))
-    index, c = hit
-    M = combination(c, mats)
-    if det(M) not in (1, -1):
-        raise AssertionError("witness is not unimodular")
-    if polarised and not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):
-        raise AssertionError("witness does not pull the polarisation back")
-    return Found(witness=tuple(tuple(row) for row in M), coefficients=c, tested=index + 1)
+    res = pencil_search(mats, bound, zero=zero)
+    if polarised and isinstance(res, Found):
+        M = res.witness
+        if not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):
+            raise AssertionError("witness does not pull the polarisation back")
+    return res

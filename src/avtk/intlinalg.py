@@ -7,11 +7,14 @@ maps, with exact division.  scalars.monomial_flatten puts a period
 matrix over one common denominator as integer polynomials, from which
 homs, ppsearch and torus build their sparse systems and products
 (_add_product, _add_row_times, _formal_product), the W = D_X^-1 @ Z_X of
-hom_module among them; int_kernel eliminates on sparse columns.
+hom_module among them; int_kernel eliminates on sparse columns.  One
+check, period_identity_holds, verifies L @ P_X == P_Y @ M on those
+slices for every Hom generator and every admissible family element.
 flatten_to_int lays one monomial_flatten of several matrices out as
 dense integer matrices, and column spans are compared on that layout by
-canonical column Hermite forms.  Inputs and outputs are dense matrices,
-and every result is canonical.
+canonical column Hermite forms, whose nonzero columns also give the
+ranks.  matmul sums entry by entry in the operands' own arithmetic.
+Inputs and outputs are dense matrices, and every result is canonical.
 
 Conventions:
   * Each job has one elimination: fraction-free Bareiss for det over Z
@@ -60,50 +63,32 @@ def transpose(M):
     return [[M[i][j] for i in range(m)] for j in range(n)]
 
 
-def _rational(M):
-    return all(type(x) is int or type(x) is Fraction for row in M for x in row)
-
-
 def _over_common_denominator(vectors):
-    """Each vector as (integer numerators, common denominator, holds a Fraction)."""
+    """Each vector as (integer numerators, common denominator)."""
     out = []
     for v in vectors:
         if any(type(x) is Fraction for x in v):
             d = lcm(*[x.denominator for x in v])
-            out.append(([x.numerator * (d // x.denominator) for x in v], d, True))
+            out.append(([x.numerator * (d // x.denominator) for x in v], d))
         else:
-            out.append((v, 1, False))
+            out.append((v, 1))
     return out
 
 
 def matmul(A, B):
     """Matrix product; entries may be ints, Fractions or formal scalars.
 
-    When every entry of both operands is an int or a Fraction, each row of A
-    and each column of B is put over one common denominator and the
-    numerators are multiplied as ints, with one Fraction built per output
-    entry.  An entry is a Fraction exactly when its row of A or its column
-    of B holds one, as the entry-by-entry sum a0*b0 + a1*b1 + ... gives.
-
-    Otherwise each output entry is that sum, sum(map(mul, a, b)), taken in
-    the operands' own arithmetic: an entry with a formal factor is a
-    FormalScalar, any other entry has the type Python's arithmetic gives
-    it, and formal entries over different generator sets in one row of A
-    and one column of B raise GeneratorMismatchError.
+    Each output entry is the sum a0*b0 + a1*b1 + ..., sum(map(mul, a, b)),
+    taken in the operands' own arithmetic: an entry with a formal factor
+    is a FormalScalar, an entry whose row of A or column of B holds a
+    Fraction is a Fraction, and any other entry has the type Python's
+    arithmetic gives it.  Formal entries over different generator sets in
+    one row of A and one column of B raise GeneratorMismatchError.
     """
     m, k = shape(A)
     k2, n = shape(B)
     if k != k2:
         raise ValueError(f"shape mismatch {shape(A)} @ {shape(B)}")
-    if k and _rational(A) and _rational(B):
-        cols = _over_common_denominator(zip(*B))
-        return [
-            [
-                Fraction(sum(map(mul, a, b)), da * db) if fa or fb else sum(map(mul, a, b))
-                for b, db, fb in cols
-            ]
-            for a, da, fa in _over_common_denominator(A)
-        ]
     cols = list(zip(*B))
     return [[sum(map(mul, a, b)) for b in cols] for a in A]
 
@@ -138,7 +123,7 @@ def det(M):
         return _det_bareiss(M)
     _require_rational(M, "determinant")
     rows = _over_common_denominator(M)
-    return Fraction(_det_bareiss([v for v, _, _ in rows]), prod(d for _, d, _ in rows))
+    return Fraction(_det_bareiss([v for v, _ in rows]), prod(d for _, d in rows))
 
 
 def _require_rational(M, what):
@@ -289,6 +274,27 @@ def _formal_product(gens, P, K, scale):
         out.append([FormalScalar._trusted(gens, {mono: Fraction(c, scale)
                                                  for mono, c in a.items() if c}) for a in acc])
     return out
+
+
+def period_identity_holds(L, M, px, py):
+    """L @ P_X == P_Y @ M for an integer matrix M, over integer polynomials.
+
+    L, P_X and P_Y come as monomial_flatten slices (d, polys): L = LS / dL,
+    P_X = PX / dX and P_Y = PY / dY.  The identity times dL * dX * dY reads
+    dY * LS @ PX == dL * dX * PY @ M, and is checked entry by entry.
+    """
+    (dL, LS), (dX, PX), (dY, PY) = L, px, py
+    for L_row, PY_row in zip(LS, PY):
+        acc = [{} for _ in M[0]]  # entry (i, j) of the difference, j by j
+        for f, PX_row in zip(L_row, PX):
+            if f:
+                for a, q in zip(acc, PX_row):
+                    if q:
+                        _add_product(a, f, q, dY)
+        _add_row_times(acc, PY_row, M, -dL * dX)
+        if any(x for a in acc for x in a.values()):
+            return False
+    return True
 
 
 def _add_product(acc, p, q, sign):
@@ -607,8 +613,8 @@ def rat_inv(M):
         raise ValueError("inverse of a non-square matrix")
     _require_rational(M, "inverse")
     rows = _over_common_denominator(M)
-    adj, d = int_inverse([v for v, _, _ in rows])
-    scales = [e for _, e, _ in rows]
+    adj, d = int_inverse([v for v, _ in rows])
+    scales = [e for _, e in rows]
     return [[Fraction(x * e, d) for x, e in zip(row, scales)] for row in adj]
 
 
@@ -626,7 +632,7 @@ def rat_solve(A, b):
         raise ValueError("dimension mismatch")
     _require_rational(A, "system")
     _require_rational([b], "system")
-    scaled = [v for v, _, _ in _over_common_denominator([[*row, c] for row, c in zip(A, b)])]
+    scaled = [v for v, _ in _over_common_denominator([[*row, c] for row, c in zip(A, b)])]
     rows = [list(v) for v in scaled]
     pivots, d, _ = _gauss_jordan(rows, n)
     if any(row[n] for row in rows[len(pivots):]):
@@ -839,8 +845,8 @@ def span_equal(A, B, gens: GeneratorSet | None = None) -> bool:
     is taken as a constant over the generator set of the first formal
     entry, or over ``gens`` when there is none.  Both sides are flattened
     together by flatten_to_int and compared by canonical column Hermite
-    forms.  Each side must have full column rank, otherwise
-    RankDeficiencyError is raised.
+    forms.  Each side must have full column rank, read from its Hermite
+    form, otherwise RankDeficiencyError is raised, for the left side first.
     """
     if len(A) != len(B):
         raise PreconditionError("span comparison of matrices with different row counts")
@@ -848,22 +854,16 @@ def span_equal(A, B, gens: GeneratorSet | None = None) -> bool:
                   if isinstance(x, FormalScalar)), gens or GeneratorSet(()))
     ZA, ZB = flatten_to_int(*([[x if isinstance(x, FormalScalar) else found.constant(x)
                                 for x in row] for row in M] for M in (A, B)))
-    _require_full_column_rank(ZA, "left")
-    _require_full_column_rank(ZB, "right")
-    HA, _ = hnf(ZA)
-    HB, _ = hnf(ZB)
-    return _nonzero_cols(HA) == _nonzero_cols(HB)
+    return _full_rank_hermite_form(ZA, "left") == _full_rank_hermite_form(ZB, "right")
 
 
-def _require_full_column_rank(Z, side):
-    m, n = shape(Z)
-    if rank(Z) != n:
+def _full_rank_hermite_form(Z, side):
+    """The column Hermite form of Z, whose nonzero columns count its rank;
+    RankDeficiencyError naming ``side`` unless that is every column."""
+    H, _ = hnf(Z)
+    n = shape(Z)[1]
+    if sum(map(any, zip(*H))) != n:
         raise RankDeficiencyError(
             f"{side} matrix columns are linearly dependent (rank < {n})"
         )
-
-
-def _nonzero_cols(H):
-    m, n = shape(H)
-    keep = [j for j in range(n) if any(H[i][j] for i in range(m))]
-    return tuple(tuple(H[i][j] for j in keep) for i in range(m))
+    return H

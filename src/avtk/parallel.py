@@ -18,7 +18,10 @@ ruled out and has more than MAX_CANDIDATES coefficient vectors is refused.
 
 Coefficient vectors are enumerated with each coordinate running through
 0, 1, -1, 2, -2, ..., bound, -bound, lexicographically, by one loop in
-the calling process.
+the calling process.  pencil_search returns the verdict itself: Found
+with the hit's member, rebuilt from its coefficients and checked to be
+unimodular, or NotFoundUpToBound; ``tested`` counts the vectors
+enumerated up to the hit, or the whole box (2*bound + 1)**rank.
 
 The module and run_search keep their names because the benchmark looks
 them up.
@@ -30,7 +33,8 @@ from itertools import product as iter_product
 from math import gcd
 
 from .errors import PreconditionError
-from .intlinalg import det_polynomial
+from .intlinalg import combination, det, det_polynomial
+from .verdicts import Found, NotFoundUpToBound
 
 PARITY_RANK_CAP = 10  # the parity table has 2**rank entries
 # (2*bound + 1)**rank above this is refused.  The largest search a demo runs
@@ -85,21 +89,24 @@ def run_search(rank, bound, det_p, positive, zero, parities):
 
 
 def pencil_search(mats, bound: int, positive=(), zero=()):
-    """(index, c) of the first c with sum(c_i * mats[i]) unimodular.
+    """Found for the first c with sum(c_i * mats[i]) unimodular, else
+    NotFoundUpToBound.
 
     positive and zero are polynomials in c as (coefficient, exponents)
     pairs, the form det_polynomial returns: a hit must make every
-    ``positive`` one > 0 and every ``zero`` one vanish.  Returns None when
-    no vector with coordinates up to ``bound`` qualifies, without
-    enumerating when the determinant's coefficients share a factor.
-    Otherwise raises PreconditionError when there are more than
-    MAX_CANDIDATES vectors to enumerate.
+    ``positive`` one > 0 and every ``zero`` one vanish.  The witness is
+    the hit's member as a tuple of rows, and tested is the hit's position
+    in the enumeration order plus one.  A miss reports the whole box as
+    tested, also when the determinant's coefficients share a factor and
+    nothing is enumerated.  Otherwise a box of more than MAX_CANDIDATES
+    vectors raises PreconditionError.
     """
+    rank = len(mats)
+    box = (2 * bound + 1) ** rank
     det_terms = det_polynomial(mats)
     if not det_terms or gcd(*(coeff for coeff, _ in det_terms)) > 1:
-        return None
-    rank = len(mats)
-    if (2 * bound + 1) ** rank > MAX_CANDIDATES:
+        return NotFoundUpToBound(bound=bound, tested=box)
+    if box > MAX_CANDIDATES:
         raise PreconditionError(
             f"a search of (2*{bound} + 1)^{rank} coefficient vectors exceeds the "
             f"cap of {MAX_CANDIDATES}; lower the bound"
@@ -110,5 +117,12 @@ def pencil_search(mats, bound: int, positive=(), zero=()):
         parities = frozenset(
             e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1
         )
-    return run_search(rank, bound, det_p, tuple(_sparse(p) for p in positive),
-                      tuple(_sparse(p) for p in zero), parities)
+    hit = run_search(rank, bound, det_p, tuple(_sparse(p) for p in positive),
+                     tuple(_sparse(p) for p in zero), parities)
+    if hit is None:
+        return NotFoundUpToBound(bound=bound, tested=box)
+    index, c = hit
+    M = combination(c, mats)
+    if det(M) not in (1, -1):
+        raise AssertionError("witness is not unimodular")
+    return Found(witness=tuple(map(tuple, M)), coefficients=c, tested=index + 1)

@@ -9,19 +9,20 @@ matrices form a lattice, usually of very small rank.  The identity
 H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
 P_Ahat are each put over one common denominator once per call
 (scalars.monomial_flatten), and each monomial of each entry gives one
-integer row in the entries of H and C.  Positivity and surjectivity are
-not linear, so phase two enumerates bounded integer combinations of that
-family on the pencil engine of ``parallel``: the coordinate determinant
-(surjectivity) and the leading principal minors (positivity) are
-computed once as polynomials in the coefficients and evaluated per
-candidate.
+integer row in the entries of H and C, and each basis element is checked
+against the identity by intlinalg.period_identity_holds, the check every
+Hom generator passes.  Positivity and surjectivity are not linear, so
+phase two enumerates bounded integer combinations of that family on the
+pencil engine of ``parallel``: the coordinate determinant (surjectivity)
+and the leading principal minors (positivity) are computed once as
+polynomials in the coefficients and evaluated per candidate, and the
+engine returns the verdict.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
 from .intlinalg import (
-    _add_row_times,
     as_int,
     combination,
     det,
@@ -29,10 +30,11 @@ from .intlinalg import (
     hnf,
     int_kernel,
     matmul,
+    period_identity_holds,
     span_equal,
     transpose,
 )
-from .parallel import coefficient_values, pencil_search
+from .parallel import pencil_search
 from .scalars import monomial_flatten
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
@@ -159,6 +161,7 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     unknowns = transpose(vecs)  # one row per unknown
     _, U = hnf(unknowns[:s])
     full = matmul(unknowns, U)
+    const = (0,) * len(A.gens)
     basis = []
     coords = []
     for g in range(len(vecs)):
@@ -166,25 +169,13 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
         for u, (i, j) in enumerate(sym):
             H[i][j] = H[j][i] = full[u][g]
         C = [[full[s + j * 2 * n + row][g] for j in range(2 * n)] for row in range(2 * n)]
-        if not _containment_holds(H, C, pa, ph):
+        # H as constant integer polynomials over the denominator 1
+        L = (1, [[{const: h} if h else {} for h in row] for row in H])
+        if not period_identity_holds(L, C, pa, ph):
             raise AssertionError("family element fails its containment identity")
         basis.append(H)
         coords.append(C)
     return AdmissibleFamily(A, Ahat, basis, coords)
-
-
-def _containment_holds(H, C, pa, ph):
-    """H @ P_A == P_Ahat @ C for integer H and C, with P_A = PA / dA and
-    P_Ahat = PH / dH from monomial_flatten: dH * H @ PA == dA * PH @ C,
-    entry by entry over integer polynomials."""
-    (dA, PA), (dH, PH) = pa, ph
-    diff = [[{} for _ in C[0]] for _ in H]
-    for acc, PH_row in zip(diff, PH):
-        _add_row_times(acc, PH_row, C, -dA)
-    Ht = transpose(H)
-    for j, PA_col in enumerate(zip(*PA)):  # column j of H @ PA is PA_col @ H^T
-        _add_row_times([acc[j] for acc in diff], PA_col, Ht, dH)
-    return not any(x for acc in diff for a in acc for x in a.values())
 
 
 def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
@@ -197,35 +188,32 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     determinant det(sum(c_i * C_i)) = +-1) and is positive definite
     (leading principal minors > 0).  The search runs on the pencil engine
     (parallel.pencil_search): the coordinate determinant and the minors
-    are computed once as polynomials in c.  The witness is rebuilt from
-    its coefficients and re-verified, symbolically and with integer
-    determinants, before being returned.  A search that the determinant
-    does not rule out and that has more than parallel.MAX_CANDIDATES
-    vectors raises PreconditionError.
+    are computed once as polynomials in c, and the engine checks that the
+    hit's coordinates are unimodular.  The witness is rebuilt from its
+    coefficients as a PPCandidate and re-verified, with integer minors
+    and symbolically, before being returned.  A search that the
+    determinant does not rule out and that has more than
+    parallel.MAX_CANDIDATES vectors raises PreconditionError.
     """
     if bound < 1:
         raise PreconditionError("search bound must be at least 1")
     if family is None:
         family = admissible_family(A, Ahat)
-    r = family.rank
-    if r == 0:
+    if family.rank == 0:
         return NotFoundUpToBound(bound=bound, tested=0)
     n = A.dim
     minors = [det_polynomial([[row[:k] for row in B[:k]] for B in family.basis])
               for k in range(1, n + 1)]
-    hit = pencil_search(family.coordinates, bound, positive=minors)
-    if hit is None:
-        return NotFoundUpToBound(bound=bound, tested=len(coefficient_values(bound)) ** r)
-    index, c = hit
-    candidate = PPCandidate(family.member(c))
+    res = pencil_search(family.coordinates, bound, positive=minors)
+    if not isinstance(res, Found):
+        return res
+    candidate = PPCandidate(family.member(res.coefficients))
     if not candidate.is_positive_definite():
         raise AssertionError("witness is not positive definite")
-    if det(combination(c, family.coordinates)) not in (1, -1):
-        raise AssertionError("witness coordinates are not unimodular")
     image = matmul([list(row) for row in candidate.H], [list(row) for row in A.periods])
     if not span_equal(image, [list(row) for row in Ahat.periods], A.gens):
         raise AssertionError("witness does not carry the lattice onto the target")
-    return Found(witness=candidate, coefficients=c, tested=index + 1)
+    return Found(witness=candidate, coefficients=res.coefficients, tested=res.tested)
 
 
 # The obstruction-table demo builds the squares modulo every d up to its

@@ -36,7 +36,6 @@ from .intlinalg import (
     int_kernel,
     mat_eq,
     matmul,
-    rank,
     rat_solve,
     saturate_columns,
     shape,
@@ -404,8 +403,8 @@ class QuotientResult:
         if len(point.coords) != m:
             raise PreconditionError("point dimension does not match the torus")
         rows = _over_common_denominator(self.basis)
-        adj, d = int_inverse([v for v, _, _ in rows])
-        y = [e * x for (_, e, _), x in zip(rows, point.integer_lift())]
+        adj, d = int_inverse([v for v, _ in rows])
+        y = [e * x for (_, e), x in zip(rows, point.integer_lift())]
         dk = d * point.order
         return TorsionPoint([Fraction(sum(map(mul, row, y)), dk) for row in adj])
 
@@ -446,9 +445,10 @@ class SubvarietyEmbedding:
             raise PreconditionError("sublattice columns must have integer entries")
         cols = [list(row) for row in columns]
         if m2:
-            if rank(cols) != m2:
+            divisors = elementary_divisors(cols)
+            if len(divisors) != m2:
                 raise PreconditionError("sublattice columns are dependent")
-            if any(d != 1 for d in elementary_divisors(cols)):
+            if any(d != 1 for d in divisors):
                 raise PreconditionError("sublattice is not saturated")
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "columns", tuple(tuple(r) for r in cols))

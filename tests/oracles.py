@@ -629,7 +629,7 @@ def fraction_idempotent(emb):
 
 
 def fraction_complementary_subvariety(emb):
-    """complementary_subvariety from 1 - epsilon over Fractions, cleared by
+    """IdempotentData.complement from 1 - epsilon over Fractions, cleared by
     the lcm of its denominators."""
     T = emb.torus
     m2 = 2 * T.dim

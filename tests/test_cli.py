@@ -279,6 +279,22 @@ def test_elliptic_formal_certificate(capsys):
     assert "isomorphic: False" in out and "tau/5" in out
 
 
+@pytest.mark.parametrize("name", ["1/2", "", "a b"])
+def test_elliptic_formal_refuses_a_period_that_is_not_a_name(name, capsys):
+    # "1/2" is rational, so a certificate that it satisfies no polynomial
+    # relation would be false
+    assert run_cli(["elliptic", "--formal", name, "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("avtk: parse error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["tau", "sigma"])
+def test_elliptic_formal_accepts_a_generator_name(name, capsys):
+    assert run_cli(["elliptic", "--formal", name, "2"]) == 0
+    assert f"{name}/2" in capsys.readouterr().out
+
+
 def test_obstruction_subcommand(capsys):
     assert run_cli(["obstruction", "3"]) == 0
     assert "obstruction: True" in capsys.readouterr().out

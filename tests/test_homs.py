@@ -11,7 +11,6 @@ from avtk.errors import PreconditionError
 from avtk.homs import (
     HomGenerator,
     IdempotentData,
-    complementary_subvariety,
     hom_module,
     idempotent,
     isom_search,
@@ -179,14 +178,14 @@ def test_complementary_subvariety_of_factor_is_other_factor():
     A = product([E, F])
     emb_E = _factor_embedding(A, 0, [TAU_E, G2.one()])
     emb_F = _factor_embedding(A, 1, [TAU_F, G2.constant(3)])
-    assert complementary_subvariety(emb_E) == emb_F
-    assert complementary_subvariety(emb_F) == emb_E
+    assert idempotent(emb_E).complement() == emb_F
+    assert idempotent(emb_F).complement() == emb_E
 
 
 def test_complement_of_everything_is_zero():
     E = curve(TAU_E)
     full = SubvarietyEmbedding(E, identity(2))
-    comp = complementary_subvariety(full)
+    comp = idempotent(full).complement()
     assert comp.rank == 0
 
 

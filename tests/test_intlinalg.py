@@ -710,6 +710,17 @@ def test_span_equal_rejects_rank_deficiency():
         span_equal(A, A, G)
 
 
+def test_span_equal_names_the_rank_deficient_side():
+    dependent = _scalar_matrix([[T, 2 * T]])
+    independent = _scalar_matrix([[T, 1]])
+    with pytest.raises(RankDeficiencyError, match="left"):
+        span_equal(dependent, independent, G)
+    with pytest.raises(RankDeficiencyError, match="left"):
+        span_equal(dependent, dependent, G)  # the left side is checked first
+    with pytest.raises(RankDeficiencyError, match="right"):
+        span_equal(independent, dependent, G)
+
+
 def test_span_with_rational_coefficients():
     # halves on both sides share one common denominator
     A = _scalar_matrix([[T / 2, Fraction(1, 2)]])

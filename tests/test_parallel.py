@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 from avtk import demos, parallel
 from avtk.demos import run_demo
@@ -39,6 +40,23 @@ def test_common_factor_of_the_determinant_skips_the_enumeration(monkeypatch):
     # is the one an exhaustive run reports (End has rank 5)
     assert isinstance(res, NotFoundUpToBound)
     assert res.tested == 5 ** 5
+
+
+def test_a_search_the_prefilter_ends_takes_memory_independent_of_the_bound():
+    # ex-4.1's quotient and its dual have a Hom module of rank 2 whose
+    # determinant has content above 1; the box is counted, never listed
+    ex41 = run_demo("ex-4.1")
+    X = torus_from_doc(ex41.documents["quotient-standard"])
+    Xhat = torus_from_doc(ex41.documents["dual"])
+    tracemalloc.start()
+    try:
+        res = isom_search(X, Xhat, bound=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(res, NotFoundUpToBound)
+    assert res.tested == 2000001 ** 2
+    assert peak < 2**20
 
 
 # -- the search results ---------------------------------------------------------

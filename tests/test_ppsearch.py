@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from avtk.errors import PreconditionError
-from avtk.intlinalg import matmul, span_equal, transpose
+from avtk.intlinalg import matmul, period_identity_holds, span_equal, transpose
 from avtk.ppsearch import (
     MAX_MODULUS,
     AdmissibleFamily,
     PPCandidate,
-    _containment_holds,
     admissible_family,
     obstruction_check,
     obstruction_report,
@@ -92,6 +91,11 @@ def test_family_members_map_source_into_target():
         assert lhs == rhs
 
 
+def _constant(H):
+    """H as constant integer polynomials over G, over the denominator 1."""
+    return 1, [[{(0,) * len(G): h} if h else {} for h in row] for row in H]
+
+
 def test_containment_check_refuses_every_changed_entry():
     # the check admissible_family runs on each element, over integer polynomials
     A, Ahat = swapped_pair(3)
@@ -99,12 +103,12 @@ def test_containment_check_refuses_every_changed_entry():
     fam = admissible_family(A, Ahat)
     for Bmat, Cmat in zip(fam.basis, fam.coordinates):
         H, C = [list(r) for r in Bmat], [list(r) for r in Cmat]
-        assert _containment_holds(H, C, pa, ph)
+        assert period_identity_holds(_constant(H), C, pa, ph)
         for M in (H, C):
             for row in M:
                 for j in range(len(row)):
                     row[j] += 1
-                    assert not _containment_holds(H, C, pa, ph)
+                    assert not period_identity_holds(_constant(H), C, pa, ph)
                     row[j] -= 1
 
 
@@ -115,8 +119,8 @@ def test_containment_check_takes_h_as_it_is():
     slices = monomial_flatten(EE.periods)
     H = [[0, 1], [0, 0]]
     C = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
-    assert _containment_holds(H, C, slices, slices)
-    assert not _containment_holds(transpose(H), C, slices, slices)
+    assert period_identity_holds(_constant(H), C, slices, slices)
+    assert not period_identity_holds(_constant(transpose(H)), C, slices, slices)
 
 
 def test_family_member_builds_combinations():

@@ -16,7 +16,7 @@ import avtk.torus
 from avtk.demos import run_demo
 from avtk.documents import torus_from_doc
 from avtk.errors import PreconditionError
-from avtk.homs import IdempotentData, complementary_subvariety, idempotent
+from avtk.homs import IdempotentData, idempotent
 from avtk.intlinalg import identity, matmul, transpose
 from avtk.scalars import GeneratorSet
 from avtk.torus import (
@@ -128,7 +128,7 @@ def _assert_idempotents_agree(emb):
     assert all(type(x) is Fraction for row in got.epsilon for x in row)
     assert all(type(x) is int for row in got.norm for x in row)
     comp = got.complement()
-    assert comp == fraction_complementary_subvariety(emb) == complementary_subvariety(emb)
+    assert comp == fraction_complementary_subvariety(emb) == idempotent(emb).complement()
 
 
 @st.composite

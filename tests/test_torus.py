@@ -377,6 +377,18 @@ def test_embedding_requires_saturation():
         SubvarietyEmbedding(T, [[1], [0], [0], [0]])  # odd rank
 
 
+def test_embedding_refuses_dependent_columns():
+    T = product([curve(1), curve(1)])
+    with pytest.raises(PreconditionError, match="dependent"):
+        SubvarietyEmbedding(T, [[1, 2], [0, 0], [1, 2], [0, 0]])
+
+
+def test_embedding_refuses_a_rank_two_sublattice_that_is_not_saturated():
+    T = product([curve(1), curve(1)])
+    with pytest.raises(PreconditionError, match="not saturated"):
+        SubvarietyEmbedding(T, [[1, 0], [0, 2], [0, 0], [0, 0]])
+
+
 def test_from_spanning_vectors_saturates():
     T = product([curve(1), curve(1)])
     emb = SubvarietyEmbedding.from_spanning_vectors(T, [[2, 0, 0, 0], [0, 0, 2, 0]])
