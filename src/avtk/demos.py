@@ -25,7 +25,6 @@ from .intlinalg import det, matmul, span_equal, transpose
 from .ppsearch import (
     MAX_MODULUS,
     admissible_family,
-    obstruction_check,
     obstruction_report,
     pp_search,
 )
@@ -408,12 +407,12 @@ def demo_lemma_5_4(bound: int = 25) -> DemoResult:
     _check("search exhausted", isinstance(pp, NotFoundUpToBound), checks)
     payload["pp_search"] = {"bound": bound, "tested": pp.tested, "found": False,
                             "family_rank": fam.rank}
-    _check("mod-3 obstruction", obstruction_check(3), checks)
-    squares = sorted({(x * x) % 3 for x in range(3)})
-    _check("mod-3 squares", squares == [0, 1], checks)
+    mod3 = obstruction_report(3)
+    _check("mod-3 obstruction", mod3["obstruction"], checks)
+    _check("mod-3 squares", mod3["squares"] == [0, 1], checks)
     payload["obstruction"] = {
         "modulus": 3,
-        "squares": squares,
+        "squares": mod3["squares"],
         "certificate": "h*h mod 3 is 0 or 1, never 2, so 3*k*m - h*h = 1 has no solutions",
     }
     payload["checks"] = checks

@@ -17,11 +17,13 @@ ranks.  matmul sums entry by entry in the operands' own arithmetic.
 Inputs and outputs are dense matrices, and every result is canonical.
 
 Conventions:
-  * Each job has one elimination: fraction-free Bareiss for det over Z
-    and Q; one fraction-free Gauss-Jordan on integer rows (_gauss_jordan)
-    for rat_inv, rat_solve and int_inverse, the adjugate and determinant;
-    the sparse kernel for int_kernel, saturate_columns and rank; the row
-    HNF for hnf; the SNF for snf and elementary_divisors.
+  * Six eliminations remain, one per job: fraction-free Bareiss for det
+    over Z and Q, and over integer polynomials for det_polynomial; one
+    fraction-free Gauss-Jordan on integer rows (_gauss_jordan) for
+    rat_inv, rat_solve and int_inverse, the adjugate and determinant; the
+    sparse kernel int_kernel, for saturate_columns and rank too; row_hnf,
+    for hnf; snf, for elementary_divisors.  symplectic_basis is built
+    from snf, int_kernel and matmul, and det_mod2 from det.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
@@ -156,26 +158,12 @@ def _det_bareiss(M):
 
 
 def det_mod2(M):
-    """Determinant modulo 2 via GF(2) elimination (cheap parity filter)."""
-    n, n2 = shape(M)
-    if n != n2:
-        raise ValueError("determinant of a non-square matrix")
-    A = [[x & 1 for x in row] for row in M]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if A[r][k]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-        for i in range(k + 1, n):
-            if A[i][k]:
-                for j in range(k, n):
-                    A[i][j] ^= A[k][j]
-    return 1
+    """det(M) % 2 of an integer matrix, its entries read through as_int.
+
+    Nothing in the library calls it; it stays for the benchmark tracer's
+    det_mod2 span until that span is retired (ROADMAP item 8).
+    """
+    return det([[as_int(x) for x in row] for row in M]) % 2
 
 
 # -- integer matrix pencils --------------------------------------------------
@@ -698,6 +686,13 @@ def symplectic_basis(E):
     D a positive divisibility chain d_1 | d_2 | ... | d_n.  Raises
     PreconditionError if E is not alternating with nonzero determinant of
     even size.
+
+    Pair by pair, on a basis B of the part of Z^m not yet split off: the
+    snf of the form on B gives x and y in B's span with E(x, y) = d, the
+    gcd of the form's entries there, and int_kernel gives the saturated
+    E-orthogonal complement of <x, y> in that span, the next B.  As d
+    divides every pairing on B, the span is <x, y> plus that complement,
+    so U is unimodular and D a divisibility chain by construction.
     """
     m, m2 = shape(E)
     if m != m2 or m % 2:
@@ -708,86 +703,20 @@ def symplectic_basis(E):
                 raise PreconditionError("form is not alternating")
     if det(E) == 0:
         raise PreconditionError("form is degenerate")
-    G = mat_copy(E)
-    U = identity(m)
-
-    def col_op(dst, src, q):  # basis vector dst += q * src (congruence update)
-        if q == 0:
-            return
-        for r in range(m):
-            G[r][dst] += q * G[r][src]
-        for c in range(m):
-            G[dst][c] += q * G[src][c]
-        for r in range(m):
-            U[r][dst] += q * U[r][src]
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in range(m):
-            G[r][i], G[r][j] = G[r][j], G[r][i]
-        G[i], G[j] = G[j], G[i]
-        for r in range(m):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
-
-    def col_neg(i):
-        for r in range(m):
-            G[r][i] = -G[r][i]
-        for c in range(m):
-            G[i][c] = -G[i][c]
-        for r in range(m):
-            U[r][i] = -U[r][i]
-
-    ds = []
-    start = 0
-    while start < m:
-        best = None
-        for i in range(start, m):
-            for j in range(start, m):
-                if G[i][j] and (best is None or abs(G[i][j]) < abs(G[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            raise PreconditionError("form is degenerate on a sublattice")
-        i, j = best
-        col_swap(start, i)
-        if j == start:
-            j = i
-        col_swap(start + 1, j)
-        if G[start][start + 1] < 0:
-            col_neg(start + 1)
-        d = G[start][start + 1]
-        dirty = False
-        for c in range(start + 2, m):
-            if G[start][c]:
-                col_op(c, start + 1, -(G[start][c] // d))
-                if G[start][c]:
-                    dirty = True
-            if G[start + 1][c]:
-                col_op(c, start, G[start + 1][c] // d)
-                if G[start + 1][c]:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(start + 2, m):
-            for j in range(start + 2, m):
-                if G[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            col_op(start, offender, 1)
-            continue
-        ds.append(d)
-        start += 2
+    B = identity(m)  # basis vectors as rows
+    xs, ys, ds = [], [], []
+    while B:
+        EB = matmul(E, transpose(B))
+        S, P, Q = snf(matmul(B, EB))
+        x = matmul(P[:1], B)[0]
+        y = matmul([[row[0] for row in Q]], B)[0]
+        xs.append(x)
+        ys.append(y)
+        ds.append(S[0][0])
+        rest = int_kernel(matmul([x, y], EB))
+        B = matmul(rest, B) if rest else []
     n = m // 2
-    # interleaved pairs (a_1, b_1, a_2, b_2, ...) -> block order (a_*, b_*)
-    perm = zeros(m, m)
-    for k in range(n):
-        perm[2 * k][k] = 1
-        perm[2 * k + 1][n + k] = 1
-    U = matmul(U, perm)
+    U = transpose(xs + ys)
     check = matmul(transpose(U), matmul(E, U))
     expected = zeros(m, m)
     for k in range(n):

@@ -530,13 +530,14 @@ def restricted_polarisation(T: PolarisedTorus, emb: SubvarietyEmbedding):
 
 
 def isogeny_degree(M) -> int:
-    """|det| of a rational representation; zero determinant is an error."""
+    """|det| of an integer rational representation, entries read through
+    as_int; zero determinant is an error."""
     if any(len(r) != len(M) for r in M):
         raise PreconditionError("an isogeny matrix must be square")
-    d = det([list(r) for r in M])
+    d = det([[as_int(x) for x in r] for r in M])
     if d == 0:
         raise PreconditionError("matrix has determinant zero, not an isogeny")
-    return abs(int(d)) if isinstance(d, int) else abs(d)
+    return abs(d)
 
 
 def product(tori):

@@ -419,6 +419,14 @@ def test_isogeny_degree():
     assert isogeny_degree([[0, 1], [-1, 0]]) == 1
 
 
+def test_isogeny_degree_is_an_int_and_refuses_non_integral_matrices():
+    got = isogeny_degree([[Fraction(4, 2), 0], [0, -3]])
+    assert got == 6 and type(got) is int
+    for M in ([[Fraction(1, 2)]], [[1, 0], [0, Fraction(3, 2)]], [[2.0]]):
+        with pytest.raises(PreconditionError):
+            isogeny_degree(M)
+
+
 def test_gram_transport_under_quotient_base_change():
     T = product([curve(3), curve(3)])
     g = TorsionPoint([0, 0, Fraction(1, 3), 0])
