@@ -59,7 +59,7 @@ from .torus import (
     SubvarietyEmbedding,
     restricted_polarisation,
 )
-from .parallel import pencil_search
+from .parallel import check_bound, pencil_search
 from .verdicts import Found, NoHoms, NotFoundUpToBound
 
 
@@ -286,10 +286,10 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     coefficient order, or NotFoundUpToBound; NoHoms when the homomorphism
     module is trivial.  A polarised witness is checked to pull the form
     back.  A search that the determinant does not rule out and that has
-    more than parallel.MAX_CANDIDATES vectors raises PreconditionError.
+    more than parallel.MAX_CANDIDATES vectors raises PreconditionError,
+    and so does a bound that is not an int of at least 1, before any work.
     """
-    if bound < 1:
-        raise PreconditionError("search bound must be at least 1")
+    check_bound(bound)
     gens = hom_module(X, Y)
     if not gens:
         return NoHoms()

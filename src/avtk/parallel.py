@@ -7,8 +7,7 @@ that a form pulls back (polynomials that must vanish), the principal
 polarisation search that the leading principal minors of a symmetric
 matrix are positive.  pencil_search computes det(sum(c_i * C_i)) once,
 as a polynomial with integer coefficients taken by Bareiss elimination
-over integer polynomials (intlinalg.det_polynomial), and evaluates it and
-the side conditions per candidate.
+over integer polynomials (intlinalg.det_polynomial).
 
 Before any enumeration it rules out whole searches: when the coefficients
 of the determinant have a common factor above 1 no member is unimodular,
@@ -18,10 +17,19 @@ ruled out and has more than MAX_CANDIDATES coefficient vectors is refused.
 
 Coefficient vectors are enumerated with each coordinate running through
 0, 1, -1, 2, -2, ..., bound, -bound, lexicographically, by one loop in
-the calling process.  pencil_search returns the verdict itself: Found
-with the hit's member, rebuilt from its coefficients and checked to be
-unimodular, or NotFoundUpToBound; ``tested`` counts the vectors
-enumerated up to the hit, or the whole box (2*bound + 1)**rank.
+the calling process.  Only the last coordinate changes along a row of
+2*bound + 1 consecutive vectors, so the determinant is split once by the
+power of the last coordinate; per prefix c[:-1] its coefficients are
+evaluated once, and each last value is tested by Horner's rule.  The
+parity table, re-keyed by the prefix's parity, skips whole rows or
+every other value of one.  The side conditions are evaluated in full,
+only where the determinant is +-1.
+
+pencil_search returns the verdict itself: Found with the hit's member,
+rebuilt from its coefficients and checked to be unimodular, or
+NotFoundUpToBound; ``tested`` counts the vectors enumerated up to the
+hit, or the whole box (2*bound + 1)**rank.  A bound that is not an int
+of at least 1 is refused (check_bound) before any work.
 
 The module and run_search keep their names because the benchmark looks
 them up.
@@ -67,24 +75,66 @@ def _evaluate(sparse_terms, c) -> int:
     return total
 
 
+def _split_last(sparse_terms, last):
+    """The coefficients of sparse_terms as a polynomial in c[last], highest
+    power first, each a sparse polynomial in the coordinates before it."""
+    by_power = {}
+    for coeff, factors in sparse_terms:
+        rest = dict(factors)
+        by_power.setdefault(rest.pop(last, 0), []).append((coeff, tuple(rest.items())))
+    top = max(by_power, default=0)
+    return tuple(tuple(by_power.get(k, ())) for k in range(top, -1, -1))
+
+
+def check_bound(bound) -> None:
+    """Raise PreconditionError unless bound is an int (not a bool) of at least 1."""
+    if type(bound) is not int:
+        raise PreconditionError(f"search bound must be an int, not {type(bound).__name__}")
+    if bound < 1:
+        raise PreconditionError("search bound must be at least 1")
+
+
 def run_search(rank, bound, det_p, positive, zero, parities):
     """(index, c) of the first coefficient vector that passes, or None.
 
     c passes when its parity vector is in ``parities`` (None admits all),
     det_p evaluates to +-1, every ``positive`` polynomial is > 0 and every
     ``zero`` one vanishes; index is c's position in the enumeration order.
+    The vectors are taken a row at a time: per prefix c[:-1], the
+    coefficients of det_p in the last coordinate are evaluated once, and
+    each last value the parity table admits is tested by Horner's rule.
+    The side conditions are evaluated in full, only where det_p is +-1.
     """
-    for index, c in enumerate(iter_product(coefficient_values(bound), repeat=rank)):
-        if parities is not None and tuple(v & 1 for v in c) not in parities:
-            continue
-        d = _evaluate(det_p, c)
-        if d != 1 and d != -1:
-            continue
-        if any(_evaluate(p, c) <= 0 for p in positive):
-            continue
-        if any(_evaluate(p, c) for p in zero):
-            continue
-        return index, c
+    values = coefficient_values(bound)
+    width = len(values)
+    horner = _split_last(det_p, rank - 1)
+    every = tuple(enumerate(values))
+    rows = None
+    if parities is not None:
+        # prefix parity -> the (position, value) pairs of admitted last values
+        bits = {}
+        for e in parities:
+            bits.setdefault(e[:-1], set()).add(e[-1])
+        rows = {key: tuple(pv for pv in every if (pv[1] & 1) in b) for key, b in bits.items()}
+    for prefix_index, prefix in enumerate(iter_product(values, repeat=rank - 1)):
+        row = every
+        if rows is not None:
+            row = rows.get(tuple(v & 1 for v in prefix))
+            if row is None:
+                continue
+        coeffs = [_evaluate(p, prefix) for p in horner]
+        for position, x in row:
+            d = 0
+            for a in coeffs:
+                d = d * x + a
+            if d != 1 and d != -1:
+                continue
+            c = prefix + (x,)
+            if any(_evaluate(p, c) <= 0 for p in positive):
+                continue
+            if any(_evaluate(p, c) for p in zero):
+                continue
+            return prefix_index * width + position, c
     return None
 
 
@@ -99,8 +149,10 @@ def pencil_search(mats, bound: int, positive=(), zero=()):
     in the enumeration order plus one.  A miss reports the whole box as
     tested, also when the determinant's coefficients share a factor and
     nothing is enumerated.  Otherwise a box of more than MAX_CANDIDATES
-    vectors raises PreconditionError.
+    vectors raises PreconditionError, and so does a bound that is not an
+    int of at least 1.
     """
+    check_bound(bound)
     rank = len(mats)
     box = (2 * bound + 1) ** rank
     det_terms = det_polynomial(mats)

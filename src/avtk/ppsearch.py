@@ -15,8 +15,9 @@ Hom generator passes.  Positivity and surjectivity are not linear, so
 phase two enumerates bounded integer combinations of that family on the
 pencil engine of ``parallel``: the coordinate determinant (surjectivity)
 and the leading principal minors (positivity) are computed once as
-polynomials in the coefficients and evaluated per candidate, and the
-engine returns the verdict.
+polynomials in the coefficients; the engine evaluates the determinant a
+row of candidates at a time and the minors only where it is +-1, and
+returns the verdict.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .intlinalg import (
     span_equal,
     transpose,
 )
-from .parallel import pencil_search
+from .parallel import check_bound, pencil_search
 from .scalars import monomial_flatten
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
@@ -193,10 +194,10 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     coefficients as a PPCandidate and re-verified, with integer minors
     and symbolically, before being returned.  A search that the
     determinant does not rule out and that has more than
-    parallel.MAX_CANDIDATES vectors raises PreconditionError.
+    parallel.MAX_CANDIDATES vectors raises PreconditionError, and so does
+    a bound that is not an int of at least 1, before any work.
     """
-    if bound < 1:
-        raise PreconditionError("search bound must be at least 1")
+    check_bound(bound)
     if family is None:
         family = admissible_family(A, Ahat)
     if family.rank == 0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product as iter_product
 from math import lcm
 from operator import add
 
@@ -25,6 +26,7 @@ from avtk.intlinalg import (
     snf,
     transpose,
 )
+from avtk.parallel import _evaluate, coefficient_values
 from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key
 from avtk.torus import (
     DualResult,
@@ -102,6 +104,28 @@ def pencil(mats):
     m, n = shape(mats[0])
     return [[FormalScalar(gens, {units[g]: mats[g][i][j] for g in range(r)})
              for j in range(n)] for i in range(m)]
+
+
+def per_candidate_search(rank, bound, det_p, positive, zero, parities):
+    """parallel.run_search's contract, one whole evaluation per candidate.
+
+    (index, c) of the first coefficient vector in the enumeration order
+    whose parity vector is in ``parities`` (None admits all), at which
+    det_p is +-1, every ``positive`` polynomial is > 0 and every ``zero``
+    one vanishes; None when no vector of the box passes.
+    """
+    for index, c in enumerate(iter_product(coefficient_values(bound), repeat=rank)):
+        if parities is not None and tuple(v & 1 for v in c) not in parities:
+            continue
+        d = _evaluate(det_p, c)
+        if d != 1 and d != -1:
+            continue
+        if any(_evaluate(p, c) <= 0 for p in positive):
+            continue
+        if any(_evaluate(p, c) for p in zero):
+            continue
+        return index, c
+    return None
 
 
 def integer_terms(p: FormalScalar):

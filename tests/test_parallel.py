@@ -2,16 +2,22 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import tracemalloc
+from itertools import product as iter_product
 
-from avtk import demos, parallel
+import pytest
+
+from avtk import demos, homs, parallel, ppsearch
 from avtk.demos import run_demo
 from avtk.documents import torus_from_doc
+from avtk.errors import PreconditionError
 from avtk.homs import isom_search
 from avtk.ppsearch import admissible_family, pp_search
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, product, standard_gram
 from avtk.verdicts import Found, NotFoundUpToBound
+from oracles import per_candidate_search
 
 G = GeneratorSet(("a", "b", "c"))
 A_, B_, C_ = G.gens()
@@ -57,6 +63,125 @@ def test_a_search_the_prefilter_ends_takes_memory_independent_of_the_bound():
     assert isinstance(res, NotFoundUpToBound)
     assert res.tested == 2000001 ** 2
     assert peak < 2**20
+
+
+# -- the row-at-a-time loop against the per-candidate oracle -------------------
+
+def _random_sparse(rng, rank, terms, constant=True):
+    """A random sparse polynomial in c_0 .. c_{rank-1}, in run_search's form."""
+    out = []
+    for _ in range(terms):
+        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+        mono = [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(rank)]
+        if not constant and not any(mono):
+            mono[rng.randrange(rank)] = 1
+        out.append((coeff, mono))
+    return parallel._sparse(out)
+
+
+def _det_parities(det_p, rank):
+    """The parity table pencil_search builds for det_p."""
+    return frozenset(e for e in iter_product((0, 1), repeat=rank)
+                     if parallel._evaluate(det_p, e) & 1)
+
+
+def test_run_search_agrees_with_the_per_candidate_oracle():
+    rng = random.Random(20261019)
+    hits = misses = 0
+    for _ in range(3000):
+        rank, bound = rng.randint(1, 4), rng.randint(1, 3)
+        det_p = _random_sparse(rng, rank, rng.randint(1, 5))
+        positive = tuple(_random_sparse(rng, rank, rng.randint(1, 3))
+                         for _ in range(rng.randint(0, 2)))
+        zero = tuple(_random_sparse(rng, rank, rng.randint(1, 2), constant=False)
+                     for _ in range(rng.randint(0, 1)))
+        table = rng.choice(("off", "det", "subset"))
+        parities = None
+        if table == "det":
+            parities = _det_parities(det_p, rank)
+        elif table == "subset":
+            parities = frozenset(e for e in iter_product((0, 1), repeat=rank)
+                                 if rng.random() < 0.5)
+        args = (rank, bound, det_p, positive, zero, parities)
+        expected = per_candidate_search(*args)
+        assert parallel.run_search(*args) == expected, args
+        hits += expected is not None
+        misses += expected is None
+    assert hits > 600 and misses > 600
+
+
+# -- edge cases of the row-at-a-time loop --------------------------------------
+
+def _both(rank, bound, det_p, positive=(), zero=()):
+    """run_search with the parity table off and on, checked against the oracle."""
+    out = []
+    for parities in (None, _det_parities(det_p, rank)):
+        args = (rank, bound, det_p, positive, zero, parities)
+        res = parallel.run_search(*args)
+        assert res == per_candidate_search(*args)
+        out.append(res)
+    assert out[0] == out[1]
+    return out[0]
+
+
+def test_rank_one_search_has_an_empty_prefix():
+    # c^2 - 3 is +-1 first at c = 2, the fourth value of 0, 1, -1, 2, ...
+    assert _both(1, 3, parallel._sparse([(1, (2,)), (-3, (0,))])) == (3, (2,))
+    res = parallel.pencil_search([[[1]]], bound=3)
+    assert isinstance(res, Found)
+    assert (res.coefficients, res.tested, res.witness) == ((1,), 2, ((1,),))
+
+
+def test_determinant_free_of_the_last_coordinate():
+    # c_0 - 2 does not involve c_1: the row of c_0 = 1 is hit at its first value
+    det_p = parallel._sparse([(1, (1, 0)), (-2, (0, 0))])
+    assert _both(2, 2, det_p) == (5, (1, 0))
+    assert parallel._split_last(det_p, 1) == (det_p,)
+
+
+def test_hit_at_index_zero_counts_one_tested():
+    det_p = parallel._sparse([(1, (0, 0, 0))])
+    assert _both(3, 2, det_p) == (0, (0, 0, 0))
+
+
+def test_hit_on_the_last_vector_of_the_box():
+    # c_0 + c_1 + 5 is +-1 only at (-2, -2), the last vector at bound 2
+    det_p = parallel._sparse([(1, (1, 0)), (1, (0, 1)), (5, (0, 0))])
+    assert _both(2, 2, det_p) == (5 ** 2 - 1, (-2, -2))
+
+
+def test_positive_condition_rejects_a_unit_before_a_later_hit_in_its_row():
+    # det = c_1 is +-1 at c_1 = 1 and c_1 = -1 in the row of c_0 = 0;
+    # -c_1 > 0 rejects the first, so the hit is the row's third value
+    det_p = parallel._sparse([(1, (0, 1))])
+    minus_c1 = [(-1, (0, 1))]
+    assert _both(2, 2, det_p, positive=(parallel._sparse(minus_c1),)) == (2, (0, -1))
+    res = parallel.pencil_search([[[0]], [[1]]], bound=2, positive=[minus_c1])
+    assert (res.coefficients, res.tested) == ((0, -1), 3)
+
+
+# -- the bound check -------------------------------------------------------------
+
+RANK3 = [[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize("bound, message", [
+    (0, "at least 1"), (-1, "at least 1"),
+    (2.5, "an int, not float"), (True, "an int, not bool"), ("3", "an int, not str"),
+])
+def test_a_bad_bound_is_refused_before_any_work(bound, message, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search built its pencil")
+
+    monkeypatch.setattr(ppsearch, "admissible_family", no_work)
+    monkeypatch.setattr(homs, "hom_module", no_work)
+    monkeypatch.setattr(parallel, "det_polynomial", no_work)
+    A, Ahat = swapped_pair(3)
+    for search in (lambda: parallel.pencil_search(RANK3, bound),
+                   lambda: ppsearch.pp_search(A, Ahat, bound),
+                   lambda: homs.isom_search(A, Ahat, bound)):
+        with pytest.raises(PreconditionError, match=f"search bound must be {message}"):
+            search()
 
 
 # -- the search results ---------------------------------------------------------
