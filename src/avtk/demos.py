@@ -490,7 +490,7 @@ def run_demo(name: str, n=None, type_=None, bound=None, max_d=None) -> DemoResul
             if n is None:
                 kwargs["n"] = len(parse_type(type_))
     if bound is not None and name in ("ex-4.1", "ex-4.2", "ex-5.3", "lemma-5.4"):
-        kwargs["bound"] = int(bound)
+        kwargs["bound"] = bound  # parallel.check_bound refuses a non-int
     if max_d is not None and name == "obstruction-table":
         kwargs["max_d"] = int(max_d)
     return DEMOS[name](**kwargs)

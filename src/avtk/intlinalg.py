@@ -3,8 +3,11 @@
 Rational matrices are worked on as integers over one denominator per
 row, and Fractions are built only for results.  det_polynomial and
 pullback_polynomials run on integer polynomials of one pencil of integer
-maps, with exact division.  scalars.monomial_flatten puts a period
-matrix over one common denominator as integer polynomials, from which
+maps whose monomials are packed into single ints (_packing): a product
+of monomials is a sum of ints, the graded-lex order that of the ints,
+and the exact divisions test divisibility on guard bits.
+scalars.monomial_flatten puts a period matrix over one common
+denominator as integer polynomials {exponent tuple: int}, from which
 homs, ppsearch and torus build their sparse systems and products
 (_add_product, _add_row_times, _formal_product), the W = D_X^-1 @ Z_X of
 hom_module among them; int_kernel eliminates on sparse columns.  One
@@ -40,7 +43,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
 from math import lcm, prod
-from operator import add, mul, neg, sub
+from operator import add, mul
 
 from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
 from .scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
@@ -95,10 +98,6 @@ def matmul(A, B):
     return [[sum(map(mul, a, b)) for b in cols] for a in A]
 
 
-def mat_copy(M):
-    return [list(row) for row in M]
-
-
 def mat_eq(A, B):
     return shape(A) == shape(B) and all(
         A[i][j] == B[i][j] for i in range(len(A)) for j in range(len(A[0]) if A else 0)
@@ -137,7 +136,7 @@ def _require_rational(M, what):
 
 def _det_bareiss(M):
     n = len(M)
-    A = mat_copy(M)
+    A = [list(row) for row in M]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -179,13 +178,13 @@ def det_polynomial(mats):
     """det(sum(c_g * mats[g])) as (int coefficient, exponent tuple) pairs.
 
     Fraction-free Bareiss elimination over integer polynomials in
-    c0 ... c_{r-1}, each a map {exponent tuple: nonzero int} built by
-    _int_pencil: every intermediate entry is a minor of the pencil,
-    so each division is exact, and _poly_div checks that it is.  A pivot
-    that is the zero polynomial is replaced by a later row; the zero
-    polynomial (no pairs) means every member is singular.  The pairs come
-    in ascending graded-lex order of their exponents, and 0 x 0 matrices
-    give the constant 1, as det does.
+    c0 ... c_{r-1}, each a map {packed monomial: nonzero int} (_packing)
+    built by _int_pencil: every intermediate entry is a minor of the
+    pencil, so each division is exact, and _poly_div checks that it is.
+    A pivot that is the zero polynomial is replaced by a later row; the
+    zero polynomial (no pairs) means every member is singular.  Unpacked
+    once, the pairs come in ascending graded-lex order of their exponents,
+    and 0 x 0 matrices give the constant 1, as det does.
 
     There must be at least one matrix, all square and of one size, with
     int or integral Fraction entries; anything else is a PreconditionError.
@@ -195,7 +194,7 @@ def det_polynomial(mats):
     n = len(mats[0])
     if any(len(M) != n or any(len(row) != n for row in M) for M in mats):
         raise PreconditionError("pencil matrices must be square and of one size")
-    A = _int_pencil(mats)
+    A, unpack, guard = _int_pencil(mats, 2 * n)  # numerators: two minors' products
     if n == 0:
         return [(1, (0,) * len(mats))]
     negate = False
@@ -214,43 +213,62 @@ def det_polynomial(mats):
         for A_row in A[k + 1:]:
             below = A_row[k]
             for j in range(k + 1, n):
+                a, b = A_row[j], below and pivot_row[j]
+                if not (a or b):  # pencils are sparse
+                    continue
                 num = {}
-                _add_product(num, A_row[j], pivot, 1)
-                if below and pivot_row[j]:  # pencils are sparse
-                    _add_product(num, below, pivot_row[j], -1)
+                _add_packed_product(num, a, pivot, 1)
+                if b:
+                    _add_packed_product(num, below, b, -1)
                 num = {mono: c for mono, c in num.items() if c}
-                A_row[j] = num if prev is None or not num else _poly_div(num, prev)
+                A_row[j] = num if prev is None or not num else _poly_div(num, prev, guard)
         prev = pivot
     d = A[n - 1][n - 1]
     sign = -1 if negate else 1
-    return [(sign * d[mono], mono) for mono in sorted(d, key=_grlex_key)]
+    return [(sign * d[mono], unpack(mono)) for mono in sorted(d)]
 
 
 def pullback_polynomials(mats, gram_y, gram_x):
     """The entries above the diagonal of P^T E_Y P - E_X, P = sum(c_g * mats[g]).
 
     One polynomial per entry (i, j), i < j, row by row, in det_polynomial's
-    form, summed with _add_product from the integer polynomials of P and
-    E_Y P.  For alternating E_Y and E_X they all vanish exactly when P
-    pulls E_Y back to E_X.
+    form, summed from the packed polynomials of P and E_Y P.  For alternating
+    E_Y and E_X they all vanish exactly when P pulls E_Y back to E_X.
     """
-    const = (0,) * len(mats)
-    P = _int_pencil(mats)
-    EP = _int_pencil([matmul(gram_y, M) for M in mats])
+    P, unpack, _ = _int_pencil(mats, 2)
+    EP, _, _ = _int_pencil([matmul(gram_y, M) for M in mats], 2)
     out = []
     for i, j in combinations(range(len(gram_x)), 2):
-        acc = {const: -gram_x[i][j]}
+        acc = {0: -gram_x[i][j]}  # 0 packs the constant monomial
         for P_row, EP_row in zip(P, EP):
-            _add_product(acc, P_row[i], EP_row[j], 1)
-        out.append([(acc[mono], mono) for mono in sorted(acc, key=_grlex_key) if acc[mono]])
+            _add_packed_product(acc, P_row[i], EP_row[j], 1)
+        out.append([(acc[mono], unpack(mono)) for mono in sorted(acc) if acc[mono]])
     return out
 
 
-def _int_pencil(mats):
-    """sum(c_g * mats[g]) as a matrix of integer polynomials {unit exponent: int}."""
-    units = [tuple(int(h == g) for h in range(len(mats))) for g in range(len(mats))]
-    return [[{u: x for u, x in zip(units, map(as_int, entries)) if x} for entries in zip(*rows)]
-            for rows in zip(*mats)]
+def _packing(r, degree):
+    """(units, unpack, guard) for monomials in r variables of degree <= degree.
+
+    A packed monomial is one int of r + 1 fields of w bits: the total
+    degree, then e0 ... e_{r-1}, each below a guard bit that stays 0.  So
+    x^a * x^b packs as a + b, ints compare as _grlex_key does, and, with
+    guard holding every guard bit, x^a divides x^b iff ((b | guard) - a)
+    keeps them all: only a field of b below a's borrows, its own guard bit.
+    """
+    w = degree.bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = range((r - 1) * w, -1, -w)
+    return ([1 << r * w | 1 << s for s in shifts],
+            lambda m: tuple(m >> s & mask for s in shifts),
+            sum(1 << (k * w + w - 1) for k in range(r + 1)))
+
+
+def _int_pencil(mats, degree):
+    """(sum(c_g * mats[g]) as integer polynomials {packed monomial: int},
+    unpack, guard), packed by _packing(len(mats), degree)."""
+    units, unpack, guard = _packing(len(mats), degree)
+    return ([[{u: x for u, x in zip(units, map(as_int, entries)) if x}
+              for entries in zip(*rows)] for rows in zip(*mats)], unpack, guard)
 
 
 def _formal_product(gens, P, K, scale):
@@ -296,6 +314,17 @@ def _add_product(acc, p, q, sign):
             acc[mono] = get(mono, 0) + c1 * c2
 
 
+def _add_packed_product(acc, p, q, sign):
+    """acc += sign * p * q for integer polynomials {packed monomial: int}."""
+    get = acc.get
+    q_items = q.items()
+    for m1, c1 in p.items():
+        c1 *= sign
+        for m2, c2 in q_items:
+            mono = m1 + m2
+            acc[mono] = get(mono, 0) + c1 * c2
+
+
 def _add_row_times(acc, row, K, scale):
     """acc[j] += scale * sum(row[r] * K[r][j]) for integer polynomials row[r]
     and an integer matrix K."""
@@ -308,38 +337,38 @@ def _add_row_times(acc, row, K, scale):
                         a[mono] = a.get(mono, 0) + k * x
 
 
-def _poly_div(f, g):
-    """The quotient f / g of integer polynomials; ValueError unless g divides f.
+def _poly_div(f, g, guard):
+    """The quotient f / g of packed polynomials; ValueError unless g divides f.
 
-    Each step divides the graded-lex leading term of the remainder by that
-    of g, which must leave a monomial and an integer, and subtracts the
-    quotient term times g.  The terms of the remainder wait in a heap keyed
-    so that the largest monomial comes out first.
+    Each step divides the leading (largest) term of the remainder by that
+    of g, which must leave an integer and a monomial, the latter tested on
+    _packing's guard bits, and subtracts the quotient term times g.  The
+    remainder's terms wait in a heap of negated monomials.
     """
-    g_mono = max(g, key=_grlex_key)
+    g_mono = max(g)
     g_coeff = g[g_mono]
     g_rest = [(m, c) for m, c in g.items() if m != g_mono]
     rem = dict(f)
     get = rem.get
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+    heap = [-m for m in rem]
     heapify(heap)
     quotient = {}
     while rem:
-        mono = heappop(heap)[2]
+        mono = -heappop(heap)
         coeff = rem.pop(mono, 0)
         if not coeff:  # a stale entry: the term cancelled
             continue
-        diff = tuple(map(sub, mono, g_mono))
         q, remainder = divmod(coeff, g_coeff)
-        if remainder or min(diff) < 0:
+        if remainder or ((mono | guard) - g_mono) & guard != guard:
             raise ValueError("the divisor does not divide the polynomial")
+        diff = mono - g_mono
         quotient[diff] = q
         for m, c in g_rest:  # rem -= q * x^diff * (g - leading term)
-            m = tuple(map(add, diff, m))
+            m += diff
             old = get(m)
             if old is None:
                 rem[m] = -q * c
-                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+                heappush(heap, -m)
             elif old == q * c:
                 del rem[m]
             else:

@@ -174,3 +174,11 @@ def test_demo_type_validation():
         run_demo("ex-4.1", type_="1,2,3")  # 2 does not divide 3
     with pytest.raises(PreconditionError):
         run_demo("thm-3.2-generic", type_="1,1")  # trivial quotient order
+
+
+@pytest.mark.parametrize("name", ["ex-4.1", "ex-4.2", "ex-5.3", "lemma-5.4"])
+@pytest.mark.parametrize("bound", [2.7, True, "3"])
+def test_run_demo_passes_the_bound_to_the_search_check_unchanged(name, bound):
+    # a library caller's 2.7, True or "3" is refused, not searched as 2, 1 or 3
+    with pytest.raises(PreconditionError, match="search bound must be an int"):
+        run_demo(name, bound=bound)

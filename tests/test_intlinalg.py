@@ -1,6 +1,10 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +15,7 @@ from avtk.documents import torus_from_doc
 from avtk.errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
 from avtk.homs import hom_module
 from avtk.intlinalg import (
+    _packing,
     _poly_div,
     combination,
     det,
@@ -34,8 +39,9 @@ from avtk.intlinalg import (
     span_equal,
     symplectic_basis,
     transpose,
+    zeros,
 )
-from avtk.scalars import FormalScalar, GeneratorSet, monomial_flatten
+from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
 from avtk.torus import pairing_type, standard_gram
 from oracles import (
     dense_flatten_to_int,
@@ -210,19 +216,64 @@ def test_det_polynomial_of_the_self_dual_hom_pencil_of_ex_4_1():
         assert evaluate(terms, c) == det(combination(c, mats))
 
 
+def packed_div(f, g, degree=4):
+    """_poly_div on {exponent tuple: int} maps, packed and unpacked by _packing."""
+    units, unpack, guard = _packing(len(next(iter(f))), degree)
+
+    def pack(p):
+        return {sum(map(mul, mono, units)): c for mono, c in p.items()}
+
+    return {unpack(m): c for m, c in _poly_div(pack(f), pack(g), guard).items()}
+
+
 def test_integer_polynomial_division():
     # (c0 + c1) * (c0 - c1) = c0^2 - c1^2
-    assert _poly_div({(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): 1}) == {
+    assert packed_div({(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): 1}) == {
         (1, 0): 1, (0, 1): -1}
-    assert _poly_div({(1, 1): -6}, {(0, 1): 3}) == {(1, 0): -2}
+    assert packed_div({(1, 1): -6}, {(0, 1): 3}) == {(1, 0): -2}
     with pytest.raises(ValueError):  # the coefficient 3 does not divide 2
-        _poly_div({(1, 0): 2}, {(1, 0): 3})
+        packed_div({(1, 0): 2}, {(1, 0): 3})
     with pytest.raises(ValueError):  # 3 c0 divides 6 c0, not 6 c0 + 2
-        _poly_div({(1, 0): 6, (0, 0): 2}, {(1, 0): 3})
+        packed_div({(1, 0): 6, (0, 0): 2}, {(1, 0): 3})
     with pytest.raises(ValueError):  # the monomial c1 does not divide c0
-        _poly_div({(1, 0): 1}, {(0, 1): 1})
+        packed_div({(1, 0): 1}, {(0, 1): 1})
     with pytest.raises(ValueError):  # c0 + c1 does not divide c0^2 + 1
-        _poly_div({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1})
+        packed_div({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1})
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 40])
+def test_division_refusals_that_only_a_borrow_across_fields_shows(degree):
+    # c0*c2 packs above c1, and c0^2 above c0*c1, with no field that is
+    # smaller in value alone: only the guard bits see the borrow
+    for f, g in (({(1, 0, 1): 1}, {(0, 1, 0): 1}), ({(2, 0, 0): 1}, {(1, 1, 0): 1}),
+                 ({(0, 2, 0): 5}, {(0, 1, 1): 5}), ({(1, 0, 0): 1}, {(0, 0, 1): 1})):
+        if sum(next(iter(f))) <= degree:
+            with pytest.raises(ValueError):
+                packed_div(f, g, degree)
+    assert packed_div({(1, 1, 0): 2}, {(0, 1, 0): 1}, degree=2) == {(1, 0, 0): 2}
+
+
+@pytest.mark.parametrize("r, degree", [(1, 1), (1, 8), (2, 2), (3, 7), (4, 8), (6, 40)])
+def test_packing_orders_multiplies_and_divides_like_exponent_tuples(r, degree):
+    units, unpack, guard = _packing(r, degree)
+    rng = random.Random(r * 100 + degree)
+    monos = set()
+    for _ in range(60):  # random monomials of degree <= degree
+        mono = [0] * r
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(r)] += 1
+        monos.add(tuple(mono))
+    packed = {m: sum(map(mul, m, units)) for m in monos}
+    assert all(unpack(p) == m for m, p in packed.items())
+    assert sorted(monos, key=packed.get) == sorted(monos, key=_grlex_key)
+    for a in monos:
+        for b in monos:
+            divides = all(x <= y for x, y in zip(a, b))
+            assert (((packed[b] | guard) - packed[a]) & guard == guard) == divides
+            if divides:
+                assert unpack(packed[b] - packed[a]) == tuple(y - x for x, y in zip(a, b))
+            if sum(a) + sum(b) <= degree:
+                assert unpack(packed[a] + packed[b]) == tuple(x + y for x, y in zip(a, b))
 
 
 def test_det_polynomial_refuses_malformed_pencils():
@@ -237,6 +288,58 @@ def test_det_polynomial_refuses_malformed_pencils():
     # integral Fractions are integers, and 0 x 0 matrices have det 1
     assert det_polynomial([[[Fraction(4, 2)]]]) == [(2, (1,))]
     assert det_polynomial([[], []]) == [(1, (0, 0))]
+
+
+@pytest.mark.parametrize("n", [1, 8, 20])
+def test_det_polynomial_of_a_scalar_pencil_is_one_term(n):
+    # c_g * I_n has det c_g^n; 2n sets the packed field width (3, 6, 7 bits)
+    for r in (1, 3):
+        for g in range(r):
+            mats = [identity(n) if h == g else zeros(n, n) for h in range(r)]
+            assert det_polynomial(mats) == [(1, tuple(n * (h == g) for h in range(r)))]
+    assert det_polynomial([[[-x for x in row] for row in identity(n)]]) == [((-1) ** n, (n,))]
+
+
+def test_det_polynomial_with_one_matrix_and_with_pivot_swaps():
+    # one matrix: det(c0 * M) = det(M) * c0^n
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    assert det_polynomial([M]) == [(det(M), (3,))]
+    # [[0, c1, c2], [0, 0, c0], [c0 + c1, c2, 0]]: the zero pivot at (0, 0)
+    # swaps rows 0 and 2, and then the one at (1, 1) rows 1 and 2
+    mats = [[[0, 0, 0], [0, 0, 1], [1, 0, 0]], [[0, 1, 0], [0, 0, 0], [1, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 1, 0]]]
+    terms = det_polynomial(mats)
+    assert terms == [(1, (1, 2, 0)), (1, (2, 1, 0))] == formal_det_polynomial(mats)
+    for c in ([1, 0, 0], [0, 1, 0], [2, -1, 3], [-3, 4, 1]):
+        assert evaluate(terms, c) == det(combination(c, mats))
+
+
+def test_det_polynomial_comes_in_ascending_graded_lex_order():
+    rng = random.Random(2027)
+    for _ in range(60):
+        n, r = rng.randint(1, 6), rng.randint(1, 6)
+        mats = [random_matrix(rng, n, n, -2, 2) for _ in range(r)]
+        monos = [mono for _, mono in det_polynomial(mats)]
+        assert monos == sorted(monos, key=_grlex_key)
+        assert len(set(monos)) == len(monos)
+
+
+def test_det_polynomial_of_the_largest_demo_pencil_is_pinned():
+    # Hom(A, dual A) of the demo ex-4.1 at n = 5: rank 17 on 10 x 10 matrices,
+    # 282 terms; the digest is that of the elimination on exponent tuples
+    demo = run_demo("ex-4.1", n=5, bound=1)
+    A = torus_from_doc(demo.documents["quotient-standard"])
+    Ahat = torus_from_doc(demo.documents["dual"])
+    mats = [f.rational_rep for f in hom_module(A, Ahat)]
+    assert len(mats) == 17 and all(len(M) == 10 and len(M[0]) == 10 for M in mats)
+    terms = det_polynomial(mats)
+    assert len(terms) == 282
+    assert hashlib.sha256(json.dumps(terms).encode()).hexdigest() == (
+        "9b946f126c819faf8d1e8983558ce583b63020fc5dec987093d29e92dc014a9b")
+    rng = random.Random(5)
+    for _ in range(3):
+        c = [rng.randint(-3, 3) for _ in mats]
+        assert evaluate(terms, c) == det(combination(c, mats))
 
 
 # -- pull-back conditions of pencils ----------------------------------------------
@@ -285,6 +388,21 @@ def test_pullback_polynomials_match_the_formal_route_and_the_integer_product(cas
         pulled = matmul(transpose(M), matmul(gram_y, M))
         assert [evaluate(p, c) for p in polys] == [
             pulled[i][j] - gram_x[i][j] for i in range(size) for j in range(i + 1, size)]
+
+
+def test_pullback_polynomials_match_the_formal_route_on_seeded_pencils():
+    rng = random.Random(404)
+    for _ in range(40):
+        size, r = 2 * rng.randint(1, 3), rng.randint(1, 6)
+        mats = [random_matrix(rng, size, size, -2, 2) for _ in range(r)]
+        grams = []
+        for _ in range(2):
+            E = zeros(size, size)
+            for i, j in combinations(range(size), 2):
+                E[i][j] = rng.randint(-3, 3)
+                E[j][i] = -E[i][j]
+            grams.append(E)
+        assert pullback_polynomials(mats, *grams) == formal_pullback_polynomials(mats, *grams)
 
 
 # -- Hermite form -------------------------------------------------------------
