@@ -37,6 +37,7 @@ from .torus import (
     product,
     restricted_polarisation,
     standard_gram,
+    standard_torus,
     subgroup_lattice,
 )
 from .verdicts import Found, NotFoundUpToBound
@@ -94,14 +95,12 @@ def _validate_quotient_type(dtype, n):
 
 def scaled_curve(gens: GeneratorSet, name: str, d: int) -> PolarisedTorus:
     """Elliptic curve with lattice d*tau Z + d Z and a type (d) form."""
-    tau = gens.scalar(name)
-    return PolarisedTorus(gens, [[d * tau, gens.constant(d)]], standard_gram([d]))
+    return standard_torus(gens, [[d * gens.scalar(name)]], [d])
 
 
 def typed_curve(gens: GeneratorSet, name: str, d: int) -> PolarisedTorus:
     """Elliptic curve with lattice tau Z + d Z and a type (d) form."""
-    tau = gens.scalar(name)
-    return PolarisedTorus(gens, [[tau, gens.constant(d)]], standard_gram([d]))
+    return standard_torus(gens, [[gens.scalar(name)]], [d])
 
 
 def generic_variety(gens: GeneratorSet, names, D) -> PolarisedTorus:
@@ -116,8 +115,7 @@ def generic_variety(gens: GeneratorSet, names, D) -> PolarisedTorus:
             s = gens.scalar(names[i][j - i])
             Z[i][j] = s
             Z[j][i] = s
-    periods = [Z[i] + [gens.constant(D[j] if i == j else 0) for j in range(k)] for i in range(k)]
-    return PolarisedTorus(gens, periods, standard_gram(list(D)))
+    return standard_torus(gens, Z, D)
 
 
 def symmetric_names(k: int, stem: str = "b"):
@@ -129,14 +127,14 @@ def quotient_display(gens: GeneratorSet, tau_name: str, left_B, dtype):
 
     The ambient basis is (e1 - en, e2, ..., en) and the lattice basis is
     (f1, ..., f_{n-1}, fn + f1, e1 - en, d2 e2, ..., dn en); the right
-    block comes out diagonal (1, d2, ..., dn) and the left block
-    symmetric.
+    block comes out diagonal (1, d2, ..., dn) and the left block P
+    symmetric.  Returns the rows of standard_torus(gens, P, dtype).
     """
     n = len(dtype)
     dn = dtype[-1]
     tau = gens.scalar(tau_name)
     zero = gens.zero()
-    P = [[zero] * (2 * n) for _ in range(n)]
+    P = [[zero] * n for _ in range(n)]
     P[0][0] = dn * tau
     P[n - 1][0] = P[n - 1][0] + dn * tau
     for j in range(1, n - 1):
@@ -146,10 +144,7 @@ def quotient_display(gens: GeneratorSet, tau_name: str, left_B, dtype):
     for i in range(1, n):
         P[i][n - 1] = P[i][n - 1] + left_B[i - 1][n - 2]
     P[n - 1][n - 1] = P[n - 1][n - 1] + dn * tau
-    P[0][n] = gens.one()
-    for j in range(1, n):
-        P[j][n + j] = gens.constant(dtype[j])
-    return P
+    return [list(row) for row in standard_torus(gens, P, dtype).periods]
 
 
 def ambient_shift(n: int):
@@ -294,7 +289,7 @@ def _self_dual_search(name, gens, display, dtype, bound, prod, A, checks, payloa
     The dual and the isomorphism search run in the replayed standard frame,
     which the base-change check proved is the same torus as A.
     """
-    A_std = PolarisedTorus(gens, display, standard_gram(list(dtype)))
+    A_std = standard_torus(gens, [row[:len(dtype)] for row in display], dtype)
     dual_res = A_std.dual()
     search = isom_search(A_std, dual_res.torus, bound=bound)
     _check("self-dual search exhausted", isinstance(search, NotFoundUpToBound), checks)
@@ -334,8 +329,7 @@ def demo_thm_3_2(n: int = 2, type_=None) -> DemoResult:
 def _surface_pair(gens, d: int = 3):
     """The generic surface of type (1, d) and its dual in the display frame."""
     a, b, c = (gens.scalar(x) for x in ("a", "b", "c"))
-    one, zero = gens.one(), gens.zero()
-    S = PolarisedTorus(gens, [[a, b, one, zero], [b, c, zero, d * one]], standard_gram([1, d]))
+    S = standard_torus(gens, [[a, b], [b, c]], [1, d])
     dual_res = S.dual()
     Sd = PolarisedTorus(gens, [list(r) for r in dual_res.display_periods], standard_gram([d, 1]))
     return S, Sd, dual_res
@@ -474,6 +468,12 @@ def demo_list():
     return sorted(DEMOS)
 
 
+def _check_int(option, value):
+    """Refuse a value that is not an int, or is a bool, as check_bound does."""
+    if type(value) is not int:
+        raise PreconditionError(f"{option} must be an int, not {type(value).__name__}")
+
+
 def run_demo(name: str, n=None, type_=None, bound=None, max_d=None) -> DemoResult:
     if name not in DEMOS:
         raise PreconditionError(
@@ -482,9 +482,10 @@ def run_demo(name: str, n=None, type_=None, bound=None, max_d=None) -> DemoResul
     kwargs = {}
     if name in ("ex-4.1", "ex-4.2", "thm-3.2-generic"):
         if n is not None:
-            if int(n) < 2:
+            _check_int("--n", n)
+            if n < 2:
                 raise PreconditionError("--n must be at least 2")
-            kwargs["n"] = int(n)
+            kwargs["n"] = n
         if type_ is not None:
             kwargs["type_"] = type_
             if n is None:
@@ -492,5 +493,6 @@ def run_demo(name: str, n=None, type_=None, bound=None, max_d=None) -> DemoResul
     if bound is not None and name in ("ex-4.1", "ex-4.2", "ex-5.3", "lemma-5.4"):
         kwargs["bound"] = bound  # parallel.check_bound refuses a non-int
     if max_d is not None and name == "obstruction-table":
-        kwargs["max_d"] = int(max_d)
+        _check_int("--max-d", max_d)
+        kwargs["max_d"] = max_d
     return DEMOS[name](**kwargs)

@@ -21,6 +21,7 @@ from .torus import (
     SubvarietyEmbedding,
     TorsionPoint,
     ambient_to_lattice,
+    standard_diagonal,
     standard_gram,
 )
 
@@ -97,37 +98,17 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
         ):
             raise DocumentError(f"gram must be a {2 * n} x {2 * n} integer matrix")
     else:
-        gram = _infer_standard_gram(periods, n)
+        D = standard_diagonal(periods)
+        if D is None:
+            raise DocumentError(
+                "cannot infer the pairing: right period block is not a diagonal of "
+                "positive integers; supply a gram matrix"
+            )
+        gram = standard_gram(D)
     assumptions = doc.get("assumptions", "")
     if not isinstance(assumptions, str):
         raise DocumentError("assumptions must be a string")
     return PolarisedTorus(gens, periods, gram, assumptions)
-
-
-def _infer_standard_gram(periods, n):
-    diag = []
-    for i in range(n):
-        for j in range(n):
-            x = periods[i][n + j]
-            if not x.is_constant():
-                raise DocumentError(
-                    "cannot infer the pairing: right period block is not constant; "
-                    "supply a gram matrix"
-                )
-            v = x.constant_value()
-            if i == j:
-                if v.denominator != 1 or v <= 0:
-                    raise DocumentError(
-                        "cannot infer the pairing: right block diagonal entry "
-                        f"({i},{i}) = {v} is not a positive integer"
-                    )
-                diag.append(int(v))
-            elif v != 0:
-                raise DocumentError(
-                    "cannot infer the pairing: right period block is not diagonal; "
-                    "supply a gram matrix"
-                )
-    return standard_gram(diag)
 
 
 # -- points --------------------------------------------------------------------

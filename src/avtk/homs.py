@@ -57,6 +57,7 @@ from .scalars import FormalScalar, monomial_flatten
 from .torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
+    constant_right_block,
     restricted_polarisation,
 )
 from .parallel import check_bound, pencil_search
@@ -133,21 +134,16 @@ class HomGenerator:
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
 
 
-def _constant_right_block(T: PolarisedTorus):
+def _right_block_inverse(T: PolarisedTorus):
     """(DI, dI) with D_T^-1 = DI / dI for the right period block D_T, DI an
     integer matrix: with row i of D_T over its denominator e_i,
     D_T = diag(e)^-1 D' for an integer D', so D_T^-1 = adj(D') diag(e) / det(D').
     """
-    rows = []
-    for i, row in enumerate(T.right_block()):
-        for j, x in enumerate(row):
-            if not x.is_constant():
-                raise PreconditionError(
-                    f"right period block entry ({i},{j}) = {x} is not constant; "
-                    "bring the torus to a frame with a constant right block first"
-                )
-        rows.append([x.constant_value() for x in row])
-    scaled = _over_common_denominator(rows)
+    R = constant_right_block(T.periods)
+    if R is None:
+        raise PreconditionError("right period block is not constant; bring the torus "
+                                "to a frame with a constant right block first")
+    scaled = _over_common_denominator(R)
     try:
         adj, dI = int_inverse([v for v, _ in scaled])
     except ValueError:
@@ -167,7 +163,7 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
-    DI, dI = _constant_right_block(X)
+    DI, dI = _right_block_inverse(X)
     px, py = monomial_flatten(X.periods), monomial_flatten(Y.periods)
     # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
     dW, DIt = dI * px[0], transpose(DI)

@@ -131,6 +131,10 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     (the coordinates C are determined by H).  The basis returned is the
     Hermite basis of the projection, and every element is re-verified
     against the containment it encodes, over the same integer polynomials.
+
+    The family is frame-bound by contract: H is read in the given complex
+    frames of A and Ahat, so a constant change of either frame can drop
+    it to rank 0 even where a principal polarisation exists.
     """
     if A.gens != Ahat.gens:
         raise PreconditionError("tori live over different generator sets")
@@ -235,11 +239,3 @@ def obstruction_report(d: int) -> dict:
     squares = {(x * x) % d for x in range(d)}
     return {"d": d, "obstruction": d - 1 not in squares, "squares": sorted(squares)}
 
-
-def obstruction_check(d: int) -> bool:
-    """True when -1 is not a square modulo d.
-
-    When true, d*k*m - h*h = 1 has no integer solutions, which rules out
-    unimodular members in families whose determinant has that shape.
-    """
-    return obstruction_report(d)["obstruction"]

@@ -5,6 +5,8 @@ polynomial entries together with an alternating nondegenerate integer form
 (the gram matrix of the polarisation) on the lattice basis.  The frame
 [Z | D] with Z symmetric and D a positive integer diagonal is called a
 standard frame; in that frame the gram matrix is [[0, D], [-D, 0]].
+standard_torus builds such a frame, and constant_right_block and
+standard_diagonal are the only readers of a right period block.
 
 Analytic assumptions (for instance that the imaginary part of Z is
 positive definite) cannot be expressed over Q; they live in the
@@ -163,10 +165,6 @@ class PolarisedTorus:
 
     # -- frames ---------------------------------------------------------
 
-    def right_block(self):
-        n = self.dim
-        return [[row[n + j] for j in range(n)] for row in self.periods]
-
     def left_block(self):
         n = self.dim
         return [[row[j] for j in range(n)] for row in self.periods]
@@ -174,30 +172,15 @@ class PolarisedTorus:
     def standard_frame_diagonal(self):
         """The diagonal D if this is a standard frame [Z | D], else None.
 
-        Standard means: right block a constant positive integer diagonal,
-        left block symmetric, gram equal to [[0, D], [-D, 0]].
+        Standard means: right block diag(D) for positive integers D
+        (standard_diagonal), left block symmetric, gram equal to
+        [[0, D], [-D, 0]].
         """
-        n = self.dim
-        R = self.right_block()
-        D = []
-        for i in range(n):
-            for j in range(n):
-                x = R[i][j]
-                if i == j:
-                    if not (x.is_constant() and x.constant_value().denominator == 1
-                            and x.constant_value() > 0):
-                        return None
-                    D.append(int(x.constant_value()))
-                elif not x.is_zero():
-                    return None
+        D = standard_diagonal(self.periods)
         Z = self.left_block()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if Z[i][j] != Z[j][i]:
-                    return None
-        if not mat_eq([list(r) for r in self.gram], standard_gram(D)):
+        if D is None or any(Z[i][j] != Z[j][i] for i in range(self.dim) for j in range(i)):
             return None
-        return D
+        return D if mat_eq([list(r) for r in self.gram], standard_gram(D)) else None
 
     # -- the polarisation -------------------------------------------------
 
@@ -350,31 +333,19 @@ class PolarisedTorus:
         n = self.dim
         Z = self.left_block()
         c = min(D) * max(D)
-        lams = []
-        for d in D:
-            if c % d:
-                raise PreconditionError(
-                    f"diagonal {tuple(D)} is not a divisibility chain when sorted"
-                )
-            lams.append(c // d)
-        raw = []
-        for i in range(n):
-            row = [Z[i][j] * Fraction(lams[i], D[j]) for j in range(n)]
-            row += [self.gens.constant(lams[i] if i == j else 0) for j in range(n)]
-            raw.append(row)
+        if any(c % d for d in D):
+            raise PreconditionError(f"diagonal {tuple(D)} is not a divisibility chain when sorted")
+        lams = [c // d for d in D]
+        scaled = [[Z[i][j] * Fraction(lams[i], D[j]) for j in range(n)] for i in range(n)]
+        raw = standard_torus(self.gens, scaled, lams)
         perm = sorted(range(n), key=lambda i: (lams[i], i))  # stable ascending
-        new_periods = []
-        for i in perm:
-            left = [raw[i][perm[j]] for j in range(n)]
-            right = [raw[i][n + perm[j]] for j in range(n)]
-            new_periods.append(left + right)
-        new_D = [lams[i] for i in perm]
-        torus = PolarisedTorus(self.gens, new_periods, standard_gram(new_D), self.assumptions)
+        torus = standard_torus(self.gens, [[raw.periods[i][j] for j in perm] for i in perm],
+                               [lams[i] for i in perm], self.assumptions)
         return DualResult(
             torus=torus,
             scalings=tuple(lams),
             permutation=tuple(perm),
-            display_periods=tuple(tuple(r) for r in raw),
+            display_periods=raw.periods,
         )
 
 
@@ -486,6 +457,34 @@ def standard_gram(D):
         E[i][n + i] = int(d)
         E[n + i][i] = -int(d)
     return E
+
+
+def standard_torus(gens: GeneratorSet, Z, D, assumptions: str = "") -> PolarisedTorus:
+    """The torus [Z | diag(D)] with the form standard_gram(D); the
+    optional ``assumptions`` string is the constructor's."""
+    n = len(D)
+    periods = [list(Z[i]) + [D[i] if j == i else 0 for j in range(n)] for i in range(n)]
+    return PolarisedTorus(gens, periods, standard_gram(D), assumptions)
+
+
+def constant_right_block(periods):
+    """The right n x n block of an n x 2n period matrix as Fractions, or
+    None when an entry is not constant."""
+    n = len(periods)
+    block = [row[n:] for row in periods]
+    if not all(x.is_constant() for row in block for x in row):
+        return None
+    return [[x.constant_value() for x in row] for row in block]
+
+
+def standard_diagonal(periods):
+    """D when the right period block is diag(D) with D positive integers,
+    else None."""
+    R = constant_right_block(periods)
+    if R is None or any((x.denominator != 1 or x <= 0) if i == j else x
+                        for i, row in enumerate(R) for j, x in enumerate(row)):
+        return None
+    return [int(row[i]) for i, row in enumerate(R)]
 
 
 def pairing_type(E):

@@ -34,6 +34,7 @@ from avtk.torus import (
     QuotientResult,
     SubvarietyEmbedding,
     TorsionPoint,
+    constant_right_block,
     restricted_polarisation,
     subgroup_lattice,
 )
@@ -245,8 +246,8 @@ def dense_flatten_to_int(*matrices):
 
 def right_block_inverse(T):
     """D_T^-1 over Fractions through rat_inv, the reference for the integer
-    pair (DI, dI) of homs._constant_right_block."""
-    return rat_inv([[x.constant_value() for x in row] for row in T.right_block()])
+    pair (DI, dI) of homs._right_block_inverse."""
+    return rat_inv(constant_right_block(T.periods))
 
 
 def dual_hom(f: HomGenerator, dual_domain: DualResult | None = None,

@@ -30,7 +30,7 @@ from avtk.intlinalg import (
     symplectic_basis,
     transpose,
 )
-from avtk.ppsearch import obstruction_check, pp_search
+from avtk.ppsearch import obstruction_report, pp_search
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, ambient_to_lattice, pairing_type, product, standard_gram
 from avtk.verdicts import Found
@@ -190,7 +190,7 @@ def test_08_rank_three_family_obstruction(criterion):
             "bound": 25, "tested": 51 ** 3, "found": False, "family_rank": 3,
         }
         assert res.payload["obstruction"]["squares"] == [0, 1]
-        assert obstruction_check(3) is True
+        assert obstruction_report(3)["obstruction"] is True
 
     criterion(8, "rank-3 family obstruction", 120.0, body)
 

@@ -135,6 +135,20 @@ def test_precondition_exits_two(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("periods", [
+    [["1", "t"]],                                # right block not constant
+    [["t", "0", "1", "1"], ["0", "t", "1", "1"]],  # constant, singular over Q
+])
+def test_hom_refuses_a_source_without_an_invertible_constant_right_block(
+        tmp_path, capsys, periods):
+    n = len(periods)
+    x = write_doc(tmp_path / "x.json", {"generators": ["t"], "dim": n, "periods": periods,
+                                        "gram": standard_gram([1] * n)})
+    assert run_cli(["hom", x, x]) == 2
+    err = capsys.readouterr().err
+    assert "right period block" in err and err.count("\n") == 1
+
+
 def test_bounded_searches_exit_three(tmp_path, capsys):
     E = PolarisedTorus(G, [[TAU, 1]], standard_gram([1]))
     E2 = PolarisedTorus(G, [[TAU, 2]], standard_gram([2]))

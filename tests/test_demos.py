@@ -182,3 +182,18 @@ def test_run_demo_passes_the_bound_to_the_search_check_unchanged(name, bound):
     # a library caller's 2.7, True or "3" is refused, not searched as 2, 1 or 3
     with pytest.raises(PreconditionError, match="search bound must be an int"):
         run_demo(name, bound=bound)
+
+
+@pytest.mark.parametrize("name", ["ex-4.1", "ex-4.2", "thm-3.2-generic"])
+@pytest.mark.parametrize("n", [2.7, True, "3"])
+def test_run_demo_refuses_a_dimension_that_is_not_an_int(name, n):
+    # 2.7 was truncated to n = 2, which built type [1, 3]
+    with pytest.raises(PreconditionError, match="--n must be an int"):
+        run_demo(name, n=n)
+
+
+@pytest.mark.parametrize("max_d", [12.9, True, "12"])
+def test_run_demo_refuses_a_table_bound_that_is_not_an_int(max_d):
+    # 12.9 was truncated, so the table stopped at d = 12
+    with pytest.raises(PreconditionError, match="--max-d must be an int"):
+        run_demo("obstruction-table", max_d=max_d)

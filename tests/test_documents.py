@@ -92,6 +92,28 @@ def test_torus_doc_validation_errors():
         torus_from_doc(doc2)
 
 
+@pytest.mark.parametrize("right", [
+    [["t", "0"], ["0", "3"]],    # not constant
+    [["1", "1"], ["0", "3"]],    # not diagonal
+    [["1/2", "0"], ["0", "3"]],  # not an integer
+    [["0", "0"], ["0", "3"]],    # zero
+    [["1", "0"], ["0", "-3"]],   # negative
+])
+def test_torus_doc_without_gram_refuses_a_non_standard_right_block(right):
+    doc = {"generators": ["t"], "dim": 2,
+           "periods": [["t", "0"] + right[0], ["0", "t"] + right[1]]}
+    with pytest.raises(DocumentError, match="cannot infer the pairing"):
+        torus_from_doc(doc)
+
+
+def test_standard_torus_doc_without_gram_loads_equal_to_one_with_it():
+    doc = {"generators": ["t"], "dim": 2,
+           "periods": [["t", "2*t", "1", "0"], ["2*t", "t*t", "0", "3"]],
+           "gram": standard_gram([1, 3])}
+    without = {key: value for key, value in doc.items() if key != "gram"}
+    assert torus_from_doc(without) == torus_from_doc(doc)
+
+
 # -- point documents --------------------------------------------------------------
 
 def test_point_doc_round_trip_lattice_basis():

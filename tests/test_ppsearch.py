@@ -9,7 +9,6 @@ from avtk.ppsearch import (
     AdmissibleFamily,
     PPCandidate,
     admissible_family,
-    obstruction_check,
     obstruction_report,
     pp_search,
 )
@@ -193,17 +192,17 @@ def test_pp_search_with_prebuilt_family():
 
 # -- the residue obstruction ------------------------------------------------------------
 
-def test_obstruction_check_table():
+def test_obstruction_report_table():
     expected_true = {3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 16, 18, 19, 20}
     for d in range(2, 21):
-        assert obstruction_check(d) is (d in expected_true), d
+        assert obstruction_report(d)["obstruction"] is (d in expected_true), d
 
 
-def test_obstruction_check_rejects_small_d():
+def test_obstruction_report_rejects_moduli_out_of_range():
     with pytest.raises(PreconditionError):
-        obstruction_check(1)
+        obstruction_report(1)
     with pytest.raises(PreconditionError):
-        obstruction_check(MAX_MODULUS + 1)
+        obstruction_report(MAX_MODULUS + 1)
 
 
 def test_obstruction_report_lists_the_squares():

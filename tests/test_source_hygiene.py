@@ -6,6 +6,8 @@ function or class whose name starts with '_' must be referred to outside
 its own definition, so that a deletion leaves no dead import or private
 helper behind.  Only scalars.py reads the term map of a FormalScalar, so
 formal matrices reach integers by one route, scalars.monomial_flatten.
+Only scalars.py and torus.py ask whether a scalar is constant, so the
+right period block of a frame is read by one set of helpers in torus.py.
 """
 
 import ast
@@ -99,3 +101,13 @@ def test_only_scalars_reads_the_term_map(path):
     lines = sorted(node.lineno for node in ast.walk(_tree(path))
                    if isinstance(node, ast.Attribute) and node.attr == "terms")
     assert not lines, f"{path.name} reads .terms on lines {lines}; use monomial_flatten"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("scalars.py", "torus.py")],
+                         ids=lambda p: p.name)
+def test_only_torus_reads_constant_period_entries(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("is_constant", "constant_value"))
+    assert not lines, (f"{path.name} reads a constant on lines {lines}; "
+                       "use torus.constant_right_block or torus.standard_diagonal")
