@@ -203,7 +203,7 @@ def _run_command(args):
         d = T.dual()
         payload = {
             "torus": torus_to_doc(d.torus),
-            "display_periods": scalar_matrix_doc(d.display_periods),
+            "display_periods": scalar_matrix_doc(d.display.periods),
             "scalings": list(d.scalings),
             "permutation": list(d.permutation),
             "type": list(d.torus.polarisation_type()),

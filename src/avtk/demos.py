@@ -21,7 +21,7 @@ from .documents import scalar_matrix_doc, torus_to_doc
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
 from .errors import PreconditionError
 from .homs import hom_module, idempotent, isom_search
-from .intlinalg import det, matmul, span_equal, transpose
+from .intlinalg import det, mat_eq, matmul, span_equal, transpose
 from .ppsearch import (
     MAX_MODULUS,
     admissible_family,
@@ -36,7 +36,6 @@ from .torus import (
     ambient_to_lattice,
     product,
     restricted_polarisation,
-    standard_gram,
     standard_torus,
     subgroup_lattice,
 )
@@ -66,19 +65,27 @@ def _lattice_coords(T, vector):
         return None
 
 
+def _lattice_column(T, vector, label, checks):
+    """The lattice coordinates of vector as ints, after checking by label
+    that they exist and are integral."""
+    col = _lattice_coords(T, vector)
+    _check(label, col is not None and all(x.denominator == 1 for x in col), checks)
+    return [int(x) for x in col]
+
+
 def parse_type(text) -> tuple:
-    try:
-        if isinstance(text, (tuple, list)):
-            parts = [int(x) for x in text]
-        else:
-            parts = [int(p) for p in str(text).split(",")]
-    except ValueError:
-        raise PreconditionError(
-            f"type must be comma-separated integers, e.g. 1,3; got {text!r}"
-        ) from None
-    if not parts or any(d < 1 for d in parts):
+    if not isinstance(text, (tuple, list)):
+        try:
+            text = [int(p) for p in str(text).split(",")]
+        except ValueError:
+            raise PreconditionError(
+                f"type must be comma-separated integers, e.g. 1,3; got {text!r}"
+            ) from None
+    for d in text:
+        _check_int("a type entry", d)
+    if not text or any(d < 1 for d in text):
         raise PreconditionError("type must be positive integers, e.g. 1,3")
-    return tuple(parts)
+    return tuple(text)
 
 
 def _validate_quotient_type(dtype, n):
@@ -123,12 +130,12 @@ def symmetric_names(k: int, stem: str = "b"):
 
 
 def quotient_display(gens: GeneratorSet, tau_name: str, left_B, dtype):
-    """The period matrix of the quotient in the adapted bases.
+    """The quotient in the adapted bases, as a torus in a standard frame.
 
     The ambient basis is (e1 - en, e2, ..., en) and the lattice basis is
     (f1, ..., f_{n-1}, fn + f1, e1 - en, d2 e2, ..., dn en); the right
     block comes out diagonal (1, d2, ..., dn) and the left block P
-    symmetric.  Returns the rows of standard_torus(gens, P, dtype).
+    symmetric.  Returns standard_torus(gens, P, dtype).
     """
     n = len(dtype)
     dn = dtype[-1]
@@ -144,7 +151,7 @@ def quotient_display(gens: GeneratorSet, tau_name: str, left_B, dtype):
     for i in range(1, n):
         P[i][n - 1] = P[i][n - 1] + left_B[i - 1][n - 2]
     P[n - 1][n - 1] = P[n - 1][n - 1] + dn * tau
-    return [list(row) for row in standard_torus(gens, P, dtype).periods]
+    return standard_torus(gens, P, dtype)
 
 
 def ambient_shift(n: int):
@@ -180,33 +187,29 @@ def _quotient_pipeline(gens, E, factors, dtype, checks, payload):
            checks)
     payload["product_type"] = list(expected_product_type)
     payload["quotient_type"] = list(dtype)
-    return prod, point, qres, A
+    return prod, A
 
 
-def _display_replay(gens, A, display, dtype, checks, payload):
-    """Span equality with the displayed frame plus the exact base change."""
-    n = len(dtype)
+def _display_replay(A, display, checks, payload):
+    """Span equality with the display torus plus the exact base change."""
+    n = A.dim
     S = ambient_shift(n)
     Sinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     Sinv[n - 1][0] = -1
-    shifted = matmul(S, [list(r) for r in A.periods])
-    _check("display span", span_equal(shifted, display, gens), checks)
-    old_cols = matmul(Sinv, display)
-    U = []
-    for j in range(2 * n):
-        col = _lattice_coords(A, [old_cols[i][j] for i in range(n)])
-        _check(f"display column {j} lies in the lattice",
-               col is not None and all(x.denominator == 1 for x in col), checks)
-        U.append([int(x) for x in col])
-    U = transpose(U)
+    shifted = matmul(S, A.periods)
+    _check("display span", span_equal(shifted, display.periods, A.gens), checks)
+    old_cols = matmul(Sinv, display.periods)
+    U = transpose([_lattice_column(A, [old_cols[i][j] for i in range(n)],
+                                   f"display column {j} lies in the lattice", checks)
+                   for j in range(2 * n)])
     _check("base change unimodular", abs(det(U)) == 1, checks)
-    replay = matmul(S, matmul([list(r) for r in A.periods], U))
+    replay = matmul(S, matmul(A.periods, U))
     _check("display entrywise",
-           all(replay[i][j] == display[i][j] for i in range(n) for j in range(2 * n)),
+           all(replay[i][j] == display.periods[i][j] for i in range(n) for j in range(2 * n)),
            checks)
-    gram_t = matmul(transpose(U), matmul([list(r) for r in A.gram], U))
-    _check("display frame is standard", gram_t == standard_gram(list(dtype)), checks)
-    payload["display"] = scalar_matrix_doc(display)
+    gram_t = matmul(transpose(U), matmul(A.gram, U))
+    _check("display frame is standard", mat_eq(gram_t, display.gram), checks)
+    payload["display"] = scalar_matrix_doc(display.periods)
     payload["base_change"] = [list(r) for r in U]
 
 
@@ -218,30 +221,24 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
     checks, payload = {}, {}
     E = scaled_curve(gens, "tau_E", dn)
     factors = [typed_curve(gens, "tau_F", d) for d in dtype[1:]]
-    prod, point, qres, A = _quotient_pipeline(gens, E, factors, dtype, checks, payload)
+    prod, A = _quotient_pipeline(gens, E, factors, dtype, checks, payload)
 
     tauF = gens.scalar("tau_F")
     left_B = [[(tauF if i == j else gens.zero()) for j in range(n - 1)] for i in range(n - 1)]
     display = quotient_display(gens, "tau_E", left_B, dtype)
-    _display_replay(gens, A, display, dtype, checks, payload)
+    _display_replay(A, display, checks, payload)
 
     tauE = gens.scalar("tau_E")
-    e_cols = []
-    for vec in ([dn * tauE] + [gens.zero()] * (n - 1), [gens.constant(dn)] + [gens.zero()] * (n - 1)):
-        col = _lattice_coords(A, list(vec))
-        _check("factor vector lies in the lattice",
-               col is not None and all(x.denominator == 1 for x in col), checks)
-        e_cols.append([int(x) for x in col])
+    e_cols = [_lattice_column(A, vec, "factor vector lies in the lattice", checks)
+              for vec in ([dn * tauE] + [gens.zero()] * (n - 1),
+                          [gens.constant(dn)] + [gens.zero()] * (n - 1))]
     emb_E = SubvarietyEmbedding.from_spanning_vectors(A, e_cols)
     b_cols = []
     for i, d in enumerate(dtype[1:]):
         for entry in (tauF, gens.constant(d)):
             vec = [gens.zero()] * n
             vec[i + 1] = entry
-            col = _lattice_coords(A, vec)
-            _check("factor vector lies in the lattice",
-                   col is not None and all(x.denominator == 1 for x in col), checks)
-            b_cols.append([int(x) for x in col])
+            b_cols.append(_lattice_column(A, vec, "factor vector lies in the lattice", checks))
     emb_B = SubvarietyEmbedding.from_spanning_vectors(A, b_cols)
     _check("curve restricted type", restricted_polarisation(A, emb_E)[1] == (dn,), checks)
     _check("complement restricted type",
@@ -263,35 +260,38 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
 
     _check("no maps between the factors", len(hom_module(E, factors[0])) == 0, checks)
     _check("curve endomorphisms", len(hom_module(E, E)) == 1, checks)
-    return _self_dual_search("ex-4.1", gens, display, dtype, bound, prod, A, checks, payload)
+    return _self_dual_search("ex-4.1", display, bound, prod, A, checks, payload)
+
+
+def _generic_quotient(n, type_, checks, payload):
+    """The set-up of ex-4.2 and thm-3.2-generic: (gens, dtype, E, B, E x B,
+    A), with B generic of type dtype[1:] and A the quotient of E x B."""
+    dtype = parse_type(type_) if type_ is not None else (1,) + (3,) * (n - 1)
+    _validate_quotient_type(dtype, n)
+    names = symmetric_names(n - 1)
+    gens = GeneratorSet(("tau_E",) + tuple(x for row in names for x in row))
+    E = scaled_curve(gens, "tau_E", dtype[-1])
+    B = generic_variety(gens, names, list(dtype[1:]))
+    return (gens, dtype, E, B) + _quotient_pipeline(gens, E, [B], dtype, checks, payload)
 
 
 def demo_ex_4_2(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
-    dtype = parse_type(type_) if type_ is not None else (1,) + (3,) * (n - 1)
-    _validate_quotient_type(dtype, n)
-    dn = dtype[-1]
-    names = symmetric_names(n - 1)
-    gens = GeneratorSet(("tau_E",) + tuple(x for row in names for x in row))
     checks, payload = {}, {}
-    E = scaled_curve(gens, "tau_E", dn)
-    B = generic_variety(gens, names, list(dtype[1:]))
-    prod, point, qres, A = _quotient_pipeline(gens, E, [B], dtype, checks, payload)
-    left_B = B.left_block()
-    display = quotient_display(gens, "tau_E", left_B, dtype)
-    _display_replay(gens, A, display, dtype, checks, payload)
+    gens, dtype, E, B, prod, A = _generic_quotient(n, type_, checks, payload)
+    display = quotient_display(gens, "tau_E", B.left_block(), dtype)
+    _display_replay(A, display, checks, payload)
     _check("no maps into the generic factor", len(hom_module(E, B)) == 0, checks)
-    return _self_dual_search("ex-4.2", gens, display, dtype, bound, prod, A, checks, payload)
+    return _self_dual_search("ex-4.2", display, bound, prod, A, checks, payload)
 
 
-def _self_dual_search(name, gens, display, dtype, bound, prod, A, checks, payload):
+def _self_dual_search(name, display, bound, prod, A, checks, payload):
     """The end of ex-4.1 and ex-4.2: the quotient A is not isomorphic to its dual.
 
-    The dual and the isomorphism search run in the replayed standard frame,
-    which the base-change check proved is the same torus as A.
+    The dual and the isomorphism search run in the display frame, which
+    the base-change check proved is the same torus as A.
     """
-    A_std = standard_torus(gens, [row[:len(dtype)] for row in display], dtype)
-    dual_res = A_std.dual()
-    search = isom_search(A_std, dual_res.torus, bound=bound)
+    dual_res = display.dual()
+    search = isom_search(display, dual_res.torus, bound=bound)
     _check("self-dual search exhausted", isinstance(search, NotFoundUpToBound), checks)
     payload["isom_search"] = {"bound": bound, "tested": search.tested, "found": False}
     payload["checks"] = checks
@@ -302,22 +302,15 @@ def _self_dual_search(name, gens, display, dtype, bound, prod, A, checks, payloa
         documents={
             "product": torus_to_doc(prod),
             "quotient": torus_to_doc(A),
-            "quotient-standard": torus_to_doc(A_std),
+            "quotient-standard": torus_to_doc(display),
             "dual": torus_to_doc(dual_res.torus),
         },
     )
 
 
 def demo_thm_3_2(n: int = 2, type_=None) -> DemoResult:
-    dtype = parse_type(type_) if type_ is not None else (1,) + (3,) * (n - 1)
-    _validate_quotient_type(dtype, n)
-    dn = dtype[-1]
-    names = symmetric_names(n - 1)
-    gens = GeneratorSet(("tau_E",) + tuple(x for row in names for x in row))
     checks, payload = {}, {}
-    E = scaled_curve(gens, "tau_E", dn)
-    B = generic_variety(gens, names, list(dtype[1:]))
-    prod, point, qres, A = _quotient_pipeline(gens, E, [B], dtype, checks, payload)
+    *_, prod, A = _generic_quotient(n, type_, checks, payload)
     payload["checks"] = checks
     return DemoResult(
         name="thm-3.2-generic",
@@ -326,29 +319,24 @@ def demo_thm_3_2(n: int = 2, type_=None) -> DemoResult:
     )
 
 
-def _surface_pair(gens, d: int = 3):
-    """The generic surface of type (1, d) and its dual in the display frame."""
+def surface_pair(gens: GeneratorSet, d: int):
+    """The generic surface S of type (1, d) in the generators a, b, c, and
+    its dual in the display frame, S.dual().display, of type (d, 1)."""
     a, b, c = (gens.scalar(x) for x in ("a", "b", "c"))
     S = standard_torus(gens, [[a, b], [b, c]], [1, d])
-    dual_res = S.dual()
-    Sd = PolarisedTorus(gens, [list(r) for r in dual_res.display_periods], standard_gram([d, 1]))
-    return S, Sd, dual_res
+    return S, S.dual().display
 
 
 def demo_ex_5_3(bound: int = 25) -> DemoResult:
     gens = GeneratorSet(("a", "b", "c"))
     checks, payload = {}, {}
     a, b, c = (gens.scalar(x) for x in ("a", "b", "c"))
-    S, Sd, dual_res = _surface_pair(gens, 3)
+    S, Sd = surface_pair(gens, 3)
     golden_dual = [[3 * a, b, gens.constant(3), gens.zero()],
                    [b, c / 3, gens.zero(), gens.one()]]
-    _check("dual display matrix",
-           all(dual_res.display_periods[i][j] == golden_dual[i][j]
-               for i in range(2) for j in range(4)), checks)
-    dd = Sd.dual()  # the display frame of the dual, fed back through dual()
-    _check("double dual returns the original",
-           all(dd.display_periods[i][j] == S.periods[i][j] for i in range(2) for j in range(4)),
-           checks)
+    _check("dual display matrix", mat_eq(Sd.periods, golden_dual), checks)
+    # the display frame of the dual, fed back through dual()
+    _check("double dual returns the original", Sd.dual().display.periods == S.periods, checks)
     A = product([S, Sd])
     Ahat = product([Sd, S])
     payload["period_matrix"] = scalar_matrix_doc(A.periods)
@@ -385,7 +373,7 @@ def demo_ex_5_3(bound: int = 25) -> DemoResult:
 def demo_lemma_5_4(bound: int = 25) -> DemoResult:
     gens = GeneratorSet(("a", "b", "c"))
     checks, payload = {}, {}
-    S, Sd, _ = _surface_pair(gens, 3)
+    S, Sd = surface_pair(gens, 3)
     A = product([S, Sd])
     Ahat = product([Sd, S])
     fam = admissible_family(A, Ahat)

@@ -22,7 +22,7 @@ from .torus import (
     TorsionPoint,
     ambient_to_lattice,
     standard_diagonal,
-    standard_gram,
+    standard_torus,
 )
 
 
@@ -90,8 +90,8 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
     if not _is_matrix(rows, n, 2 * n):
         raise DocumentError(f"periods must be a {n} x {2 * n} matrix of expressions")
     periods = [[parse_scalar(gens, str(x)) for x in row] for row in rows]
-    if "gram" in doc and doc["gram"] is not None:
-        gram = doc["gram"]
+    gram = doc.get("gram")
+    if gram is not None:
         # bool is an int subclass, and int() would truncate floats and parse strings
         if not _is_matrix(gram, 2 * n, 2 * n) or any(
             type(x) is not int for row in gram for x in row
@@ -104,10 +104,11 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
                 "cannot infer the pairing: right period block is not a diagonal of "
                 "positive integers; supply a gram matrix"
             )
-        gram = standard_gram(D)
     assumptions = doc.get("assumptions", "")
     if not isinstance(assumptions, str):
         raise DocumentError("assumptions must be a string")
+    if gram is None:
+        return standard_torus(gens, [row[:n] for row in periods], D, assumptions)
     return PolarisedTorus(gens, periods, gram, assumptions)
 
 

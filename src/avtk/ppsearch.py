@@ -198,12 +198,15 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     coefficients as a PPCandidate and re-verified, with integer minors
     and symbolically, before being returned.  A search that the
     determinant does not rule out and that has more than
-    parallel.MAX_CANDIDATES vectors raises PreconditionError, and so does
-    a bound that is not an int of at least 1, before any work.
+    parallel.MAX_CANDIDATES vectors raises PreconditionError, and so do
+    a bound that is not an int of at least 1 and a ``family`` built for
+    other tori than A and Ahat, before any work.
     """
     check_bound(bound)
     if family is None:
         family = admissible_family(A, Ahat)
+    elif family.source != A or family.target != Ahat:
+        raise PreconditionError("the admissible family was built for other tori")
     if family.rank == 0:
         return NotFoundUpToBound(bound=bound, tested=0)
     n = A.dim

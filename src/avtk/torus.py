@@ -320,9 +320,9 @@ class PolarisedTorus:
         which is the unique scaling producing an integral standard frame
         carrying the dual polarisation; rows and columns are then stably
         reordered so the new diagonal ascends.  Scalings and the
-        permutation are recorded, and the pre-permutation frame is kept for
-        display.  On divisibility-ordered input, dual of dual returns the
-        original torus exactly.
+        permutation are recorded, and the pre-permutation frame is returned
+        as the torus ``display``.  On divisibility-ordered input, dual of
+        dual returns the original torus exactly.
         """
         D = self.standard_frame_diagonal()
         if D is None:
@@ -337,15 +337,15 @@ class PolarisedTorus:
             raise PreconditionError(f"diagonal {tuple(D)} is not a divisibility chain when sorted")
         lams = [c // d for d in D]
         scaled = [[Z[i][j] * Fraction(lams[i], D[j]) for j in range(n)] for i in range(n)]
-        raw = standard_torus(self.gens, scaled, lams)
+        display = standard_torus(self.gens, scaled, lams, self.assumptions)
         perm = sorted(range(n), key=lambda i: (lams[i], i))  # stable ascending
-        torus = standard_torus(self.gens, [[raw.periods[i][j] for j in perm] for i in perm],
+        torus = standard_torus(self.gens, [[display.periods[i][j] for j in perm] for i in perm],
                                [lams[i] for i in perm], self.assumptions)
         return DualResult(
             torus=torus,
             scalings=tuple(lams),
             permutation=tuple(perm),
-            display_periods=raw.periods,
+            display=display,
         )
 
 
@@ -381,15 +381,17 @@ class QuotientResult:
 
 
 class DualResult:
-    """A dual torus plus the recorded row scalings and reordering."""
+    """A dual torus plus the recorded row scalings and reordering.  ``display``
+    is the dual before the reordering: [Z D^-1 | I] with row i scaled by
+    scalings[i], in a standard frame with the form of its diagonal."""
 
-    __slots__ = ("torus", "scalings", "permutation", "display_periods")
+    __slots__ = ("torus", "scalings", "permutation", "display")
 
-    def __init__(self, torus, scalings, permutation, display_periods):
+    def __init__(self, torus, scalings, permutation, display):
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "scalings", scalings)
         object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "display_periods", display_periods)
+        object.__setattr__(self, "display", display)
 
     def __setattr__(self, *args):
         raise AttributeError("DualResult is immutable")

@@ -15,6 +15,7 @@ from avtk.demos import (
 )
 from avtk.errors import PreconditionError
 from avtk.scalars import GeneratorSet
+from avtk.torus import standard_torus
 
 
 def test_demo_list_is_complete():
@@ -35,6 +36,15 @@ def test_parse_type():
     assert parse_type((1, 3)) == (1, 3)
     with pytest.raises(PreconditionError):
         parse_type("1,x")
+
+
+@pytest.mark.parametrize("type_", [[1, 3.7], (True, 3), [1, "3"]])
+def test_parse_type_refuses_a_list_item_that_is_not_an_int(type_):
+    # 3.7 was truncated to 3 and True read as 1
+    with pytest.raises(PreconditionError, match="a type entry must be an int"):
+        parse_type(type_)
+    with pytest.raises(PreconditionError, match="a type entry must be an int"):
+        run_demo("thm-3.2-generic", type_=type_)
 
 
 def test_run_demo_rejects_unknown_names():
@@ -66,9 +76,10 @@ def test_quotient_display_shape():
     gens = GeneratorSet(("tau_E", "tau_F"))
     tauF = gens.scalar("tau_F")
     display = quotient_display(gens, "tau_E", [[tauF]], (1, 3))
-    assert len(display) == 2 and len(display[0]) == 4
-    assert display[0][2] == gens.one()
-    assert display[1][3] == gens.constant(3)
+    assert len(display.periods) == 2 and len(display.periods[0]) == 4
+    assert display.periods[0][2] == gens.one()
+    assert display.periods[1][3] == gens.constant(3)
+    assert display.polarisation_type() == (1, 3)
 
 
 def test_display_replay_fails_its_check_on_a_column_off_the_periods(monkeypatch):
@@ -78,13 +89,14 @@ def test_display_replay_fails_its_check_on_a_column_off_the_periods(monkeypatch)
     tauE, tauF = gens.gens()
     dtype = (1, 3)
     E = scaled_curve(gens, "tau_E", 3)
-    *_, A = _quotient_pipeline(gens, E, [typed_curve(gens, "tau_F", 3)], dtype, {}, {})
-    display = quotient_display(gens, "tau_E", [[tauF]], dtype)
-    display[0][1] = display[0][1] + tauE * tauF
+    _, A = _quotient_pipeline(gens, E, [typed_curve(gens, "tau_F", 3)], dtype, {}, {})
+    # quotient_display's left block, with tau_E * tau_F added to entry (0, 1)
+    display = standard_torus(gens, [[3 * tauE, 3 * tauE + tauE * tauF],
+                                    [3 * tauE, tauF + 3 * tauE]], dtype)
     monkeypatch.setattr(demos, "span_equal", lambda *args: True)
     checks = {}
     with pytest.raises(AssertionError, match="display column 1 lies in the lattice"):
-        _display_replay(gens, A, display, dtype, checks, {})
+        _display_replay(A, display, checks, {})
     assert checks["display column 0 lies in the lattice"] is True
     assert checks["display column 1 lies in the lattice"] is False
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from avtk.demos import quotient_display, run_demo
+from avtk.demos import quotient_display, run_demo, surface_pair
 from avtk.documents import scalar_matrix_doc, torus_from_doc
 from avtk.errors import PreconditionError
 from avtk.homs import (
@@ -264,12 +264,9 @@ def test_hom_module_and_admissible_family_digest():
     # every family basis and coordinate matrix across changes to how the
     # linear systems are built
     G = GeneratorSet(("a", "b", "c"))
-    a, b, c = G.gens()
     pairs = []
     for d in (2, 3, 5, 7, 13):
-        S = PolarisedTorus(G, [[a, b, 1, 0], [b, c, 0, d]], standard_gram([1, d]))
-        Sd = PolarisedTorus(G, [list(r) for r in S.dual().display_periods],
-                            standard_gram([d, 1]))
+        S, Sd = surface_pair(G, d)
         for k in (1, 2, 3):
             A = product([(S, Sd)[i % 2] for i in range(k)])
             B = product([(Sd, S)[i % 2] for i in range(k)])
@@ -366,8 +363,7 @@ def _ex41_standard_and_dual(n=3):
     dtype = (1,) + (3,) * (n - 1)
     tauF = G2.scalar("tau_F")
     left_B = [[tauF if i == j else G2.zero() for j in range(n - 1)] for i in range(n - 1)]
-    X = PolarisedTorus(G2, quotient_display(G2, "tau_E", left_B, dtype),
-                       standard_gram(list(dtype)))
+    X = quotient_display(G2, "tau_E", left_B, dtype)
     return X, X.dual().torus
 
 

@@ -9,24 +9,22 @@ from itertools import product as iter_product
 import pytest
 
 from avtk import demos, homs, parallel, ppsearch
-from avtk.demos import run_demo
+from avtk.demos import run_demo, surface_pair
 from avtk.documents import torus_from_doc
 from avtk.errors import PreconditionError
 from avtk.homs import isom_search
 from avtk.ppsearch import admissible_family, pp_search
 from avtk.scalars import GeneratorSet
-from avtk.torus import PolarisedTorus, product, standard_gram
+from avtk.torus import product
 from avtk.verdicts import Found, NotFoundUpToBound
 from oracles import per_candidate_search
 
 G = GeneratorSet(("a", "b", "c"))
-A_, B_, C_ = G.gens()
 
 
 def swapped_pair(d):
     """A (1, d) surface times its dual, and the swapped product (ex-5.3 at d = 3)."""
-    S = PolarisedTorus(G, [[A_, B_, 1, 0], [B_, C_, 0, d]], standard_gram([1, d]))
-    Sd = PolarisedTorus(G, [list(r) for r in S.dual().display_periods], standard_gram([d, 1]))
+    S, Sd = surface_pair(G, d)
     return product([S, Sd]), product([Sd, S])
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from avtk.demos import surface_pair
 from avtk.errors import PreconditionError
 from avtk.intlinalg import matmul, period_identity_holds, span_equal, transpose
 from avtk.ppsearch import (
@@ -20,17 +21,10 @@ G = GeneratorSet(("a", "b", "c"))
 A_, B_, C_ = (G.scalar(x) for x in ("a", "b", "c"))
 
 
-def surface(d):
-    """Generic surface of type (1, d) in a standard frame."""
-    return PolarisedTorus(G, [[A_, B_, 1, 0], [B_, C_, 0, d]], standard_gram([1, d]))
-
-
 def swapped_pair(d):
     """The rank-4 product of a (1, d) surface and its dual, plus the
     matching model of the product's dual."""
-    S = surface(d)
-    dual_res = S.dual()
-    Sd = PolarisedTorus(G, [list(r) for r in dual_res.display_periods], standard_gram([d, 1]))
+    S, Sd = surface_pair(G, d)
     return product([S, Sd]), product([Sd, S])
 
 
@@ -188,6 +182,20 @@ def test_pp_search_with_prebuilt_family():
     fam = admissible_family(A, Ahat)
     res = pp_search(A, Ahat, bound=2, family=fam)
     assert isinstance(res, Found)
+
+
+def test_pp_search_refuses_a_family_built_for_other_tori():
+    # with the d = 7 family the d = 5 search enumerated 125 candidates and
+    # reported none, though its own family has a hit at candidate 42; the
+    # reverse call failed its own witness check with AssertionError
+    A5, B5 = swapped_pair(5)
+    A7, B7 = swapped_pair(7)
+    fam5, fam7 = admissible_family(A5, B5), admissible_family(A7, B7)
+    for A, Ahat, fam in ((A5, B5, fam7), (A7, B7, fam5), (A5, B5, admissible_family(A5, A5))):
+        with pytest.raises(PreconditionError, match="family was built for other tori"):
+            pp_search(A, Ahat, bound=2, family=fam)
+    res = pp_search(A5, B5, bound=2, family=fam5)
+    assert isinstance(res, Found) and res.tested == 42
 
 
 # -- the residue obstruction ------------------------------------------------------------

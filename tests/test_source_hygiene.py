@@ -7,7 +7,9 @@ its own definition, so that a deletion leaves no dead import or private
 helper behind.  Only scalars.py reads the term map of a FormalScalar, so
 formal matrices reach integers by one route, scalars.monomial_flatten.
 Only scalars.py and torus.py ask whether a scalar is constant, so the
-right period block of a frame is read by one set of helpers in torus.py.
+right period block of a frame is read by one set of helpers in torus.py,
+and only torus.py calls standard_gram, so a standard frame's form is
+built in one place.
 """
 
 import ast
@@ -111,3 +113,14 @@ def test_only_torus_reads_constant_period_entries(path):
                    and node.attr in ("is_constant", "constant_value"))
     assert not lines, (f"{path.name} reads a constant on lines {lines}; "
                        "use torus.constant_right_block or torus.standard_diagonal")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "torus.py"],
+                         ids=lambda p: p.name)
+def test_only_torus_builds_a_standard_form(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Call)
+                   and "standard_gram" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None)))
+    assert not lines, (f"{path.name} calls standard_gram on lines {lines}; "
+                       "use torus.standard_torus or a frame's own gram")

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
-from avtk.demos import run_demo  # noqa: E402
+from avtk.demos import run_demo, surface_pair  # noqa: E402
 from avtk.documents import torus_from_doc  # noqa: E402
 from avtk.homs import hom_module  # noqa: E402
 from avtk.intlinalg import det, det_polynomial, hnf, snf  # noqa: E402
 from avtk.scalars import GeneratorSet  # noqa: E402
-from avtk.torus import PolarisedTorus, product, standard_gram  # noqa: E402
+from avtk.torus import product  # noqa: E402
 
 entries = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
 
@@ -116,9 +116,7 @@ def _hom_nullity(X, Y):
 
 def _surface_pairs():
     G = GeneratorSet(("a", "b", "c"))
-    a, b, c = G.gens()
-    S = PolarisedTorus(G, [[a, b, 1, 0], [b, c, 0, 3]], standard_gram([1, 3]))
-    Sd = PolarisedTorus(G, [list(r) for r in S.dual().display_periods], standard_gram([3, 1]))
+    S, Sd = surface_pair(G, 3)
     pairs = [(S, Sd), (product([S, Sd]), product([Sd, S]))]
     tori = {k: torus_from_doc(v) for k, v in run_demo("ex-5.3").documents.items()}
     return pairs + [(tori["product"], tori["product-dual"])]

@@ -358,13 +358,18 @@ def test_dual_requires_standard_frame():
 def test_dual_permutation_and_display_are_consistent():
     names = GeneratorSet(("z11", "z12", "z22"))
     z11, z12, z22 = (names.scalar(x) for x in ("z11", "z12", "z22"))
-    T = PolarisedTorus(names, [[z11, z12, 1, 0], [z12, z22, 0, 3]], standard_gram([1, 3]))
+    T = PolarisedTorus(names, [[z11, z12, 1, 0], [z12, z22, 0, 3]], standard_gram([1, 3]),
+                       "Im(Z) > 0")
     d = T.dual()
     assert d.scalings == (3, 1)
     assert d.permutation == (1, 0)
     # display rows carry the raw scalings before reordering
-    assert d.display_periods[0][2] == names.constant(3)
-    assert d.display_periods[1][3] == names.one()
+    assert d.display.periods[0][2] == names.constant(3)
+    assert d.display.periods[1][3] == names.one()
+    # the display frame is a torus with the standard form of its diagonal,
+    # carrying the input's assumptions as the sorted dual does
+    assert d.display.gram == tuple(map(tuple, standard_gram([3, 1])))
+    assert d.display.assumptions == d.torus.assumptions == "Im(Z) > 0"
 
 
 # -- embeddings and restriction ------------------------------------------------------
