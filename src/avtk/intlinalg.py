@@ -20,20 +20,21 @@ ranks.  matmul sums entry by entry in the operands' own arithmetic.
 Inputs and outputs are dense matrices, and every result is canonical.
 
 Conventions:
-  * Six eliminations remain, one per job: fraction-free Bareiss for det
+  * Five eliminations remain, one per job: fraction-free Bareiss for det
     over Z and Q, and over integer polynomials for det_polynomial; one
     fraction-free Gauss-Jordan on integer rows (_gauss_jordan) for
-    rat_inv, rat_solve and int_inverse, the adjugate and determinant; the
-    sparse kernel int_kernel, for saturate_columns and rank too; row_hnf,
-    for hnf; snf, for elementary_divisors.  symplectic_basis is built
-    from snf, int_kernel and matmul, and det_mod2 from det.
+    rat_inv, rat_solve and int_inverse, the adjugate and determinant; one
+    sparse unimodular column reduction (_column_echelon) for hnf,
+    int_kernel, rank and saturate_columns; snf, for elementary_divisors.
+    symplectic_basis is built from snf, int_kernel and matmul, and
+    det_mod2 from det.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
   * snf(M) returns (S, U, V) with S = U @ M @ V and s_i | s_{i+1}.
   * symplectic_basis(E) returns (U, D) with U^T E U = [[0, D], [-D, 0]].
-  * The integer routines (row_hnf, hnf, rank, int_kernel, snf and the
-    pencils) read entries through as_int: ints and integral Fractions are
+  * The integer routines (hnf, rank, int_kernel, snf and the pencils)
+    read entries through as_int: ints and integral Fractions are
     accepted, any other entry is a PreconditionError.
 """
 
@@ -387,81 +388,17 @@ def as_int(x):
     raise PreconditionError(f"integer matrix entry {x!r} is not an integer")
 
 
-def row_hnf(A):
-    """(H, U) with H = U @ A in canonical row Hermite form.
-
-    Pivots are positive, strictly right-moving, and entries above each
-    pivot are reduced into [0, pivot).  Pivot selection favours minimal
-    absolute value to keep intermediate entries small.
-    """
-    m, n = shape(A)
-    H = [[as_int(x) for x in row] for row in A]
-    U = identity(m)
-    pr = 0
-    for col in range(n):
-        if pr >= m:
-            break
-        while True:
-            live = [r for r in range(pr, m) if H[r][col] != 0]
-            if not live:
-                break
-            piv = min(live, key=lambda r: abs(H[r][col]))
-            if piv != pr:
-                H[pr], H[piv] = H[piv], H[pr]
-                U[pr], U[piv] = U[piv], U[pr]
-            done = True
-            for r in range(pr + 1, m):
-                if H[r][col] != 0:
-                    q = H[r][col] // H[pr][col]
-                    if q:
-                        for k in range(n):
-                            H[r][k] -= q * H[pr][k]
-                        for k in range(m):
-                            U[r][k] -= q * U[pr][k]
-                    if H[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if H[pr][col] == 0:
-            continue
-        if H[pr][col] < 0:
-            H[pr] = [-x for x in H[pr]]
-            U[pr] = [-x for x in U[pr]]
-        p = H[pr][col]
-        for r in range(pr):
-            q = H[r][col] // p
-            if q:
-                for k in range(n):
-                    H[r][k] -= q * H[pr][k]
-                for k in range(m):
-                    U[r][k] -= q * U[pr][k]
-        pr += 1
-    return H, U
-
-
-def hnf(M):
-    """(H, U) with H = M @ U in canonical column Hermite form."""
-    Ht, Ut = row_hnf(transpose(M))
-    return transpose(Ht), transpose(Ut)
-
-
-def rank(M):
-    """Rank of an integer matrix: its column count less its kernel's rank."""
-    return shape(M)[1] - len(int_kernel(M))
-
-
-def int_kernel(M):
-    """Basis of the integer kernel {x : M x = 0}, as a list of columns.
+def _column_echelon(M):
+    """(cols, combos, pivots, zero): one unimodular column reduction of M.
 
     M is a dense matrix, but only its nonzeros are worked on.  Each column
     is held as a sparse map {row: entry} together with a sparse map
     recording it as a combination of the columns of M.  Row by row, the
     columns nonzero in that row are reduced by the one of least absolute
     value until one is left; it becomes the row's pivot and is dropped.
-    These unimodular gcd steps leave the columns that never become a pivot
-    zero, and their combinations span the kernel, which is saturated.  The
-    basis returned is the canonical column Hermite basis of that lattice,
-    so it does not depend on the order of the steps.
+    pivots lists (row, column) in row order, and each pivot column is
+    zero above its row; zero lists, ascending, the columns that never
+    became a pivot, which these gcd steps leave zero.
     """
     m, n = shape(M)
     cols = [{} for _ in range(n)]
@@ -474,6 +411,7 @@ def int_kernel(M):
             holders[i].add(j)
     combos = [{j: 1} for j in range(n)]
     live = set(range(n))
+    pivots = []
     for i in range(m):
         hit = [j for j in holders[i] if j in live and i in cols[j]]
         while len(hit) > 1:
@@ -492,10 +430,56 @@ def int_kernel(M):
             hit = rest
         if hit:
             live.discard(hit[0])
-    if not live:
+            pivots.append((i, hit[0]))
+    return cols, combos, pivots, sorted(live)
+
+
+def hnf(M):
+    """(H, U) with H = M @ U in canonical column Hermite form, U unimodular.
+
+    The columns of _column_echelon are normalised: each pivot is made
+    positive, and the entries left of it in its row are reduced into
+    [0, pivot) by the pivot column, which is zero above that row.  H has
+    the pivot columns in row order, then the zero columns, and keeps M's
+    row count when M has no column.
+    """
+    m, n = shape(M)
+    cols, combos, pivots, zero = _column_echelon(M)
+    for k, (i, p) in enumerate(pivots):
+        if cols[p][i] < 0:
+            cols[p] = {r: -x for r, x in cols[p].items()}
+            combos[p] = {r: -x for r, x in combos[p].items()}
+        pivot = cols[p][i]
+        for _, j in pivots[:k]:
+            q = -(cols[j].get(i, 0) // pivot)
+            if q:
+                _add_multiple(cols[j], cols[p], q)
+                _add_multiple(combos[j], combos[p], q)
+    order = [p for _, p in pivots] + zero
+    return ([[cols[j].get(i, 0) for j in order] for i in range(m)],
+            [[combos[j].get(r, 0) for j in order] for r in range(n)])
+
+
+def rank(M):
+    """Rank of an integer matrix: the pivot count of its column reduction."""
+    return len(_column_echelon(M)[2])
+
+
+def int_kernel(M):
+    """Basis of the integer kernel {x : M x = 0}, as a list of columns.
+
+    The columns that _column_echelon reduces to zero are combinations of
+    the columns of M spanning the kernel, which is saturated since the
+    steps are unimodular.  The basis returned is the canonical column
+    Hermite basis of that lattice, so it does not depend on the order of
+    the steps.
+    """
+    n = shape(M)[1]
+    _, combos, _, zero = _column_echelon(M)
+    if not zero:
         return []
-    K, _ = hnf([[combos[j].get(i, 0) for j in live] for i in range(n)])
-    return [[K[i][j] for i in range(n)] for j in range(len(live))]
+    K, _ = hnf([[combos[j].get(i, 0) for j in zero] for i in range(n)])
+    return [[K[i][j] for i in range(n)] for j in range(len(zero))]
 
 
 def _add_multiple(dst, src, q):

@@ -44,9 +44,9 @@ from .errors import PreconditionError
 from .intlinalg import combination, det, det_polynomial
 from .verdicts import Found, NotFoundUpToBound
 
-PARITY_RANK_CAP = 10  # the parity table has 2**rank entries
 # (2*bound + 1)**rank above this is refused.  The largest search a demo runs
 # at its defaults, pp-search at bound 25 on a rank-3 family, has 51**3 = 132,651.
+# It also bounds the parity table: 2**rank < 3**rank <= this gives rank <= 12.
 MAX_CANDIDATES = 1_000_000
 
 
@@ -97,9 +97,9 @@ def check_bound(bound) -> None:
 def run_search(rank, bound, det_p, positive, zero, parities):
     """(index, c) of the first coefficient vector that passes, or None.
 
-    c passes when its parity vector is in ``parities`` (None admits all),
-    det_p evaluates to +-1, every ``positive`` polynomial is > 0 and every
-    ``zero`` one vanishes; index is c's position in the enumeration order.
+    c passes when its parity vector is in ``parities``, det_p evaluates
+    to +-1, every ``positive`` polynomial is > 0 and every ``zero`` one
+    vanishes; index is c's position in the enumeration order.
     The vectors are taken a row at a time: per prefix c[:-1], the
     coefficients of det_p in the last coordinate are evaluated once, and
     each last value the parity table admits is tested by Horner's rule.
@@ -108,20 +108,16 @@ def run_search(rank, bound, det_p, positive, zero, parities):
     values = coefficient_values(bound)
     width = len(values)
     horner = _split_last(det_p, rank - 1)
-    every = tuple(enumerate(values))
-    rows = None
-    if parities is not None:
-        # prefix parity -> the (position, value) pairs of admitted last values
-        bits = {}
-        for e in parities:
-            bits.setdefault(e[:-1], set()).add(e[-1])
-        rows = {key: tuple(pv for pv in every if (pv[1] & 1) in b) for key, b in bits.items()}
+    # prefix parity -> the (position, value) pairs of admitted last values
+    bits = {}
+    for e in parities:
+        bits.setdefault(e[:-1], set()).add(e[-1])
+    rows = {key: tuple(pv for pv in enumerate(values) if (pv[1] & 1) in b)
+            for key, b in bits.items()}
     for prefix_index, prefix in enumerate(iter_product(values, repeat=rank - 1)):
-        row = every
-        if rows is not None:
-            row = rows.get(tuple(v & 1 for v in prefix))
-            if row is None:
-                continue
+        row = rows.get(tuple(v & 1 for v in prefix))
+        if row is None:
+            continue
         coeffs = [_evaluate(p, prefix) for p in horner]
         for position, x in row:
             d = 0
@@ -164,11 +160,9 @@ def pencil_search(mats, bound: int, positive=(), zero=()):
             f"cap of {MAX_CANDIDATES}; lower the bound"
         )
     det_p = _sparse(det_terms)
-    parities = None
-    if rank <= PARITY_RANK_CAP:
-        parities = frozenset(
-            e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1
-        )
+    parities = frozenset(
+        e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1
+    )
     hit = run_search(rank, bound, det_p, tuple(_sparse(p) for p in positive),
                      tuple(_sparse(p) for p in zero), parities)
     if hit is None:

@@ -11,16 +11,15 @@ from operator import add
 from avtk.errors import GeneratorMismatchError, PreconditionError
 from avtk.homs import HomGenerator, IdempotentData
 from avtk.intlinalg import (
+    as_int,
     det,
     flatten_to_int,
-    hnf,
     identity,
     int_kernel,
     mat_eq,
     matmul,
     rank,
     rat_inv,
-    row_hnf,
     saturate_columns,
     shape,
     snf,
@@ -111,12 +110,12 @@ def per_candidate_search(rank, bound, det_p, positive, zero, parities):
     """parallel.run_search's contract, one whole evaluation per candidate.
 
     (index, c) of the first coefficient vector in the enumeration order
-    whose parity vector is in ``parities`` (None admits all), at which
+    whose parity vector is in ``parities``, at which
     det_p is +-1, every ``positive`` polynomial is > 0 and every ``zero``
     one vanishes; None when no vector of the box passes.
     """
     for index, c in enumerate(iter_product(coefficient_values(bound), repeat=rank)):
-        if parities is not None and tuple(v & 1 for v in c) not in parities:
+        if tuple(v & 1 for v in c) not in parities:
             continue
         d = _evaluate(det_p, c)
         if d != 1 and d != -1:
@@ -195,11 +194,11 @@ def dense_int_kernel(M):
     entry for entry.
     """
     m, n = shape(M)
-    H, U = hnf(M)
+    H, U = dense_hnf(M)
     cols = [j for j in range(n) if all(H[i][j] == 0 for i in range(m))]
     if not cols:
         return []
-    K, _ = hnf([[U[i][j] for j in cols] for i in range(n)])
+    K, _ = dense_hnf([[U[i][j] for j in cols] for i in range(n)])
     return [[K[i][j] for i in range(n)] for j in range(len(cols))]
 
 
@@ -451,8 +450,70 @@ def snf_saturate_columns(M):
         return [[] for _ in range(m)]
     Uinv = gauss_jordan_inverse(U)
     basis = [[int(Uinv[i][j]) for j in range(r)] for i in range(m)]
-    H, _ = hnf(basis)
+    H, _ = dense_hnf(basis)
     return [[H[i][j] for j in range(r)] for i in range(m)]
+
+
+def row_hnf(A):
+    """(H, U) with H = U @ A in canonical row Hermite form.
+
+    Pivots are positive, strictly right-moving, and entries above each
+    pivot are reduced into [0, pivot).  Pivot selection favours minimal
+    absolute value to keep intermediate entries small.  The dense
+    reference for the sparse column reduction behind hnf, int_kernel and
+    rank.
+    """
+    m, n = shape(A)
+    H = [[as_int(x) for x in row] for row in A]
+    U = identity(m)
+    pr = 0
+    for col in range(n):
+        if pr >= m:
+            break
+        while True:
+            live = [r for r in range(pr, m) if H[r][col] != 0]
+            if not live:
+                break
+            piv = min(live, key=lambda r: abs(H[r][col]))
+            if piv != pr:
+                H[pr], H[piv] = H[piv], H[pr]
+                U[pr], U[piv] = U[piv], U[pr]
+            done = True
+            for r in range(pr + 1, m):
+                if H[r][col] != 0:
+                    q = H[r][col] // H[pr][col]
+                    if q:
+                        for k in range(n):
+                            H[r][k] -= q * H[pr][k]
+                        for k in range(m):
+                            U[r][k] -= q * U[pr][k]
+                    if H[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if H[pr][col] == 0:
+            continue
+        if H[pr][col] < 0:
+            H[pr] = [-x for x in H[pr]]
+            U[pr] = [-x for x in U[pr]]
+        p = H[pr][col]
+        for r in range(pr):
+            q = H[r][col] // p
+            if q:
+                for k in range(n):
+                    H[r][k] -= q * H[pr][k]
+                for k in range(m):
+                    U[r][k] -= q * U[pr][k]
+        pr += 1
+    return H, U
+
+
+def dense_hnf(M):
+    """hnf through row_hnf of the transpose: (H, U) with H = M @ U in
+    canonical column Hermite form; an m x 0 matrix keeps its m rows."""
+    m, n = shape(M)
+    Ht, Ut = row_hnf(transpose(M))
+    return (transpose(Ht) if n else [[] for _ in range(m)]), transpose(Ut)
 
 
 def row_hnf_rank(M):
@@ -534,7 +595,7 @@ def symbolic_admissible_family(A, Ahat):
     if not vecs:
         return [], []
     unknowns = transpose(vecs)
-    _, U = hnf(unknowns[:s])
+    _, U = dense_hnf(unknowns[:s])
     full = matmul(unknowns, U)
     basis, coords = [], []
     for g in range(len(vecs)):
@@ -612,7 +673,7 @@ def fraction_symplectic_complement(T, points):
     else:
         gens_cols = identity(m)
     full = [gens_cols[i] + [orders[i] if j == i else 0 for j in range(m)] for i in range(m)]
-    BS, _ = hnf(full)
+    BS, _ = dense_hnf(full)
     BS = [row[:m] for row in BS]
     if rank(BS) != m:
         raise AssertionError("solution lattice must have full rank")

@@ -33,7 +33,6 @@ from avtk.intlinalg import (
     rank,
     rat_inv,
     rat_solve,
-    row_hnf,
     saturate_columns,
     snf,
     span_equal,
@@ -45,6 +44,7 @@ from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatte
 from avtk.torus import pairing_type, standard_gram
 from oracles import (
     dense_flatten_to_int,
+    dense_hnf,
     dense_int_kernel,
     formal_det_polynomial,
     formal_pullback_polynomials,
@@ -52,6 +52,7 @@ from oracles import (
     fraction_gauss_jordan,
     gauss_jordan_inverse,
     gauss_jordan_solve,
+    row_hnf,
     row_hnf_rank,
     snf_saturate_columns,
 )
@@ -416,6 +417,11 @@ def test_hnf_reconstruction_randomized():
         H, U = hnf(M)
         assert is_unimodular(U), (trial, M)
         assert mat_eq(matmul(M, U), H), (trial, M)
+    # 0 x 0, 1 x 0 and 3 x 0: H keeps the rows of M, U is 0 x 0
+    for M in ([], [[]], [[], [], []]):
+        H, U = hnf(M)
+        assert (H, U) == (M, [])
+        assert matmul(M, U) == H
 
 
 def test_hnf_is_canonical_under_column_changes():
@@ -533,8 +539,16 @@ def test_int_kernel_matches_the_dense_oracle(M):
     assert int_kernel(M) == dense_int_kernel(M)
 
 
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+def test_hnf_matches_the_dense_oracle(M):
+    H, U = hnf(M)
+    assert H == dense_hnf(M)[0]
+    assert matmul(M, U) == H and abs(det(U)) == 1
+
+
 def test_integer_routines_refuse_non_integral_entries():
-    for call in (int_kernel, row_hnf, hnf, rank, snf, saturate_columns):
+    for call in (int_kernel, hnf, rank, snf, saturate_columns):
         with pytest.raises(PreconditionError):
             call([[Fraction(3, 2), 2]])
     # integral Fractions are integers

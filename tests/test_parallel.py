@@ -93,8 +93,8 @@ def test_run_search_agrees_with_the_per_candidate_oracle():
                          for _ in range(rng.randint(0, 2)))
         zero = tuple(_random_sparse(rng, rank, rng.randint(1, 2), constant=False)
                      for _ in range(rng.randint(0, 1)))
-        table = rng.choice(("off", "det", "subset"))
-        parities = None
+        table = rng.choice(("all", "det", "subset"))
+        parities = frozenset(iter_product((0, 1), repeat=rank))
         if table == "det":
             parities = _det_parities(det_p, rank)
         elif table == "subset":
@@ -111,9 +111,11 @@ def test_run_search_agrees_with_the_per_candidate_oracle():
 # -- edge cases of the row-at-a-time loop --------------------------------------
 
 def _both(rank, bound, det_p, positive=(), zero=()):
-    """run_search with the parity table off and on, checked against the oracle."""
+    """run_search with every parity admitted and with the determinant's
+    parity table, checked against the oracle."""
     out = []
-    for parities in (None, _det_parities(det_p, rank)):
+    every = frozenset(iter_product((0, 1), repeat=rank))
+    for parities in (every, _det_parities(det_p, rank)):
         args = (rank, bound, det_p, positive, zero, parities)
         res = parallel.run_search(*args)
         assert res == per_candidate_search(*args)
@@ -156,6 +158,21 @@ def test_positive_condition_rejects_a_unit_before_a_later_hit_in_its_row():
     assert _both(2, 2, det_p, positive=(parallel._sparse(minus_c1),)) == (2, (0, -1))
     res = parallel.pencil_search([[[0]], [[1]]], bound=2, positive=[minus_c1])
     assert (res.coefficients, res.tested) == ((0, -1), 3)
+
+
+def test_a_rank_eleven_pencil_is_searched_with_its_parity_table(monkeypatch):
+    # det = c_0 + ... + c_10 is odd where an odd number of coordinates is
+    seen = []
+    run_search = parallel.run_search
+
+    def spy(*args):
+        seen.append(args[-1])
+        return run_search(*args)
+
+    monkeypatch.setattr(parallel, "run_search", spy)
+    res = parallel.pencil_search([[[1]]] * 11, bound=1)
+    assert (res.coefficients, res.tested) == ((0,) * 10 + (1,), 2)
+    assert seen == [frozenset(e for e in iter_product((0, 1), repeat=11) if sum(e) & 1)]
 
 
 # -- the bound check -------------------------------------------------------------

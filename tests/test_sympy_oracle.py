@@ -28,12 +28,26 @@ def int_matrices(draw, square=False):
     return rows
 
 
+@st.composite
+def sparse_int_matrices(draw):
+    """Mostly-zero matrices up to 10 x 16, some rows and columns all zero."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 16))
+    sparse = st.integers(-9, 9) | st.just(0) | st.just(0) | st.just(0) | st.just(0)
+    rows = [[draw(sparse) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        rows[i] = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
 def _reversed(M):
     return [row[::-1] for row in M[::-1]]
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_matrices())
+@given(int_matrices() | sparse_int_matrices())
 def test_hnf_matches_sympy(A):
     # sympy's column HNF is upper triangular with pivots from the bottom row
     # and no zero columns; avtk's is its mirror image, zero columns trailing.
