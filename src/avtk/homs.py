@@ -15,11 +15,12 @@ W = D_X^-1 @ Z_X, the identity on the left half reads
 linear in the entries of M.  P_X and P_Y are put over one common
 denominator each, once per call, as integer polynomials
 (scalars.monomial_flatten), and W is taken from the slice of Z_X: with
-D_X^-1 = DI / dI for an integer DI, W = (DI @ dX Z_X) / (dI dX).  Each
-monomial of each entry of the identity is then an integer row in the
-entries of M, built from sparse products of those slices.  The kernel of
-these rows is the whole homomorphism module, and int_kernel returns its
-canonical Hermite basis whatever the order, number or scale of the rows.
+D_X^-1 = DI / dI for an integer DI, from intlinalg.rat_inverse,
+W = (DI @ dX Z_X) / (dI dX).  Each monomial of each entry of the
+identity is then an integer row in the entries of M, built from sparse
+products of those slices.  The kernel of these rows is the whole
+homomorphism module, and int_kernel returns its canonical Hermite basis
+whatever the order, number or scale of the rows.
 
 Every generator is checked against that identity, F @ P_X == P_Y @ M,
 by intlinalg.period_identity_holds on the same integer slices.
@@ -41,7 +42,6 @@ from .intlinalg import (
     _add_row_times,
     _divide_exactly,
     _formal_product,
-    _over_common_denominator,
     as_int,
     det,
     int_inverse,
@@ -50,6 +50,7 @@ from .intlinalg import (
     matmul,
     period_identity_holds,
     pullback_polynomials,
+    rat_inverse,
     saturate_columns,
     transpose,
 )
@@ -134,23 +135,6 @@ class HomGenerator:
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
 
 
-def _right_block_inverse(T: PolarisedTorus):
-    """(DI, dI) with D_T^-1 = DI / dI for the right period block D_T, DI an
-    integer matrix: with row i of D_T over its denominator e_i,
-    D_T = diag(e)^-1 D' for an integer D', so D_T^-1 = adj(D') diag(e) / det(D').
-    """
-    R = constant_right_block(T.periods)
-    if R is None:
-        raise PreconditionError("right period block is not constant; bring the torus "
-                                "to a frame with a constant right block first")
-    scaled = _over_common_denominator(R)
-    try:
-        adj, dI = int_inverse([v for v, _ in scaled])
-    except ValueError:
-        raise PreconditionError("right period block is singular over Q") from None
-    return [[x * e for x, (_, e) in zip(row, scaled)] for row in adj], dI
-
-
 def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     """Basis of Hom(X, Y) as verified HomGenerators (may be empty).
 
@@ -163,7 +147,14 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
-    DI, dI = _right_block_inverse(X)
+    R = constant_right_block(X.periods)
+    if R is None:
+        raise PreconditionError("right period block is not constant; bring the torus "
+                                "to a frame with a constant right block first")
+    try:
+        DI, dI = rat_inverse(R)  # D_X^-1 = DI / dI
+    except ValueError:
+        raise PreconditionError("right period block is singular over Q") from None
     px, py = monomial_flatten(X.periods), monomial_flatten(Y.periods)
     # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
     dW, DIt = dI * px[0], transpose(DI)

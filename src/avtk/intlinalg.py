@@ -23,11 +23,14 @@ Conventions:
   * Five eliminations remain, one per job: fraction-free Bareiss for det
     over Z and Q, and over integer polynomials for det_polynomial; one
     fraction-free Gauss-Jordan on integer rows (_gauss_jordan) for
-    rat_inv, rat_solve and int_inverse, the adjugate and determinant; one
+    rat_solve and int_inverse, the adjugate and determinant; one
     sparse unimodular column reduction (_column_echelon) for hnf,
     int_kernel, rank and saturate_columns; snf, for elementary_divisors.
     symplectic_basis is built from snf, int_kernel and matmul, and
     det_mod2 from det.
+  * Only _over_common_denominator clears rational rows.  rat_inverse gives
+    M^-1 = N / d as (N, d) to hom_module and QuotientResult.push_point, and
+    rat_inv is its Fraction view.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
@@ -472,7 +475,9 @@ def int_kernel(M):
     the columns of M spanning the kernel, which is saturated since the
     steps are unimodular.  The basis returned is the canonical column
     Hermite basis of that lattice, so it does not depend on the order of
-    the steps.
+    the steps.  Its first s rows, for any s, are still in that form (hnf
+    returns them with U = I), the Hermite basis of the kernel's projection:
+    admissible_family and symplectic_complement read their bases off them.
     """
     n = shape(M)[1]
     _, combos, _, zero = _column_echelon(M)
@@ -603,20 +608,25 @@ def int_inverse(M):
     return [[sign * x for x in row[n:]] for row in rows], sign * d
 
 
-def rat_inv(M):
-    """Exact inverse of a square matrix over Q (ValueError if singular).
-
-    With row i over its common denominator e_i, M = diag(e)^-1 M' and the
-    inverse is adj(M') diag(e) / det(M'), all Fractions.  Any entry that
-    is neither an int nor a Fraction is a PreconditionError.
+def rat_inverse(M):
+    """(N, d) with M^-1 = N / d, N an integer matrix, for a square matrix
+    over Q (ValueError if singular).  With row i over its common denominator
+    e_i, M = diag(e)^-1 M' and N / d = adj(M') diag(e) / det(M').  Any entry
+    that is neither an int nor a Fraction is a PreconditionError.
     """
     if len(M) != shape(M)[1]:
         raise ValueError("inverse of a non-square matrix")
     _require_rational(M, "inverse")
     rows = _over_common_denominator(M)
     adj, d = int_inverse([v for v, _ in rows])
-    scales = [e for _, e in rows]
-    return [[Fraction(x * e, d) for x, e in zip(row, scales)] for row in adj]
+    return [[x * e for x, (_, e) in zip(row, rows)] for row in adj], d
+
+
+def rat_inv(M):
+    """Exact inverse of a square matrix over Q, all Fractions: rat_inverse's
+    N / d, with its errors."""
+    N, d = rat_inverse(M)
+    return [[Fraction(x, d) for x in row] for row in N]
 
 
 def rat_solve(A, b):

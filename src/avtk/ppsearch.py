@@ -9,12 +9,14 @@ matrices form a lattice, usually of very small rank.  The identity
 H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
 P_Ahat are each put over one common denominator once per call
 (scalars.monomial_flatten), and each monomial of each entry gives one
-integer row in the entries of H and C, and each basis element is checked
-against the identity by intlinalg.period_identity_holds, the check every
-Hom generator passes.  Positivity and surjectivity are not linear, so
-phase two enumerates bounded integer combinations of that family on the
-pencil engine of ``parallel``: the coordinate determinant (surjectivity)
-and the leading principal minors (positivity) are computed once as
+integer row in the entries of H and C.  int_kernel's Hermite basis of
+the solutions, read on the entries of H, is already the Hermite basis
+of the family, and each basis element is checked against the identity
+by intlinalg.period_identity_holds, the check every Hom generator
+passes.  Positivity and surjectivity are not linear, so phase two
+enumerates bounded integer combinations of that family on the pencil
+engine of ``parallel``: the coordinate determinant (surjectivity) and
+the leading principal minors (positivity) are computed once as
 polynomials in the coefficients; the engine evaluates the determinant a
 row of candidates at a time and the minors only where it is +-1, and
 returns the verdict.
@@ -28,12 +30,10 @@ from .intlinalg import (
     combination,
     det,
     det_polynomial,
-    hnf,
     int_kernel,
     matmul,
     period_identity_holds,
     span_equal,
-    transpose,
 )
 from .parallel import check_bound, pencil_search
 from .scalars import monomial_flatten
@@ -128,9 +128,10 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     of each entry of dA * dH * (H @ P_A - P_Ahat @ C), where dA and dH are
     the common denominators of the two period matrices, gives one integer
     row; the kernel of those rows projects bijectively onto the family
-    (the coordinates C are determined by H).  The basis returned is the
-    Hermite basis of the projection, and every element is re-verified
-    against the containment it encodes, over the same integer polynomials.
+    (the coordinates C are determined by H).  The basis returned is
+    int_kernel's, whose entries of H are already the Hermite basis of the
+    projection, and every element is re-verified against the containment
+    it encodes, over the same integer polynomials.
 
     The family is frame-bound by contract: H is read in the given complex
     frames of A and Ahat, so a constant change of either frame can drop
@@ -160,20 +161,14 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
                 for mono, x in p.items():
                     rows.setdefault(mono, [0] * width)[s + 2 * n * j + r] = -dA * x
             system += rows.values()
-    vecs = int_kernel(system or [[0] * width])
-    if not vecs:
-        return AdmissibleFamily(A, Ahat, (), ())
-    unknowns = transpose(vecs)  # one row per unknown
-    _, U = hnf(unknowns[:s])
-    full = matmul(unknowns, U)
     const = (0,) * len(A.gens)
     basis = []
     coords = []
-    for g in range(len(vecs)):
+    for v in int_kernel(system or [[0] * width]):
         H = [[0] * n for _ in range(n)]
         for u, (i, j) in enumerate(sym):
-            H[i][j] = H[j][i] = full[u][g]
-        C = [[full[s + j * 2 * n + row][g] for j in range(2 * n)] for row in range(2 * n)]
+            H[i][j] = H[j][i] = v[u]
+        C = [[v[s + j * 2 * n + row] for j in range(2 * n)] for row in range(2 * n)]
         # H as constant integer polynomials over the denominator 1
         L = (1, [[{const: h} if h else {} for h in row] for row in H])
         if not period_identity_holds(L, C, pa, ph):

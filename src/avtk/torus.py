@@ -27,7 +27,6 @@ from .errors import PreconditionError
 from .intlinalg import (
     _divide_exactly,
     _formal_product,
-    _over_common_denominator,
     as_int,
     det,
     elementary_divisors,
@@ -38,6 +37,7 @@ from .intlinalg import (
     int_kernel,
     mat_eq,
     matmul,
+    rat_inverse,
     rat_solve,
     saturate_columns,
     shape,
@@ -51,12 +51,17 @@ class TorsionPoint:
     """A torsion point in lattice coordinates, reduced modulo 1.
 
     The order is the least k with k * coords integral, i.e. the lcm of the
-    coordinate denominators.
+    coordinate denominators.  A coordinate that is not an int or a Fraction,
+    a bool among them, is a PreconditionError.
     """
 
     __slots__ = ("coords", "order")
 
     def __init__(self, coords):
+        coords = tuple(coords)
+        for c in coords:
+            if type(c) not in (int, Fraction):  # bool is an int subclass
+                raise PreconditionError(f"torsion point coordinate {c!r} is not an int or a Fraction")
         reduced = tuple(Fraction(c) % 1 for c in coords)
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "order", lcm(*(c.denominator for c in reduced)) if reduced else 1)
@@ -264,7 +269,10 @@ class PolarisedTorus:
         (order-1 generators dropped).
 
         On integers: the kernel basis is V' / t, t the last order, and a
-        point x / k pairs with V' c / t to x E V' c / (k t).  The relation
+        point x / k pairs with V' c / t to x E V' c / (k t).  The basis BS of
+        the c pairing integrally with every point is the first m rows of
+        int_kernel's Hermite basis: the kernel pairs integrally with the
+        lattice, so these c include diag(s) Z^m and BS is m x m.  The relation
         matrix adj(BS) diag(s) / det(BS) must be integral, and only the
         generators V' BS Uc^-1 / t are built as Fractions.
         """
@@ -285,13 +293,9 @@ class PolarisedTorus:
                         + [-g.order * top if r == i else 0 for r in range(len(points))])
         if wide:
             kern = int_kernel(wide)
-            gens_cols = [[col[i] for col in kern] for i in range(m)]
+            BS = [[col[i] for col in kern] for i in range(m)]
         else:  # no conditions: every coefficient vector is a solution
-            gens_cols = identity(m)
-        full = [gens_cols[i] + [orders[i] if j == i else 0 for j in range(m)]
-                for i in range(m)]
-        BS, _ = hnf(full)
-        BS = [row[:m] for row in BS]  # full rank: first m columns are the basis
+            BS = identity(m)
         try:
             adj, d = int_inverse(BS)
         except ValueError:
@@ -368,16 +372,14 @@ class QuotientResult:
         raise AttributeError("QuotientResult is immutable")
 
     def push_point(self, point: TorsionPoint) -> TorsionPoint:
-        """The image B^-1 x of a source point x / k: with the basis rows over
-        their denominators, B = diag(e)^-1 B', it is adj(B') diag(e) x / (det(B') k)."""
-        m = len(self.basis)
-        if len(point.coords) != m:
+        """The image B^-1 x of a source point x / k: with B^-1 = N / d from
+        rat_inverse, it is N x / (d k)."""
+        if len(point.coords) != len(self.basis):
             raise PreconditionError("point dimension does not match the torus")
-        rows = _over_common_denominator(self.basis)
-        adj, d = int_inverse([v for v, _ in rows])
-        y = [e * x for (_, e), x in zip(rows, point.integer_lift())]
+        N, d = rat_inverse(self.basis)
+        x = point.integer_lift()
         dk = d * point.order
-        return TorsionPoint([Fraction(sum(map(mul, row, y)), dk) for row in adj])
+        return TorsionPoint([Fraction(sum(map(mul, row, x)), dk) for row in N])
 
 
 class DualResult:

@@ -19,7 +19,6 @@ from avtk.intlinalg import (
     mat_eq,
     matmul,
     rank,
-    rat_inv,
     saturate_columns,
     shape,
     snf,
@@ -244,9 +243,9 @@ def dense_flatten_to_int(*matrices):
 
 
 def right_block_inverse(T):
-    """D_T^-1 over Fractions through rat_inv, the reference for the integer
-    pair (DI, dI) of homs._right_block_inverse."""
-    return rat_inv(constant_right_block(T.periods))
+    """D_T^-1 over Fractions by gauss_jordan_inverse, the reference for the
+    integer pair (DI, dI) that hom_module takes from intlinalg.rat_inverse."""
+    return gauss_jordan_inverse(constant_right_block(T.periods))
 
 
 def dual_hom(f: HomGenerator, dual_domain: DualResult | None = None,

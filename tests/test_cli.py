@@ -610,8 +610,9 @@ def test_loaders_exit_cleanly_on_any_json(command, docs, data):
 # SHA-256 of every run below: its argv, exit code, --json report without the
 # timing, and stderr.  It pins the outputs across changes to the eliminations
 # in intlinalg, which the runs reach: det over Q (quotient), rat_solve
-# (ambient points), rat_inv and saturate_columns (idempotent) and rank
-# (every embedding).
+# (ambient points), int_kernel (complement), rat_inverse (push_point in the
+# demos), int_inverse and saturate_columns (idempotent) and rank (every
+# embedding).
 CLI_RESULTS_DIGEST = "2e98aecd15041f22bec9c0741d96526b9c5a4953303342c55c22f70b33dddf0f"
 
 

@@ -32,6 +32,7 @@ from avtk.intlinalg import (
     pullback_polynomials,
     rank,
     rat_inv,
+    rat_inverse,
     rat_solve,
     saturate_columns,
     snf,
@@ -547,6 +548,26 @@ def test_hnf_matches_the_dense_oracle(M):
     assert matmul(M, U) == H and abs(det(U)) == 1
 
 
+@st.composite
+def zero_heavy_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    entry = st.integers(-9, 9) | st.just(0) | st.just(0)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_matrices())
+@example([[2, 3, 0, 5], [0, 1, 4, 1]])  # basis rows [1, 0], [1, 10], ...: s = 1 is not injective
+def test_leading_rows_of_the_int_kernel_basis_are_their_own_hermite_form(M):
+    # ppsearch.admissible_family and PolarisedTorus.symplectic_complement
+    # read their bases off the leading rows of int_kernel's basis
+    n = len(M[0])
+    kern = int_kernel(M)
+    K = [[v[i] for v in kern] for i in range(n)]
+    for s in range(1, n + 1):
+        assert hnf(K[:s]) == (K[:s], identity(len(kern)))
+
+
 def test_integer_routines_refuse_non_integral_entries():
     for call in (int_kernel, hnf, rank, snf, saturate_columns):
         with pytest.raises(PreconditionError):
@@ -692,6 +713,20 @@ def test_rat_inv_matches_the_gauss_jordan_oracle_in_value_and_type(M):
     assert got == want
     if isinstance(want, list):
         assert _types(got) == [[Fraction] * len(M)] * len(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=True))
+@example([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 5)]])
+def test_rat_inverse_is_an_integer_matrix_over_one_denominator(M):
+    # hom_module and push_point take (N, d); rat_inv is N / d as Fractions
+    try:
+        N, d = rat_inverse(M)
+    except ValueError:
+        return
+    assert type(d) is int and all(type(x) is int for row in N for x in row)
+    assert matmul(M, N) == [[d * (i == j) for j in range(len(M))] for i in range(len(M))]
+    assert rat_inv(M) == [[Fraction(x, d) for x in row] for row in N]
 
 
 @st.composite

@@ -9,7 +9,9 @@ formal matrices reach integers by one route, scalars.monomial_flatten.
 Only scalars.py and torus.py ask whether a scalar is constant, so the
 right period block of a frame is read by one set of helpers in torus.py,
 and only torus.py calls standard_gram, so a standard frame's form is
-built in one place.
+built in one place.  Only intlinalg.py refers to _over_common_denominator,
+so rational rows are cleared in one place, and rational matrices are
+inverted by intlinalg.rat_inverse.
 """
 
 import ast
@@ -124,3 +126,14 @@ def test_only_torus_builds_a_standard_form(path):
                                            getattr(node.func, "attr", None)))
     assert not lines, (f"{path.name} calls standard_gram on lines {lines}; "
                        "use torus.standard_torus or a frame's own gram")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "intlinalg.py"],
+                         ids=lambda p: p.name)
+def test_only_intlinalg_clears_rational_rows(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if "_over_common_denominator" in (getattr(node, "id", None),
+                                                     getattr(node, "attr", None),
+                                                     getattr(node, "name", None)))
+    assert not lines, (f"{path.name} refers to _over_common_denominator on lines {lines}; "
+                       "use intlinalg.rat_inverse, rat_solve or det")

@@ -44,6 +44,15 @@ def test_torsion_point_group_operations():
     assert (p * 2).order == 3
 
 
+@pytest.mark.parametrize("coords", [[0.1, 0], ["1/3", 0], [True, 0], [0, False], [0, None],
+                                    [Fraction(1, 2), 0.5]])
+def test_torsion_point_refuses_a_coordinate_that_is_not_an_int_or_a_fraction(coords):
+    # a float was taken at its binary value: TorsionPoint([0.1, 0]).order was
+    # 36028797018963968; "1/3" was parsed, and True became 0
+    with pytest.raises(PreconditionError, match="coordinate .* is not an int or a Fraction"):
+        TorsionPoint(coords)
+
+
 def test_subgroup_elements_counts():
     p = TorsionPoint([Fraction(1, 2), 0])
     q = TorsionPoint([0, Fraction(1, 3)])
