@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from math import prod
 
 from .demos import demo_list, run_demo
 from .documents import (
@@ -167,13 +168,12 @@ def _run_command(args):
     if cmd == "kernel":
         T, doc = _load_torus(args.torus)
         pts = T.polarising_kernel()
-        dtype = T.polarisation_type()
-        order = 1
-        for d in dtype:
-            order *= d * d
+        # the generators' orders are the type's entries above 1, each twice,
+        # so the type needs no second Smith form of the gram
+        divisors = [p.order for p in pts[::2]]
         payload = {
-            "type": list(dtype),
-            "order": order,
+            "type": [1] * (T.dim - len(divisors)) + divisors,
+            "order": prod(p.order for p in pts),
             "generators": [dict(point_to_doc(p), order=p.order) for p in pts],
         }
         return payload, {"torus": doc}, EXIT_OK

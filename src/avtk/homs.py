@@ -28,8 +28,8 @@ by intlinalg.period_identity_holds on the same integer slices.
 An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
 with the pencil engine of ``parallel``, which computes the determinant
-of the combination once, as a polynomial in its coefficients, and
-returns the verdict.
+of the combination once per call, as a polynomial in its coefficients,
+and returns the verdict.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     A combination sum(c_i * M_i) of the generators' rational
     representations is a witness when it is unimodular (and additionally
     pulls the polarisation of Y back to that of X when ``polarised`` is
-    set).  The search runs on the pencil engine (parallel.pencil_search):
+    set).  The search runs on one Pencil per call (parallel.pencil_search):
     det(sum(c_i * M_i)) is computed once as a polynomial in c, and the
     pull-back condition as the entries above the diagonal of
     M^T E_Y M - E_X, which must vanish; both are built over integer

@@ -38,7 +38,8 @@ Conventions:
   * symplectic_basis(E) returns (U, D) with U^T E U = [[0, D], [-D, 0]].
   * The integer routines (hnf, rank, int_kernel, snf and the pencils)
     read entries through as_int: ints and integral Fractions are
-    accepted, any other entry is a PreconditionError.
+    accepted, any other entry (a bool too) is a PreconditionError; det,
+    rat_inverse and rat_solve refuse all but ints and Fractions, bools too.
 """
 
 from __future__ import annotations
@@ -117,14 +118,14 @@ def det(M):
     row put over its common denominator; the integer numerators go through
     the same elimination, and the result is a Fraction: that determinant
     over the product of the row denominators.  Any entry that is neither
-    an int nor a Fraction is a PreconditionError.
+    an int nor a Fraction, or is a bool, is a PreconditionError.
     """
     n, n2 = shape(M)
     if n != n2:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    if all(isinstance(x, int) for row in M for x in row):
+    if all(type(x) is int for row in M for x in row):
         return _det_bareiss(M)
     _require_rational(M, "determinant")
     rows = _over_common_denominator(M)
@@ -134,7 +135,7 @@ def det(M):
 def _require_rational(M, what):
     for row in M:
         for x in row:
-            if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
                 raise PreconditionError(f"{what} entry {x!r} is not an int or a Fraction")
 
 
@@ -383,10 +384,10 @@ def _poly_div(f, g, guard):
 # -- Hermite and Smith forms -------------------------------------------------
 
 def as_int(x):
-    """An int or integral Fraction entry as an int; anything else is refused."""
+    """An int or integral Fraction entry as an int; anything else, bools too, is refused."""
     if type(x) is int:
         return x
-    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.denominator == 1:
         return int(x)
     raise PreconditionError(f"integer matrix entry {x!r} is not an integer")
 

@@ -5,9 +5,9 @@ whose pencil member sum(c_i * C_i) is unimodular and meets side
 conditions that are polynomial in c: an isomorphism search may also ask
 that a form pulls back (polynomials that must vanish), the principal
 polarisation search that the leading principal minors of a symmetric
-matrix are positive.  pencil_search computes det(sum(c_i * C_i)) once,
-as a polynomial with integer coefficients taken by Bareiss elimination
-over integer polynomials (intlinalg.det_polynomial).
+matrix are positive.  A Pencil computes det(sum(c_i * C_i)) once, not
+once per search, as a polynomial with integer coefficients taken by
+Bareiss elimination over integer polynomials (intlinalg.det_polynomial).
 
 Before any enumeration it rules out whole searches: when the coefficients
 of the determinant have a common factor above 1 no member is unimodular,
@@ -17,15 +17,15 @@ ruled out and has more than MAX_CANDIDATES coefficient vectors is refused.
 
 Coefficient vectors are enumerated with each coordinate running through
 0, 1, -1, 2, -2, ..., bound, -bound, lexicographically, by one loop in
-the calling process.  Only the last coordinate changes along a row of
-2*bound + 1 consecutive vectors, so the determinant is split once by the
-power of the last coordinate; per prefix c[:-1] its coefficients are
-evaluated once, and each last value is tested by Horner's rule.  The
-parity table, re-keyed by the prefix's parity, skips whole rows or
-every other value of one.  The side conditions are evaluated in full,
-only where the determinant is +-1.
+the calling process (run_search).  Only the last coordinate changes
+along a row of 2*bound + 1 consecutive vectors, so the determinant is
+split by the power of the last coordinate; per prefix c[:-1] its
+coefficients are evaluated once, and each last value is tested by
+Horner's rule.  The parity table, re-keyed by the prefix's parity, skips
+whole rows or every other value of one.  The side conditions are
+evaluated in full, only where the determinant is +-1.
 
-pencil_search returns the verdict itself: Found with the hit's member,
+Pencil.search returns the verdict itself: Found with the hit's member,
 rebuilt from its coefficients and checked to be unimodular, or
 NotFoundUpToBound; ``tested`` counts the vectors enumerated up to the
 hit, or the whole box (2*bound + 1)**rank.  A bound that is not an int
@@ -134,41 +134,74 @@ def run_search(rank, bound, det_p, positive, zero, parities):
     return None
 
 
-def pencil_search(mats, bound: int, positive=(), zero=()):
-    """Found for the first c with sum(c_i * mats[i]) unimodular, else
-    NotFoundUpToBound.
+class Pencil:
+    """The pencil sum(c_i * mats[i]) with side conditions, searched at any bound.
 
     positive and zero are polynomials in c as (coefficient, exponents)
     pairs, the form det_polynomial returns: a hit must make every
-    ``positive`` one > 0 and every ``zero`` one vanish.  The witness is
-    the hit's member as a tuple of rows, and tested is the hit's position
-    in the enumeration order plus one.  A miss reports the whole box as
-    tested, also when the determinant's coefficients share a factor and
-    nothing is enumerated.  Otherwise a box of more than MAX_CANDIDATES
-    vectors raises PreconditionError, and so does a bound that is not an
-    int of at least 1.
+    ``positive`` one > 0 and every ``zero`` one vanish.  The inputs are
+    copied into tuples.  The determinant polynomial, its content verdict
+    and its parity table depend on no bound: the first search computes
+    them, and later searches reuse them.
+
+    >>> p = Pencil([[[2]], [[5]]])  # the 1 x 1 members (2*c_0 + 5*c_1)
+    >>> p.search(1)
+    NotFoundUpToBound(bound=1, tested=9)
+    >>> p.search(2)  # the determinant is not computed again
+    Found(witness=((-1,),), coefficients=(2, -1), tested=18)
     """
-    check_bound(bound)
-    rank = len(mats)
-    box = (2 * bound + 1) ** rank
-    det_terms = det_polynomial(mats)
-    if not det_terms or gcd(*(coeff for coeff, _ in det_terms)) > 1:
-        return NotFoundUpToBound(bound=bound, tested=box)
-    if box > MAX_CANDIDATES:
-        raise PreconditionError(
-            f"a search of (2*{bound} + 1)^{rank} coefficient vectors exceeds the "
-            f"cap of {MAX_CANDIDATES}; lower the bound"
-        )
-    det_p = _sparse(det_terms)
-    parities = frozenset(
-        e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1
-    )
-    hit = run_search(rank, bound, det_p, tuple(_sparse(p) for p in positive),
-                     tuple(_sparse(p) for p in zero), parities)
-    if hit is None:
-        return NotFoundUpToBound(bound=bound, tested=box)
-    index, c = hit
-    M = combination(c, mats)
-    if det(M) not in (1, -1):
-        raise AssertionError("witness is not unimodular")
-    return Found(witness=tuple(map(tuple, M)), coefficients=c, tested=index + 1)
+
+    __slots__ = ("mats", "positive", "zero", "_plan")
+
+    def __init__(self, mats, positive=(), zero=()):
+        object.__setattr__(self, "mats", tuple(tuple(map(tuple, M)) for M in mats))
+        # _sparse copies each polynomial into tuples
+        object.__setattr__(self, "positive", tuple(map(_sparse, positive)))
+        object.__setattr__(self, "zero", tuple(map(_sparse, zero)))
+        object.__setattr__(self, "_plan", None)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Pencil is immutable")
+
+    def search(self, bound: int):
+        """Found for the first c whose member is unimodular and meets the side
+        conditions (witness: the member's rows; tested: its position in the
+        enumeration order plus one), else NotFoundUpToBound over the whole
+        box.  A box of more than MAX_CANDIDATES vectors that the content does
+        not rule out, and a bound that is not an int >= 1, raise
+        PreconditionError."""
+        check_bound(bound)
+        rank = len(self.mats)
+        box = (2 * bound + 1) ** rank
+        if self._plan is None:  # (det_p, parities), or () when the content rules all out
+            terms = det_polynomial(self.mats)
+            plan = ()
+            if terms and gcd(*(coeff for coeff, _ in terms)) == 1:
+                det_p = _sparse(terms)
+                # 3**rank > MAX_CANDIDATES refuses every search: no 2**rank table then
+                parities = None if 3 ** rank > MAX_CANDIDATES else frozenset(
+                    e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1)
+                plan = (det_p, parities)
+            object.__setattr__(self, "_plan", plan)
+        plan = self._plan
+        if not plan:
+            return NotFoundUpToBound(bound=bound, tested=box)
+        if box > MAX_CANDIDATES:
+            raise PreconditionError(
+                f"a search of (2*{bound} + 1)^{rank} coefficient vectors exceeds the "
+                f"cap of {MAX_CANDIDATES}; lower the bound"
+            )
+        det_p, parities = plan
+        hit = run_search(rank, bound, det_p, self.positive, self.zero, parities)
+        if hit is None:
+            return NotFoundUpToBound(bound=bound, tested=box)
+        index, c = hit
+        M = combination(c, self.mats)
+        if det(M) not in (1, -1):
+            raise AssertionError("witness is not unimodular")
+        return Found(witness=tuple(map(tuple, M)), coefficients=c, tested=index + 1)
+
+
+def pencil_search(mats, bound: int, positive=(), zero=()):
+    """One search of a one-off Pencil: Pencil(mats, positive, zero).search(bound)."""
+    return Pencil(mats, positive, zero).search(bound)

@@ -16,10 +16,10 @@ by intlinalg.period_identity_holds, the check every Hom generator
 passes.  Positivity and surjectivity are not linear, so phase two
 enumerates bounded integer combinations of that family on the pencil
 engine of ``parallel``: the coordinate determinant (surjectivity) and
-the leading principal minors (positivity) are computed once as
-polynomials in the coefficients; the engine evaluates the determinant a
-row of candidates at a time and the minors only where it is +-1, and
-returns the verdict.
+the leading principal minors (positivity) are computed once per family
+as polynomials in the coefficients, in its Pencil; the engine evaluates
+the determinant a row of candidates at a time and the minors only where
+it is +-1, and returns the verdict.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .intlinalg import (
     period_identity_holds,
     span_equal,
 )
-from .parallel import check_bound, pencil_search
+from .parallel import Pencil, check_bound
 from .scalars import monomial_flatten
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
@@ -92,7 +92,7 @@ class AdmissibleFamily:
     that is not an int or an integral Fraction is a PreconditionError.
     """
 
-    __slots__ = ("source", "target", "basis", "coordinates")
+    __slots__ = ("source", "target", "basis", "coordinates", "_pencil")
 
     def __init__(self, source, target, basis, coordinates):
         object.__setattr__(self, "source", source)
@@ -105,6 +105,7 @@ class AdmissibleFamily:
             "coordinates",
             tuple(tuple(tuple(map(as_int, row)) for row in C) for C in coordinates),
         )
+        object.__setattr__(self, "_pencil", None)
 
     def __setattr__(self, *args):
         raise AttributeError("AdmissibleFamily is immutable")
@@ -112,6 +113,17 @@ class AdmissibleFamily:
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    @property
+    def pencil(self) -> Pencil:
+        """The coordinates as a Pencil whose positive conditions are the leading
+        principal minors of sum(c_i * basis_i); built on first use and kept."""
+        if self._pencil is None:
+            n = len(self.basis[0]) if self.basis else 0
+            minors = [det_polynomial([[row[:k] for row in B[:k]] for B in self.basis])
+                      for k in range(1, n + 1)]
+            object.__setattr__(self, "_pencil", Pencil(self.coordinates, positive=minors))
+        return self._pencil
 
     def member(self, coefficients):
         """The symmetric matrix sum(c_i * basis_i)."""
@@ -186,10 +198,10 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     family with coefficients up to ``bound`` in absolute value; a hit
     carries the lattice of A onto the lattice of Ahat (coordinate
     determinant det(sum(c_i * C_i)) = +-1) and is positive definite
-    (leading principal minors > 0).  The search runs on the pencil engine
-    (parallel.pencil_search): the coordinate determinant and the minors
-    are computed once as polynomials in c, and the engine checks that the
-    hit's coordinates are unimodular.  The witness is rebuilt from its
+    (leading principal minors > 0).  The search runs on family.pencil:
+    the coordinate determinant and the minors are computed once per
+    family, as polynomials in c, and the engine checks that the hit's
+    coordinates are unimodular.  The witness is rebuilt from its
     coefficients as a PPCandidate and re-verified, with integer minors
     and symbolically, before being returned.  A search that the
     determinant does not rule out and that has more than
@@ -204,10 +216,7 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
         raise PreconditionError("the admissible family was built for other tori")
     if family.rank == 0:
         return NotFoundUpToBound(bound=bound, tested=0)
-    n = A.dim
-    minors = [det_polynomial([[row[:k] for row in B[:k]] for B in family.basis])
-              for k in range(1, n + 1)]
-    res = pencil_search(family.coordinates, bound, positive=minors)
+    res = family.pencil.search(bound)
     if not isinstance(res, Found):
         return res
     candidate = PPCandidate(family.member(res.coefficients))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from avtk import cli
 from avtk.demos import demo_list
-from avtk.documents import Report, canonical_json, point_to_doc, torus_to_doc
+from avtk.documents import Report, canonical_json, point_to_doc, torus_from_doc, torus_to_doc
+from avtk.intlinalg import snf
 from avtk.parallel import MAX_CANDIDATES
 from avtk.ppsearch import MAX_MODULUS
 from avtk.scalars import GeneratorSet
@@ -187,6 +189,32 @@ def test_kernel_reports_generators(curve_doc, capsys):
     assert run_cli(["kernel", curve_doc]) == 0
     out = capsys.readouterr().out
     assert "order: 9" in out
+
+
+def test_kernel_takes_one_smith_form_of_the_gram(tmp_path, monkeypatch, capsys):
+    # the type is read off the generators' orders, with no second snf
+    monkeypatch.chdir(tmp_path)
+    run_cli(["demo", "ex-4.2", "--n", "3", "--out", "ex42"])
+    capsys.readouterr()
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return snf(M)
+
+    for name, expected in (("product", [3, 3, 3]), ("dual", [1, 1, 3])):
+        doc = f"ex42/{name}.json"
+        with monkeypatch.context() as spies:
+            spies.setattr("avtk.intlinalg.snf", counted)
+            spies.setattr("avtk.torus.snf", counted)
+            assert run_cli(["kernel", doc, "--json"]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        dtype = torus_from_doc(json.loads(Path(doc).read_text())).polarisation_type()
+        assert payload["type"] == list(dtype) == expected
+        assert payload["order"] == prod(d * d for d in dtype)
+        assert sorted(g["order"] for g in payload["generators"]) == 2 * [d for d in dtype if d > 1]
 
 
 def test_quotient_through_cli(tmp_path, capsys):

@@ -705,6 +705,30 @@ def test_rat_solve_refuses_a_right_hand_side_that_is_not_ints_or_fractions():
     assert rat_solve([[Fraction(1, 2)]], [1]) == [2]
 
 
+# A bool is an int subclass; no routine may read True as 1 or False as 0.
+
+def test_det_refuses_bools():
+    with pytest.raises(PreconditionError, match="determinant entry True is not an int or a Fraction"):
+        det([[True, False], [False, True]])
+    with pytest.raises(PreconditionError, match="determinant entry False"):
+        det([[Fraction(1, 2), False], [0, 1]])
+
+
+def test_int_kernel_and_the_integer_routines_refuse_bools():
+    with pytest.raises(PreconditionError, match="integer matrix entry True is not an integer"):
+        int_kernel([[True, True]])
+    for call in (hnf, rank, snf, saturate_columns, int_inverse):
+        with pytest.raises(PreconditionError, match="entry (True|False) is not an integer"):
+            call([[True, False], [False, True]])
+
+
+def test_rat_inv_and_rat_solve_refuse_bools():
+    with pytest.raises(PreconditionError, match="inverse entry True is not an int or a Fraction"):
+        rat_inv([[True]])
+    with pytest.raises(PreconditionError, match="system entry True is not an int or a Fraction"):
+        rat_solve([[1]], [True])
+
+
 @settings(max_examples=400, deadline=None)
 @given(rational_matrices(square=True) | rational_matrices())
 def test_rat_inv_matches_the_gauss_jordan_oracle_in_value_and_type(M):

@@ -175,6 +175,89 @@ def test_a_rank_eleven_pencil_is_searched_with_its_parity_table(monkeypatch):
     assert seen == [frozenset(e for e in iter_product((0, 1), repeat=11) if sum(e) & 1)]
 
 
+# -- one Pencil, many searches ----------------------------------------------------
+
+def _counting(monkeypatch, calls):
+    """Count det_polynomial calls from parallel and ppsearch."""
+    det_polynomial = parallel.det_polynomial
+
+    def counted(mats):
+        calls.append(len(mats[0]))
+        return det_polynomial(mats)
+
+    monkeypatch.setattr(parallel, "det_polynomial", counted)
+    monkeypatch.setattr(ppsearch, "det_polynomial", counted)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_a_family_builds_its_search_polynomials_once(d, monkeypatch):
+    A, Ahat = swapped_pair(d)
+    fresh = [pp_search(A, Ahat, bound) for bound in (2, 3)]
+    calls = []
+    _counting(monkeypatch, calls)
+    fam = admissible_family(A, Ahat)
+    assert calls == []  # the pencil is built on the first search, not here
+    assert [pp_search(A, Ahat, bound, fam) for bound in (2, 3)] == fresh
+    # the 8 x 8 coordinate determinant, then the 4 leading minors of H
+    assert sorted(calls) == [1, 2, 3, 4, 8]
+    assert fam.pencil is fam.pencil
+
+
+def _random_pencil(rng):
+    rank, n = rng.randint(1, 3), rng.randint(1, 3)
+    scale = rng.choice((1, 1, 1, 2))  # 2: the content rules every member out
+    mats = [[[scale * rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            for _ in range(rank)]
+    positive = [[(rng.choice((-1, 1, 2)), [rng.choice((0, 1, 2)) for _ in range(rank)])
+                 for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(0, 1))]
+    return mats, positive
+
+
+def test_a_pencil_searched_at_several_bounds_matches_fresh_searches():
+    rng = random.Random(2510)
+    kinds = set()
+    for _ in range(300):
+        mats, positive = _random_pencil(rng)
+        pencil = parallel.Pencil(mats, positive)
+        bounds = [1, 2, 3] * 2
+        rng.shuffle(bounds)
+        for bound in bounds:
+            res = pencil.search(bound)
+            assert res == parallel.pencil_search(mats, bound, positive), (mats, positive, bound)
+            kinds.add((type(res).__name__, bound))
+    assert kinds == {(kind, b) for kind in ("Found", "NotFoundUpToBound") for b in (1, 2, 3)}
+
+
+def test_changing_the_input_lists_after_building_a_pencil_changes_no_verdict():
+    mats = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    positive = [[(1, [1, 0])]]  # c_0 > 0
+    expected = [parallel.pencil_search(mats, bound, positive) for bound in (1, 2)]
+    for searched_first in (False, True):
+        M, P = [[list(row) for row in A] for A in mats], [[(1, [1, 0])]]
+        pencil = parallel.Pencil(M, P)
+        if searched_first:
+            assert pencil.search(1) == expected[0]
+        M[0][0][0] = 2  # no member is unimodular now
+        M[1].append([5, 5])
+        P[0][0][1][0] = 0  # the condition would read 1 > 0
+        P.append([(-1, [0, 0])])  # and -1 > 0 would refuse every member
+        assert [pencil.search(bound) for bound in (1, 2)] == expected
+    with pytest.raises(AttributeError, match="Pencil is immutable"):
+        pencil.mats = ()
+
+
+def test_a_pencil_over_the_cap_at_every_bound_builds_no_parity_table(monkeypatch):
+    # det = c_0 + ... + c_19 has content 1; 3**20 > MAX_CANDIDATES
+    def no_table(*args):
+        raise AssertionError("the parity table was built")
+
+    monkeypatch.setattr(parallel, "_evaluate", no_table)
+    pencil = parallel.Pencil([[[1]]] * 20)
+    for bound in (1, 2):
+        with pytest.raises(PreconditionError, match="exceeds the cap"):
+            pencil.search(bound)
+
+
 # -- the bound check -------------------------------------------------------------
 
 RANK3 = [[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]]

@@ -43,6 +43,14 @@ def test_candidate_refuses_non_integral_entries():
     assert PPCandidate([[Fraction(4, 2), 1], [1, 1]]).H == ((2, 1), (1, 1))
 
 
+def test_candidate_and_family_refuse_bools():
+    # a bool is an int subclass; neither may read True as 1
+    with pytest.raises(PreconditionError, match="entry True is not an integer"):
+        PPCandidate([[True]])
+    with pytest.raises(PreconditionError, match="entry False is not an integer"):
+        AdmissibleFamily(None, None, [[[1]]], [[[False]]])
+
+
 def test_admissible_family_refuses_non_integral_entries():
     # int() made this basis the identity and these coordinates ((0,),)
     with pytest.raises(PreconditionError, match="not an integer"):
