@@ -31,10 +31,3 @@ class GeneratorMismatchError(AvtkError):
 class PreconditionError(AvtkError):
     """An operation was called on input violating its stated precondition."""
 
-
-class RankDeficiencyError(PreconditionError):
-    """A matrix expected to have full column rank does not.
-
-    Raised by the span comparisons so callers can tell 'not a lattice
-    basis' apart from 'different lattice'.
-    """

@@ -50,6 +50,7 @@ from .intlinalg import (
     matmul,
     period_identity_holds,
     pullback_polynomials,
+    rank,
     rat_inverse,
     saturate_columns,
     transpose,
@@ -143,6 +144,8 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     Hermite basis of the saturated integer kernel of those rows, so
     repeated runs agree entry for entry.  Each generator's F is
     P_Y @ (M_R @ D_X^-1), checked against the periods sliced once here.
+    A codomain whose periods are linearly dependent over Q is a
+    PreconditionError; a dependent domain only shrinks the module.
     """
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
@@ -156,6 +159,10 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     except ValueError:
         raise PreconditionError("right period block is singular over Q") from None
     px, py = monomial_flatten(X.periods), monomial_flatten(Y.periods)
+    # P_Y @ v = 0 for a rational v != 0 would put nonzero M with F = 0 in the kernel
+    if rank([[p.get(mono, 0) for p in PY_row]
+             for PY_row in py[1] for mono in set().union(*PY_row)]) < 2 * m:
+        raise PreconditionError("the codomain's periods are linearly dependent over Q")
     # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
     dW, DIt = dI * px[0], transpose(DI)
     Wcols = []

@@ -12,11 +12,11 @@ homs, ppsearch and torus build their sparse systems and products
 (_add_product, _add_row_times, _formal_product), the W = D_X^-1 @ Z_X of
 hom_module among them; int_kernel eliminates on sparse columns.  One
 check, period_identity_holds, verifies L @ P_X == P_Y @ M on those
-slices for every Hom generator and every admissible family element.
-flatten_to_int lays one monomial_flatten of several matrices out as
-dense integer matrices, and column spans are compared on that layout by
-canonical column Hermite forms, whose nonzero columns also give the
-ranks.  matmul sums entry by entry in the operands' own arithmetic.
+slices (an integer L enters as constant_slices) for every Hom generator,
+every admissible family element, every pp_search witness and every
+display frame of the demos.  flatten_to_int lays one monomial_flatten of
+several matrices out as dense integer matrices, for the rational solves
+of torus.  matmul sums entry by entry in the operands' own arithmetic.
 Inputs and outputs are dense matrices, and every result is canonical.
 
 Conventions:
@@ -50,8 +50,8 @@ from itertools import combinations, compress
 from math import lcm, prod
 from operator import add, mul
 
-from .errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
-from .scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
+from .errors import GeneratorMismatchError, PreconditionError
+from .scalars import FormalScalar, _grlex_key, monomial_flatten
 
 
 # -- basic matrix helpers ----------------------------------------------------
@@ -285,6 +285,13 @@ def _formal_product(gens, P, K, scale):
         out.append([FormalScalar._trusted(gens, {mono: Fraction(c, scale)
                                                  for mono, c in a.items() if c}) for a in acc])
     return out
+
+
+def constant_slices(M, nvars):
+    """An integer matrix as monomial_flatten slices over nvars generators:
+    constant integer polynomials over the denominator 1."""
+    const = (0,) * nvars
+    return 1, [[{const: x} if x else {} for x in row] for row in M]
 
 
 def period_identity_holds(L, M, px, py):
@@ -751,7 +758,7 @@ def symplectic_basis(E):
     return U, ds
 
 
-# -- span comparison on formal matrices ---------------------------------------
+# -- flattening formal matrices to integers -----------------------------------
 
 def flatten_to_int(*matrices):
     """Flatten scalar matrices over shared monomials and one common scale.
@@ -789,34 +796,3 @@ def flatten_to_int(*matrices):
         outs.append([r[offset : offset + w] for r in flat])
         offset += w
     return outs
-
-
-def span_equal(A, B, gens: GeneratorSet | None = None) -> bool:
-    """Do the columns of A and B generate the same lattice?
-
-    Entries may be formal scalars, ints or Fractions; an int or Fraction
-    is taken as a constant over the generator set of the first formal
-    entry, or over ``gens`` when there is none.  Both sides are flattened
-    together by flatten_to_int and compared by canonical column Hermite
-    forms.  Each side must have full column rank, read from its Hermite
-    form, otherwise RankDeficiencyError is raised, for the left side first.
-    """
-    if len(A) != len(B):
-        raise PreconditionError("span comparison of matrices with different row counts")
-    found = next((x.gens for M in (A, B) for row in M for x in row
-                  if isinstance(x, FormalScalar)), gens or GeneratorSet(()))
-    ZA, ZB = flatten_to_int(*([[x if isinstance(x, FormalScalar) else found.constant(x)
-                                for x in row] for row in M] for M in (A, B)))
-    return _full_rank_hermite_form(ZA, "left") == _full_rank_hermite_form(ZB, "right")
-
-
-def _full_rank_hermite_form(Z, side):
-    """The column Hermite form of Z, whose nonzero columns count its rank;
-    RankDeficiencyError naming ``side`` unless that is every column."""
-    H, _ = hnf(Z)
-    n = shape(Z)[1]
-    if sum(map(any, zip(*H))) != n:
-        raise RankDeficiencyError(
-            f"{side} matrix columns are linearly dependent (rank < {n})"
-        )
-    return H

@@ -13,13 +13,13 @@ integer row in the entries of H and C.  int_kernel's Hermite basis of
 the solutions, read on the entries of H, is already the Hermite basis
 of the family, and each basis element is checked against the identity
 by intlinalg.period_identity_holds, the check every Hom generator
-passes.  Positivity and surjectivity are not linear, so phase two
-enumerates bounded integer combinations of that family on the pencil
-engine of ``parallel``: the coordinate determinant (surjectivity) and
-the leading principal minors (positivity) are computed once per family
-as polynomials in the coefficients, in its Pencil; the engine evaluates
-the determinant a row of candidates at a time and the minors only where
-it is +-1, and returns the verdict.
+passes, and so is each search hit.  Positivity and surjectivity are not
+linear, so phase two enumerates bounded integer combinations of that
+family on the pencil engine of ``parallel``: the coordinate determinant
+(surjectivity) and the leading principal minors (positivity) are
+computed once per family as polynomials in the coefficients, in its
+Pencil; the engine evaluates the determinant a row of candidates at a
+time and the minors only where it is +-1, and returns the verdict.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from .errors import PreconditionError
 from .intlinalg import (
     as_int,
     combination,
+    constant_slices,
     det,
     det_polynomial,
     int_kernel,
-    matmul,
     period_identity_holds,
-    span_equal,
 )
 from .parallel import Pencil, check_bound
 from .scalars import monomial_flatten
@@ -143,7 +142,9 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     (the coordinates C are determined by H).  The basis returned is
     int_kernel's, whose entries of H are already the Hermite basis of the
     projection, and every element is re-verified against the containment
-    it encodes, over the same integer polynomials.
+    it encodes, over the same integer polynomials.  A solution with H = 0
+    means that Ahat's periods are linearly dependent over Q, which is a
+    PreconditionError.
 
     The family is frame-bound by contract: H is read in the given complex
     frames of A and Ahat, so a constant change of either frame can drop
@@ -173,17 +174,17 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
                 for mono, x in p.items():
                     rows.setdefault(mono, [0] * width)[s + 2 * n * j + r] = -dA * x
             system += rows.values()
-    const = (0,) * len(A.gens)
     basis = []
     coords = []
     for v in int_kernel(system or [[0] * width]):
+        if not any(v[:s]):
+            # H = 0 and C != 0 with P_Ahat @ C = 0
+            raise PreconditionError("the target's periods are linearly dependent over Q")
         H = [[0] * n for _ in range(n)]
         for u, (i, j) in enumerate(sym):
             H[i][j] = H[j][i] = v[u]
         C = [[v[s + j * 2 * n + row] for j in range(2 * n)] for row in range(2 * n)]
-        # H as constant integer polynomials over the denominator 1
-        L = (1, [[{const: h} if h else {} for h in row] for row in H])
-        if not period_identity_holds(L, C, pa, ph):
+        if not period_identity_holds(constant_slices(H, len(A.gens)), C, pa, ph):
             raise AssertionError("family element fails its containment identity")
         basis.append(H)
         coords.append(C)
@@ -202,11 +203,12 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     the coordinate determinant and the minors are computed once per
     family, as polynomials in c, and the engine checks that the hit's
     coordinates are unimodular.  The witness is rebuilt from its
-    coefficients as a PPCandidate and re-verified, with integer minors
-    and symbolically, before being returned.  A search that the
-    determinant does not rule out and that has more than
-    parallel.MAX_CANDIDATES vectors raises PreconditionError, and so do
-    a bound that is not an int of at least 1 and a ``family`` built for
+    coefficients as a PPCandidate and re-verified before being returned:
+    its leading minors as integers, and H @ P_A = P_Ahat @ C, for the
+    hit's unimodular coordinate matrix C, by period_identity_holds.  A
+    search that the determinant does not rule out and that has more than
+    parallel.MAX_CANDIDATES vectors raises PreconditionError, and so do a
+    bound that is not an int of at least 1 and a ``family`` built for
     other tori than A and Ahat, before any work.
     """
     check_bound(bound)
@@ -222,8 +224,9 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     candidate = PPCandidate(family.member(res.coefficients))
     if not candidate.is_positive_definite():
         raise AssertionError("witness is not positive definite")
-    image = matmul([list(row) for row in candidate.H], [list(row) for row in A.periods])
-    if not span_equal(image, [list(row) for row in Ahat.periods], A.gens):
+    # H @ P_A = P_Ahat @ C with C unimodular: H carries the lattice onto the target's
+    if not period_identity_holds(constant_slices(candidate.H, len(A.gens)), res.witness,
+                                 monomial_flatten(A.periods), monomial_flatten(Ahat.periods)):
         raise AssertionError("witness does not carry the lattice onto the target")
     return Found(witness=candidate, coefficients=res.coefficients, tested=res.tested)
 

@@ -14,6 +14,7 @@ from avtk.intlinalg import (
     as_int,
     det,
     flatten_to_int,
+    hnf,
     identity,
     int_kernel,
     mat_eq,
@@ -519,6 +520,43 @@ def row_hnf_rank(M):
     """The rank as the count of nonzero rows of the row Hermite form."""
     H, _ = row_hnf(M)
     return sum(1 for row in H if any(row))
+
+
+# -- lattice equality by Hermite forms, independent of period_identity_holds ----
+
+class RankDeficiencyError(PreconditionError):
+    """span_equal was given a side whose columns are not a lattice basis."""
+
+
+def span_equal(A, B, gens: GeneratorSet | None = None) -> bool:
+    """Do the columns of A and B generate the same lattice?
+
+    Entries may be formal scalars, ints or Fractions; an int or Fraction
+    is taken as a constant over the generator set of the first formal
+    entry, or over ``gens`` when there is none.  Both sides are flattened
+    together by flatten_to_int and compared by canonical column Hermite
+    forms.  Each side must have full column rank, read from its Hermite
+    form, otherwise RankDeficiencyError is raised, for the left side first.
+    """
+    if len(A) != len(B):
+        raise PreconditionError("span comparison of matrices with different row counts")
+    found = next((x.gens for M in (A, B) for row in M for x in row
+                  if isinstance(x, FormalScalar)), gens or GeneratorSet(()))
+    ZA, ZB = flatten_to_int(*([[x if isinstance(x, FormalScalar) else found.constant(x)
+                                for x in row] for row in M] for M in (A, B)))
+    return _full_rank_hermite_form(ZA, "left") == _full_rank_hermite_form(ZB, "right")
+
+
+def _full_rank_hermite_form(Z, side):
+    """The column Hermite form of Z; RankDeficiencyError naming ``side``
+    unless every column is a pivot column."""
+    H, _ = hnf(Z)
+    n = shape(Z)[1]
+    if sum(map(any, zip(*H))) != n:
+        raise RankDeficiencyError(
+            f"{side} matrix columns are linearly dependent (rank < {n})"
+        )
+    return H
 
 
 # -- the symbolic Hom and family systems, kept as references --------------------

@@ -26,7 +26,6 @@ from avtk.intlinalg import (
     mat_eq,
     rank,
     snf,
-    span_equal,
     symplectic_basis,
     transpose,
 )
@@ -34,6 +33,7 @@ from avtk.ppsearch import obstruction_report, pp_search
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, ambient_to_lattice, pairing_type, product, standard_gram
 from avtk.verdicts import Found
+from oracles import span_equal
 
 
 @pytest.fixture

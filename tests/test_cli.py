@@ -252,6 +252,16 @@ def test_pp_search_refuses_periods_dependent_over_q(tmp_path, capsys):
     assert "linearly dependent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["hom", "isom-search"])
+def test_hom_commands_refuse_a_codomain_dependent_over_q(tmp_path, capsys, command):
+    # Hom(T, T) had rank 3 with a generator whose analytic rep is 0, and
+    # isom-search reported an isomorphism
+    doc = write_doc(tmp_path / "d.json", {"generators": ["t"], "dim": 1,
+                                          "periods": [["2", "1"]]})
+    assert run_cli([command, doc, doc]) == 2
+    assert "linearly dependent" in capsys.readouterr().err
+
+
 def test_dual_json_report(curve_doc, capsys):
     assert run_cli(["dual", curve_doc, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

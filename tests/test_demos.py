@@ -15,7 +15,7 @@ from avtk.demos import (
 )
 from avtk.errors import PreconditionError
 from avtk.scalars import GeneratorSet
-from avtk.torus import standard_torus
+from avtk.torus import PolarisedTorus, standard_torus
 
 
 def test_demo_list_is_complete():
@@ -82,7 +82,7 @@ def test_quotient_display_shape():
     assert display.polarisation_type() == (1, 3)
 
 
-def test_display_replay_fails_its_check_on_a_column_off_the_periods(monkeypatch):
+def test_display_replay_fails_its_check_on_a_column_off_the_periods():
     # the column is no rational combination of the periods: its labelled
     # check fails, where the PreconditionError of ambient_to_lattice escaped
     gens = GeneratorSet(("tau_E", "tau_F"))
@@ -93,12 +93,40 @@ def test_display_replay_fails_its_check_on_a_column_off_the_periods(monkeypatch)
     # quotient_display's left block, with tau_E * tau_F added to entry (0, 1)
     display = standard_torus(gens, [[3 * tauE, 3 * tauE + tauE * tauF],
                                     [3 * tauE, tauF + 3 * tauE]], dtype)
-    monkeypatch.setattr(demos, "span_equal", lambda *args: True)
     checks = {}
     with pytest.raises(AssertionError, match="display column 1 lies in the lattice"):
         _display_replay(A, display, checks, {})
     assert checks["display column 0 lies in the lattice"] is True
     assert checks["display column 1 lies in the lattice"] is False
+
+
+def test_display_replay_fails_display_entrywise_on_a_changed_term(monkeypatch):
+    # the lattice coordinates are those of the true display, the identity
+    # S^-1 @ P_D == P_A @ U is checked against a display with one term changed
+    gens = GeneratorSet(("tau_E", "tau_F"))
+    tauE, tauF = gens.gens()
+    dtype = (1, 3)
+    E = scaled_curve(gens, "tau_E", 3)
+    _, A = _quotient_pipeline(gens, E, [typed_curve(gens, "tau_F", 3)], dtype, {}, {})
+    display = quotient_display(gens, "tau_E", [[tauF]], dtype)
+    payload = {}
+    _display_replay(A, display, {}, payload)
+    periods = [list(r) for r in display.periods]
+    periods[1][0] = periods[1][0] + tauE * tauF
+    changed = PolarisedTorus(gens, periods, display.gram)
+    columns = iter(zip(*payload["base_change"]))
+
+    def true_column(T, vector, label, checks):
+        checks[label] = True
+        return list(next(columns))
+
+    monkeypatch.setattr(demos, "_lattice_column", true_column)
+    checks = {}
+    with pytest.raises(AssertionError, match="display entrywise"):
+        _display_replay(A, changed, checks, {})
+    assert checks["base change unimodular"] is True
+    assert checks["display entrywise"] is False
+    assert "display span" not in checks
 
 
 def test_quotient_pipeline_fails_its_check_on_a_point_off_the_periods(monkeypatch):

@@ -15,7 +15,7 @@ from avtk.homs import (
     idempotent,
     isom_search,
 )
-from avtk.intlinalg import det, identity, matmul, mat_eq, transpose
+from avtk.intlinalg import det, flatten_to_int, identity, matmul, mat_eq, transpose
 from avtk.ppsearch import admissible_family
 from avtk.scalars import FormalScalar, GeneratorSet
 from avtk.torus import (
@@ -26,7 +26,7 @@ from avtk.torus import (
     standard_gram,
 )
 from avtk.verdicts import Found, NoHoms, NotFoundUpToBound
-from oracles import dual_hom, symbolic_admissible_family, symbolic_hom_module
+from oracles import dual_hom, row_hnf_rank, symbolic_admissible_family, symbolic_hom_module
 
 G2 = GeneratorSet(("tau_E", "tau_F"))
 TAU_E = G2.scalar("tau_E")
@@ -79,6 +79,20 @@ def test_hom_generator_constructor_verifies_compatibility():
     E = curve(TAU_E)
     with pytest.raises(PreconditionError):
         HomGenerator(E, E, [[1, 0], [0, 2]], [[G2.one()]])
+
+
+def test_hom_module_refuses_a_codomain_dependent_over_q():
+    # the periods 2 and 1 of T are dependent over Q: Hom(T, T) had rank 3,
+    # with a generator whose analytic representation is 0
+    T = PolarisedTorus(G2, [[2, 1]], standard_gram([1]))
+    E = curve(TAU_E)
+    for X in (T, E):
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            hom_module(X, T)
+    # a dependent domain is taken: every member sends (1, -2), the relation
+    # between T's periods, to 0, so it is singular
+    gens = hom_module(T, E)
+    assert len(gens) == 2 and all(det(g.rational_rep) == 0 for g in gens)
 
 
 def test_hom_generator_refuses_a_non_integral_rational_representation():
@@ -337,10 +351,20 @@ def _torus_pairs(draw, same_dim=False):
     return X, _torus(draw(_left_blocks(m)), draw(_constant_invertible(m)))
 
 
+def _dependent_over_q(T):
+    """Are the period columns of T linearly dependent over Q?"""
+    flat = flatten_to_int([list(r) for r in T.periods])[0]
+    return row_hnf_rank(flat) < len(flat[0])
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_torus_pairs())
 def test_hom_module_matches_the_symbolic_system(pair):
     X, Y = pair
+    if _dependent_over_q(Y):
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            hom_module(X, Y)
+        return
     got = [([list(r) for r in g.rational_rep], [list(r) for r in g.analytic_rep])
            for g in hom_module(X, Y)]
     assert got == symbolic_hom_module(X, Y)
@@ -350,6 +374,10 @@ def test_hom_module_matches_the_symbolic_system(pair):
 @given(_torus_pairs(same_dim=True))
 def test_admissible_family_matches_the_symbolic_system(pair):
     A, Ahat = pair
+    if _dependent_over_q(Ahat):
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            admissible_family(A, Ahat)
+        return
     fam = admissible_family(A, Ahat)
     basis, coords = symbolic_admissible_family(A, Ahat)
     assert [[list(r) for r in B] for B in fam.basis] == basis

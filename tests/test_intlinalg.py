@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from avtk import intlinalg
 from avtk.demos import run_demo
 from avtk.documents import torus_from_doc
-from avtk.errors import GeneratorMismatchError, PreconditionError, RankDeficiencyError
+from avtk.errors import GeneratorMismatchError, PreconditionError
 from avtk.homs import hom_module
 from avtk.intlinalg import (
     _packing,
@@ -36,7 +36,6 @@ from avtk.intlinalg import (
     rat_solve,
     saturate_columns,
     snf,
-    span_equal,
     symplectic_basis,
     transpose,
     zeros,
@@ -44,6 +43,7 @@ from avtk.intlinalg import (
 from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
 from avtk.torus import pairing_type, standard_gram
 from oracles import (
+    RankDeficiencyError,
     dense_flatten_to_int,
     dense_hnf,
     dense_int_kernel,
@@ -56,6 +56,7 @@ from oracles import (
     row_hnf,
     row_hnf_rank,
     snf_saturate_columns,
+    span_equal,
 )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from avtk.demos import surface_pair
 from avtk.errors import PreconditionError
-from avtk.intlinalg import matmul, period_identity_holds, span_equal, transpose
+from avtk.intlinalg import matmul, period_identity_holds, transpose
 from avtk.ppsearch import (
     MAX_MODULUS,
     AdmissibleFamily,
@@ -16,6 +16,7 @@ from avtk.ppsearch import (
 from avtk.scalars import GeneratorSet, monomial_flatten
 from avtk.torus import PolarisedTorus, product, standard_gram
 from avtk.verdicts import Found, NotFoundUpToBound
+from oracles import span_equal
 
 G = GeneratorSet(("a", "b", "c"))
 A_, B_, C_ = (G.scalar(x) for x in ("a", "b", "c"))
@@ -204,6 +205,39 @@ def test_pp_search_refuses_a_family_built_for_other_tori():
             pp_search(A, Ahat, bound=2, family=fam)
     res = pp_search(A5, B5, bound=2, family=fam5)
     assert isinstance(res, Found) and res.tested == 42
+
+
+def _changed(mats, k, i, j):
+    """mats with entry (i, j) of mats[k] raised by 1."""
+    out = [[list(r) for r in M] for M in mats]
+    out[k][i][j] += 1
+    return out
+
+
+@pytest.mark.parametrize("change", ["basis", "coordinates"])
+def test_pp_search_checks_its_hit_against_the_periods(change):
+    # a family whose basis element or coordinate matrix no longer satisfies
+    # H @ P_A = P_Ahat @ C still has a positive definite, unimodular hit
+    A, Ahat = swapped_pair(5)
+    fam = admissible_family(A, Ahat)
+    if change == "basis":
+        bad = AdmissibleFamily(A, Ahat, _changed(fam.basis, 0, 0, 0), fam.coordinates)
+    else:
+        bad = AdmissibleFamily(A, Ahat, fam.basis, _changed(fam.coordinates, 0, 0, 1))
+    with pytest.raises(AssertionError, match="does not carry the lattice onto the target"):
+        pp_search(A, Ahat, bound=3, family=bad)
+    assert isinstance(pp_search(A, Ahat, bound=3, family=fam), Found)
+
+
+def test_admissible_family_refuses_a_target_dependent_over_q():
+    # the periods 2 and 1 of T are dependent over Q: P_T @ C = 0 for
+    # C = [[1, 0], [-2, 0]], and the family held such members with H = 0
+    gens = GeneratorSet(("t",))
+    T = PolarisedTorus(gens, [[2, 1]], standard_gram([1]))
+    E = PolarisedTorus(gens, [[gens.scalar("t"), 1]], standard_gram([1]))
+    for A, Ahat in ((T, T), (E, T)):
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            admissible_family(A, Ahat)
 
 
 # -- the residue obstruction ------------------------------------------------------------
