@@ -63,7 +63,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DocumentError("document is nested too deeply") from None
 
 
 def _load_torus(path: str):

@@ -15,7 +15,6 @@ of the outcome is evidence up to a bound rather than a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .documents import scalar_matrix_doc, torus_to_doc
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
@@ -56,21 +55,9 @@ def _check(label, cond, checks):
         raise AssertionError(f"demo check failed: {label}")
 
 
-def _lattice_coords(T, vector):
-    """ambient_to_lattice(T, vector), or None when the vector is not a
-    rational combination of the periods, so that its check fails by label."""
-    try:
-        return ambient_to_lattice(T, vector)
-    except PreconditionError:
-        return None
-
-
-def _lattice_column(T, vector, label, checks):
-    """The lattice coordinates of vector as ints, after checking by label
-    that they exist and are integral."""
-    col = _lattice_coords(T, vector)
-    _check(label, col is not None and all(x.denominator == 1 for x in col), checks)
-    return [int(x) for x in col]
+def _in_lattice(col):
+    """Whether a column of ambient_to_lattice exists and is integral."""
+    return col is not None and all(x.denominator == 1 for x in col)
 
 
 def parse_type(text) -> tuple:
@@ -168,10 +155,7 @@ def _quotient_pipeline(gens, E, factors, dtype, checks, payload):
     prod = product([E] + factors)
     expected_product_type = tuple(sorted(list(dtype[1:]) + [dn]))
     _check("product type", prod.polarisation_type() == expected_product_type, checks)
-    ambient = [Fraction(0)] * n
-    ambient[0] = Fraction(1)
-    ambient[n - 1] = ambient[n - 1] - 1
-    coords = _lattice_coords(prod, ambient)
+    (coords,) = ambient_to_lattice(prod, [[1] + [0] * (n - 2) + [-1]])  # e_1 - e_n
     _check("kernel point is rational over the lattice", coords is not None, checks)
     point = TorsionPoint(coords)
     _check("kernel point order", point.order == dn, checks)
@@ -194,7 +178,8 @@ def _display_replay(A, display, checks, payload):
     """The exact base change U from A to the display torus D.
 
     Column j of U holds the lattice coordinates in A of column j of D
-    taken back through the ambient shift S.  With U unimodular, the
+    taken back through the ambient shift S; one ambient_to_lattice solves
+    all 2n columns in one elimination.  With U unimodular, the
     identity S^-1 @ P_D == P_A @ U, checked by period_identity_holds as
     "display entrywise", makes D the torus A in another frame, so that
     "display span" follows; the form must then be carried to D's.
@@ -202,10 +187,10 @@ def _display_replay(A, display, checks, payload):
     n = A.dim
     Sinv = ambient_shift(n)
     Sinv[n - 1][0] = -1
-    old_cols = matmul(Sinv, display.periods)
-    U = transpose([_lattice_column(A, [old_cols[i][j] for i in range(n)],
-                                   f"display column {j} lies in the lattice", checks)
-                   for j in range(2 * n)])
+    cols = ambient_to_lattice(A, transpose(matmul(Sinv, display.periods)))
+    for j, col in enumerate(cols):
+        _check(f"display column {j} lies in the lattice", _in_lattice(col), checks)
+    U = transpose([[int(x) for x in col] for col in cols])
     _check("base change unimodular", abs(det(U)) == 1, checks)
     _check("display entrywise",
            period_identity_holds(constant_slices(Sinv, len(A.gens)), U,
@@ -233,18 +218,16 @@ def demo_ex_4_1(n: int = 2, type_=None, bound: int = 10) -> DemoResult:
     display = quotient_display(gens, "tau_E", left_B, dtype)
     _display_replay(A, display, checks, payload)
 
-    tauE = gens.scalar("tau_E")
-    e_cols = [_lattice_column(A, vec, "factor vector lies in the lattice", checks)
-              for vec in ([dn * tauE] + [gens.zero()] * (n - 1),
-                          [gens.constant(dn)] + [gens.zero()] * (n - 1))]
-    emb_E = SubvarietyEmbedding.from_spanning_vectors(A, e_cols)
-    b_cols = []
-    for i, d in enumerate(dtype[1:]):
-        for entry in (tauF, gens.constant(d)):
-            vec = [gens.zero()] * n
-            vec[i + 1] = entry
-            b_cols.append(_lattice_column(A, vec, "factor vector lies in the lattice", checks))
-    emb_B = SubvarietyEmbedding.from_spanning_vectors(A, b_cols)
+    # the periods of E in coordinate 0, then those of each factor of B in its own
+    periods = [(0, dn * gens.scalar("tau_E")), (0, gens.constant(dn))]
+    for i, d in enumerate(dtype[1:], 1):
+        periods += [(i, tauF), (i, gens.constant(d))]
+    cols = ambient_to_lattice(A, [[x if k == i else gens.zero() for k in range(n)]
+                                  for i, x in periods])
+    _check("factor vector lies in the lattice", all(map(_in_lattice, cols)), checks)
+    cols = [[int(x) for x in col] for col in cols]
+    emb_E = SubvarietyEmbedding.from_spanning_vectors(A, cols[:2])
+    emb_B = SubvarietyEmbedding.from_spanning_vectors(A, cols[2:])
     _check("curve restricted type", restricted_polarisation(A, emb_E)[1] == (dn,), checks)
     _check("complement restricted type",
            restricted_polarisation(A, emb_B)[1] == tuple(sorted(dtype[1:])), checks)

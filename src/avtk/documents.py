@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocumentError
+from .errors import DocumentError, PreconditionError
 from .scalars import GeneratorSet, parse_scalar, render_scalar
 from .torus import (
     PolarisedTorus,
@@ -139,7 +139,10 @@ def point_from_doc(doc: dict, torus: PolarisedTorus) -> TorsionPoint:
             raise DocumentError(
                 f"ambient point needs {torus.dim} coordinates, got {len(coords)}"
             )
-        return TorsionPoint(ambient_to_lattice(torus, coords))
+        (lattice,) = ambient_to_lattice(torus, [coords])
+        if lattice is None:
+            raise PreconditionError("vector is not a rational combination of the periods")
+        return TorsionPoint(lattice)
     raise DocumentError("point basis must be 'lattice' or 'ambient'")
 
 

@@ -15,22 +15,23 @@ check, period_identity_holds, verifies L @ P_X == P_Y @ M on those
 slices (an integer L enters as constant_slices) for every Hom generator,
 every admissible family element, every pp_search witness and every
 display frame of the demos.  flatten_to_int lays one monomial_flatten of
-several matrices out as dense integer matrices, for the rational solves
-of torus.  matmul sums entry by entry in the operands' own arithmetic.
+several matrices out as dense integer matrices for rat_solve, which
+solves all of a frame's vectors, its right-hand sides, in one
+elimination.  matmul sums entry by entry in the operands' own arithmetic.
 Inputs and outputs are dense matrices, and every result is canonical.
 
 Conventions:
   * Five eliminations remain, one per job: fraction-free Bareiss for det
     over Z and Q, and over integer polynomials for det_polynomial; one
     fraction-free Gauss-Jordan on integer rows (_gauss_jordan) for
-    rat_solve and int_inverse, the adjugate and determinant; one
-    sparse unimodular column reduction (_column_echelon) for hnf,
-    int_kernel, rank and saturate_columns; snf, for elementary_divisors.
-    symplectic_basis is built from snf, int_kernel and matmul, and
-    det_mod2 from det.
+    rat_solve, all right-hand sides at once, and int_inverse, the adjugate
+    and determinant; one sparse unimodular column reduction
+    (_column_echelon) for hnf, int_kernel, rank and saturate_columns; snf,
+    for elementary_divisors.  symplectic_basis is built from snf,
+    int_kernel and matmul, and det_mod2 from det.
   * Only _over_common_denominator clears rational rows.  rat_inverse gives
-    M^-1 = N / d as (N, d) to hom_module and QuotientResult.push_point, and
-    rat_inv is its Fraction view.
+    M^-1 = N / d as (N, d) to hom_module and to QuotientResult, which
+    keeps it for all its push_point calls; rat_inv is its Fraction view.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).
@@ -637,32 +638,36 @@ def rat_inv(M):
     return [[Fraction(x, d) for x in row] for row in N]
 
 
-def rat_solve(A, b):
-    """One exact solution x of A x = b over Q, or None if inconsistent.
+def rat_solve(A, B):
+    """Solve A x = b over Q for every column b of B in one elimination: one
+    entry per column, a list of Fractions, or None if it is inconsistent.
 
-    A may be rectangular.  The rows of [A | b], each over its common
-    denominator, go through _gauss_jordan; a row without a pivot and with a
-    nonzero right-hand side means no solution.  Free variables are zero,
-    x = X / d (d the last pivot), and A' X = d b' is verified on all rows.
-    Entries that are not ints or Fractions are a PreconditionError.
+    The rows of [A | B] (A may be rectangular), each over its common
+    denominator, go through one _gauss_jordan.  Pivots depend only on A's
+    columns and free variables are zero, so each column gets the solution
+    it would get alone: x = X / d (d the last pivot), with A' X = d b'
+    verified on all rows.  Entries that are not ints or Fractions are a
+    PreconditionError.
     """
     m, n = shape(A)
-    if len(b) != m:
+    k = shape(B)[1]
+    if len(B) != m or any(len(row) != k for row in B):
         raise ValueError("dimension mismatch")
     _require_rational(A, "system")
-    _require_rational([b], "system")
-    scaled = [v for v, _ in _over_common_denominator([[*row, c] for row, c in zip(A, b)])]
+    _require_rational(B, "system")
+    scaled = [v for v, _ in _over_common_denominator([[*a, *b] for a, b in zip(A, B)])]
     rows = [list(v) for v in scaled]
     pivots, d, _ = _gauss_jordan(rows, n)
-    if any(row[n] for row in rows[len(pivots):]):
-        return None
-    X = [0] * n
-    for row, c in zip(rows, pivots):
-        X[c] = row[n]
-    # paranoia: verify (cheap at these sizes, catches elimination slips)
-    if any(sum(map(mul, v, X)) != d * v[n] for v in scaled):
-        return None
-    return [Fraction(x, d) for x in X]
+    pivot_rows = dict(zip(pivots, rows))
+    out = []
+    for j in range(n, n + k):
+        X = [pivot_rows[c][j] if c in pivot_rows else 0 for c in range(n)]
+        # no pivot but a nonzero right-hand side: inconsistent; then paranoia:
+        # verify (cheap at these sizes, catches elimination slips)
+        solved = not any(row[j] for row in rows[len(pivots):]) and all(
+            sum(map(mul, v, X)) == d * v[j] for v in scaled)
+        out.append([Fraction(x, d) for x in X] if solved else None)
+    return out
 
 
 def _divide_exactly(M, d):

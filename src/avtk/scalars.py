@@ -347,6 +347,7 @@ def _render_fraction(q: Fraction) -> str:
 # -- parsing ---------------------------------------------------------------
 
 _OPS = frozenset("+-*/()")
+MAX_NESTING = 100  # levels of parentheses and unary signs, well inside the stack
 
 
 def _tokenize(text: str):
@@ -388,7 +389,7 @@ class _Parser:
     def __init__(self, gens: GeneratorSet, text: str):
         self.gens = gens
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.pos = self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -428,15 +429,22 @@ class _Parser:
                 value = value / rhs.constant_value()
         return value
 
+    def nested(self, at, parse) -> FormalScalar:
+        """parse() one level deeper, refused past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise ScalarParseError(f"expression nested deeper than {MAX_NESTING} levels", at)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def unary(self) -> FormalScalar:
-        kind, _, _ = self.peek()
-        if kind == "-":
-            self.advance()
-            return -self.unary()
-        if kind == "+":
-            self.advance()
-            return self.unary()
-        return self.atom()
+        kind, _, at = self.peek()
+        if kind not in ("-", "+"):
+            return self.atom()
+        self.advance()
+        value = self.nested(at, self.unary)
+        return -value if kind == "-" else value
 
     def atom(self) -> FormalScalar:
         kind, text, at = self.advance()
@@ -448,7 +456,7 @@ class _Parser:
             except KeyError:
                 raise ScalarParseError(f"unknown generator {text!r}", at) from None
         if kind == "(":
-            value = self.expr()
+            value = self.nested(at, self.expr)
             kind2, text2, at2 = self.advance()
             if kind2 != ")":
                 raise ScalarParseError(f"expected ')', got {text2!r}", at2)
@@ -461,7 +469,8 @@ def parse_scalar(gens: GeneratorSet, text: str) -> FormalScalar:
 
     Accepts integer and rational literals ("1/3" parses as one third),
     generator names, +, -, *, parentheses, and division by nonzero
-    constant subexpressions.  Errors carry the offending offset.
+    constant subexpressions, nested at most MAX_NESTING levels deep in
+    parentheses and signs.  Errors carry the offending offset.
     """
     if not isinstance(text, str):
         raise ScalarParseError("expression must be a string", 0)

@@ -358,15 +358,17 @@ class QuotientResult:
 
     ``basis`` expresses the new lattice basis in the source lattice
     coordinates (columns, rational entries); push_point moves torsion
-    points of the source into the quotient's coordinates.
+    points of the source into the quotient's coordinates.  The inverse of
+    ``basis`` is computed on the first push_point and kept for the rest.
     """
 
-    __slots__ = ("torus", "basis", "source")
+    __slots__ = ("torus", "basis", "source", "_inverse")
 
     def __init__(self, torus, basis, source):
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, *args):
         raise AttributeError("QuotientResult is immutable")
@@ -376,7 +378,9 @@ class QuotientResult:
         rat_inverse, it is N x / (d k)."""
         if len(point.coords) != len(self.basis):
             raise PreconditionError("point dimension does not match the torus")
-        N, d = rat_inverse(self.basis)
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", rat_inverse(self.basis))
+        N, d = self._inverse
         x = point.integer_lift()
         dk = d * point.order
         return TorsionPoint([Fraction(sum(map(mul, row, x)), dk) for row in N])
@@ -581,29 +585,21 @@ def product(tori):
     return PolarisedTorus(gens, periods, gram, assumption)
 
 
-def ambient_to_lattice(T: PolarisedTorus, vector):
-    """Rational lattice coordinates of an ambient vector.
+def ambient_to_lattice(T: PolarisedTorus, vectors):
+    """Rational lattice coordinates of ambient vectors, one entry per vector:
+    None for a vector that is not a rational combination of the periods.
 
-    ``vector`` has one (scalar or rational) entry per complex coordinate.
-    The period columns span the ambient space over Q after flattening by
-    monomials, so the solution, when it exists, is unique; no solution
-    means the vector is not a rational combination of the periods.
+    Each vector has one (scalar or rational) entry per complex coordinate.
+    The vectors, the columns of one n x k matrix, are flattened with the
+    periods by monomials and solved in one rat_solve; the period columns
+    span the ambient space over Q after flattening, so a solution is unique.
     """
     n = T.dim
-    if len(vector) != n:
+    if any(len(v) != n for v in vectors):
         raise PreconditionError("ambient vector length must equal the dimension")
-    vec = []
-    for x in vector:
-        if isinstance(x, FormalScalar):
-            vec.append(x)
-        else:
-            vec.append(T.gens.constant(x))
-    P = [list(r) for r in T.periods]
-    ZP, Zv = flatten_to_int(P, [[x] for x in vec])
-    sol = rat_solve(ZP, [row[0] for row in Zv])
-    if sol is None:
-        raise PreconditionError("vector is not a rational combination of the periods")
-    return sol
+    V = [[v[i] if isinstance(v[i], FormalScalar) else T.gens.constant(v[i]) for v in vectors]
+         for i in range(n)]
+    return rat_solve(*flatten_to_int(T.periods, V))
 
 
 def subgroup_lattice(points, dim):

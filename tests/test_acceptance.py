@@ -157,7 +157,7 @@ def test_06_idempotent_identities(criterion):
         tau_E = A.gens.scalar("tau_E")
         cols = []
         for entry in (3 * tau_E, A.gens.constant(3)):
-            col = ambient_to_lattice(A, [entry, A.gens.zero()])
+            col = ambient_to_lattice(A, [[entry, A.gens.zero()]])[0]
             assert col is not None and all(x.denominator == 1 for x in col)
             cols.append([int(x) for x in col])
         emb = SubvarietyEmbedding.from_spanning_vectors(A, cols)

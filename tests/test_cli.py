@@ -124,6 +124,27 @@ def test_malformed_input_exits_one_without_traceback(argv, contents, square_doc,
     assert err.startswith("avtk: ") and err.count("\n") == 1
 
 
+_NESTED = "expression nested deeper than 100 levels (at offset 100)"
+
+
+@pytest.mark.parametrize(
+    "contents,message",
+    [
+        pytest.param(canonical_json(_curve_doc(periods=[["(" * 3000 + "tau" + ")" * 3000, "1"]])),
+                     _NESTED, id="parentheses"),
+        pytest.param(canonical_json(_curve_doc(periods=[["-" * 3000 + "tau", "1"]])),
+                     _NESTED, id="signs"),
+        pytest.param("[" * 200_000 + "]" * 200_000, "document is nested too deeply", id="json"),
+    ],
+)
+def test_deeply_nested_input_exits_one_with_one_line(contents, message, tmp_path, capsys):
+    # each ran out of stack and printed a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text(contents)
+    assert run_cli(["type", str(path)]) == 1
+    assert capsys.readouterr().err == f"avtk: parse error: {message}\n"
+
+
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])
@@ -245,7 +266,8 @@ def test_quotient_by_an_ambient_point_off_the_periods_exits_two(tmp_path, capsys
 
 
 def test_pp_search_refuses_periods_dependent_over_q(tmp_path, capsys):
-    # the columns 2 and 1 are dependent over Q: span_equal refuses the witness check
+    # the columns 2 and 1 are dependent over Q: admissible_family refuses the
+    # target, as an int_kernel vector has an all-zero H part
     doc = write_doc(tmp_path / "d.json", {"generators": ["t"], "dim": 1,
                                           "periods": [["2", "1"]]})
     assert run_cli(["pp-search", doc]) == 2

@@ -1,5 +1,6 @@
 import pytest
 
+import avtk.torus
 from avtk import demos
 from avtk.demos import (
     _display_replay,
@@ -114,13 +115,12 @@ def test_display_replay_fails_display_entrywise_on_a_changed_term(monkeypatch):
     periods = [list(r) for r in display.periods]
     periods[1][0] = periods[1][0] + tauE * tauF
     changed = PolarisedTorus(gens, periods, display.gram)
-    columns = iter(zip(*payload["base_change"]))
+    columns = [list(col) for col in zip(*payload["base_change"])]
 
-    def true_column(T, vector, label, checks):
-        checks[label] = True
-        return list(next(columns))
+    def true_columns(T, vectors):
+        return columns
 
-    monkeypatch.setattr(demos, "_lattice_column", true_column)
+    monkeypatch.setattr(demos, "ambient_to_lattice", true_columns)
     checks = {}
     with pytest.raises(AssertionError, match="display entrywise"):
         _display_replay(A, changed, checks, {})
@@ -129,9 +129,23 @@ def test_display_replay_fails_display_entrywise_on_a_changed_term(monkeypatch):
     assert "display span" not in checks
 
 
+@pytest.mark.parametrize("name,n", [("ex-4.1", 3), ("ex-4.2", 3), ("thm-3.2-generic", 4)])
+def test_each_frame_is_solved_in_one_elimination(monkeypatch, name, n):
+    # the kernel point, then the 2n display columns, then ex-4.1's 2n factor
+    # vectors: one rat_solve each, where every vector had its own
+    widths = []
+    rat_solve = avtk.torus.rat_solve
+    monkeypatch.setattr(avtk.torus, "rat_solve",
+                        lambda A, B: widths.append(len(B[0])) or rat_solve(A, B))
+    res = run_demo(name, n=n)
+    assert all(res.payload["checks"].values())
+    assert widths == {"ex-4.1": [1, 2 * n, 2 * n], "ex-4.2": [1, 2 * n],
+                      "thm-3.2-generic": [1]}[name]
+
+
 def test_quotient_pipeline_fails_its_check_on_a_point_off_the_periods(monkeypatch):
-    def off_the_periods(T, vector):
-        raise PreconditionError("vector is not a rational combination of the periods")
+    def off_the_periods(T, vectors):
+        return [None] * len(vectors)
 
     monkeypatch.setattr(demos, "ambient_to_lattice", off_the_periods)
     with pytest.raises(AssertionError, match="kernel point is rational over the lattice"):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from avtk.demos import demo_list, run_demo
 from avtk.documents import (
     Report,
     canonical_json,
@@ -69,6 +70,13 @@ def test_torus_doc_round_trip():
 def test_torus_doc_round_trip_on_products():
     T = product([curve(1), curve(3)])
     assert torus_from_doc(torus_to_doc(T)) == T
+
+
+def test_every_demo_document_round_trips():
+    # the scalar parser's nesting cap must leave everything avtk writes readable
+    for name in demo_list():
+        for doc in run_demo(name).documents.values():
+            assert torus_to_doc(torus_from_doc(doc)) == doc
 
 
 def test_torus_doc_infers_standard_gram():

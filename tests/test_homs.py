@@ -155,7 +155,7 @@ def _factor_embedding(A, index, entries):
     for entry in entries:
         vec = [G2.zero()] * A.dim
         vec[index] = entry
-        col = ambient_to_lattice(A, vec)
+        col = ambient_to_lattice(A, [vec])[0]
         assert col is not None and all(x.denominator == 1 for x in col)
         cols.append([int(x) for x in col])
     return SubvarietyEmbedding.from_spanning_vectors(A, cols)

@@ -602,7 +602,7 @@ def test_rat_inv_round_trip():
 
 def test_rat_solve():
     A = [[2, 1], [1, 1]]
-    x = rat_solve(A, [3, 2])
+    x = rat_solve(A, [[3], [2]])[0]
     assert x == [Fraction(1), Fraction(1)]
 
 
@@ -611,7 +611,7 @@ def test_rat_solve_refuses_a_solution_that_does_not_verify(monkeypatch):
     gauss_jordan = intlinalg._gauss_jordan
     monkeypatch.setattr(intlinalg, "_gauss_jordan",
                         lambda rows, n: (lambda p, d, s: (p, 2 * d, s))(*gauss_jordan(rows, n)))
-    assert rat_solve([[2, 1], [1, 1]], [3, 2]) is None
+    assert rat_solve([[2, 1], [1, 1]], [[3], [2]]) == [None]
 
 
 def test_rat_inv_singular_raises():
@@ -695,15 +695,15 @@ def test_rat_inv_and_rat_solve_refuse_entries_that_are_not_ints_or_fractions(M):
     with pytest.raises(PreconditionError, match="inverse entry .* not an int or a Fraction"):
         rat_inv(M)
     with pytest.raises(PreconditionError, match="system entry .* not an int or a Fraction"):
-        rat_solve(M, [1] * len(M))
+        rat_solve(M, [[1]] * len(M))
 
 
 def test_rat_solve_refuses_a_right_hand_side_that_is_not_ints_or_fractions():
     with pytest.raises(PreconditionError, match="system entry 0.5 is not an int or a Fraction"):
-        rat_solve([[1, 0], [0, 2]], [1, 0.5])
+        rat_solve([[1, 0], [0, 2]], [[1], [0.5]])
     with pytest.raises(PreconditionError, match="not an int or a Fraction"):
-        rat_solve([[1]], [_S])
-    assert rat_solve([[Fraction(1, 2)]], [1]) == [2]
+        rat_solve([[1]], [[_S]])
+    assert rat_solve([[Fraction(1, 2)]], [[1]]) == [[2]]
 
 
 # A bool is an int subclass; no routine may read True as 1 or False as 0.
@@ -727,7 +727,7 @@ def test_rat_inv_and_rat_solve_refuse_bools():
     with pytest.raises(PreconditionError, match="inverse entry True is not an int or a Fraction"):
         rat_inv([[True]])
     with pytest.raises(PreconditionError, match="system entry True is not an int or a Fraction"):
-        rat_solve([[1]], [True])
+        rat_solve([[1]], [[True]])
 
 
 @settings(max_examples=400, deadline=None)
@@ -814,27 +814,34 @@ def test_int_inverse_is_the_adjugate_and_the_determinant(M):
 
 @st.composite
 def linear_systems(draw):
-    """(A, b): b is A x for a random x, or a random vector that is often inconsistent."""
+    """(A, B), B of 1 to 3 columns: each column is A x for a random x, or a
+    random vector that is often inconsistent."""
     A = draw(rational_matrices())
-    if draw(st.booleans()):
-        x = [draw(_RATIONAL) for _ in range(len(A[0]) if A else 0)]
-        b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in A]
-    else:
-        b = [draw(_RATIONAL) for _ in A]
-    return A, b
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = [draw(_RATIONAL) for _ in range(len(A[0]) if A else 0)]
+            columns.append([sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in A])
+        else:
+            columns.append([draw(_RATIONAL) for _ in A])
+    return A, [list(row) for row in zip(*columns)]
 
 
 @settings(max_examples=400, deadline=None)
 @given(linear_systems())
-@example(([[1, 1], [2, 2], [0, 0]], [1, 2, 1]))  # an inconsistent right-hand side
-@example(([[], []], [0, 1]))  # no unknowns
+@example(([[1, 1], [2, 2], [0, 0]], [[1], [2], [1]]))  # an inconsistent right-hand side
+# an inconsistent column between two consistent ones
+@example(([[1, 1], [2, 2], [0, 0]], [[1, 1, 2], [2, 2, 4], [0, 1, 0]]))
+@example(([[], []], [[0, 0], [1, 0]]))  # no unknowns
 def test_rat_solve_matches_the_gauss_jordan_oracle_in_value_and_type(system):
-    A, b = system
-    want = gauss_jordan_solve(A, b)
-    got = rat_solve(A, b)
-    assert got == want
-    if want is not None:
-        assert [type(x) for x in got] == [Fraction] * len(want)
+    A, B = system
+    want = [gauss_jordan_solve(A, b) for b in transpose(B)]
+    got = rat_solve(A, B)
+    assert len(got) == len(want)
+    for x, w in zip(got, want):
+        assert x == w
+        if w is not None:
+            assert [type(c) for c in x] == [Fraction] * len(w)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from avtk.errors import GeneratorMismatchError, ScalarParseError
 from avtk.scalars import (
+    MAX_NESTING,
     FormalScalar,
     GeneratorSet,
     monomial_flatten,
@@ -79,6 +80,20 @@ def test_parse_expands_products():
 def test_parse_errors(text):
     with pytest.raises(ScalarParseError):
         parse_scalar(G, text)
+
+
+@pytest.mark.parametrize("open_,close", [("(", ")"), ("-", ""), ("-(", ")")])
+def test_parse_refuses_nesting_deeper_than_the_cap(open_, close):
+    # 3,000 parentheses or signs ran out of stack with a RecursionError
+    levels = MAX_NESTING // len(open_)
+    value = parse_scalar(G, open_ * levels + "x" + close * levels)
+    assert value == (-X if open_.startswith("-") and levels % 2 else X)
+    for depth in (levels + 1, 3000):
+        with pytest.raises(ScalarParseError) as exc:
+            parse_scalar(G, open_ * depth + "x" + close * depth)
+        assert exc.value.position == MAX_NESTING
+        assert str(exc.value) == (f"expression nested deeper than {MAX_NESTING} levels "
+                                  f"(at offset {MAX_NESTING})")
 
 
 def test_render_is_canonical():

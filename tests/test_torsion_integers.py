@@ -106,6 +106,22 @@ def test_quotient_and_push_point_match_the_fraction_pipeline(data):
         assert all(type(c) is Fraction for c in pushed.coords)
 
 
+def test_a_quotient_inverts_its_basis_once(monkeypatch):
+    # push_point ran rat_inverse on the basis again for every point; quotient
+    # itself inverts nothing, as the quotient command pushes no point
+    calls = []
+    rat_inverse = avtk.torus.rat_inverse
+    monkeypatch.setattr(avtk.torus, "rat_inverse", lambda M: calls.append(M) or rat_inverse(M))
+    T = _curves(1, 3, 3)
+    g = max(T.kernel_elements(), key=lambda p: (p.order, p.coords))
+    q = T.quotient(g)
+    assert calls == []
+    points = T.symplectic_complement([g]) + [g, TorsionPoint([Fraction(1, 2)] * 6)]
+    for x in points:
+        assert q.push_point(x) == fraction_push_point(q, x)
+    assert calls == [q.basis]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_symplectic_complement_matches_the_fraction_pipeline(data):
@@ -182,7 +198,7 @@ def test_the_factor_embeddings_of_the_demo_products_match(name, n, factor):
         prod, [[int(i == j) for j in idx] for i in range(2 * n)]))
     cols = []
     for j in idx:
-        col = ambient_to_lattice(A, [row[j] for row in prod.periods])
+        col = ambient_to_lattice(A, [[row[j] for row in prod.periods]])[0]
         assert all(x.denominator == 1 for x in col)
         cols.append([int(x) for x in col])
     _assert_idempotents_agree(SubvarietyEmbedding.from_spanning_vectors(A, cols))
@@ -223,7 +239,7 @@ def test_idempotent_refuses_a_norm_that_is_not_integral(monkeypatch):
     # the curve in the ex-4.1 quotient has exponent 3 and a projector with
     # denominator 3; an exponent of 1 leaves the norm non-integral
     prod, A = _demo_tori("ex-4.1", 2)
-    cols = [[int(x) for x in ambient_to_lattice(A, [row[j] for row in prod.periods])]
+    cols = [[int(x) for x in ambient_to_lattice(A, [[row[j] for row in prod.periods]])[0]]
             for j in (0, 2)]
     emb = SubvarietyEmbedding.from_spanning_vectors(A, cols)
     assert idempotent(emb).exponent == 3

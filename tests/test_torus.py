@@ -124,12 +124,12 @@ def test_product_type_and_dim():
 def test_product_periods_are_block_structured():
     T = product([curve(2), curve(3)])
     # ambient factor vectors embed as lattice vectors
-    col = ambient_to_lattice(T, [TAU, G.zero()])
+    col = ambient_to_lattice(T, [[TAU, G.zero()]])[0]
     assert col is not None and all(x.denominator == 1 for x in col)
-    col = ambient_to_lattice(T, [G.zero(), G.constant(3)])
+    col = ambient_to_lattice(T, [[G.zero(), G.constant(3)]])[0]
     assert col is not None and all(x.denominator == 1 for x in col)
     # 1 is in the Q-span but not the Z-span of 2Z + tau Z
-    col = ambient_to_lattice(T, [G.one(), G.zero()])
+    col = ambient_to_lattice(T, [[G.one(), G.zero()]])[0]
     assert col is not None and any(x.denominator != 1 for x in col)
 
 
@@ -423,7 +423,7 @@ def test_restricted_polarisation_of_factor():
 def _factor_vector(T, i, entry):
     vec = [G.zero()] * T.dim
     vec[i] = entry
-    col = ambient_to_lattice(T, vec)
+    col = ambient_to_lattice(T, [vec])[0]
     assert col is not None
     return [int(x) for x in col]
 
