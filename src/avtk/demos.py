@@ -14,11 +14,12 @@ of the outcome is evidence up to a bound rather than a proof.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from .documents import scalar_matrix_doc, torus_to_doc
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .homs import hom_module, idempotent, isom_search
 from .intlinalg import constant_slices, det, mat_eq, matmul, period_identity_holds, transpose
 from .ppsearch import (
@@ -65,13 +66,12 @@ def parse_type(text) -> tuple:
         try:
             text = [int(p) for p in str(text).split(",")]
         except ValueError:
-            raise PreconditionError(
-                f"type must be comma-separated integers, e.g. 1,3; got {text!r}"
-            ) from None
-    for d in text:
-        _check_int("a type entry", d)
-    if not text or any(d < 1 for d in text):
+            raise PreconditionError("type must be comma-separated integers, e.g. 1,3; "
+                                    f"got {text!r}") from None
+    if not text:
         raise PreconditionError("type must be positive integers, e.g. 1,3")
+    for d in text:
+        check_int("a type entry", d, 1)
     return tuple(text)
 
 
@@ -444,31 +444,27 @@ def demo_list():
     return sorted(DEMOS)
 
 
-def _check_int(option, value):
-    """Refuse a value that is not an int, or is a bool, as check_bound does."""
-    if type(value) is not int:
-        raise PreconditionError(f"{option} must be an int, not {type(value).__name__}")
+# run_demo's integer options: the name a refusal gives each, and its least value
+_INT_OPTIONS = {"n": ("--n", 2), "bound": ("search bound", 1), "max_d": ("--max-d", 2)}
 
 
 def run_demo(name: str, n=None, type_=None, bound=None, max_d=None) -> DemoResult:
+    """Run a demo with the options given (None: the demo's default).  It takes
+    the parameters of its function in DEMOS: any other option, or a bad int
+    (_INT_OPTIONS), is refused before it starts.  A type alone sets n."""
     if name not in DEMOS:
-        raise PreconditionError(
-            f"unknown demo {name!r}; available: {', '.join(demo_list())}"
-        )
-    kwargs = {}
-    if name in ("ex-4.1", "ex-4.2", "thm-3.2-generic"):
-        if n is not None:
-            _check_int("--n", n)
-            if n < 2:
-                raise PreconditionError("--n must be at least 2")
-            kwargs["n"] = n
-        if type_ is not None:
-            kwargs["type_"] = type_
-            if n is None:
-                kwargs["n"] = len(parse_type(type_))
-    if bound is not None and name in ("ex-4.1", "ex-4.2", "ex-5.3", "lemma-5.4"):
-        kwargs["bound"] = bound  # parallel.check_bound refuses a non-int
-    if max_d is not None and name == "obstruction-table":
-        _check_int("--max-d", max_d)
-        kwargs["max_d"] = max_d
-    return DEMOS[name](**kwargs)
+        raise PreconditionError(f"unknown demo {name!r}; available: {', '.join(demo_list())}")
+    demo = DEMOS[name]
+    takes = inspect.signature(demo).parameters
+    options = {"n": n, "type_": type_, "bound": bound, "max_d": max_d}
+    kwargs = {key: value for key, value in options.items() if value is not None}
+    for key, value in kwargs.items():
+        if key not in takes:
+            flag = "--" + key.rstrip("_").replace("_", "-")
+            raise PreconditionError(f"demo {name} takes no {flag} option")
+        if key in _INT_OPTIONS:
+            what, least = _INT_OPTIONS[key]
+            check_int(what, value, least)
+    if type_ is not None and n is None:
+        kwargs["n"] = len(parse_type(type_))
+    return demo(**kwargs)

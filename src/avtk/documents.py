@@ -27,15 +27,23 @@ from .torus import (
 
 
 def fraction_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(value) -> Fraction:
+    """A JSON string such as "-3/4", or a JSON integer, as a Fraction.  The
+    refusal of any other value names its type, or quotes the string once,
+    cut to 60 characters, so that it is one short line."""
+    if type(value) is int:  # bool is an int subclass
+        return Fraction(value)
+    if not isinstance(value, str):
+        kind = {dict: "object", type(None): "null"}.get(type(value), type(value).__name__)
+        raise DocumentError(f"not a fraction: a JSON {kind}, not a string or an integer")
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"not a fraction: {text!r} ({exc})") from None
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        shown = repr(value)
+        raise DocumentError(f"not a fraction: {shown[:60]}{'...' if len(shown) > 60 else ''}") from None
 
 
 def canonical_json(obj) -> str:
@@ -185,9 +193,9 @@ def fraction_matrix_doc(M) -> list:
 class Report:
     """What a CLI invocation did: inputs, outcome, and a verdict.
 
-    verdict is "pass" when every assertion held, "bounded" when the
-    outcome is a negative search result valid only up to its bound, and
-    "fail" otherwise.
+    verdict is "bounded" for a negative search result valid only up to
+    its bound, else "pass" (a demo that expects such a result included);
+    a command that fails writes no report, only one line on stderr.
     """
 
     command: list

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .errors import PreconditionError, ScalarParseError
+from .errors import PreconditionError, ScalarParseError, check_int
 from .scalars import GeneratorSet
 
 
@@ -38,13 +38,15 @@ def _squarefree(d: int) -> bool:
 class QuadNumber:
     """(p + q*sqrt(disc))/r in the upper half plane, in lowest terms.
 
-    The constructor validates disc; numbers derived from a validated one
-    (Moebius images, divisions) share its disc and skip the check.
+    The constructor checks its ints and validates disc; numbers derived
+    from a validated one (Moebius images, divisions) skip the checks.
     """
 
     __slots__ = ("p", "q", "r", "disc")
 
     def __init__(self, p: int, q: int, r: int, disc: int):
+        for what, x in (("p", p), ("q", q), ("r", r), ("disc", disc)):
+            check_int(f"QuadNumber {what}", x)
         if -disc > MAX_DISCRIMINANT:
             raise PreconditionError(f"|discriminant| must be at most {MAX_DISCRIMINANT}")
         if disc >= 0 or not _squarefree(disc):
@@ -83,6 +85,8 @@ class QuadNumber:
 
     def mobius(self, a: int, b: int, c: int, d: int) -> "QuadNumber":
         """(a*tau + b) / (c*tau + d) for an integer matrix of determinant 1."""
+        for what, x in (("a", a), ("b", b), ("c", c), ("d", d)):
+            check_int(f"moebius {what}", x)
         if a * d - b * c != 1:
             raise PreconditionError("moebius matrix must have determinant 1")
         p1 = a * self.p + b * self.r
@@ -98,8 +102,7 @@ class QuadNumber:
         )
 
     def divided_by(self, n: int) -> "QuadNumber":
-        if n < 1:
-            raise PreconditionError("divisor must be a positive integer")
+        check_int("divisor", n, 1)
         return self._derived(self.p, self.q, self.r * n, self.disc)
 
     def __eq__(self, other) -> bool:
@@ -205,8 +208,7 @@ def quotient_isomorphic(tau: QuadNumber, n: int) -> bool:
     image of tau/n, and isomorphism is equality in the fundamental
     domain.
     """
-    if n < 1:
-        raise PreconditionError("torsion order must be a positive integer")
+    check_int("torsion order", n, 1)
     return reduce_tau(tau).reduced == reduce_tau(tau.divided_by(n)).reduced
 
 
@@ -228,8 +230,7 @@ def formal_quotient_isomorphic(name: str, n: int) -> FormalVerdict:
         GeneratorSet((name,))
     except ValueError as exc:
         raise ScalarParseError(f"formal period: {exc}", 0) from None
-    if not isinstance(n, int) or n <= 1:
-        raise PreconditionError("order must be an integer greater than 1")
+    check_int("order", n, 2)
     t = name
     certificate = (
         f"an isomorphism would mean integers a, b, c, d with a*d - b*c = 1 and "

@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer-argument check.
 
 The split matters to the command line tool: parse problems and violated
-preconditions map to different process exit codes.
+preconditions map to different process exit codes.  Every integer
+argument of the library goes through check_int.
 """
 
 
@@ -31,3 +32,11 @@ class GeneratorMismatchError(AvtkError):
 class PreconditionError(AvtkError):
     """An operation was called on input violating its stated precondition."""
 
+
+def check_int(what: str, value, least=None) -> None:
+    """Raise PreconditionError, naming ``what``, unless value is an int (not
+    a bool) and, when least is given, at least least."""
+    if type(value) is not int:  # bool is an int subclass
+        raise PreconditionError(f"{what} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise PreconditionError(f"{what} must be at least {least}")

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .intlinalg import (
     _add_row_times,
     _divide_exactly,
@@ -62,7 +62,7 @@ from .torus import (
     constant_right_block,
     restricted_polarisation,
 )
-from .parallel import check_bound, pencil_search
+from .parallel import Pencil
 from .verdicts import Found, NoHoms, NotFoundUpToBound
 
 
@@ -271,7 +271,7 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     A combination sum(c_i * M_i) of the generators' rational
     representations is a witness when it is unimodular (and additionally
     pulls the polarisation of Y back to that of X when ``polarised`` is
-    set).  The search runs on one Pencil per call (parallel.pencil_search):
+    set).  The search runs on one parallel.Pencil built per call:
     det(sum(c_i * M_i)) is computed once as a polynomial in c, and the
     pull-back condition as the entries above the diagonal of
     M^T E_Y M - E_X, which must vanish; both are built over integer
@@ -281,9 +281,10 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     module is trivial.  A polarised witness is checked to pull the form
     back.  A search that the determinant does not rule out and that has
     more than parallel.MAX_CANDIDATES vectors raises PreconditionError,
-    and so does a bound that is not an int of at least 1, before any work.
+    and so does a bound that is not an int of at least 1 (errors.check_int),
+    before any work.
     """
-    check_bound(bound)
+    check_int("search bound", bound, 1)
     gens = hom_module(X, Y)
     if not gens:
         return NoHoms()
@@ -291,7 +292,7 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
     zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
-    res = pencil_search(mats, bound, zero=zero)
+    res = Pencil(mats, zero=zero).search(bound)
     if polarised and isinstance(res, Found):
         M = res.witness
         if not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):

@@ -29,7 +29,7 @@ Pencil.search returns the verdict itself: Found with the hit's member,
 rebuilt from its coefficients and checked to be unimodular, or
 NotFoundUpToBound; ``tested`` counts the vectors enumerated up to the
 hit, or the whole box (2*bound + 1)**rank.  A bound that is not an int
-of at least 1 is refused (check_bound) before any work.
+of at least 1 is refused (errors.check_int) before any work.
 
 The module and run_search keep their names because the benchmark looks
 them up.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .intlinalg import combination, det, det_polynomial
 from .verdicts import Found, NotFoundUpToBound
 
@@ -84,14 +84,6 @@ def _split_last(sparse_terms, last):
         by_power.setdefault(rest.pop(last, 0), []).append((coeff, tuple(rest.items())))
     top = max(by_power, default=0)
     return tuple(tuple(by_power.get(k, ())) for k in range(top, -1, -1))
-
-
-def check_bound(bound) -> None:
-    """Raise PreconditionError unless bound is an int (not a bool) of at least 1."""
-    if type(bound) is not int:
-        raise PreconditionError(f"search bound must be an int, not {type(bound).__name__}")
-    if bound < 1:
-        raise PreconditionError("search bound must be at least 1")
 
 
 def run_search(rank, bound, det_p, positive, zero, parities):
@@ -142,7 +134,8 @@ class Pencil:
     ``positive`` one > 0 and every ``zero`` one vanish.  The inputs are
     copied into tuples.  The determinant polynomial, its content verdict
     and its parity table depend on no bound: the first search computes
-    them, and later searches reuse them.
+    them, and later searches reuse them.  homs.isom_search builds one
+    Pencil per call and AdmissibleFamily.pencil one per family.
 
     >>> p = Pencil([[[2]], [[5]]])  # the 1 x 1 members (2*c_0 + 5*c_1)
     >>> p.search(1)
@@ -170,7 +163,7 @@ class Pencil:
         box.  A box of more than MAX_CANDIDATES vectors that the content does
         not rule out, and a bound that is not an int >= 1, raise
         PreconditionError."""
-        check_bound(bound)
+        check_int("search bound", bound, 1)
         rank = len(self.mats)
         box = (2 * bound + 1) ** rank
         if self._plan is None:  # (det_p, parities), or () when the content rules all out
@@ -200,8 +193,3 @@ class Pencil:
         if det(M) not in (1, -1):
             raise AssertionError("witness is not unimodular")
         return Found(witness=tuple(map(tuple, M)), coefficients=c, tested=index + 1)
-
-
-def pencil_search(mats, bound: int, positive=(), zero=()):
-    """One search of a one-off Pencil: Pencil(mats, positive, zero).search(bound)."""
-    return Pencil(mats, positive, zero).search(bound)

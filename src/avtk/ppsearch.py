@@ -24,7 +24,7 @@ time and the minors only where it is +-1, and returns the verdict.
 
 from __future__ import annotations
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .intlinalg import (
     as_int,
     combination,
@@ -34,7 +34,7 @@ from .intlinalg import (
     int_kernel,
     period_identity_holds,
 )
-from .parallel import Pencil, check_bound
+from .parallel import Pencil
 from .scalars import monomial_flatten
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
@@ -208,10 +208,10 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     hit's unimodular coordinate matrix C, by period_identity_holds.  A
     search that the determinant does not rule out and that has more than
     parallel.MAX_CANDIDATES vectors raises PreconditionError, and so do a
-    bound that is not an int of at least 1 and a ``family`` built for
-    other tori than A and Ahat, before any work.
+    bound that is not an int of at least 1 (errors.check_int) and a
+    ``family`` built for other tori than A and Ahat, before any work.
     """
-    check_bound(bound)
+    check_int("search bound", bound, 1)
     if family is None:
         family = admissible_family(A, Ahat)
     elif family.source != A or family.target != Ahat:
@@ -240,10 +240,10 @@ def obstruction_report(d: int) -> dict:
     """The squares modulo d, ascending, and whether -1 is not among them.
 
     Returns {"d": d, "obstruction": bool, "squares": list}.  Building the
-    squares takes d steps, so d above MAX_MODULUS is rejected.
+    squares takes d steps, so d above MAX_MODULUS is rejected, and so is
+    a d that is not an int of at least 2.
     """
-    if d < 2:
-        raise PreconditionError("modulus must be at least 2")
+    check_int("modulus", d, 2)
     if d > MAX_MODULUS:
         raise PreconditionError(f"modulus must be at most {MAX_MODULUS}, got {d}")
     squares = {(x * x) % d for x in range(d)}

@@ -42,7 +42,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import GeneratorMismatchError, ScalarParseError
+from .errors import GeneratorMismatchError, ScalarParseError, check_int
 
 Monomial = tuple  # tuple[int, ...], one exponent per generator
 Rat = Union[int, Fraction]
@@ -276,8 +276,7 @@ class FormalScalar:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        check_int("exponent", exponent, 0)
         result = self.gens.one()
         for _ in range(exponent):
             result = result * self
@@ -328,20 +327,16 @@ def render_scalar(s: FormalScalar) -> str:
             factors.extend([name] * exp)
         mag = abs(coeff)
         if not factors:
-            body = _render_fraction(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_render_fraction(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not pieces:
             pieces.append(body if coeff > 0 else "-" + body)
         else:
             pieces.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(pieces)
-
-
-def _render_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # -- parsing ---------------------------------------------------------------

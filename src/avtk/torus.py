@@ -591,8 +591,9 @@ def ambient_to_lattice(T: PolarisedTorus, vectors):
 
     Each vector has one (scalar or rational) entry per complex coordinate.
     The vectors, the columns of one n x k matrix, are flattened with the
-    periods by monomials and solved in one rat_solve; the period columns
-    span the ambient space over Q after flattening, so a solution is unique.
+    periods by monomials and solved in one rat_solve.  For periods that
+    are dependent over Q (say [["1", "1"]]) the solution is not unique, and
+    the one returned, silently, is rat_solve's, with free coordinates 0.
     """
     n = T.dim
     if any(len(v) != n for v in vectors):

@@ -475,6 +475,32 @@ def test_demo_rejects_n_below_two_naming_the_flag(name, n, capsys):
     assert capsys.readouterr().err == "avtk: precondition violated: --n must be at least 2\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["demo", "ex-5.3", "--n", "3"], "--n"),
+    (["demo", "remark-3.3", "--bound", "5"], "--bound"),
+    (["demo", "obstruction-table", "--n", "3"], "--n"),
+    (["demo", "lemma-5.4", "--type", "1,3"], "--type"),
+])
+def test_demo_refuses_an_option_it_does_not_take(argv, flag, capsys):
+    # these exited 3, 0, 0 and 3 with verdict "pass", the option ignored
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        f"avtk: precondition violated: demo {argv[1]} takes no {flag} option\n")
+
+
+@pytest.mark.parametrize("coord", [
+    pytest.param(json.loads("[" * 899 + "]" * 899), id="list-900-deep"),
+    pytest.param("1" * 5_000 + "/x" + "2" * 4_998, id="string-10000"),
+])
+def test_a_bad_point_coordinate_gets_one_short_line(coord, curve_doc, tmp_path, capsys):
+    # the value was printed twice: about 3,600 characters for the nested list
+    point = write_doc(tmp_path / "point.json", {"coords": [coord, "0"], "basis": "lattice"})
+    assert run_cli(["quotient", curve_doc, point]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("avtk: parse error: not a fraction: ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 # -- one parser per process ---------------------------------------------------------
 
 def _without_timing(out):

@@ -1,8 +1,13 @@
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 import avtk.torus
 from avtk import demos
 from avtk.demos import (
+    DEMOS,
     _display_replay,
     _quotient_pipeline,
     ambient_shift,
@@ -251,3 +256,14 @@ def test_run_demo_refuses_a_table_bound_that_is_not_an_int(max_d):
     # 12.9 was truncated, so the table stopped at d = 12
     with pytest.raises(PreconditionError, match="--max-d must be an int"):
         run_demo("obstruction-table", max_d=max_d)
+
+
+def test_the_readme_lists_the_options_each_demo_takes():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `--([a-z-]+)` \| (.*?) \|", readme, re.M)
+    listed = {flag: set(re.findall(r"`([\w.-]+)`", names)) for flag, names in rows}
+    takes = {flag: {name for name, demo in DEMOS.items()
+                    if param in inspect.signature(demo).parameters}
+             for flag, param in (("n", "n"), ("type", "type_"), ("bound", "bound"),
+                                 ("max-d", "max_d"))}
+    assert listed == takes

@@ -78,7 +78,7 @@ def _random_sparse(rng, rank, terms, constant=True):
 
 
 def _det_parities(det_p, rank):
-    """The parity table pencil_search builds for det_p."""
+    """The parity table a Pencil builds for det_p."""
     return frozenset(e for e in iter_product((0, 1), repeat=rank)
                      if parallel._evaluate(det_p, e) & 1)
 
@@ -127,7 +127,7 @@ def _both(rank, bound, det_p, positive=(), zero=()):
 def test_rank_one_search_has_an_empty_prefix():
     # c^2 - 3 is +-1 first at c = 2, the fourth value of 0, 1, -1, 2, ...
     assert _both(1, 3, parallel._sparse([(1, (2,)), (-3, (0,))])) == (3, (2,))
-    res = parallel.pencil_search([[[1]]], bound=3)
+    res = parallel.Pencil([[[1]]]).search(3)
     assert isinstance(res, Found)
     assert (res.coefficients, res.tested, res.witness) == ((1,), 2, ((1,),))
 
@@ -156,7 +156,7 @@ def test_positive_condition_rejects_a_unit_before_a_later_hit_in_its_row():
     det_p = parallel._sparse([(1, (0, 1))])
     minus_c1 = [(-1, (0, 1))]
     assert _both(2, 2, det_p, positive=(parallel._sparse(minus_c1),)) == (2, (0, -1))
-    res = parallel.pencil_search([[[0]], [[1]]], bound=2, positive=[minus_c1])
+    res = parallel.Pencil([[[0]], [[1]]], positive=[minus_c1]).search(2)
     assert (res.coefficients, res.tested) == ((0, -1), 3)
 
 
@@ -170,7 +170,7 @@ def test_a_rank_eleven_pencil_is_searched_with_its_parity_table(monkeypatch):
         return run_search(*args)
 
     monkeypatch.setattr(parallel, "run_search", spy)
-    res = parallel.pencil_search([[[1]]] * 11, bound=1)
+    res = parallel.Pencil([[[1]]] * 11).search(1)
     assert (res.coefficients, res.tested) == ((0,) * 10 + (1,), 2)
     assert seen == [frozenset(e for e in iter_product((0, 1), repeat=11) if sum(e) & 1)]
 
@@ -223,7 +223,7 @@ def test_a_pencil_searched_at_several_bounds_matches_fresh_searches():
         rng.shuffle(bounds)
         for bound in bounds:
             res = pencil.search(bound)
-            assert res == parallel.pencil_search(mats, bound, positive), (mats, positive, bound)
+            assert res == parallel.Pencil(mats, positive).search(bound), (mats, positive, bound)
             kinds.add((type(res).__name__, bound))
     assert kinds == {(kind, b) for kind in ("Found", "NotFoundUpToBound") for b in (1, 2, 3)}
 
@@ -231,7 +231,7 @@ def test_a_pencil_searched_at_several_bounds_matches_fresh_searches():
 def test_changing_the_input_lists_after_building_a_pencil_changes_no_verdict():
     mats = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
     positive = [[(1, [1, 0])]]  # c_0 > 0
-    expected = [parallel.pencil_search(mats, bound, positive) for bound in (1, 2)]
+    expected = [parallel.Pencil(mats, positive).search(bound) for bound in (1, 2)]
     for searched_first in (False, True):
         M, P = [[list(row) for row in A] for A in mats], [[(1, [1, 0])]]
         pencil = parallel.Pencil(M, P)
@@ -275,7 +275,7 @@ def test_a_bad_bound_is_refused_before_any_work(bound, message, monkeypatch):
     monkeypatch.setattr(homs, "hom_module", no_work)
     monkeypatch.setattr(parallel, "det_polynomial", no_work)
     A, Ahat = swapped_pair(3)
-    for search in (lambda: parallel.pencil_search(RANK3, bound),
+    for search in (lambda: parallel.Pencil(RANK3).search(bound),
                    lambda: ppsearch.pp_search(A, Ahat, bound),
                    lambda: homs.isom_search(A, Ahat, bound)):
         with pytest.raises(PreconditionError, match=f"search bound must be {message}"):

@@ -2,10 +2,12 @@
 
 Every module may import only standard-library modules or avtk itself,
 every name a module imports must be used in it, and every module-level
-function or class whose name starts with '_' must be referred to outside
-its own definition, so that a deletion leaves no dead import or private
-helper behind.  Only scalars.py reads the term map of a FormalScalar, so
-formal matrices reach integers by one route, scalars.monomial_flatten.
+function or class must be referred to outside its own definition, so that
+a deletion leaves no dead import or helper behind.  A public one may
+instead be listed in UNREFERENCED_PUBLIC, with the caller outside
+src/avtk that keeps it.  Only scalars.py reads the term map of a
+FormalScalar, so formal matrices reach integers by one route,
+scalars.monomial_flatten.
 Only scalars.py and torus.py ask whether a scalar is constant, so the
 right period block of a frame is read by one set of helpers in torus.py,
 and only torus.py calls standard_gram, so a standard frame's form is
@@ -68,13 +70,6 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
-def _private_definitions(tree):
-    """The module-level functions and classes whose names start with '_'."""
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_")]
-
-
 def _referenced_names(nodes):
     """The names loaded or looked up as attributes anywhere under nodes."""
     names = set()
@@ -87,16 +82,39 @@ def _referenced_names(nodes):
     return names
 
 
-def test_every_private_module_level_definition_is_referenced():
+def _unreferenced(public):
+    """module:name of each module-level function or class, public or private
+    as asked, that no module refers to outside the definition itself."""
     trees = {path.name: _tree(path) for path in SOURCES}
-    unreferenced = []
+    out = []
     for name, tree in trees.items():
-        for definition in _private_definitions(tree):
-            elsewhere = [t for other, t in trees.items() if other != name]
-            outside = [node for node in tree.body if node is not definition]
-            if definition.name not in _referenced_names(elsewhere + outside):
-                unreferenced.append(f"{name}:{definition.name}")
+        elsewhere = [t for other, t in trees.items() if other != name]
+        for definition in tree.body:
+            if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and definition.name.startswith("_") != public):
+                outside = [node for node in tree.body if node is not definition]
+                if definition.name not in _referenced_names(elsewhere + outside):
+                    out.append(f"{name}:{definition.name}")
+    return sorted(out)
+
+
+def test_every_private_module_level_definition_is_referenced():
+    unreferenced = _unreferenced(public=False)
     assert not unreferenced, f"private definitions nothing refers to: {unreferenced}"
+
+
+# The public definitions that no module of avtk refers to, and what keeps each.
+UNREFERENCED_PUBLIC = {
+    "intlinalg.py:det_mod2": "bench/tracer.py wraps it by name (ROADMAP item 5)",
+    "intlinalg.py:rat_inv": "bench/tracer.py wraps it by name (ROADMAP item 5)",
+    "intlinalg.py:symplectic_basis": "acceptance criterion 11 tests it",
+    "torus.py:subgroup_elements": "bench/tracer.py wraps it by name (ROADMAP item 5)",
+}
+
+
+def test_every_public_module_level_definition_is_referenced_or_listed():
+    # a listed name that gains a caller must leave the table, too
+    assert _unreferenced(public=True) == sorted(UNREFERENCED_PUBLIC)
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
