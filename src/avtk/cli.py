@@ -67,6 +67,10 @@ def _load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise DocumentError("document is nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer literal past int's digit limit
+            raise DocumentError("document holds an integer with too many digits") from None
 
 
 def _load_torus(path: str):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .documents import scalar_matrix_doc, torus_to_doc
 from .elliptic import QuadNumber, formal_quotient_isomorphic, quotient_isomorphic, reduce_tau
-from .errors import PreconditionError, check_int
+from .errors import PreconditionError, check_int, quoted
 from .homs import hom_module, idempotent, isom_search
 from .intlinalg import constant_slices, det, mat_eq, matmul, period_identity_holds, transpose
 from .ppsearch import (
@@ -67,7 +67,7 @@ def parse_type(text) -> tuple:
             text = [int(p) for p in str(text).split(",")]
         except ValueError:
             raise PreconditionError("type must be comma-separated integers, e.g. 1,3; "
-                                    f"got {text!r}") from None
+                                    f"got {quoted(text)}") from None
     if not text:
         raise PreconditionError("type must be positive integers, e.g. 1,3")
     for d in text:

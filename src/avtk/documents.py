@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocumentError, PreconditionError
+from .errors import DocumentError, PreconditionError, quoted
 from .scalars import GeneratorSet, parse_scalar, render_scalar
 from .torus import (
     PolarisedTorus,
@@ -42,8 +42,7 @@ def parse_fraction(value) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        shown = repr(value)
-        raise DocumentError(f"not a fraction: {shown[:60]}{'...' if len(shown) > 60 else ''}") from None
+        raise DocumentError(f"not a fraction: {quoted(value)}") from None
 
 
 def canonical_json(obj) -> str:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer-argument check.
+"""Shared exception types, the one integer-argument check, and quoted for refused text.
 
 The split matters to the command line tool: parse problems and violated
 preconditions map to different process exit codes.  Every integer
@@ -40,3 +40,9 @@ def check_int(what: str, value, least=None) -> None:
         raise PreconditionError(f"{what} must be an int, not {type(value).__name__}")
     if least is not None and value < least:
         raise PreconditionError(f"{what} must be at least {least}")
+
+
+def quoted(value) -> str:
+    """repr(value) cut to 60 characters, so that a refusal stays one short line."""
+    shown = repr(value)
+    return shown[:60] + ("..." if len(shown) > 60 else "")

@@ -17,9 +17,10 @@ denominator each, once per call, as integer polynomials
 (scalars.monomial_flatten), and W is taken from the slice of Z_X: with
 D_X^-1 = DI / dI for an integer DI, from intlinalg.rat_inverse,
 W = (DI @ dX Z_X) / (dI dX).  Each monomial of each entry of the
-identity is then an integer row in the entries of M, built from sparse
-products of those slices.  The kernel of these rows is the whole
-homomorphism module, and int_kernel returns its canonical Hermite basis
+identity is then an integer row in the entries of M, a sparse map
+{column: int} built from sparse products of those slices; no dense row
+is formed.  The kernel of these rows is the whole homomorphism module,
+and intlinalg.sparse_int_kernel returns its canonical Hermite basis
 whatever the order, number or scale of the rows.
 
 Every generator is checked against that identity, F @ P_X == P_Y @ M,
@@ -45,7 +46,6 @@ from .intlinalg import (
     as_int,
     det,
     int_inverse,
-    int_kernel,
     mat_eq,
     matmul,
     period_identity_holds,
@@ -53,6 +53,7 @@ from .intlinalg import (
     rank,
     rat_inverse,
     saturate_columns,
+    sparse_int_kernel,
     transpose,
 )
 from .scalars import FormalScalar, monomial_flatten
@@ -170,25 +171,25 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
         acc = [{} for _ in range(n)]
         _add_row_times(acc, [PX_row[j] for PX_row in px[1]], DIt, 1)
         Wcols.append([{mono: c for mono, c in a.items() if c} for a in acc])
-    width = 4 * m * n
     system = []
     for PY_row in py[1]:
         for j in range(n):
-            rows = {}  # monomial: its coefficients in entry (i, j), M[r][c] at r * 2n + c
+            rows = {}  # monomial: its row {column: int} in entry (i, j), M[r][c] at r * 2n + c
             for r, p in enumerate(PY_row):
                 base = 2 * n * r
-                for mono, x in p.items():
-                    rows.setdefault(mono, [0] * width)[base + j] -= dW * x
+                for mono, x in p.items():  # column base + j gets no other term
+                    rows.setdefault(mono, {})[base + j] = -dW * x
                 for t, w in enumerate(Wcols[j]):
+                    col = base + n + t
                     for m1, c1 in p.items():
                         for m2, c2 in w.items():
-                            row = rows.setdefault(tuple(map(add, m1, m2)), [0] * width)
-                            row[base + n + t] += c1 * c2
+                            row = rows.setdefault(tuple(map(add, m1, m2)), {})
+                            row[col] = row.get(col, 0) + c1 * c2
             system += rows.values()
     # F = P_Y @ M_R @ D_X^-1 = PY @ (M_R @ DI) / (dY * dI), DI integer
     scale = py[0] * dI
     gens_out = []
-    for vec in int_kernel(system or [[0] * width]):
+    for vec in sparse_int_kernel(system, 4 * m * n):
         M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
         F = _formal_product(X.gens, py[1], matmul([row[n:] for row in M], DI), scale)
         g = object.__new__(HomGenerator)

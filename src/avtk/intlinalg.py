@@ -10,25 +10,26 @@ scalars.monomial_flatten puts a period matrix over one common
 denominator as integer polynomials {exponent tuple: int}, from which
 homs, ppsearch and torus build their sparse systems and products
 (_add_product, _add_row_times, _formal_product), the W = D_X^-1 @ Z_X of
-hom_module among them; int_kernel eliminates on sparse columns.  One
-check, period_identity_holds, verifies L @ P_X == P_Y @ M on those
-slices (an integer L enters as constant_slices) for every Hom generator,
-every admissible family element, every pp_search witness and every
-display frame of the demos.  flatten_to_int lays one monomial_flatten of
-several matrices out as dense integer matrices for rat_solve, which
-solves all of a frame's vectors, its right-hand sides, in one
-elimination.  matmul sums entry by entry in the operands' own arithmetic.
-Inputs and outputs are dense matrices, and every result is canonical.
+hom_module among them.  One check, period_identity_holds, verifies
+L @ P_X == P_Y @ M on those slices (an integer L enters as
+constant_slices) for every Hom generator, every admissible family
+element, every pp_search witness and every display frame of the demos.
+flatten_to_int lays one monomial_flatten of several matrices out as
+dense integer matrices for rat_solve, which solves all of a frame's
+vectors, its right-hand sides, in one elimination.  matmul sums entry by
+entry in the operands' own arithmetic.  Matrices are dense lists of
+rows, except the sparse rows {column: int} of the Hom and family systems
+that sparse_int_kernel takes; every result is canonical.
 
 Conventions:
   * Five eliminations remain, one per job: fraction-free Bareiss for det
     over Z and Q, and over integer polynomials for det_polynomial; one
     fraction-free Gauss-Jordan on integer rows (_gauss_jordan) for
     rat_solve, all right-hand sides at once, and int_inverse, the adjugate
-    and determinant; one sparse unimodular column reduction
-    (_column_echelon) for hnf, int_kernel, rank and saturate_columns; snf,
-    for elementary_divisors.  symplectic_basis is built from snf,
-    int_kernel and matmul, and det_mod2 from det.
+    and determinant; one unimodular column reduction on sparse columns
+    (_column_echelon) for hnf, rank, saturate_columns, int_kernel and
+    sparse_int_kernel; snf, for elementary_divisors.  symplectic_basis is
+    built from snf, int_kernel and matmul, and det_mod2 from det.
   * Only _over_common_denominator clears rational rows.  rat_inverse gives
     M^-1 = N / d as (N, d) to hom_module and to QuotientResult, which
     keeps it for all its push_point calls; rat_inv is its Fraction view.
@@ -400,29 +401,23 @@ def as_int(x):
     raise PreconditionError(f"integer matrix entry {x!r} is not an integer")
 
 
-def _column_echelon(M):
-    """(cols, combos, pivots, zero): one unimodular column reduction of M.
+def _column_echelon(cols, m, combos=None):
+    """(pivots, zero): one unimodular column reduction of sparse columns, in place.
 
-    M is a dense matrix, but only its nonzeros are worked on.  Each column
-    is held as a sparse map {row: entry} together with a sparse map
-    recording it as a combination of the columns of M.  Row by row, the
-    columns nonzero in that row are reduced by the one of least absolute
-    value until one is left; it becomes the row's pivot and is dropped.
-    pivots lists (row, column) in row order, and each pivot column is
-    zero above its row; zero lists, ascending, the columns that never
-    became a pivot, which these gcd steps leave zero.
+    cols are maps {row: nonzero int} over m rows, and combos, if given,
+    maps recording each as a combination of the original columns.  Row by
+    row, the columns nonzero in that row are reduced by the one of least
+    absolute value until one is left; it becomes the row's pivot and is
+    dropped.  pivots lists (row, column) in row order, and each pivot
+    column is zero above its row; zero lists, ascending, the columns that
+    never became a pivot, which these gcd steps leave zero.
     """
-    m, n = shape(M)
-    cols = [{} for _ in range(n)]
     # holders[i]: the live columns nonzero in row i, and perhaps some others
     holders = [set() for _ in range(m)]
-    for i, row in enumerate(M):
-        # zero entries need no check: only a nonzero can be non-integral
-        for j in compress(range(n), row):
-            cols[j][i] = as_int(row[j])
+    for j, col in enumerate(cols):
+        for i in col:
             holders[i].add(j)
-    combos = [{j: 1} for j in range(n)]
-    live = set(range(n))
+    live = set(range(len(cols)))
     pivots = []
     for i in range(m):
         hit = [j for j in holders[i] if j in live and i in cols[j]]
@@ -434,7 +429,8 @@ def _column_echelon(M):
                 if j != p:
                     q = -(cols[j][i] // pivot)
                     _add_multiple(cols[j], cols[p], q)
-                    _add_multiple(combos[j], combos[p], q)
+                    if combos:
+                        _add_multiple(combos[j], combos[p], q)
                     for r in cols[p]:
                         holders[r].add(j)
                     if i in cols[j]:
@@ -443,38 +439,59 @@ def _column_echelon(M):
         if hit:
             live.discard(hit[0])
             pivots.append((i, hit[0]))
-    return cols, combos, pivots, sorted(live)
+    return pivots, sorted(live)
 
 
-def hnf(M):
-    """(H, U) with H = M @ U in canonical column Hermite form, U unimodular.
-
-    The columns of _column_echelon are normalised: each pivot is made
-    positive, and the entries left of it in its row are reduced into
-    [0, pivot) by the pivot column, which is zero above that row.  H has
-    the pivot columns in row order, then the zero columns, and keeps M's
-    row count when M has no column.
-    """
-    m, n = shape(M)
-    cols, combos, pivots, zero = _column_echelon(M)
+def _hermite(cols, m, combos=None):
+    """The column order of the canonical column Hermite form of sparse columns:
+    after _column_echelon each pivot is made positive and the entries left of
+    it reduced into [0, pivot) by its column, zero above its row; combos follow.
+    The pivot columns come in row order, then the zero columns."""
+    pivots, zero = _column_echelon(cols, m, combos)
     for k, (i, p) in enumerate(pivots):
         if cols[p][i] < 0:
             cols[p] = {r: -x for r, x in cols[p].items()}
-            combos[p] = {r: -x for r, x in combos[p].items()}
+            if combos:
+                combos[p] = {r: -x for r, x in combos[p].items()}
         pivot = cols[p][i]
         for _, j in pivots[:k]:
             q = -(cols[j].get(i, 0) // pivot)
             if q:
                 _add_multiple(cols[j], cols[p], q)
-                _add_multiple(combos[j], combos[p], q)
-    order = [p for _, p in pivots] + zero
+                if combos:
+                    _add_multiple(combos[j], combos[p], q)
+    return [p for _, p in pivots] + zero
+
+
+def _columns(rows, n):
+    """The n columns {row: int} of rows {column: int}; zero entries are dropped."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _dense_rows(M):
+    """The rows of a dense matrix as maps {column: int}, nonzeros through as_int."""
+    n = shape(M)[1]
+    return [{j: as_int(row[j]) for j in compress(range(n), row)} for row in M]
+
+
+def hnf(M):
+    """(H, U) with H = M @ U in canonical column Hermite form (_hermite), U
+    unimodular; H keeps M's row count when M has no column."""
+    m, n = shape(M)
+    cols, combos = _columns(_dense_rows(M), n), [{j: 1} for j in range(n)]
+    order = _hermite(cols, m, combos)
     return ([[cols[j].get(i, 0) for j in order] for i in range(m)],
             [[combos[j].get(r, 0) for j in order] for r in range(n)])
 
 
 def rank(M):
     """Rank of an integer matrix: the pivot count of its column reduction."""
-    return len(_column_echelon(M)[2])
+    return len(_column_echelon(_columns(_dense_rows(M), shape(M)[1]), len(M))[0])
 
 
 def int_kernel(M):
@@ -488,12 +505,15 @@ def int_kernel(M):
     returns them with U = I), the Hermite basis of the kernel's projection:
     admissible_family and symplectic_complement read their bases off them.
     """
-    n = shape(M)[1]
-    _, combos, _, zero = _column_echelon(M)
-    if not zero:
-        return []
-    K, _ = hnf([[combos[j].get(i, 0) for j in zero] for i in range(n)])
-    return [[K[i][j] for i in range(n)] for j in range(len(zero))]
+    return sparse_int_kernel(_dense_rows(M), shape(M)[1])
+
+
+def sparse_int_kernel(rows, n):
+    """int_kernel of the rows {column: int}, a list, over n columns, with no dense
+    row; the Hermite step runs on the sparse kernel combinations, tracking no U."""
+    combos = [{j: 1} for j in range(n)]
+    basis = [combos[j] for j in _column_echelon(_columns(rows, n), len(rows), combos)[1]]
+    return [[basis[k].get(i, 0) for i in range(n)] for k in _hermite(basis, n)]
 
 
 def _add_multiple(dst, src, q):

@@ -9,17 +9,18 @@ matrices form a lattice, usually of very small rank.  The identity
 H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
 P_Ahat are each put over one common denominator once per call
 (scalars.monomial_flatten), and each monomial of each entry gives one
-integer row in the entries of H and C.  int_kernel's Hermite basis of
-the solutions, read on the entries of H, is already the Hermite basis
-of the family, and each basis element is checked against the identity
-by intlinalg.period_identity_holds, the check every Hom generator
-passes, and so is each search hit.  Positivity and surjectivity are not
-linear, so phase two enumerates bounded integer combinations of that
-family on the pencil engine of ``parallel``: the coordinate determinant
-(surjectivity) and the leading principal minors (positivity) are
-computed once per family as polynomials in the coefficients, in its
-Pencil; the engine evaluates the determinant a row of candidates at a
-time and the minors only where it is +-1, and returns the verdict.
+sparse integer row {column: int} in the entries of H and C.  The
+Hermite basis of sparse_int_kernel, read on the entries of H, is already
+that of the family, and each basis element is checked against the
+identity by intlinalg.period_identity_holds, the check every Hom
+generator passes, and so is each search hit.  Positivity and
+surjectivity are not linear, so phase two enumerates bounded integer
+combinations of that family on the pencil engine of ``parallel``: the
+coordinate determinant (surjectivity) and the leading principal minors
+(positivity) are computed once per family as polynomials in the
+coefficients, in its Pencil; the engine evaluates the determinant a row
+of candidates at a time and the minors only where it is +-1, and
+returns the verdict.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .intlinalg import (
     constant_slices,
     det,
     det_polynomial,
-    int_kernel,
     period_identity_holds,
+    sparse_int_kernel,
 )
 from .parallel import Pencil
 from .scalars import monomial_flatten
@@ -138,13 +139,13 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     coordinates of each image column are integer unknowns.  Each monomial
     of each entry of dA * dH * (H @ P_A - P_Ahat @ C), where dA and dH are
     the common denominators of the two period matrices, gives one integer
-    row; the kernel of those rows projects bijectively onto the family
-    (the coordinates C are determined by H).  The basis returned is
-    int_kernel's, whose entries of H are already the Hermite basis of the
-    projection, and every element is re-verified against the containment
-    it encodes, over the same integer polynomials.  A solution with H = 0
-    means that Ahat's periods are linearly dependent over Q, which is a
-    PreconditionError.
+    row, a sparse map {column: int}; the kernel of those rows projects
+    bijectively onto the family (the coordinates C are determined by H).
+    The basis returned is sparse_int_kernel's, whose entries of H are
+    already the Hermite basis of the projection, and every element is
+    re-verified against the containment it encodes, over the same integer
+    polynomials.  A solution with H = 0 means that Ahat's periods are
+    linearly dependent over Q, which is a PreconditionError.
 
     The family is frame-bound by contract: H is read in the given complex
     frames of A and Ahat, so a constant change of either frame can drop
@@ -159,7 +160,6 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     (dA, PA), (dH, PH) = pa, ph
     sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
-    width = s + 4 * n * n
     system = []
     for i in range(n):
         for j in range(2 * n):
@@ -169,14 +169,14 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
             for u, (a, b) in enumerate(sym):
                 if i in (a, b):
                     for mono, x in PA[b if a == i else a][j].items():
-                        rows.setdefault(mono, [0] * width)[u] = dH * x
+                        rows.setdefault(mono, {})[u] = dH * x
             for r, p in enumerate(PH[i]):
                 for mono, x in p.items():
-                    rows.setdefault(mono, [0] * width)[s + 2 * n * j + r] = -dA * x
+                    rows.setdefault(mono, {})[s + 2 * n * j + r] = -dA * x
             system += rows.values()
     basis = []
     coords = []
-    for v in int_kernel(system or [[0] * width]):
+    for v in sparse_int_kernel(system, s + 4 * n * n):
         if not any(v[:s]):
             # H = 0 and C != 0 with P_Ahat @ C = 0
             raise PreconditionError("the target's periods are linearly dependent over Q")

@@ -781,3 +781,24 @@ def test_cli_hom_and_search_digest(tmp_path, monkeypatch, capsys):
                                                    0, 3, 3, 3, 3]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == CLI_HOM_SEARCH_DIGEST
+
+
+def test_a_json_integer_past_the_digit_limit_exits_one_with_one_short_line(tmp_path, capsys):
+    # json.load raised a plain ValueError past int's digit limit: a traceback
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0:
+        pytest.skip("this interpreter sets no digit limit on int()")
+    path = tmp_path / "huge.json"
+    path.write_text(canonical_json(_curve_doc(dim=0)).replace('"dim": 0', '"dim": ' + "9" * 5000))
+    assert run_cli(["type", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "avtk: parse error: document holds an integer with too many digits\n"
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("text", ["x" * 3000, "9" * 5000])
+def test_a_long_bad_type_is_quoted_cut_to_one_short_line(text, capsys):
+    # the whole text was quoted: a 3,085- and a 5,085-character line
+    assert run_cli(["demo", "ex-4.1", "--type", text]) == 2
+    err = capsys.readouterr().err
+    assert err == ("avtk: precondition violated: type must be comma-separated integers, "
+                   f"e.g. 1,3; got '{text[:59]}...\n")

@@ -384,6 +384,21 @@ def test_admissible_family_matches_the_symbolic_system(pair):
     assert [[list(r) for r in C] for C in fam.coordinates] == coords
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sparse_systems_of_the_alternating_products_match_the_symbolic_ones(k, d):
+    # S x S^ x S x ... and S^ x S x S^ x ...: the largest systems any test solves
+    S, Sd = surface_pair(GeneratorSet(("a", "b", "c")), d)
+    X = product([(S, Sd)[i % 2] for i in range(k)])
+    Y = product([(Sd, S)[i % 2] for i in range(k)])
+    got = [([list(r) for r in g.rational_rep], [list(r) for r in g.analytic_rep])
+           for g in hom_module(X, Y)]
+    assert len(got) == k * k and got == symbolic_hom_module(X, Y)
+    fam = admissible_family(X, Y)
+    assert ([[list(r) for r in B] for B in fam.basis],
+            [[list(r) for r in C] for C in fam.coordinates]) == symbolic_admissible_family(X, Y)
+
+
 # -- the self-check refuses every wrong identity ------------------------------------
 
 def _ex41_standard_and_dual(n=3):

@@ -36,6 +36,7 @@ from avtk.intlinalg import (
     rat_solve,
     saturate_columns,
     snf,
+    sparse_int_kernel,
     symplectic_basis,
     transpose,
     zeros,
@@ -539,6 +540,37 @@ def integer_matrices(draw):
 @example([[2, 3, 4, 0], [1, 0, 0, 5], [0, 1, 1, 1], [0, 0, 0, 0]])  # row 0 fills rows 1, 2
 def test_int_kernel_matches_the_dense_oracle(M):
     assert int_kernel(M) == dense_int_kernel(M)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, n): rows {column: int} over n columns, with empty rows, explicit
+    zero entries, the empty system and full-rank systems."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["sparse", "empty", "full-rank"]))
+    if kind == "empty" or n == 0:
+        return draw(st.sampled_from([[], [{}], [{}, {}]])), n
+    if kind == "full-rank":  # row i: a nonzero at column i, others only to its right
+        rows = []
+        for i in range(draw(st.integers(1, n))):
+            right = st.dictionaries(st.integers(i + 1, n - 1), st.integers(-40, 40))
+            rows.append({**(draw(right) if i + 1 < n else {}), i: draw(st.integers(1, 9))})
+        return rows, n
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9) | st.just(0), max_size=4)
+    return draw(st.lists(row, max_size=12)), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+@example(([], 3))  # no row: the kernel is all of Z^3
+@example(([{0: 0, 2: 0}, {}], 3))  # only zero entries
+@example(([{0: 2, 1: 3, 2: 4}, {0: 1, 3: 5}, {1: 1, 2: 1, 3: 1}, {}], 4))
+def test_sparse_int_kernel_matches_the_dense_oracle(system):
+    rows, n = system
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    kern = sparse_int_kernel(rows, n)
+    assert kern == (dense_int_kernel(dense) if dense else identity(n))
+    assert kern == int_kernel(dense or [[0] * n])
 
 
 @settings(max_examples=400, deadline=None)
