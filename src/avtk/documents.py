@@ -5,14 +5,18 @@ everything they emit is canonical: object keys sorted, fractions reduced
 and rendered "p/q", scalar entries rendered in the parser's own grammar
 so documents round-trip exactly.  Reports are byte-identical for
 identical inputs except for the timing field.
+
+canonical_json is an encoder specialised to the types that documents and
+reports hold, and equals the stdlib's indented json.dumps byte for byte;
+json's own encoder runs in pure Python whenever it indents.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote  # json's C escaper, when built
 
 from .errors import DocumentError, PreconditionError, quoted
 from .scalars import GeneratorSet, parse_scalar, render_scalar
@@ -27,7 +31,7 @@ from .torus import (
 
 
 def fraction_str(x) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 
 def parse_fraction(value) -> Fraction:
@@ -46,8 +50,65 @@ def parse_fraction(value) -> Fraction:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, for dicts with str keys, lists, tuples,
+    str, int, bool, None and float; any other key or value raises
+    TypeError.  A row of only str or only int is joined in one step.
+    """
+    out = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_STR, _INT = {str}, {int}
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append the JSON text of value to out; newline is a line break plus
+    the indent of value's own line.  One frame per level of nesting."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):  # json spells the non-finite values its own way
+        text = float.__repr__(value)
+        out.append({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == _STR or kinds == _INT:
+            text = map(_quote if kinds == _STR else int.__repr__, value)
+            out.append("[" + inner + ("," + inner).join(text) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def digest(obj) -> str:
@@ -95,8 +156,14 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
         raise DocumentError("dim must be a positive integer")
     rows = doc["periods"]
     if not _is_matrix(rows, n, 2 * n):
-        raise DocumentError(f"periods must be a {n} x {2 * n} matrix of expressions")
-    periods = [[parse_scalar(gens, str(x)) for x in row] for row in rows]
+        raise DocumentError(
+            f"periods must be a {quoted(n)} x {quoted(2 * n)} matrix of expressions"
+        )
+    # each distinct entry is parsed once, in reading order; equal entries
+    # share one scalar, which is immutable
+    texts = [list(map(str, row)) for row in rows]
+    parsed = {t: parse_scalar(gens, t) for t in dict.fromkeys(t for row in texts for t in row)}
+    periods = [[parsed[t] for t in row] for row in texts]
     gram = doc.get("gram")
     if gram is not None:
         # bool is an int subclass, and int() would truncate floats and parse strings

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .errors import PreconditionError, ScalarParseError, check_int
-from .scalars import GeneratorSet
+from .errors import PreconditionError, ScalarParseError, check_int, quoted
+from .scalars import GeneratorSet, int_literal
 
 
 MAX_DISCRIMINANT = 10**12  # |disc| cap: the squarefree test is trial division up to sqrt|disc|
@@ -129,7 +129,7 @@ class QuadNumber:
         (?:\s*\))?                                         # closing paren
         (?:\s*/\s*(?P<r>\d+))?                             # optional "/r"
         \s*$""",
-        _re.VERBOSE,
+        _re.VERBOSE | _re.ASCII,  # \d is an ASCII digit, as in the scalar grammar
     )
 
     @classmethod
@@ -138,14 +138,12 @@ class QuadNumber:
         m = cls._PATTERN.match(text)
         if not m:
             raise ScalarParseError(
-                f"expected a period of the form (p+q*sqrt(-D))/r, got {text!r}", 0
+                f"expected a period of the form (p+q*sqrt(-D))/r, got {quoted(text)}", 0
             )
-        p = int(m.group("p") or 0)
-        q = int(m.group("q") or 1)
+        p, q, d, r = (int_literal(m[g], m.start(g)) if m[g] else default
+                      for g, default in (("p", 0), ("q", 1), ("d", None), ("r", 1)))
         if m.group("sign") == "-":
             q = -q
-        d = int(m.group("d"))
-        r = int(m.group("r") or 1)
         try:
             return cls(p, q, r, d)
         except (PreconditionError, ZeroDivisionError) as exc:

@@ -37,12 +37,13 @@ True
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import GeneratorMismatchError, ScalarParseError, check_int
+from .errors import GeneratorMismatchError, ScalarParseError, check_int, quoted
 
 Monomial = tuple  # tuple[int, ...], one exponent per generator
 Rat = Union[int, Fraction]
@@ -105,7 +106,7 @@ class GeneratorSet:
         """The generator ``name`` as a scalar."""
         exps = [0] * len(self.names)
         exps[self.index(name)] = 1
-        return FormalScalar(self, {tuple(exps): Fraction(1)})
+        return FormalScalar._trusted(self, {tuple(exps): Fraction(1)})
 
     def gens(self):
         """All generators as scalars, in order."""
@@ -341,36 +342,38 @@ def render_scalar(s: FormalScalar) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-_OPS = frozenset("+-*/()")
 MAX_NESTING = 100  # levels of parentheses and unary signs, well inside the stack
+# optional space, then one token: ASCII digits, a word, an operator or any other character
+_TOKEN = re.compile(r"(\s*)([0-9]+|\w+|[-+*/()]|\S)")
+_OPS = frozenset("+-*/()")
 
 
 def _tokenize(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
+    at = 0
+    for space, word in _TOKEN.findall(text):  # trailing space is all that matches nothing
+        at += len(space)
+        ch = word[0]
+        if ch in _OPS:
+            tokens.append((ch, ch, at))
+        elif "0" <= ch <= "9":
+            tokens.append(("num", word, at))
+        elif ch.isalpha() or ch == "_":  # "²" and "٣" start words, but no name or number
+            tokens.append(("name", word, at))
         else:
-            raise ScalarParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+            raise ScalarParseError(f"unexpected character {ch!r}", at)
+        at += len(word)
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def int_literal(text: str, at: int) -> int:
+    """int(text) for a literal of ASCII digits, refused in one short line
+    past int's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ScalarParseError(f"integer literal {quoted(text)} has too many digits", at) from None
 
 
 class _Parser:
@@ -444,7 +447,7 @@ class _Parser:
     def atom(self) -> FormalScalar:
         kind, text, at = self.advance()
         if kind == "num":
-            return self.gens.constant(int(text))
+            return self.gens.constant(int_literal(text, at))
         if kind == "name":
             try:
                 return self.gens.scalar(text)

@@ -62,7 +62,7 @@ class TorsionPoint:
         for c in coords:
             if type(c) not in (int, Fraction):  # bool is an int subclass
                 raise PreconditionError(f"torsion point coordinate {c!r} is not an int or a Fraction")
-        reduced = tuple(Fraction(c) % 1 for c in coords)
+        reduced = tuple((c if type(c) is Fraction else Fraction(c)) % 1 for c in coords)
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "order", lcm(*(c.denominator for c in reduced)) if reduced else 1)
 

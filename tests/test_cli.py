@@ -106,6 +106,11 @@ def _curve_doc(**changes):
                      canonical_json({"generators": "tau", "dim": 1, "periods": [["t*a", "1"]],
                                      "gram": [[0, 1], [-1, 0]]}),
                      id="generators-str"),
+        # "²" reached int() and raised ValueError; "٣" was read as 3 and written back "3"
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[["tau", "\u00b2"]])),
+                     id="period-superscript-digit"),
+        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[["tau", "\u0663"]])),
+                     id="period-arabic-indic-digit"),
     ],
 )
 def test_malformed_input_exits_one_without_traceback(argv, contents, square_doc, tmp_path,
@@ -802,3 +807,58 @@ def test_a_long_bad_type_is_quoted_cut_to_one_short_line(text, capsys):
     err = capsys.readouterr().err
     assert err == ("avtk: precondition violated: type must be comma-separated integers, "
                    f"e.g. 1,3; got '{text[:59]}...\n")
+
+
+def test_a_dim_past_the_digit_limit_is_quoted_cut_to_one_short_line(tmp_path, capsys):
+    # with the limit off, "periods must be a {dim} x {2 dim} matrix" quoted both
+    # numbers in full: a line of over 10,000 characters for a 5,000-digit dim
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit to switch off")
+    path = tmp_path / "huge.json"
+    path.write_text(canonical_json(_curve_doc(dim=0)).replace('"dim": 0', '"dim": ' + "9" * 5000))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run_cli(["type", str(path)]) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert err == (f"avtk: parse error: periods must be a {'9' * 60}... x 1{'9' * 59}... "
+                   "matrix of expressions\n")
+
+
+def _digits_past_the_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter sets no digit limit on int()")
+    return "9" * (limit + 700)
+
+
+def test_a_period_literal_past_the_digit_limit_exits_one_with_one_short_line(tmp_path, capsys):
+    # int() of the literal raised ValueError: a traceback, exit 1 by accident
+    digits = _digits_past_the_limit()
+    path = write_doc(tmp_path / "huge.json", _curve_doc(periods=[["tau", digits]]))
+    assert run_cli(["type", path]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"avtk: parse error: integer literal '{digits[:59]}... has too many digits "
+                   "(at offset 0)\n")
+
+
+def test_an_elliptic_literal_past_the_digit_limit_exits_one_with_one_short_line(capsys):
+    digits = _digits_past_the_limit()
+    assert run_cli(["elliptic", f"({digits}+1*sqrt(-3))/2", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"avtk: parse error: integer literal '{digits[:59]}... has too many digits "
+                   "(at offset 1)\n")
+
+
+@pytest.mark.parametrize("tau", [
+    pytest.param("(\u0663+1*sqrt(-3))/2", id="arabic-indic-digit"),
+    pytest.param("x" * 5000, id="x-5000"),
+])
+def test_an_elliptic_period_is_refused_in_one_short_line(tau, capsys):
+    # "٣" was read as 3; a period of the wrong form was quoted in full
+    assert run_cli(["elliptic", tau, "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("avtk: parse error: expected a period of the form ")
+    assert err.count("\n") == 1 and len(err) < 200

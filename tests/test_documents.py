@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from avtk.demos import demo_list, run_demo
 from avtk.documents import (
@@ -45,6 +46,58 @@ def test_canonical_json_is_deterministic():
     doc = {"x": [1, {"z": "s", "y": 2}]}
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
     assert digest(doc) == digest(json.loads(canonical_json(doc)))
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+# quotes, backslashes, control characters, separators, non-BMP, and any character
+_SPECIAL = '"\\/\x00\x08\x1f\x7f\n\t\r é\u2028\uffff\U0001f600a'
+_TEXT = st.text(st.sampled_from(_SPECIAL) | st.characters(), max_size=12)
+_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+_LEAVES = (_TEXT | _INTS | st.booleans() | st.none() | st.floats()
+           | st.sampled_from([-0.0, 1e300, -1e-300, float("inf"), float("-inf"), float("nan")]))
+_ROWS = st.lists(_TEXT) | st.lists(_INTS) | st.lists(_INTS | st.booleans())
+_JSON_VALUES = st.recursive(
+    _LEAVES | _ROWS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example(())
+@example([[], {}, ()])
+@example({"periods": [["tau", "3"]], "gram": [[0, 3], [-3, 0]], "dim": 1})
+def test_canonical_json_equals_the_stdlib_encoder(value):
+    assert canonical_json(value) == _stdlib_json(value)
+
+
+def test_canonical_json_of_a_900_deep_list_equals_the_stdlib_encoder():
+    # one frame per level: a point coordinate nested this deep is refused
+    # by its JSON type, after the document was written
+    value = _nested_list(900)
+    assert canonical_json(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, Fraction(1, 2), [["x", Fraction(1, 2)]], {"a": [0, {3}]}, {1: "a"},
+])
+def test_canonical_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 def test_fraction_strings():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,38 @@ def test_parse_expands_products():
 def test_parse_errors(text):
     with pytest.raises(ScalarParseError):
         parse_scalar(G, text)
+
+
+@pytest.mark.parametrize("text,offset,char", [
+    ("\u00b2", 0, "\u00b2"),        # superscript two: isdigit, and int() raised ValueError
+    ("x + \u0663", 4, "\u0663"),     # Arabic-Indic three: read as 3 and rendered back "3"
+    ("1\u0663", 1, "\u0663"),        # int("1\u0663") is 13
+    ("\u0663x", 0, "\u0663"),
+])
+def test_parse_refuses_a_digit_that_is_not_ascii(text, offset, char):
+    with pytest.raises(ScalarParseError) as exc:
+        parse_scalar(G, text)
+    assert str(exc.value) == f"unexpected character {char!r} (at offset {offset})"
+
+
+def test_parse_keeps_non_ascii_names_and_digits_inside_names():
+    gens = GeneratorSet(("\u03c4", "x\u0663", "_y"))
+    tau, x3, y = gens.gens()
+    assert parse_scalar(gens, "2*\u03c4 + x\u0663*_y") == 2 * tau + x3 * y
+    assert parse_scalar(gens, render_scalar(2 * tau + x3 * y)) == 2 * tau + x3 * y
+
+
+def test_parse_refuses_an_integer_literal_past_the_digit_limit_in_one_short_line():
+    # int() of a 5,000-digit literal raised ValueError past int's digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter sets no digit limit on int()")
+    text = "x + " + "9" * (limit + 1)
+    with pytest.raises(ScalarParseError) as exc:
+        parse_scalar(G, text)
+    assert exc.value.position == 4
+    assert str(exc.value) == f"integer literal '{'9' * 59}... has too many digits (at offset 4)"
+    assert parse_scalar(G, "9" * limit) == int("9" * limit)
 
 
 @pytest.mark.parametrize("open_,close", [("(", ")"), ("-", ""), ("-(", ")")])
