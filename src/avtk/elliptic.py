@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .errors import PreconditionError, ScalarParseError, check_int, quoted
+from .errors import PreconditionError, ScalarParseError, Value, check_int, quoted
 from .scalars import GeneratorSet, int_literal
 
 
@@ -35,7 +35,7 @@ def _squarefree(d: int) -> bool:
     return True
 
 
-class QuadNumber:
+class QuadNumber(Value):
     """(p + q*sqrt(disc))/r in the upper half plane, in lowest terms.
 
     The constructor checks its ints and validates disc; numbers derived
@@ -62,7 +62,7 @@ class QuadNumber:
 
     def _set(self, p: int, q: int, r: int, disc: int):
         if r == 0:
-            raise ZeroDivisionError("zero denominator")
+            raise PreconditionError("zero denominator")
         if r < 0:
             p, q, r = -p, -q, -r
         if q <= 0:
@@ -72,9 +72,6 @@ class QuadNumber:
         object.__setattr__(self, "q", q // g)
         object.__setattr__(self, "r", r // g)
         object.__setattr__(self, "disc", disc)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadNumber is immutable")
 
     def re(self) -> Fraction:
         return Fraction(self.p, self.r)
@@ -105,15 +102,8 @@ class QuadNumber:
         check_int("divisor", n, 1)
         return self._derived(self.p, self.q, self.r * n, self.disc)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadNumber)
-            and (self.p, self.q, self.r, self.disc)
-            == (other.p, other.q, other.r, other.disc)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.r, self.disc))
+    def _key(self):
+        return (self.p, self.q, self.r, self.disc)
 
     def __str__(self) -> str:
         return f"({self.p}+{self.q}*sqrt({self.disc}))/{self.r}"
@@ -146,7 +136,7 @@ class QuadNumber:
             q = -q
         try:
             return cls(p, q, r, d)
-        except (PreconditionError, ZeroDivisionError) as exc:
+        except PreconditionError as exc:
             raise ScalarParseError(str(exc), 0) from None
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .errors import PreconditionError, check_int
+from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
     _add_row_times,
     _divide_exactly,
@@ -67,7 +67,7 @@ from .parallel import Pencil
 from .verdicts import Found, NoHoms, NotFoundUpToBound
 
 
-class HomGenerator:
+class HomGenerator(Value):
     """One generator of Hom(X, Y): rational and analytic representations.
 
     rational_rep is the integer matrix M (ints or integral Fractions; any
@@ -119,19 +119,8 @@ class HomGenerator:
         object.__setattr__(self, "rational_rep", M)
         object.__setattr__(self, "analytic_rep", F)
 
-    def __setattr__(self, *args):
-        raise AttributeError("HomGenerator is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomGenerator)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.rational_rep == other.rational_rep
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.rational_rep))
+    def _key(self):
+        return (self.domain, self.codomain, self.rational_rep)
 
     def __repr__(self) -> str:
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
@@ -198,7 +187,7 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     return gens_out
 
 
-class IdempotentData:
+class IdempotentData(Immutable):
     """The symmetric idempotent attached to a polarised subtorus.
 
     epsilon is the rational projector onto the subtorus factor, exponent
@@ -215,9 +204,6 @@ class IdempotentData:
         object.__setattr__(self, "epsilon", tuple(tuple(x) for x in epsilon))
         object.__setattr__(self, "exponent", as_int(exponent))
         object.__setattr__(self, "norm", tuple(tuple(map(as_int, row)) for row in norm))
-
-    def __setattr__(self, *args):
-        raise AttributeError("IdempotentData is immutable")
 
     def complement(self) -> SubvarietyEmbedding:
         """The complementary subtorus: the saturated image of 1 - epsilon,

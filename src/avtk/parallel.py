@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from math import gcd
 
-from .errors import PreconditionError, check_int
+from .errors import Immutable, PreconditionError, check_int
 from .intlinalg import combination, det, det_polynomial
 from .verdicts import Found, NotFoundUpToBound
 
@@ -126,7 +126,7 @@ def run_search(rank, bound, det_p, positive, zero, parities):
     return None
 
 
-class Pencil:
+class Pencil(Immutable):
     """The pencil sum(c_i * mats[i]) with side conditions, searched at any bound.
 
     positive and zero are polynomials in c as (coefficient, exponents)
@@ -152,9 +152,6 @@ class Pencil:
         object.__setattr__(self, "positive", tuple(map(_sparse, positive)))
         object.__setattr__(self, "zero", tuple(map(_sparse, zero)))
         object.__setattr__(self, "_plan", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Pencil is immutable")
 
     def search(self, bound: int):
         """Found for the first c whose member is unimodular and meets the side

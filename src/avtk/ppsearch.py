@@ -25,7 +25,7 @@ returns the verdict.
 
 from __future__ import annotations
 
-from .errors import PreconditionError, check_int
+from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
     as_int,
     combination,
@@ -41,7 +41,7 @@ from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
 
 
-class PPCandidate:
+class PPCandidate(Value):
     """A symmetric integer matrix proposed as a principal polarisation
     (ints or integral Fractions; any other entry is a PreconditionError)."""
 
@@ -56,9 +56,6 @@ class PPCandidate:
             raise PreconditionError("candidate matrix must be symmetric")
         object.__setattr__(self, "H", H)
 
-    def __setattr__(self, *args):
-        raise AttributeError("PPCandidate is immutable")
-
     def leading_minors(self):
         """Determinants of the leading principal submatrices, in order."""
         n = len(self.H)
@@ -70,17 +67,11 @@ class PPCandidate:
     def is_positive_definite(self) -> bool:
         return all(m > 0 for m in self.leading_minors())
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PPCandidate) and self.H == other.H
-
-    def __hash__(self) -> int:
-        return hash(self.H)
-
-    def __repr__(self) -> str:
-        return f"PPCandidate({self.H!r})"
+    def _key(self):
+        return self.H
 
 
-class AdmissibleFamily:
+class AdmissibleFamily(Immutable):
     """The lattice of integer symmetric H with H * (lattice of A) inside
     the lattice of Ahat.
 
@@ -106,9 +97,6 @@ class AdmissibleFamily:
             tuple(tuple(tuple(map(as_int, row)) for row in C) for C in coordinates),
         )
         object.__setattr__(self, "_pencil", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("AdmissibleFamily is immutable")
 
     @property
     def rank(self) -> int:

@@ -43,7 +43,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import GeneratorMismatchError, ScalarParseError, check_int, quoted
+from .errors import GeneratorMismatchError, Immutable, ScalarParseError, Value, check_int, quoted
 
 Monomial = tuple  # tuple[int, ...], one exponent per generator
 Rat = Union[int, Fraction]
@@ -53,7 +53,7 @@ def _grlex_key(mono):
     return (sum(mono), mono)
 
 
-class GeneratorSet:
+class GeneratorSet(Value):
     """An ordered tuple of named formal generators.
 
     The order is significant: it fixes the monomial order and therefore
@@ -78,23 +78,14 @@ class GeneratorSet:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
-    def __setattr__(self, *args):
-        raise AttributeError("GeneratorSet is immutable")
-
     def __len__(self) -> int:
         return len(self.names)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorSet) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
-    def __repr__(self) -> str:
-        return f"GeneratorSet({self.names!r})"
+    def _key(self):
+        return self.names
 
     def index(self, name: str) -> int:
         try:
@@ -125,7 +116,7 @@ class GeneratorSet:
         return FormalScalar._trusted(self, {(0,) * len(self.names): value})
 
 
-class FormalScalar:
+class FormalScalar(Immutable):
     """A polynomial over Q in the generators of a :class:`GeneratorSet`.
 
     Stored as a map from exponent tuples to nonzero ``Fraction``
@@ -166,9 +157,6 @@ class FormalScalar:
         _set_gens(self, gens)
         _set_terms(self, clean)
         return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("FormalScalar is immutable")
 
     # -- queries ---------------------------------------------------------
 
@@ -306,7 +294,7 @@ class FormalScalar:
         return f"FormalScalar({render_scalar(self)!r})"
 
 
-# Slot setters: FormalScalar.__setattr__ refuses every assignment.
+# Slot setters: Immutable.__setattr__ refuses every assignment.
 _set_gens = FormalScalar.gens.__set__
 _set_terms = FormalScalar.terms.__set__
 

@@ -23,7 +23,7 @@ from itertools import product as iter_product
 from math import lcm
 from operator import mul
 
-from .errors import PreconditionError
+from .errors import Immutable, PreconditionError, Value
 from .intlinalg import (
     _divide_exactly,
     _formal_product,
@@ -47,7 +47,7 @@ from .intlinalg import (
 from .scalars import FormalScalar, GeneratorSet, monomial_flatten
 
 
-class TorsionPoint:
+class TorsionPoint(Value):
     """A torsion point in lattice coordinates, reduced modulo 1.
 
     The order is the least k with k * coords integral, i.e. the lcm of the
@@ -65,9 +65,6 @@ class TorsionPoint:
         reduced = tuple((c if type(c) is Fraction else Fraction(c)) % 1 for c in coords)
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "order", lcm(*(c.denominator for c in reduced)) if reduced else 1)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TorsionPoint is immutable")
 
     def lift(self):
         """The canonical lift in [0,1)^(2n) as a list of Fractions."""
@@ -93,17 +90,14 @@ class TorsionPoint:
     def __neg__(self) -> "TorsionPoint":
         return TorsionPoint([-c for c in self.coords])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorsionPoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
+    def _key(self):
+        return self.coords
 
     def __repr__(self) -> str:
         return f"TorsionPoint(({', '.join(str(c) for c in self.coords)}))"
 
 
-class PolarisedTorus:
+class PolarisedTorus(Value):
     """Period matrix plus polarisation form, all exact.
 
     ``periods`` is n x 2n over FormalScalar, ``gram`` is 2n x 2n integer
@@ -123,7 +117,7 @@ class PolarisedTorus:
             entries = []
             for x in row:
                 if isinstance(x, FormalScalar):
-                    if x.gens != gens:
+                    if x.gens is not gens and x.gens != gens:  # identity is the usual case
                         raise PreconditionError("period entry over a different generator set")
                     entries.append(x)
                 else:
@@ -144,23 +138,12 @@ class PolarisedTorus:
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "assumptions", assumptions)
 
-    def __setattr__(self, *args):
-        raise AttributeError("PolarisedTorus is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.periods)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolarisedTorus)
-            and self.gens == other.gens
-            and self.periods == other.periods
-            and self.gram == other.gram
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.gens, self.periods, self.gram))
+    def _key(self):
+        return (self.gens, self.periods, self.gram)
 
     def __repr__(self) -> str:
         rows = "; ".join(
@@ -353,7 +336,7 @@ class PolarisedTorus:
         )
 
 
-class QuotientResult:
+class QuotientResult(Immutable):
     """A quotient torus plus the base change that produced it.
 
     ``basis`` expresses the new lattice basis in the source lattice
@@ -370,9 +353,6 @@ class QuotientResult:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "_inverse", None)
 
-    def __setattr__(self, *args):
-        raise AttributeError("QuotientResult is immutable")
-
     def push_point(self, point: TorsionPoint) -> TorsionPoint:
         """The image B^-1 x of a source point x / k: with B^-1 = N / d from
         rat_inverse, it is N x / (d k)."""
@@ -386,7 +366,7 @@ class QuotientResult:
         return TorsionPoint([Fraction(sum(map(mul, row, x)), dk) for row in N])
 
 
-class DualResult:
+class DualResult(Immutable):
     """A dual torus plus the recorded row scalings and reordering.  ``display``
     is the dual before the reordering: [Z D^-1 | I] with row i scaled by
     scalings[i], in a standard frame with the form of its diagonal."""
@@ -399,11 +379,8 @@ class DualResult:
         object.__setattr__(self, "permutation", permutation)
         object.__setattr__(self, "display", display)
 
-    def __setattr__(self, *args):
-        raise AttributeError("DualResult is immutable")
 
-
-class SubvarietyEmbedding:
+class SubvarietyEmbedding(Value):
     """A saturated sublattice of even rank inside a torus lattice.
 
     Columns of ``columns`` (2n x 2m, integers) are a basis of the
@@ -432,9 +409,6 @@ class SubvarietyEmbedding:
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "columns", tuple(tuple(r) for r in cols))
 
-    def __setattr__(self, *args):
-        raise AttributeError("SubvarietyEmbedding is immutable")
-
     @classmethod
     def from_spanning_vectors(cls, torus: PolarisedTorus, vectors):
         """Embedding of the saturation of the span of integer vectors."""
@@ -446,15 +420,8 @@ class SubvarietyEmbedding:
     def rank(self) -> int:
         return len(self.columns[0]) if self.columns and self.columns[0] else 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubvarietyEmbedding)
-            and self.torus == other.torus
-            and self.columns == other.columns
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.torus, self.columns))
+    def _key(self):
+        return (self.torus, self.columns)
 
 
 def standard_gram(D):

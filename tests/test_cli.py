@@ -350,6 +350,9 @@ def test_elliptic_subcommand(capsys):
     assert run_cli(["elliptic", "sqrt(-1)", "2"]) == 0
     assert "isomorphic: False" in capsys.readouterr().out
     assert run_cli(["elliptic", "bogus", "2"]) == 1
+    capsys.readouterr()
+    assert run_cli(["elliptic", "sqrt(-1)/0", "2"]) == 1
+    assert capsys.readouterr().err == "avtk: parse error: zero denominator (at offset 0)\n"
 
 
 def test_elliptic_formal_certificate(capsys):

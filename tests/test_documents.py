@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from avtk.documents import (
     torus_from_doc,
     torus_to_doc,
 )
-from avtk.errors import DocumentError
+from avtk.errors import DocumentError, quoted
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, SubvarietyEmbedding, TorsionPoint, product, standard_gram
 from oracles import embedding_to_doc
@@ -243,3 +244,18 @@ def test_report_without_timing_is_deterministic():
 
     assert make(0.1).to_json(include_timing=False) == make(9.9).to_json(include_timing=False)
     assert "timing" not in make(0.1).to_json(include_timing=False)
+
+
+def test_quoted_shows_an_int_past_the_digit_limit_by_its_size():
+    # repr raised ValueError past int's digit limit, so a refusal that quoted
+    # such an int raised that instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter sets no digit limit on int()")
+    assert quoted(10 ** 5000) == "<int of 16610 bits>"
+    assert quoted([1, 10 ** 5000]) == "<list>"
+    assert quoted(10 ** (limit - 1)) == repr(10 ** (limit - 1))[:60] + "..."
+    with pytest.raises(DocumentError) as caught:
+        torus_from_doc({"generators": ["t"], "dim": 10 ** 5000, "periods": []})
+    assert str(caught.value) == ("periods must be a <int of 16610 bits> x <int of 16611 bits> "
+                                 "matrix of expressions")

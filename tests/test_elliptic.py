@@ -29,6 +29,14 @@ def test_parse_rejects_garbage():
             QuadNumber.parse(text)
 
 
+def test_a_zero_denominator_is_a_precondition_error():
+    # it was a ZeroDivisionError, the one refusal that was not an AvtkError
+    with pytest.raises(PreconditionError, match="^zero denominator$"):
+        QuadNumber(0, 1, 0, -1)
+    with pytest.raises(ScalarParseError, match=r"^zero denominator \(at offset 0\)$"):
+        QuadNumber.parse("sqrt(-1)/0")
+
+
 def test_values_are_reduced():
     a = QuadNumber(2, 2, 4, -3)
     b = QuadNumber(1, 1, 2, -3)

@@ -13,7 +13,9 @@ right period block of a frame is read by one set of helpers in torus.py,
 and only torus.py calls standard_gram, so a standard frame's form is
 built in one place.  Only intlinalg.py refers to _over_common_denominator,
 so rational rows are cleared in one place, and rational matrices are
-inverted by intlinalg.rat_inverse.
+inverted by intlinalg.rat_inverse.  Only the bases errors.Immutable and
+errors.Value, and FormalScalar, define assignment, deletion, equality or
+hash, so the value-object rules are stated once.
 """
 
 import ast
@@ -70,31 +72,35 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
-def _referenced_names(nodes):
-    """The names loaded or looked up as attributes anywhere under nodes."""
+def _referenced_names(node):
+    """The names loaded or looked up as attributes anywhere under node."""
     names = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                names.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
     return names
 
 
 def _unreferenced(public):
     """module:name of each module-level function or class, public or private
     as asked, that no module refers to outside the definition itself."""
-    trees = {path.name: _tree(path) for path in SOURCES}
+    # the names each top-level node refers to, collected once per module
+    nodes = {path.name: [(node, _referenced_names(node)) for node in _tree(path).body]
+             for path in SOURCES}
+    per_module = {name: set().union(*(names for _, names in body))
+                  for name, body in nodes.items()}
     out = []
-    for name, tree in trees.items():
-        elsewhere = [t for other, t in trees.items() if other != name]
-        for definition in tree.body:
+    for name, body in nodes.items():
+        elsewhere = set().union(*(names for other, names in per_module.items() if other != name))
+        for definition, _ in body:
             if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and definition.name.startswith("_") != public):
-                outside = [node for node in tree.body if node is not definition]
-                if definition.name not in _referenced_names(elsewhere + outside):
-                    out.append(f"{name}:{definition.name}")
+                    and definition.name.startswith("_") != public
+                    and definition.name not in elsewhere
+                    and not any(definition.name in names
+                                for node, names in body if node is not definition)):
+                out.append(f"{name}:{definition.name}")
     return sorted(out)
 
 
@@ -155,3 +161,31 @@ def test_only_intlinalg_clears_rational_rows(path):
                                                      getattr(node, "name", None)))
     assert not lines, (f"{path.name} refers to _over_common_denominator on lines {lines}; "
                        "use intlinalg.rat_inverse, rat_solve or det")
+
+
+# The only classes that state immutability or equality; a value class gets
+# both rules by deriving from errors.Immutable or errors.Value.
+VALUE_RULES = {
+    ("errors.py", "Immutable"): {"__setattr__", "__delattr__"},
+    ("errors.py", "Value"): {"__eq__", "__hash__"},
+    # equal to ints and Fractions, so not a Value
+    ("scalars.py", "FormalScalar"): {"__eq__", "__hash__"},
+}
+
+
+def test_only_the_value_bases_state_immutability_and_equality():
+    rules = {"__setattr__", "__delattr__", "__eq__", "__ne__", "__hash__"}
+    found = {}
+    for path in SOURCES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {node.name}
+                else:  # __delattr__ = __setattr__, or __hash__ = None
+                    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                for name in names & rules:
+                    found.setdefault((path.name, cls.name), set()).add(name)
+    assert found == VALUE_RULES

@@ -1,0 +1,119 @@
+"""The value objects of avtk: immutable, and equal exactly when their keys are.
+
+Every class below derives from errors.Immutable, and those in KEYED from
+errors.Value; test_source_hygiene.py checks that no other class states
+either rule.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from avtk.elliptic import QuadNumber
+from avtk.errors import Value
+from avtk.homs import HomGenerator, hom_module, idempotent
+from avtk.parallel import Pencil
+from avtk.ppsearch import PPCandidate, admissible_family
+from avtk.scalars import GeneratorSet
+from avtk.torus import PolarisedTorus, SubvarietyEmbedding, TorsionPoint, product, standard_gram
+
+
+def curve(d=1, name="tau"):
+    """A fresh elliptic curve tau*Z + d*Z of type (d), over fresh generators."""
+    gens = GeneratorSet((name,))
+    return PolarisedTorus(gens, [[gens.scalar(name), d]], standard_gram([d]))
+
+
+def opposite(T):
+    """T with the opposite form: the same periods, so only the gram differs."""
+    return PolarisedTorus(T.gens, T.periods, [[-x for x in row] for row in T.gram])
+
+
+def surface():
+    E = curve()
+    return product([E, E])
+
+
+# One instance of each immutable class, built fresh on every call.
+IMMUTABLE = {
+    "GeneratorSet": lambda: GeneratorSet(("a", "b")),
+    "FormalScalar": lambda: GeneratorSet(("a",)).scalar("a"),
+    "TorsionPoint": lambda: TorsionPoint([Fraction(1, 2), 0]),
+    "PolarisedTorus": curve,
+    "QuotientResult": lambda: curve(2).quotient(TorsionPoint([0, Fraction(1, 2)])),
+    "DualResult": lambda: curve(2).dual(),
+    "SubvarietyEmbedding": lambda: SubvarietyEmbedding.from_spanning_vectors(
+        surface(), [[1, 0, 0, 0], [0, 0, 1, 0]]),
+    "HomGenerator": lambda: hom_module(curve(), curve())[0],
+    "IdempotentData": lambda: idempotent(SubvarietyEmbedding.from_spanning_vectors(
+        surface(), [[1, 0, 0, 0], [0, 0, 1, 0]])),
+    "PPCandidate": lambda: PPCandidate([[2, 1], [1, 2]]),
+    "AdmissibleFamily": lambda: admissible_family(curve(), curve()),
+    "Pencil": lambda: Pencil([[[2]], [[5]]]),
+    "QuadNumber": lambda: QuadNumber(1, 1, 2, -3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLE))
+def test_assignment_and_deletion_are_refused(name):
+    obj = IMMUTABLE[name]()
+    assert type(obj).__name__ == name
+    message = f"^{name} is immutable$"
+    for slot in type(obj).__slots__:
+        before = getattr(obj, slot)
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, slot, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, slot)
+        assert getattr(obj, slot) is before
+    with pytest.raises(AttributeError, match=message):
+        obj.extra = 1
+    if isinstance(obj, Value):  # a refused del leaves the key whole
+        assert hash(obj) == hash(IMMUTABLE[name]())
+
+
+# For each keyed class: two builders of equal objects, made independently,
+# and one of an object whose key differs.
+KEYED = {
+    "GeneratorSet": (lambda: GeneratorSet(("a", "b")), lambda: GeneratorSet(["a", "b"]),
+                     lambda: GeneratorSet(("a", "c"))),
+    "TorsionPoint": (lambda: TorsionPoint([Fraction(1, 2), 0]),
+                     lambda: TorsionPoint([Fraction(3, 2), 1]),
+                     lambda: TorsionPoint([0, Fraction(1, 2)])),
+    "PolarisedTorus": (curve, curve, lambda: curve(2)),
+    "PolarisedTorus-gram": (curve, curve, lambda: opposite(curve())),
+    "PolarisedTorus-gens": (curve, curve, lambda: curve(name="sigma")),
+    "SubvarietyEmbedding": (
+        lambda: SubvarietyEmbedding.from_spanning_vectors(surface(), [[1, 0, 0, 0], [0, 0, 1, 0]]),
+        lambda: SubvarietyEmbedding(surface(), [[1, 0], [0, 0], [0, 1], [0, 0]]),
+        lambda: SubvarietyEmbedding(surface(), [[0, 0], [1, 0], [0, 0], [0, 1]])),
+    "HomGenerator": (lambda: hom_module(curve(), curve())[0],
+                     lambda: HomGenerator(curve(), curve(), [[1, 0], [0, 1]], [[1]]),
+                     lambda: HomGenerator(curve(), curve(), [[2, 0], [0, 2]], [[2]])),
+    "HomGenerator-codomain": (lambda: HomGenerator(curve(), curve(), [[1, 0], [0, 1]], [[1]]),
+                              lambda: HomGenerator(curve(), curve(), [[1, 0], [0, 1]], [[1]]),
+                              lambda: HomGenerator(curve(), opposite(curve()), [[1, 0], [0, 1]],
+                                                   [[1]])),
+    "PPCandidate": (lambda: PPCandidate([[2, 1], [1, 2]]),
+                    lambda: PPCandidate(((Fraction(2), 1), (1, Fraction(4, 2)))),
+                    lambda: PPCandidate([[2, 0], [0, 2]])),
+    "QuadNumber": (lambda: QuadNumber(1, 1, 2, -3), lambda: QuadNumber(-2, -2, -4, -3),
+                   lambda: QuadNumber(1, 1, 2, -7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYED))
+def test_equal_values_hash_equal_and_a_changed_key_is_unequal(case):
+    make, make_again, make_other = KEYED[case]
+    a, b, other = make(), make_again(), make_other()
+    assert a is not b and type(a) is type(b) is type(other)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != other and not a == other and len({a, b, other}) == 2
+
+
+def test_values_of_different_classes_are_unequal():
+    point, candidate = TorsionPoint([0]), PPCandidate([[0]])
+    assert point != candidate and candidate != point
+    assert GeneratorSet(("a",)) != ("a",) and ("a",) != GeneratorSet(("a",))
+    assert GeneratorSet(("a",)) != 1 and QuadNumber(0, 1, 1, -1) != 1j
