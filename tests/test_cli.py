@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -789,6 +790,56 @@ def test_cli_hom_and_search_digest(tmp_path, monkeypatch, capsys):
                                                    0, 3, 3, 3, 3]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == CLI_HOM_SEARCH_DIGEST
+
+
+# SHA-256 of the runs that neither digest above reaches, in the same form:
+# the elliptic and obstruction queries, a malformed period, the demo list
+# (asked for, and by default), an unknown demo and a search with no Hom.
+CLI_QUERIES_DIGEST = "1cd2101217a3575acfc60e12fd6cea21a447baee42834ff001cda61bcada8992"
+
+
+def test_cli_queries_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("tau_E", "tau_F"):
+        write_doc(Path(f"{name}.json"),
+                  torus_to_doc(PolarisedTorus(G2, [[G2.scalar(name), 1]], standard_gram([1]))))
+    calls = [["elliptic", "sqrt(-2)", "2"], ["elliptic", "--formal", "tau", "3"],
+             ["elliptic", "sqrt(-2", "2"], ["obstruction", "7"],
+             ["demo", "--list"], ["demo"], ["demo", "ex-9.9"],
+             ["isom-search", "tau_E.json", "tau_F.json"]]
+    records = [[argv, *_in_process(argv + ["--json"], capsys)] for argv in calls]
+    assert [code for _, code, _, _ in records] == [0, 0, 1, 0, 0, 0, 1, 4]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == CLI_QUERIES_DIGEST
+
+
+# The positionals of each subcommand, as its --help names them.
+POSITIONALS = {
+    "type": ["torus"], "kernel": ["torus"], "quotient": ["torus", "point"],
+    "complement": ["torus", "points"], "dual": ["torus"], "sub": ["torus", "embedding"],
+    "idempotent": ["torus", "embedding"], "hom": ["domain", "codomain"],
+    "isom-search": ["domain", "codomain"], "pp-search": ["torus", "dual"],
+    "elliptic": ["tau", "n"], "degree": ["matrix"], "obstruction": ["d"], "demo": ["name"],
+}
+
+
+def test_the_subcommands_are_the_fourteen_with_help():
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(POSITIONALS)
+
+
+@pytest.mark.parametrize("command", list(POSITIONALS))
+def test_help_of_each_subcommand_exits_zero_and_names_its_positionals(command, monkeypatch,
+                                                                      capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: avtk {command} ")
+    section = out.split("\npositional arguments:\n")[1].split("\n\n")[0]
+    names = [line.split()[0] for line in section.splitlines() if not line.startswith("   ")]
+    assert names == POSITIONALS[command]
 
 
 def test_a_json_integer_past_the_digit_limit_exits_one_with_one_short_line(tmp_path, capsys):
