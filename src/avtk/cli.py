@@ -3,10 +3,17 @@
 Subcommands load torus/point/embedding documents, run one library
 operation, and emit a report either as human-readable lines or, with
 --json, as canonical JSON suitable for golden-file comparison.  Exit
-codes encode outcomes: 0 success, 1 parse or usage error, 2 precondition
-violation, 3 a bounded search that found nothing (also used by demos
-whose expected outcome is a bounded negative), 4 an isomorphism search
-with no homomorphisms at all, 5 a failed assertion.
+codes encode outcomes: 0 success, 1 parse or usage error (an --out that
+cannot be written included), 2 precondition violation, 3 a bounded
+search that found nothing (also used by demos whose expected outcome is
+a bounded negative), 4 an isomorphism search with no homomorphisms at
+all, 5 a failed assertion.
+
+Each subcommand is registered once, by one command(...) call in
+_build_parser: its name, help, arguments and handler.  A handler takes
+the parsed arguments, documents (_DOCUMENTS) loaded, and returns
+(payload, exit code); the arguments it leaves, all but --json and --out,
+are the report's inputs.  The report goes to --out before any output.
 
 The bounded searches run in the calling process.  The argument parser
 is built by the first main() call and reused by every later call in the
@@ -23,6 +30,7 @@ import os
 import sys
 import time
 from math import prod
+from pathlib import Path
 
 from .demos import demo_list, run_demo
 from .documents import (
@@ -73,9 +81,162 @@ def _load_json(path: str):
             raise DocumentError("document holds an integer with too many digits") from None
 
 
-def _load_torus(path: str):
-    doc = _load_json(path)
-    return torus_from_doc(doc), doc
+_DOCUMENTS = ("torus", "point", "points", "embedding", "domain", "codomain", "dual", "matrix")
+_NOT_INPUTS = {"command", "run", "bounded", "json", "out"}
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_BOUND = _arg("--bound", type=int, default=10)
+
+
+def _run_command(args):
+    """Load every document args names, then run its handler; returns
+    (payload, inputs, exit_code), the inputs read from args afterwards."""
+    for key in _DOCUMENTS:
+        path = getattr(args, key, None)
+        if path is not None:
+            setattr(args, key, [_load_json(p) for p in path] if key == "points"
+                    else _load_json(path))
+    payload, code = args.run(args)
+    return payload, {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}, code
+
+
+def _type(a):
+    return {"type": list(torus_from_doc(a.torus).polarisation_type())}, EXIT_OK
+
+
+def _kernel(a):
+    T = torus_from_doc(a.torus)
+    pts = T.polarising_kernel()
+    # the generators' orders are the type's entries above 1, each twice,
+    # so the type needs no second Smith form of the gram
+    divisors = [p.order for p in pts[::2]]
+    return {
+        "type": [1] * (T.dim - len(divisors)) + divisors,
+        "order": prod(p.order for p in pts),
+        "generators": [dict(point_to_doc(p), order=p.order) for p in pts],
+    }, EXIT_OK
+
+
+def _quotient(a):
+    T = torus_from_doc(a.torus)
+    qres = T.quotient(point_from_doc(a.point, T))
+    return {
+        "torus": torus_to_doc(qres.torus),
+        "basis": fraction_matrix_doc(qres.basis),
+        "type": list(qres.torus.polarisation_type()),
+    }, EXIT_OK
+
+
+def _complement(a):
+    T = torus_from_doc(a.torus)
+    gens = T.symplectic_complement([point_from_doc(d, T) for d in a.points])
+    return {"generators": [dict(point_to_doc(p), order=p.order) for p in gens]}, EXIT_OK
+
+
+def _dual(a):
+    d = torus_from_doc(a.torus).dual()
+    return {
+        "torus": torus_to_doc(d.torus),
+        "display_periods": scalar_matrix_doc(d.display.periods),
+        "scalings": list(d.scalings),
+        "permutation": list(d.permutation),
+        "type": list(d.torus.polarisation_type()),
+    }, EXIT_OK
+
+
+def _sub(a):
+    T = torus_from_doc(a.torus)
+    gram_b, rtype = restricted_polarisation(T, embedding_from_doc(a.embedding, T))
+    return {"gram": int_matrix_doc(gram_b), "type": list(rtype)}, EXIT_OK
+
+
+def _idempotent(a):
+    T = torus_from_doc(a.torus)
+    data = idempotent(embedding_from_doc(a.embedding, T))
+    return {
+        "epsilon": fraction_matrix_doc(data.epsilon),
+        "exponent": data.exponent,
+        "norm": int_matrix_doc(data.norm),
+        "complement_columns": int_matrix_doc(data.complement().columns),
+    }, EXIT_OK
+
+
+def _hom(a):
+    gens = hom_module(torus_from_doc(a.domain), torus_from_doc(a.codomain))
+    return {"rank": len(gens), "generators": [
+        {"rational": int_matrix_doc(g.rational_rep),
+         "analytic": [[str(x) for x in row] for row in g.analytic_rep]} for g in gens]}, EXIT_OK
+
+
+def _isom_search(a):
+    res = isom_search(torus_from_doc(a.domain), torus_from_doc(a.codomain),
+                      bound=a.bound, polarised=a.polarised)
+    if isinstance(res, Found):
+        return {"found": True, "witness": int_matrix_doc(res.witness),
+                "coefficients": list(res.coefficients), "tested": res.tested}, EXIT_OK
+    if isinstance(res, NoHoms):
+        return {"found": False, "reason": "no homomorphisms"}, EXIT_NO_HOMS
+    return {"found": False, "bound": res.bound, "tested": res.tested}, EXIT_NOT_FOUND
+
+
+def _pp_search(a):
+    A = torus_from_doc(a.torus)
+    if a.dual is None:
+        Ahat = A.dual().torus
+        a.dual = torus_to_doc(Ahat)  # the inputs record the dual computed
+    else:
+        Ahat = torus_from_doc(a.dual)
+    fam = admissible_family(A, Ahat)
+    res = pp_search(A, Ahat, bound=a.bound, family=fam)
+    if isinstance(res, Found):
+        return {"found": True, "family_rank": fam.rank, "witness": int_matrix_doc(res.witness.H),
+                "coefficients": list(res.coefficients), "tested": res.tested}, EXIT_OK
+    return {"found": False, "family_rank": fam.rank,
+            "bound": res.bound, "tested": res.tested}, EXIT_NOT_FOUND
+
+
+def _elliptic(a):
+    if a.formal:
+        verdict = formal_quotient_isomorphic(a.tau, a.n)
+        return {"isomorphic": False, "certificate": verdict.certificate}, EXIT_OK
+    tau = QuadNumber.parse(a.tau)
+    return {
+        "isomorphic": quotient_isomorphic(tau, a.n),
+        "reduced": str(reduce_tau(tau).reduced),
+        "reduced_quotient": str(reduce_tau(tau.divided_by(a.n)).reduced),
+    }, EXIT_OK
+
+
+def _degree(a):
+    return {"degree": isogeny_degree(int_matrix_from_doc(a.matrix))}, EXIT_OK
+
+
+def _obstruction(a):
+    return obstruction_report(a.d), EXIT_OK
+
+
+def _demo(a):
+    out = a.out  # a directory, for the report and the demo's documents
+    if out:
+        a.out = os.path.join(out, "report.json")
+    if a.list or a.demo is None:  # inputs: {"list": true} alone
+        for key in vars(a).keys() - _NOT_INPUTS:
+            delattr(a, key)
+        a.list = True
+        return {"demos": demo_list()}, EXIT_OK
+    del a.list
+    if a.demo not in demo_list():
+        raise DocumentError(f"unknown demo {a.demo!r}; available: {', '.join(demo_list())}")
+    res = run_demo(a.demo, n=a.n, type_=a.type, bound=a.bound, max_d=a.max_d)
+    if out:
+        os.makedirs(out, exist_ok=True)
+        for label, doc in res.documents.items():
+            Path(out, f"{label}.json").write_text(canonical_json(doc), encoding="utf-8")
+    return res.payload, EXIT_NOT_FOUND if res.bounded else EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -85,72 +246,41 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", help="also write the JSON report (demos: a directory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("type", parents=[common], help="polarisation type of a torus")
-    p.add_argument("torus")
+    def command(name, run, help, *arguments, bounded="bounded"):
+        """Register subcommand name, run by run; an argument is a positional's
+        name or _arg(...), and bounded is the verdict of exit code 3."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        for flags, options in (((a,), {}) if isinstance(a, str) else a for a in arguments):
+            p.add_argument(*flags, **options)
+        p.set_defaults(run=run, bounded=bounded)
 
-    p = sub.add_parser("kernel", parents=[common], help="generators of the polarising kernel")
-    p.add_argument("torus")
-
-    p = sub.add_parser("quotient", parents=[common], help="quotient by the cyclic group of a point")
-    p.add_argument("torus")
-    p.add_argument("point")
-
-    p = sub.add_parser("complement", parents=[common],
-                       help="symplectic complement of points inside the kernel")
-    p.add_argument("torus")
-    p.add_argument("points", nargs="+")
-
-    p = sub.add_parser("dual", parents=[common], help="dual torus in a standard frame")
-    p.add_argument("torus")
-
-    p = sub.add_parser("sub", parents=[common], help="restricted polarisation of a subtorus")
-    p.add_argument("torus")
-    p.add_argument("embedding")
-
-    p = sub.add_parser("idempotent", parents=[common],
-                       help="symmetric idempotent and norm of a subtorus")
-    p.add_argument("torus")
-    p.add_argument("embedding")
-
-    p = sub.add_parser("hom", parents=[common], help="basis of the homomorphism module")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-
-    p = sub.add_parser("isom-search", parents=[common], help="bounded isomorphism search")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--polarised", action="store_true",
-                   help="require the pullback to preserve the forms")
-
-    p = sub.add_parser("pp-search", parents=[common],
-                       help="bounded search for a principal polarisation")
-    p.add_argument("torus")
-    p.add_argument("dual", nargs="?",
-                   help="model of the dual (default: computed with the dual op)")
-    p.add_argument("--bound", type=int, default=10)
-
-    p = sub.add_parser("elliptic", parents=[common],
-                       help="is the curve isomorphic to its quotient by an order-n point")
-    p.add_argument("tau", help='period "(p+q*sqrt(-D))/r", or a name with --formal')
-    p.add_argument("n", type=int)
-    p.add_argument("--formal", action="store_true",
-                   help="treat tau as a formal period with no algebraic relations")
-
-    p = sub.add_parser("degree", parents=[common], help="isogeny degree of an integer matrix")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("obstruction", parents=[common],
-                       help="is -1 a non-square modulo d")
-    p.add_argument("d", type=int)
-
-    p = sub.add_parser("demo", parents=[common], help="run a named worked example")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--list", action="store_true", help="list demo names")
-    p.add_argument("--n", type=int)
-    p.add_argument("--type", dest="type_")
-    p.add_argument("--bound", type=int)
-    p.add_argument("--max-d", type=int)
+    command("type", _type, "polarisation type of a torus", "torus")
+    command("kernel", _kernel, "generators of the polarising kernel", "torus")
+    command("quotient", _quotient, "quotient by the cyclic group of a point", "torus", "point")
+    command("complement", _complement, "symplectic complement of points inside the kernel",
+            "torus", _arg("points", nargs="+"))
+    command("dual", _dual, "dual torus in a standard frame", "torus")
+    command("sub", _sub, "restricted polarisation of a subtorus", "torus", "embedding")
+    command("idempotent", _idempotent, "symmetric idempotent and norm of a subtorus",
+            "torus", "embedding")
+    command("hom", _hom, "basis of the homomorphism module", "domain", "codomain")
+    command("isom-search", _isom_search, "bounded isomorphism search", "domain", "codomain",
+            _BOUND, _arg("--polarised", action="store_true",
+                         help="require the pullback to preserve the forms"))
+    command("pp-search", _pp_search, "bounded search for a principal polarisation", "torus",
+            _arg("dual", nargs="?", help="model of the dual (default: computed with the dual op)"),
+            _BOUND)
+    command("elliptic", _elliptic, "is the curve isomorphic to its quotient by an order-n point",
+            _arg("tau", help='period "(p+q*sqrt(-D))/r", or a name with --formal'),
+            _arg("n", type=int),
+            _arg("--formal", action="store_true",
+                 help="treat tau as a formal period with no algebraic relations"))
+    command("degree", _degree, "isogeny degree of an integer matrix", "matrix")
+    command("obstruction", _obstruction, "is -1 a non-square modulo d", _arg("d", type=int))
+    command("demo", _demo, "run a named worked example", _arg("demo", nargs="?", metavar="name"),
+            _arg("--list", action="store_true", help="list demo names"), _arg("--n", type=int),
+            _arg("--type"), _arg("--bound", type=int), _arg("--max-d", type=int),
+            bounded="pass")
     return parser
 
 
@@ -162,183 +292,6 @@ def _parser() -> _Parser:
     so one parser serves every main() call.
     """
     return _build_parser()
-
-
-def _run_command(args):
-    """Dispatch; returns (payload, inputs, exit_code)."""
-    cmd = args.command
-
-    if cmd == "type":
-        T, doc = _load_torus(args.torus)
-        return {"type": list(T.polarisation_type())}, {"torus": doc}, EXIT_OK
-
-    if cmd == "kernel":
-        T, doc = _load_torus(args.torus)
-        pts = T.polarising_kernel()
-        # the generators' orders are the type's entries above 1, each twice,
-        # so the type needs no second Smith form of the gram
-        divisors = [p.order for p in pts[::2]]
-        payload = {
-            "type": [1] * (T.dim - len(divisors)) + divisors,
-            "order": prod(p.order for p in pts),
-            "generators": [dict(point_to_doc(p), order=p.order) for p in pts],
-        }
-        return payload, {"torus": doc}, EXIT_OK
-
-    if cmd == "quotient":
-        T, doc = _load_torus(args.torus)
-        pdoc = _load_json(args.point)
-        point = point_from_doc(pdoc, T)
-        qres = T.quotient(point)
-        payload = {
-            "torus": torus_to_doc(qres.torus),
-            "basis": fraction_matrix_doc(qres.basis),
-            "type": list(qres.torus.polarisation_type()),
-        }
-        return payload, {"torus": doc, "point": pdoc}, EXIT_OK
-
-    if cmd == "complement":
-        T, doc = _load_torus(args.torus)
-        pdocs = [_load_json(p) for p in args.points]
-        points = [point_from_doc(d, T) for d in pdocs]
-        gens = T.symplectic_complement(points)
-        payload = {"generators": [dict(point_to_doc(p), order=p.order) for p in gens]}
-        return payload, {"torus": doc, "points": pdocs}, EXIT_OK
-
-    if cmd == "dual":
-        T, doc = _load_torus(args.torus)
-        d = T.dual()
-        payload = {
-            "torus": torus_to_doc(d.torus),
-            "display_periods": scalar_matrix_doc(d.display.periods),
-            "scalings": list(d.scalings),
-            "permutation": list(d.permutation),
-            "type": list(d.torus.polarisation_type()),
-        }
-        return payload, {"torus": doc}, EXIT_OK
-
-    if cmd == "sub":
-        T, doc = _load_torus(args.torus)
-        edoc = _load_json(args.embedding)
-        emb = embedding_from_doc(edoc, T)
-        gram_b, rtype = restricted_polarisation(T, emb)
-        payload = {"gram": int_matrix_doc(gram_b), "type": list(rtype)}
-        return payload, {"torus": doc, "embedding": edoc}, EXIT_OK
-
-    if cmd == "idempotent":
-        T, doc = _load_torus(args.torus)
-        edoc = _load_json(args.embedding)
-        emb = embedding_from_doc(edoc, T)
-        data = idempotent(emb)
-        comp = data.complement()
-        payload = {
-            "epsilon": fraction_matrix_doc(data.epsilon),
-            "exponent": data.exponent,
-            "norm": int_matrix_doc(data.norm),
-            "complement_columns": int_matrix_doc(comp.columns),
-        }
-        return payload, {"torus": doc, "embedding": edoc}, EXIT_OK
-
-    if cmd == "hom":
-        X, xdoc = _load_torus(args.domain)
-        Y, ydoc = _load_torus(args.codomain)
-        gens = hom_module(X, Y)
-        payload = {
-            "rank": len(gens),
-            "generators": [
-                {
-                    "rational": int_matrix_doc(g.rational_rep),
-                    "analytic": [[str(x) for x in row] for row in g.analytic_rep],
-                }
-                for g in gens
-            ],
-        }
-        return payload, {"domain": xdoc, "codomain": ydoc}, EXIT_OK
-
-    if cmd == "isom-search":
-        X, xdoc = _load_torus(args.domain)
-        Y, ydoc = _load_torus(args.codomain)
-        res = isom_search(X, Y, bound=args.bound, polarised=args.polarised)
-        inputs = {"domain": xdoc, "codomain": ydoc, "bound": args.bound,
-                  "polarised": args.polarised}
-        if isinstance(res, Found):
-            payload = {
-                "found": True,
-                "witness": int_matrix_doc(res.witness),
-                "coefficients": list(res.coefficients),
-                "tested": res.tested,
-            }
-            return payload, inputs, EXIT_OK
-        if isinstance(res, NoHoms):
-            return {"found": False, "reason": "no homomorphisms"}, inputs, EXIT_NO_HOMS
-        payload = {"found": False, "bound": res.bound, "tested": res.tested}
-        return payload, inputs, EXIT_NOT_FOUND
-
-    if cmd == "pp-search":
-        A, adoc = _load_torus(args.torus)
-        if args.dual:
-            Ahat, hdoc = _load_torus(args.dual)
-        else:
-            Ahat = A.dual().torus
-            hdoc = torus_to_doc(Ahat)
-        fam = admissible_family(A, Ahat)
-        res = pp_search(A, Ahat, bound=args.bound, family=fam)
-        inputs = {"torus": adoc, "dual": hdoc, "bound": args.bound}
-        if isinstance(res, Found):
-            payload = {
-                "found": True,
-                "family_rank": fam.rank,
-                "witness": int_matrix_doc(res.witness.H),
-                "coefficients": list(res.coefficients),
-                "tested": res.tested,
-            }
-            return payload, inputs, EXIT_OK
-        payload = {"found": False, "family_rank": fam.rank,
-                   "bound": res.bound, "tested": res.tested}
-        return payload, inputs, EXIT_NOT_FOUND
-
-    if cmd == "elliptic":
-        if args.formal:
-            verdict = formal_quotient_isomorphic(args.tau, args.n)
-            payload = {"isomorphic": False, "certificate": verdict.certificate}
-            return payload, {"tau": args.tau, "n": args.n, "formal": True}, EXIT_OK
-        tau = QuadNumber.parse(args.tau)
-        iso = quotient_isomorphic(tau, args.n)
-        payload = {
-            "isomorphic": iso,
-            "reduced": str(reduce_tau(tau).reduced),
-            "reduced_quotient": str(reduce_tau(tau.divided_by(args.n)).reduced),
-        }
-        return payload, {"tau": args.tau, "n": args.n, "formal": False}, EXIT_OK
-
-    if cmd == "degree":
-        M = _load_json(args.matrix)
-        payload = {"degree": isogeny_degree(int_matrix_from_doc(M))}
-        return payload, {"matrix": M}, EXIT_OK
-
-    if cmd == "obstruction":
-        return obstruction_report(args.d), {"d": args.d}, EXIT_OK
-
-    if cmd == "demo":
-        if args.list or args.name is None:
-            return {"demos": demo_list()}, {"list": True}, EXIT_OK
-        if args.name not in demo_list():
-            raise DocumentError(
-                f"unknown demo {args.name!r}; available: {', '.join(demo_list())}"
-            )
-        res = run_demo(args.name, n=args.n, type_=args.type_, bound=args.bound,
-                       max_d=args.max_d)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            for label, doc in res.documents.items():
-                path = os.path.join(args.out, f"{label}.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(doc))
-        inputs = {"demo": args.name, "n": args.n, "type": args.type_,
-                  "bound": args.bound, "max_d": args.max_d}
-        return res.payload, inputs, EXIT_NOT_FOUND if res.bounded else EXIT_OK
-
-    raise AssertionError(f"unhandled command {cmd!r}")
 
 
 def _emit_human(payload, indent=""):
@@ -364,6 +317,13 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         payload, inputs, code = _run_command(args)
+        elapsed = time.monotonic() - started
+        verdict = args.bounded if code == EXIT_NOT_FOUND else "pass"
+        report = Report(command=list(argv) if argv is not None else sys.argv[1:],
+                        inputs=inputs, payload=payload, verdict=verdict, timing_seconds=elapsed)
+        text = report.to_json() if args.json or args.out else None  # serialised once
+        if args.out:  # before any output: a report that cannot be written is not shown
+            Path(args.out).write_text(text, encoding="utf-8")
     except (ScalarParseError, DocumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"avtk: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -376,27 +336,11 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"avtk: assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    elapsed = time.monotonic() - started
-    verdict = {EXIT_OK: "pass", EXIT_NOT_FOUND: "bounded", EXIT_NO_HOMS: "pass"}[code]
-    if args.command == "demo" and code == EXIT_NOT_FOUND:
-        verdict = "pass"  # the bounded outcome is what the demo expects
-    report = Report(
-        command=list(argv) if argv is not None else sys.argv[1:],
-        inputs=inputs,
-        payload=payload,
-        verdict=verdict,
-        timing_seconds=elapsed,
-    )
-    text = report.to_json() if args.json or args.out else None  # serialised once
     if args.json:
         sys.stdout.write(text)
     else:
         _emit_human(payload)
         print(f"verdict: {verdict}")
-    if args.out:
-        path = os.path.join(args.out, "report.json") if args.command == "demo" else args.out
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

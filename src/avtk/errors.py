@@ -70,6 +70,11 @@ class Immutable:
 
     __delattr__ = __setattr__
 
+    def __setstate__(self, state):
+        """Fill the slots of a copy or an unpickled object: (None, {slot: value})."""
+        for slot, value in state[1].items():
+            object.__setattr__(self, slot, value)
+
 
 class Value(Immutable):
     """Equal to an object of the same class with an equal _key(), hashed and,

@@ -408,6 +408,29 @@ def test_report_out_file(curve_doc, tmp_path, capsys):
     assert data["payload"]["type"] == [3]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("case", ["query-directory", "query-missing-parent", "demo-directory"])
+def test_an_out_that_cannot_be_written_exits_one_with_one_line_and_no_report(
+        case, json_flag, curve_doc, tmp_path, capsys):
+    # each raised IsADirectoryError or FileNotFoundError after printing the report
+    if case == "query-directory":
+        out = tmp_path / "dir"
+        out.mkdir()
+        argv, errno = ["type", curve_doc, "--out", str(out)], "[Errno 21] Is a directory"
+    elif case == "query-missing-parent":
+        out = tmp_path / "missing" / "x.json"
+        argv, errno = ["type", curve_doc, "--out", str(out)], "[Errno 2] No such file or directory"
+    else:
+        out = tmp_path / "docs" / "report.json"
+        out.mkdir(parents=True)
+        argv = ["demo", "thm-3.2-generic", "--out", str(out.parent)]
+        errno = "[Errno 21] Is a directory"
+    assert run_cli(argv + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"avtk: {errno}: {str(out)!r}\n"
+
+
 @pytest.mark.parametrize("demo", [False, True])
 def test_json_and_out_write_one_serialisation_to_both(demo, curve_doc, tmp_path, monkeypatch,
                                                       capsys):

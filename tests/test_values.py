@@ -5,6 +5,8 @@ errors.Value; test_source_hygiene.py checks that no other class states
 either rule.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -117,3 +119,18 @@ def test_values_of_different_classes_are_unequal():
     assert point != candidate and candidate != point
     assert GeneratorSet(("a",)) != ("a",) and ("a",) != GeneratorSet(("a",))
     assert GeneratorSet(("a",)) != 1 and QuadNumber(0, 1, 1, -1) != 1j
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", sorted(IMMUTABLE))
+def test_a_copy_equals_the_original_slot_by_slot_and_stays_immutable(name, how):
+    obj = IMMUTABLE[name]()
+    dup = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](obj)
+    assert type(dup) is type(obj) and dup is not obj
+    for slot in type(obj).__slots__:
+        assert getattr(dup, slot) == getattr(obj, slot)
+    if isinstance(obj, Value):
+        assert dup == obj and hash(dup) == hash(obj)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(dup, type(obj).__slots__[0], None)
