@@ -82,10 +82,11 @@ def _load_json(path: str):
 
 
 _DOCUMENTS = ("torus", "point", "points", "embedding", "domain", "codomain", "dual", "matrix")
-_NOT_INPUTS = {"command", "run", "bounded", "json", "out"}
+_NOT_INPUTS = {"command", "run", "bounded", "json", "out"}  # registration and output
 
 
 def _arg(*flags, **options):
+    """The arguments of one add_argument call, for command() in _build_parser."""
     return flags, options
 
 
@@ -98,7 +99,7 @@ def _run_command(args):
     for key in _DOCUMENTS:
         path = getattr(args, key, None)
         if path is not None:
-            setattr(args, key, [_load_json(p) for p in path] if key == "points"
+            setattr(args, key, [_load_json(p) for p in path] if isinstance(path, list)
                     else _load_json(path))
     payload, code = args.run(args)
     return payload, {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}, code
