@@ -222,19 +222,20 @@ def _obstruction(a):
 
 def _demo(a):
     out = a.out  # a directory, for the report and the demo's documents
-    if out:
+    listing = a.list or a.demo is None
+    if not listing and a.demo not in demo_list():
+        raise DocumentError(f"unknown demo {a.demo!r}; available: {', '.join(demo_list())}")
+    if out:  # made before either path returns: both write report.json into it
+        os.makedirs(out, exist_ok=True)
         a.out = os.path.join(out, "report.json")
-    if a.list or a.demo is None:  # inputs: {"list": true} alone
+    if listing:  # inputs: {"list": true} alone
         for key in vars(a).keys() - _NOT_INPUTS:
             delattr(a, key)
         a.list = True
         return {"demos": demo_list()}, EXIT_OK
     del a.list
-    if a.demo not in demo_list():
-        raise DocumentError(f"unknown demo {a.demo!r}; available: {', '.join(demo_list())}")
     res = run_demo(a.demo, n=a.n, type_=a.type, bound=a.bound, max_d=a.max_d)
     if out:
-        os.makedirs(out, exist_ok=True)
         for label, doc in res.documents.items():
             Path(out, f"{label}.json").write_text(canonical_json(doc), encoding="utf-8")
     return res.payload, EXIT_NOT_FOUND if res.bounded else EXIT_OK

@@ -23,8 +23,12 @@ is formed.  The kernel of these rows is the whole homomorphism module,
 and intlinalg.sparse_int_kernel returns its canonical Hermite basis
 whatever the order, number or scale of the rows.
 
-Every generator is checked against that identity, F @ P_X == P_Y @ M,
-by intlinalg.period_identity_holds on the same integer slices.
+Each generator's F is computed as an integer slice, PY @ (M_R @ DI)
+over dY dI, and checked against that identity, F @ P_X == P_Y @ M, by
+intlinalg.period_identity_holds on the same integer slices.  The
+generator keeps that slice; HomGenerator.analytic_rep renders it as
+FormalScalars on its first read, so F is never flattened twice and a
+caller that reads only M never builds it.
 
 An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
@@ -42,7 +46,8 @@ from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
     _add_row_times,
     _divide_exactly,
-    _formal_product,
+    _render_slice,
+    _slice_product,
     as_int,
     det,
     int_inverse,
@@ -73,15 +78,17 @@ class HomGenerator(Value):
     rational_rep is the integer matrix M (ints or integral Fractions; any
     other entry is a PreconditionError); analytic_rep is F, a matrix of
     FormalScalar polynomials (the module docstring says why F has no
-    denominators), with int and Fraction entries taken as constants.  The
-    defining identity F @ periods_X == periods_Y @ M is verified on
-    construction, over integer polynomials: with F, periods_X and
-    periods_Y each put over one common denominator by monomial_flatten,
-    both sides are multiplied by the three denominators, so the check is
-    exact for any F.  A HomGenerator in hand is proof of itself.
+    denominators), with int and Fraction entries taken as constants.  F is
+    kept as the slice (d, FS) of integer polynomials with F = FS / d, the
+    integers that the defining identity F @ periods_X == periods_Y @ M is
+    verified on at construction: with periods_X and periods_Y each put
+    over one common denominator by monomial_flatten, both sides are
+    multiplied by the three denominators, so the check is exact for any F.
+    analytic_rep renders the slice as FormalScalars on its first read and
+    keeps them.  A HomGenerator in hand is proof of itself.
     """
 
-    __slots__ = ("domain", "codomain", "rational_rep", "analytic_rep")
+    __slots__ = ("domain", "codomain", "rational_rep", "_slice", "_analytic")
 
     def __init__(self, domain, codomain, rational_rep, analytic_rep):
         M = tuple(tuple(as_int(x) for x in row) for row in rational_rep)
@@ -94,30 +101,40 @@ class HomGenerator(Value):
             raise PreconditionError("rational representation has wrong shape")
         if len(F) != codomain.dim or any(len(r) != domain.dim for r in F):
             raise PreconditionError("analytic representation has wrong shape")
-        self._verify(domain, codomain, M, F,
-                     monomial_flatten(domain.periods), monomial_flatten(codomain.periods))
-
-    def _verify(self, domain, codomain, M, F, px, py):
-        """Fill the slots once F @ periods_X == periods_Y @ M holds.
-
-        px and py are the monomial_flatten slices (d, P) of the two period
-        matrices, so that hom_module computes them once for all of its
-        generators; F is flattened here, by the same route.
-        """
         for row in F:
             for x in row:
                 if x.gens != domain.gens:
                     raise PreconditionError(
                         f"cannot combine scalars over {x.gens.names} and {domain.gens.names}")
-        if domain.gens != codomain.gens or not period_identity_holds(
-                monomial_flatten(F), M, px, py):
+        d, FS = monomial_flatten(F)
+        self._verify(domain, codomain, M, (d, tuple(map(tuple, FS))),
+                     monomial_flatten(domain.periods), monomial_flatten(codomain.periods))
+
+    def _verify(self, domain, codomain, M, F, px, py):
+        """Fill the slots once F @ periods_X == periods_Y @ M holds.
+
+        F, px and py are slices (d, polys) of integer polynomials over one
+        denominator, as monomial_flatten gives them, so that hom_module
+        slices the periods once for all of its generators and hands each F
+        over as it computed it; F is kept as it is checked.
+        """
+        if domain.gens != codomain.gens or not period_identity_holds(F, M, px, py):
             raise PreconditionError(
                 "representations do not satisfy F @ periods = periods @ M"
             )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "rational_rep", M)
-        object.__setattr__(self, "analytic_rep", F)
+        object.__setattr__(self, "_slice", F)
+        object.__setattr__(self, "_analytic", None)
+
+    @property
+    def analytic_rep(self):
+        """F as rows of FormalScalars, rendered from the checked slice on
+        first read and kept."""
+        if self._analytic is None:
+            object.__setattr__(self, "_analytic", _render_slice(self.domain.gens, *self._slice))
+        return self._analytic
 
     def _key(self):
         return (self.domain, self.codomain, self.rational_rep)
@@ -155,21 +172,22 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
         raise PreconditionError("the codomain's periods are linearly dependent over Q")
     # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
     dW, DIt = dI * px[0], transpose(DI)
-    Wcols = []
+    Wcols = []  # the nonzero entries of each column, as (column offset of M_R, polynomial)
     for j in range(n):
         acc = [{} for _ in range(n)]
         _add_row_times(acc, [PX_row[j] for PX_row in px[1]], DIt, 1)
-        Wcols.append([{mono: c for mono, c in a.items() if c} for a in acc])
+        Wcols.append([(n + t, w) for t, a in enumerate(acc)
+                      if (w := {mono: c for mono, c in a.items() if c})])
     system = []
     for PY_row in py[1]:
+        nonzero = [(2 * n * r, p) for r, p in enumerate(PY_row) if p]
         for j in range(n):
             rows = {}  # monomial: its row {column: int} in entry (i, j), M[r][c] at r * 2n + c
-            for r, p in enumerate(PY_row):
-                base = 2 * n * r
+            for base, p in nonzero:
                 for mono, x in p.items():  # column base + j gets no other term
                     rows.setdefault(mono, {})[base + j] = -dW * x
-                for t, w in enumerate(Wcols[j]):
-                    col = base + n + t
+                for t, w in Wcols[j]:
+                    col = base + t
                     for m1, c1 in p.items():
                         for m2, c2 in w.items():
                             row = rows.setdefault(tuple(map(add, m1, m2)), {})
@@ -180,9 +198,9 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     gens_out = []
     for vec in sparse_int_kernel(system, 4 * m * n):
         M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
-        F = _formal_product(X.gens, py[1], matmul([row[n:] for row in M], DI), scale)
+        FS = _slice_product(py[1], matmul([row[n:] for row in M], DI))
         g = object.__new__(HomGenerator)
-        g._verify(X, Y, tuple(map(tuple, M)), tuple(map(tuple, F)), px, py)
+        g._verify(X, Y, tuple(map(tuple, M)), (scale, FS), px, py)
         gens_out.append(g)
     return gens_out
 

@@ -7,13 +7,16 @@ maps whose monomials are packed into single ints (_packing): a product
 of monomials is a sum of ints, the graded-lex order that of the ints,
 and the exact divisions test divisibility on guard bits.
 scalars.monomial_flatten puts a period matrix over one common
-denominator as integer polynomials {exponent tuple: int}, from which
-homs, ppsearch and torus build their sparse systems and products
-(_add_product, _add_row_times, _formal_product), the W = D_X^-1 @ Z_X of
-hom_module among them.  One check, period_identity_holds, verifies
-L @ P_X == P_Y @ M on those slices (an integer L enters as
-constant_slices) for every Hom generator, every admissible family
-element, every pp_search witness and every display frame of the demos.
+denominator as integer polynomials {exponent tuple: int}, a slice (d, P),
+from which homs, ppsearch and torus build their sparse systems and
+products (_add_product, _add_row_times, _slice_product), the
+W = D_X^-1 @ Z_X of hom_module and each Hom generator's F among them.
+_render_slice turns a slice back into FormalScalars, for a quotient's
+periods and for HomGenerator.analytic_rep.  One check,
+period_identity_holds, verifies L @ P_X == P_Y @ M on those slices (an
+integer L enters as constant_slices) for every Hom generator, every
+admissible family element, every pp_search witness and every display
+frame of the demos.
 flatten_to_int lays one monomial_flatten of several matrices out as
 dense integer matrices for rat_solve, which solves all of a frame's
 vectors, its right-hand sides, in one elimination.  matmul sums entry by
@@ -278,15 +281,23 @@ def _int_pencil(mats, degree):
               for entries in zip(*rows)] for rows in zip(*mats)], unpack, guard)
 
 
-def _formal_product(gens, P, K, scale):
-    """P @ K / scale as FormalScalars over gens, P integer polynomials, K integers."""
+def _slice_product(P, K):
+    """P @ K for integer polynomials P and an integer matrix K, as a tuple of
+    rows of integer polynomials (a coefficient may be 0)."""
     out = []
     for row in P:
         acc = [{} for _ in K[0]]
         _add_row_times(acc, row, K, 1)
-        out.append([FormalScalar._trusted(gens, {mono: Fraction(c, scale)
-                                                 for mono, c in a.items() if c}) for a in acc])
-    return out
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _render_slice(gens, d, P):
+    """The slice P / d, integer polynomials over one denominator, as rows of
+    FormalScalars over gens."""
+    return tuple(tuple(FormalScalar._trusted(gens, {mono: Fraction(c, d)
+                                                    for mono, c in p.items() if c})
+                       for p in row) for row in P)
 
 
 def constant_slices(M, nvars):

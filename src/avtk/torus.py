@@ -26,7 +26,8 @@ from operator import mul
 from .errors import Immutable, PreconditionError, Value
 from .intlinalg import (
     _divide_exactly,
-    _formal_product,
+    _render_slice,
+    _slice_product,
     as_int,
     det,
     elementary_divisors,
@@ -238,8 +239,8 @@ class PolarisedTorus(Value):
         new_gram = _divide_exactly(matmul(transpose(H), matmul(self.gram, H)), k * k)
         if new_gram is None:
             raise AssertionError("induced form is not integral on the new lattice")
-        torus = PolarisedTorus(self.gens, _formal_product(self.gens, P, H, dP * k), new_gram,
-                               self.assumptions)
+        torus = PolarisedTorus(self.gens, _render_slice(self.gens, dP * k, _slice_product(P, H)),
+                               new_gram, self.assumptions)
         basis = [[Fraction(h, k) for h in row] for row in H]
         return QuotientResult(torus=torus, basis=basis, source=self)
 

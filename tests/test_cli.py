@@ -456,6 +456,21 @@ def test_demo_list(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("argv", [["--list"], ["thm-3.2-generic"]])
+def test_demo_out_makes_a_missing_directory(argv, tmp_path, capsys):
+    # --list exited 1 with "[Errno 2] ... 'D/report.json'" where a named demo made D
+    out = tmp_path / "missing" / "D"
+    assert run_cli(["demo", *argv, "--out", str(out), "--json"]) == 0
+    assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8")
+
+
+def test_an_unknown_demo_makes_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert run_cli(["demo", "ex-9.9", "--out", str(out)]) == 1
+    assert "unknown demo" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_demo_writes_documents_and_report(tmp_path, capsys):
     outdir = tmp_path / "docs"
     assert run_cli(["demo", "ex-4.1", "--out", str(outdir), "--json"]) == 3

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -273,10 +274,9 @@ def _family_record(fam):
     return [[[list(r) for r in M] for M in mats] for mats in (fam.basis, fam.coordinates)]
 
 
-def test_hom_module_and_admissible_family_digest():
-    # pins every Hom generator (rational and analytic representation) and
-    # every family basis and coordinate matrix across changes to how the
-    # linear systems are built
+@functools.cache
+def _digest_pairs():
+    """The 101 (tag, X, Y) pairs whose Hom modules and families HOMS_DIGEST pins."""
     G = GeneratorSet(("a", "b", "c"))
     pairs = []
     for d in (2, 3, 5, 7, 13):
@@ -290,12 +290,37 @@ def test_hom_module_and_admissible_family_digest():
         docs = run_demo(name).documents
         tori = {key: torus_from_doc(doc) for key, doc in docs.items()}
         pairs += [(f"{name} {x} {y}", tori[x], tori[y]) for x in tori for y in tori]
+    return tuple(pairs)
+
+
+def test_hom_module_and_admissible_family_digest():
+    # pins every Hom generator (rational and analytic representation) and
+    # every family basis and coordinate matrix across changes to how the
+    # linear systems are built
     records = [[tag, _outcome(lambda: hom_module(X, Y), _hom_record),
                 _outcome(lambda: admissible_family(X, Y), _family_record)]
-               for tag, X, Y in pairs]
+               for tag, X, Y in _digest_pairs()]
     assert len(records) == 101
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == HOMS_DIGEST
+
+
+def test_each_digest_generator_is_rebuilt_from_its_rendered_analytic_rep():
+    # hom_module keeps F as the integer slice it checked; analytic_rep
+    # renders it once, and the public constructor re-checks what it renders
+    checked = 0
+    for _, X, Y in _digest_pairs():
+        try:
+            gens = hom_module(X, Y)
+        except PreconditionError:
+            continue
+        for g in gens:
+            F = g.analytic_rep
+            assert g.analytic_rep is F
+            rebuilt = HomGenerator(g.domain, g.codomain, g.rational_rep, F)
+            assert rebuilt == g and rebuilt.analytic_rep == F
+            checked += 1
+    assert checked == 334  # the generators of the 101 pairs
 
 
 # -- the integer-polynomial systems against the symbolic reference ------------------

@@ -121,12 +121,15 @@ def test_values_of_different_classes_are_unequal():
     assert GeneratorSet(("a",)) != 1 and QuadNumber(0, 1, 1, -1) != 1j
 
 
-@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
 @pytest.mark.parametrize("name", sorted(IMMUTABLE))
 def test_a_copy_equals_the_original_slot_by_slot_and_stays_immutable(name, how):
     obj = IMMUTABLE[name]()
-    dup = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-           "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](obj)
+    dup = COPIES[how](obj)
     assert type(dup) is type(obj) and dup is not obj
     for slot in type(obj).__slots__:
         assert getattr(dup, slot) == getattr(obj, slot)
@@ -134,3 +137,25 @@ def test_a_copy_equals_the_original_slot_by_slot_and_stays_immutable(name, how):
         assert dup == obj and hash(dup) == hash(obj)
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         setattr(dup, type(obj).__slots__[0], None)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_hom_generator_copies_whether_or_not_its_analytic_rep_was_rendered(how, read):
+    # F is kept as an integer slice and rendered into the _analytic slot on
+    # first read; a copy made on either side of that read is the same value
+    g = hom_module(curve(2), curve())[0]
+    if read:
+        assert g.analytic_rep is g.analytic_rep
+    dup = COPIES[how](g)
+    for slot in HomGenerator.__slots__:
+        assert getattr(dup, slot) == getattr(g, slot)
+    assert (dup._analytic is not None) == read  # the cache is copied as it stood
+    assert dup == g and hash(dup) == hash(g)
+    assert dup.analytic_rep == g.analytic_rep and dup.analytic_rep is dup.analytic_rep
+    for obj in (g, dup):
+        with pytest.raises(AttributeError, match="^HomGenerator is immutable$"):
+            del obj._analytic
+        with pytest.raises(AttributeError, match="^HomGenerator is immutable$"):
+            obj._analytic = None
+        assert obj._analytic is not None
