@@ -34,12 +34,17 @@ An isomorphism is an integer combination of the module's generators
 whose rational representation is unimodular.  isom_search looks for one
 with the pencil engine of ``parallel``, which computes the determinant
 of the combination once per call, as a polynomial in its coefficients,
-and returns the verdict.
+and returns the verdict.  When every generator's F is constant, as on
+every Hom(A, Ahat) of the demos, and Y's periods span a lattice, the
+engine gets the checked slices of F over one denominator as well, and
+takes the n x n determinant of F in place of the 2n x 2n one of M
+(parallel says why: det M = kappa * det(F)**2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import Immutable, PreconditionError, Value, check_int
@@ -59,6 +64,7 @@ from .intlinalg import (
     rat_inverse,
     saturate_columns,
     sparse_int_kernel,
+    spans_a_lattice,
     transpose,
 )
 from .scalars import FormalScalar, monomial_flatten
@@ -198,7 +204,7 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     gens_out = []
     for vec in sparse_int_kernel(system, 4 * m * n):
         M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
-        FS = _slice_product(py[1], matmul([row[n:] for row in M], DI))
+        FS = _slice_product(py[1], [row[n:] for row in M], DI)
         g = object.__new__(HomGenerator)
         g._verify(X, Y, tuple(map(tuple, M)), (scale, FS), px, py)
         gens_out.append(g)
@@ -268,6 +274,22 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
 
 # -- bounded isomorphism search ------------------------------------------------
 
+def _analytic_pencil(gens, Y):
+    """The generators' F as integer matrices over one denominator, when every
+    F is constant and Y's periods span a lattice; else None."""
+    const = (0,) * len(Y.gens)
+    scale = lcm(*(g._slice[0] for g in gens))
+    out = []
+    for g in gens:
+        d, FS = g._slice
+        # a slice's coefficient may be 0
+        if not set().union(*(p for row in FS for p in row)) <= {const} and any(
+                x for row in FS for p in row for mono, x in p.items() if mono != const):
+            return None
+        out.append([[scale // d * p.get(const, 0) for p in row] for row in FS])
+    return out if spans_a_lattice(monomial_flatten(Y.periods)[1]) else None
+
+
 def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
                 polarised: bool = False):
     """Bounded search for an isomorphism X -> Y among integer combinations
@@ -280,7 +302,11 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     det(sum(c_i * M_i)) is computed once as a polynomial in c, and the
     pull-back condition as the entries above the diagonal of
     M^T E_Y M - E_X, which must vanish; both are built over integer
-    polynomials (intlinalg.det_polynomial, pullback_polynomials).  Returns
+    polynomials (intlinalg.det_polynomial, pullback_polynomials).  When
+    every generator's F is constant and Y's periods span a lattice
+    (intlinalg.spans_a_lattice), the Pencil also gets the F, the slices
+    the generators were checked on put over one denominator, and reads
+    the determinant from det(sum(c_i * F_i)), n x n.  Returns
     the engine's Found, with the first witness in the deterministic
     coefficient order, or NotFoundUpToBound; NoHoms when the homomorphism
     module is trivial.  A polarised witness is checked to pull the form
@@ -297,7 +323,7 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
     zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
-    res = Pencil(mats, zero=zero).search(bound)
+    res = Pencil(mats, zero=zero, analytic=_analytic_pencil(gens, Y)).search(bound)
     if polarised and isinstance(res, Found):
         M = res.witness
         if not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):

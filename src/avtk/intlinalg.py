@@ -10,13 +10,17 @@ scalars.monomial_flatten puts a period matrix over one common
 denominator as integer polynomials {exponent tuple: int}, a slice (d, P),
 from which homs, ppsearch and torus build their sparse systems and
 products (_add_product, _add_row_times, _slice_product), the
-W = D_X^-1 @ Z_X of hom_module and each Hom generator's F among them.
+W = D_X^-1 @ Z_X of hom_module and each Hom generator's F, P_Y @ (M_R @ DI),
+among them.
 _render_slice turns a slice back into FormalScalars, for a quotient's
 periods and for HomGenerator.analytic_rep.  One check,
 period_identity_holds, verifies L @ P_X == P_Y @ M on those slices (an
 integer L enters as constant_slices) for every Hom generator, every
 admissible family element, every pp_search witness and every display
-frame of the demos.
+frame of the demos.  spans_a_lattice reads a period slice at two fixed
+integer points of the generators, drawn from ``scattered``, and tells
+the pencil engine whether det M = kappa * det(F)**2 holds for the maps
+into that torus (parallel).
 flatten_to_int lays one monomial_flatten of several matrices out as
 dense integer matrices for rat_solve, which solves all of a frame's
 vectors, its right-hand sides, in one elimination.  matmul sums entry by
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from math import lcm, prod
 from operator import add, mul
 
@@ -179,9 +183,8 @@ def det_mod2(M):
 
 def combination(coefficients, mats):
     """The integer matrix sum(c_g * mats[g])."""
-    m, n = shape(mats[0])
-    pairs = list(zip(coefficients, mats))
-    return [[sum(c * A[i][j] for c, A in pairs) for j in range(n)] for i in range(m)]
+    return [[sum(map(mul, coefficients, entries)) for entries in zip(*rows)]
+            for rows in zip(*mats)]
 
 
 def det_polynomial(mats):
@@ -281,9 +284,20 @@ def _int_pencil(mats, degree):
               for entries in zip(*rows)] for rows in zip(*mats)], unpack, guard)
 
 
-def _slice_product(P, K):
-    """P @ K for integer polynomials P and an integer matrix K, as a tuple of
-    rows of integer polynomials (a coefficient may be 0)."""
+def _slice_product(P, K, B=None):
+    """P @ K for integer polynomials P and an integer matrix K, or P @ (K @ B)
+    for a second integer matrix B, each row of K @ B summed over the
+    nonzero entries of K's row; a tuple of rows of integer polynomials (a
+    coefficient may be 0)."""
+    if B is not None:
+        KB = []
+        for K_row in K:
+            acc = [0] * len(B[0])
+            for x, B_row in zip(K_row, B):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, B_row)]
+            KB.append(acc)
+        K = KB
     out = []
     for row in P:
         acc = [{} for _ in K[0]]
@@ -326,6 +340,44 @@ def period_identity_holds(L, M, px, py):
         if any(x for a in acc for x in a.values()):
             return False
     return True
+
+
+def spans_a_lattice(P):
+    """Whether the stacked periods [P(z); P(w)] are nonsingular at two fixed
+    integer points z and w, for the integer polynomials P of an n x 2n
+    period slice.
+
+    A nonzero determinant at one point makes [P(z); P(w)] nonsingular for
+    independent generic z and w, so also at w = conj(z): the 2n periods,
+    at a general point, are linearly independent over R and span a
+    lattice.  Periods that are dependent over Q never pass; periods that
+    span a lattice but meet a zero at these points are only sent down
+    the slower route by the callers.
+    """
+    k = len(next((mono for row in P for p in row for mono in p), ()))
+    values = scattered(k + 1, 50)
+    z, w = tuple(islice(values, k)), tuple(islice(values, k))
+    return det([[_evaluate_at(p, point) for p in row] for point in (z, w) for row in P]) != 0
+
+
+def scattered(seed, spread):
+    """An endless fixed sequence of integers in -spread .. spread: the
+    Park-Miller minimal standard generator from a seed in 1 .. 2**31 - 2,
+    each value reduced."""
+    while True:
+        seed = seed * 16807 % 2147483647
+        yield seed % (2 * spread + 1) - spread
+
+
+def _evaluate_at(p, point):
+    """The integer polynomial p {exponent tuple: int} at an integer point."""
+    total = 0
+    for mono, c in p.items():
+        for x, e in zip(point, mono):
+            if e:
+                c *= x ** e
+        total += c
+    return total
 
 
 def _add_product(acc, p, q, sign):

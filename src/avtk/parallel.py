@@ -9,6 +9,26 @@ matrix are positive.  A Pencil computes det(sum(c_i * C_i)) once, not
 once per search, as a polynomial with integer coefficients taken by
 Bareiss elimination over integer polynomials (intlinalg.det_polynomial).
 
+A pencil of maps between tori may also hand over its analytic
+representations (``analytic``): integer n x n matrices F_i with
+F_i @ periods_X = periods_Y @ C_i, up to one scale.  Read at two points z
+and w of the formal generators, that identity stacks to
+diag(F, F) @ [P_X(z); P_X(w)] = [P_Y(z); P_Y(w)] @ C, the formal form of
+rho_r (x) C = rho_a + conj(rho_a) (Birkenhake-Lange 1.2).  Where
+[P_Y(z); P_Y(w)] is nonsingular at one point (intlinalg.spans_a_lattice,
+which the callers check), det(sum(c_i * C_i)) = kappa * f**2 as
+polynomials, with f = det(sum(c_i * F_i)) and a rational constant kappa.
+The Pencil then takes the n x n determinant f in place of the 2n x 2n
+one.  It reads kappa at a seeded member with f(c) != 0 and confirms it at
+a second one, not proportional to the first, by exact integer
+determinants.  By Gauss's lemma the determinant's content is
+|kappa| * content(f)**2, so the content verdict below needs no 2n x 2n
+work; when it is 1, the determinant is +-g**2 with g = f / content(f), and
+the search runs on g: g(c) = +-1 exactly where the determinant is +-1,
+and g(c) is odd exactly where it is, so hits, counts and witnesses are
+those of the determinant, at half its degree.  Members that disagree
+about kappa send the pencil back to the 2n x 2n determinant.
+
 Before any enumeration it rules out whole searches: when the coefficients
 of the determinant have a common factor above 1 no member is unimodular,
 and a table of the parity vectors at which the determinant is odd skips
@@ -37,11 +57,11 @@ them up.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import gcd
 
 from .errors import Immutable, PreconditionError, check_int
-from .intlinalg import combination, det, det_polynomial
+from .intlinalg import combination, det, det_polynomial, scattered
 from .verdicts import Found, NotFoundUpToBound
 
 # (2*bound + 1)**rank above this is refused.  The largest search a demo runs
@@ -137,6 +157,15 @@ class Pencil(Immutable):
     them, and later searches reuse them.  homs.isom_search builds one
     Pencil per call and AdmissibleFamily.pencil one per family.
 
+    ``analytic``, when given, holds one integer n x n matrix F_i per
+    2n x 2n mats[i]: the analytic representations of a pencil of maps,
+    checked by the caller against the periods, into a torus whose periods
+    span a lattice.  ``analytic_det`` may hand over
+    f = det_polynomial(analytic) when the caller has it.  The first search
+    then takes f, not the 2n x 2n determinant, and searches its primitive
+    part (the module docstring says why that gives the same verdicts),
+    unless two seeded members disagree about kappa.
+
     >>> p = Pencil([[[2]], [[5]]])  # the 1 x 1 members (2*c_0 + 5*c_1)
     >>> p.search(1)
     NotFoundUpToBound(bound=1, tested=9)
@@ -144,13 +173,28 @@ class Pencil(Immutable):
     Found(witness=((-1,),), coefficients=(2, -1), tested=18)
     """
 
-    __slots__ = ("mats", "positive", "zero", "_plan")
+    __slots__ = ("mats", "positive", "zero", "analytic", "_analytic_det", "_plan")
 
-    def __init__(self, mats, positive=(), zero=()):
-        object.__setattr__(self, "mats", tuple(tuple(map(tuple, M)) for M in mats))
+    def __init__(self, mats, positive=(), zero=(), analytic=None, analytic_det=None):
+        mats = tuple(tuple(map(tuple, M)) for M in mats)
+        if analytic is not None:
+            analytic = tuple(tuple(map(tuple, F)) for F in analytic)
+            size = len(mats[0]) if mats else 0
+            if len(analytic) != len(mats) or size % 2 or any(
+                    2 * len(F) != size or any(2 * len(row) != size for row in F)
+                    for F in analytic):
+                raise PreconditionError(
+                    "one n x n analytic matrix per 2n x 2n pencil matrix required")
+            if analytic_det is not None:
+                analytic_det = tuple((coeff, tuple(mono)) for coeff, mono in analytic_det)
+        elif analytic_det is not None:
+            raise PreconditionError("an analytic determinant needs its analytic matrices")
+        object.__setattr__(self, "mats", mats)
         # _sparse copies each polynomial into tuples
         object.__setattr__(self, "positive", tuple(map(_sparse, positive)))
         object.__setattr__(self, "zero", tuple(map(_sparse, zero)))
+        object.__setattr__(self, "analytic", analytic)
+        object.__setattr__(self, "_analytic_det", analytic_det)
         object.__setattr__(self, "_plan", None)
 
     def search(self, bound: int):
@@ -163,16 +207,8 @@ class Pencil(Immutable):
         check_int("search bound", bound, 1)
         rank = len(self.mats)
         box = (2 * bound + 1) ** rank
-        if self._plan is None:  # (det_p, parities), or () when the content rules all out
-            terms = det_polynomial(self.mats)
-            plan = ()
-            if terms and gcd(*(coeff for coeff, _ in terms)) == 1:
-                det_p = _sparse(terms)
-                # 3**rank > MAX_CANDIDATES refuses every search: no 2**rank table then
-                parities = None if 3 ** rank > MAX_CANDIDATES else frozenset(
-                    e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1)
-                plan = (det_p, parities)
-            object.__setattr__(self, "_plan", plan)
+        if self._plan is None:
+            object.__setattr__(self, "_plan", self._build_plan())
         plan = self._plan
         if not plan:
             return NotFoundUpToBound(bound=bound, tested=box)
@@ -190,3 +226,79 @@ class Pencil(Immutable):
         if det(M) not in (1, -1):
             raise AssertionError("witness is not unimodular")
         return Found(witness=tuple(map(tuple, M)), coefficients=c, tested=index + 1)
+
+    def _build_plan(self):
+        """(det_p, parities), or () when the content rules every member out.
+
+        det_p is a polynomial that is +-1 exactly where the determinant
+        is, and odd exactly where it is: the determinant itself, or the
+        square root that _square_root reads from the analytic pencil.
+        """
+        det_p = None
+        if self.analytic is not None:
+            f = self._analytic_det
+            det_p = _square_root(self.mats, det_polynomial(self.analytic) if f is None else f)
+        if det_p is None:
+            terms = det_polynomial(self.mats)
+            det_p = _sparse(terms) if terms and gcd(*(coeff for coeff, _ in terms)) == 1 else ()
+        if not det_p:
+            return ()
+        rank = len(self.mats)
+        # 3**rank > MAX_CANDIDATES refuses every search: no 2**rank table then
+        parities = None if 3 ** rank > MAX_CANDIDATES else frozenset(
+            e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1)
+        return det_p, parities
+
+
+# At most this many seeded members are drawn to read kappa (_square_root).
+KAPPA_DRAWS = 32
+
+
+def _proportional(a, b):
+    """Whether the vectors a and b, of one length > 1, are proportional; two
+    members of a rank-1 pencil always are, and its determinant is kappa * f**2
+    whatever kappa is."""
+    return len(a) > 1 and all(a[i] * b[j] == a[j] * b[i] for j in range(len(a)) for i in range(j))
+
+
+def _square_root(mats, f):
+    """g, sparse, with det(sum(c_i * mats[i])) = +-g**2, from f = det(sum(c_i * F_i)).
+
+    kappa = det(member) / f(c)**2 is read at a seeded member with
+    f(c) != 0 and confirmed at a second one not proportional to it, by
+    exact integer determinants.  By Gauss's lemma the content of the
+    determinant is |kappa| * content(f)**2: when it is 1, g is
+    f / content(f); when it is another integer, or kappa is 0, no member
+    is unimodular and the result is ().  f = 0 gives () once both members
+    are singular.  Members that disagree, a content that is not an
+    integer, or too few members give None: the caller takes the 2n x 2n
+    determinant instead.
+    """
+    rank = len(mats)
+    f_sparse = _sparse(f)
+    values = scattered(rank, 2)
+    members = []  # (c, det at c, f(c)**2), f(c)**2 read as 1 when f = 0
+    for _ in range(KAPPA_DRAWS):
+        c = tuple(islice(values, rank))
+        fc = _evaluate(f_sparse, c)
+        if not any(c) or (f and not fc) or (members and _proportional(members[0][0], c)):
+            continue
+        members.append((c, det(combination(c, mats)), fc * fc or 1))
+        if len(members) == 2:
+            break
+    else:
+        return None
+    (_, d1, f1), (_, d2, f2) = members
+    if d1 * f2 != d2 * f1:
+        return None
+    if not d1:  # kappa = 0, or f = 0 with both members singular
+        return ()
+    if not f:
+        return None
+    content_f = gcd(*(coeff for coeff, _ in f))
+    content = abs(d1) * content_f * content_f  # |kappa| * content(f)**2 == content / f1
+    if content % f1:
+        return None
+    if content != f1:
+        return ()
+    return _sparse([(coeff // content_f, mono) for coeff, mono in f])

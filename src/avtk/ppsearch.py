@@ -20,7 +20,11 @@ coordinate determinant (surjectivity) and the leading principal minors
 (positivity) are computed once per family as polynomials in the
 coefficients, in its Pencil; the engine evaluates the determinant a row
 of candidates at a time and the minors only where it is +-1, and
-returns the verdict.
+returns the verdict.  The coordinate determinant is kappa * det(H)**2,
+with det H the top minor (parallel says why), so the family hands its
+basis and that minor to the Pencil as its analytic pencil, once it has
+checked every pair (H, C) against the periods and the target's periods
+to span a lattice, and no 2n x 2n determinant is taken.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .intlinalg import (
     det_polynomial,
     period_identity_holds,
     sparse_int_kernel,
+    spans_a_lattice,
 )
 from .parallel import Pencil
 from .scalars import monomial_flatten
@@ -105,13 +110,38 @@ class AdmissibleFamily(Immutable):
     @property
     def pencil(self) -> Pencil:
         """The coordinates as a Pencil whose positive conditions are the leading
-        principal minors of sum(c_i * basis_i); built on first use and kept."""
+        principal minors of sum(c_i * basis_i); built on first use and kept.
+
+        When the target's periods span a lattice and every pair
+        (basis_i, coordinates_i) satisfies its containment identity, checked
+        here because the constructor takes any pairs, the basis is the
+        pencil's analytic one and the top minor, det(sum(c_i * basis_i)),
+        its determinant.
+        """
         if self._pencil is None:
             n = len(self.basis[0]) if self.basis else 0
             minors = [det_polynomial([[row[:k] for row in B[:k]] for B in self.basis])
                       for k in range(1, n + 1)]
-            object.__setattr__(self, "_pencil", Pencil(self.coordinates, positive=minors))
+            analytic = self.basis if minors and self._checked() else None
+            object.__setattr__(self, "_pencil", Pencil(
+                self.coordinates, positive=minors, analytic=analytic,
+                analytic_det=minors[-1] if analytic else None))
         return self._pencil
+
+    def _checked(self) -> bool:
+        """Whether the target's periods span a lattice and
+        B @ periods_A = periods_Ahat @ C for every basis element B and its
+        coordinates C."""
+        A, Ahat = self.source, self.target
+        if not (isinstance(A, PolarisedTorus) and isinstance(Ahat, PolarisedTorus)
+                and A.gens == Ahat.gens and A.dim == Ahat.dim == len(self.basis[0])
+                and len(self.coordinates[0]) == 2 * A.dim):
+            return False
+        pa, ph = monomial_flatten(A.periods), monomial_flatten(Ahat.periods)
+        nvars = len(A.gens)
+        return spans_a_lattice(ph[1]) and all(
+            period_identity_holds(constant_slices(B, nvars), C, pa, ph)
+            for B, C in zip(self.basis, self.coordinates))
 
     def member(self, coefficients):
         """The symmetric matrix sum(c_i * basis_i)."""

@@ -4,7 +4,9 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 
 import pytest
 
@@ -12,10 +14,11 @@ from avtk import demos, homs, parallel, ppsearch
 from avtk.demos import run_demo, surface_pair
 from avtk.documents import torus_from_doc
 from avtk.errors import PreconditionError
-from avtk.homs import isom_search
+from avtk.homs import hom_module, isom_search
+from avtk.intlinalg import det_polynomial, identity, matmul, spans_a_lattice
 from avtk.ppsearch import admissible_family, pp_search
-from avtk.scalars import GeneratorSet
-from avtk.torus import product
+from avtk.scalars import GeneratorSet, monomial_flatten
+from avtk.torus import PolarisedTorus, product, standard_gram
 from avtk.verdicts import Found, NotFoundUpToBound
 from oracles import per_candidate_search
 
@@ -198,9 +201,156 @@ def test_a_family_builds_its_search_polynomials_once(d, monkeypatch):
     fam = admissible_family(A, Ahat)
     assert calls == []  # the pencil is built on the first search, not here
     assert [pp_search(A, Ahat, bound, fam) for bound in (2, 3)] == fresh
-    # the 8 x 8 coordinate determinant, then the 4 leading minors of H
-    assert sorted(calls) == [1, 2, 3, 4, 8]
+    # the 4 leading minors of H; the top one is det H, whose square the 8 x 8
+    # coordinate determinant is up to a constant, so that one is not taken
+    assert sorted(calls) == [1, 2, 3, 4]
     assert fam.pencil is fam.pencil
+
+
+# -- the analytic route -----------------------------------------------------------
+
+def _square(terms):
+    """f**2 for f in det_polynomial's form, as {exponents: coefficient}."""
+    out = {}
+    for c1, m1 in terms:
+        for c2, m2 in terms:
+            mono = tuple(map(sum, zip(m1, m2)))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _demo_hom_pencils():
+    """(label, X, Y) for the Hom(A, Ahat) pencils of the self-dual searches."""
+    for name, ns in (("ex-4.1", (2, 3, 4, 5)), ("ex-4.2", (2, 3, 4))):
+        for n in ns:
+            docs = run_demo(name, n=n, bound=1).documents
+            yield f"{name} n={n}", torus_from_doc(docs["quotient-standard"]), torus_from_doc(
+                docs["dual"])
+    for d in range(2, 14):
+        A, Ahat = swapped_pair(d)
+        yield f"S x S^ -> S^ x S d={d}", A, Ahat
+
+
+def _assert_kappa_times_square(mats, analytic, label):
+    det_p = {tuple(mono): c for c, mono in det_polynomial(mats)}
+    f = det_polynomial(analytic)
+    square = _square(f)
+    assert det_p.keys() == square.keys(), label
+    lead = max(square)
+    kappa = Fraction(det_p[lead], square[lead])
+    assert all(det_p[mono] == kappa * c for mono, c in square.items()), label
+    # the members the pencil reads kappa at give the same verdict
+    root = parallel._square_root(mats, f)
+    content = abs(kappa) * gcd(*(c for c, _ in f)) ** 2
+    assert root is not None, label
+    assert (root != ()) == (content == 1), label
+    return content
+
+
+def test_each_pencil_determinant_is_kappa_times_the_analytic_one_squared():
+    contents = {}
+    for label, X, Y in _demo_hom_pencils():
+        gens = hom_module(X, Y)
+        analytic = homs._analytic_pencil(gens, Y)
+        assert analytic is not None, label  # constant F, periods that span a lattice
+        contents[label] = _assert_kappa_times_square(
+            [g.rational_rep for g in gens], analytic, label)
+    for d in range(2, 14):
+        fam = admissible_family(*swapped_pair(d))
+        assert fam._checked()
+        contents[f"family d={d}"] = _assert_kappa_times_square(fam.coordinates, fam.basis, d)
+    # the self-dual searches end at the content; the swap and the families do not
+    assert all(contents[f"{name} n={n}"] > 1 for name in ("ex-4.1", "ex-4.2") for n in (2, 3, 4))
+    assert contents["ex-4.1 n=5"] > 1
+    assert all(contents[f"S x S^ -> S^ x S d={d}"] == 1 for d in range(2, 14))
+    assert all(contents[f"family d={d}"] == 1 for d in range(2, 14))
+
+
+def _unimodular(rng, size):
+    """A random integer matrix of determinant 1 and its inverse, from row operations."""
+    T, Ti = identity(size), identity(size)
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        T[i] = [a + k * b for a, b in zip(T[i], T[j])]  # row i += k * row j
+        for row in Ti:  # column j -= k * column i
+            row[j] -= k * row[i]
+    assert matmul(T, Ti) == identity(size)
+    return T, Ti
+
+
+def test_a_synthetic_pencil_searches_alike_on_both_routes(monkeypatch):
+    # M_i = T^-1 diag(F_i, F_i) T has det M(c) = det F(c)**2 exactly
+    rng = random.Random(20261020)
+    sizes = []
+    det_polynomial = parallel.det_polynomial
+
+    def spy(mats):
+        sizes.append(len(mats[0]))
+        return det_polynomial(mats)
+
+    monkeypatch.setattr(parallel, "det_polynomial", spy)
+    kinds = set()
+    for trial in range(150):
+        rank, n = rng.randint(1, 3), rng.randint(1, 3)
+        scale = rng.choice((1, 1, 1, 2))  # 2: content 16 at least
+        F = [[[scale * rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+             for _ in range(rank)]
+        if trial % 10 == 0:  # every member singular
+            for Fi in F:
+                Fi[0] = [0] * n
+        T, Ti = _unimodular(rng, 2 * n)
+        zero = [[0] * n for _ in range(n)]
+        mats = [matmul(Ti, matmul([r + z for r, z in zip(Fi, zero)]
+                                  + [z + r for r, z in zip(Fi, zero)], T)) for Fi in F]
+        positive = [[(rng.choice((-1, 1, 2)), [rng.choice((0, 1, 2)) for _ in range(rank)])]
+                    ] if rng.random() < 0.3 else []
+        sizes.clear()
+        pencil = parallel.Pencil(mats, positive, analytic=F)
+        got = [pencil.search(bound) for bound in (1, 2, 3)]
+        assert sizes == [n], sizes  # only the analytic determinant was taken
+        rational = parallel.Pencil(mats, positive)
+        assert got == [rational.search(bound) for bound in (1, 2, 3)], (F, T)
+        kinds.update(type(r).__name__ for r in got)
+    assert kinds == {"Found", "NotFoundUpToBound"}
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_a_changed_analytic_entry_sends_the_pencil_back_to_its_determinant(d, monkeypatch):
+    A, Ahat = swapped_pair(d)
+    gens = hom_module(A, Ahat)
+    fam = admissible_family(A, Ahat)
+    pencils = [([g.rational_rep for g in gens], homs._analytic_pencil(gens, Ahat)),
+               (fam.coordinates, fam.basis)]
+    calls = []
+    _counting(monkeypatch, calls)
+    for mats, analytic in pencils:
+        mutant = [[list(row) for row in F] for F in analytic]
+        mutant[0][0][0] += 1
+        expected = [parallel.Pencil(mats).search(bound) for bound in (1, 2, 3)]
+        calls.clear()
+        pencil = parallel.Pencil(mats, analytic=mutant)
+        assert [pencil.search(bound) for bound in (1, 2, 3)] == expected
+        assert calls == [4, 8]  # the analytic determinant, then the rational one
+
+
+def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
+    # the rows of Z = [[a, b], [2a, 2b]] are proportional: [P(z); P(w)] is
+    # singular everywhere, and det C is not a multiple of det(H)**2 here
+    G2 = GeneratorSet(("a", "b"))
+    a, b = G2.scalar("a"), G2.scalar("b")
+    X = PolarisedTorus(G2, [[a, b, 1, 0], [2 * a, 2 * b, 0, 1]], standard_gram([1, 1]))
+    assert not spans_a_lattice(monomial_flatten(X.periods)[1])
+    fam = admissible_family(X, X)
+    assert fam.rank == 2 and not fam._checked()
+    assert fam.pencil.analytic is None
+    f = det_polynomial(fam.basis)
+    det_c, square = {tuple(m): c for c, m in det_polynomial(fam.coordinates)}, _square(f)
+    kappa = Fraction(det_c[max(square)], square[max(square)])
+    assert any(det_c.get(mono, 0) != kappa * c for mono, c in square.items())
+    assert parallel._square_root(fam.coordinates, f) is None  # its members disagree, too
+    S, Sd = surface_pair(G, 3)
+    assert spans_a_lattice(monomial_flatten(product([S, Sd]).periods)[1])
 
 
 def _random_pencil(rng):
