@@ -55,6 +55,7 @@ from .intlinalg import (
     _slice_product,
     as_int,
     det,
+    det_polynomial,
     int_inverse,
     mat_eq,
     matmul,
@@ -149,7 +150,7 @@ class HomGenerator(Value):
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
 
 
-def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
+def hom_module(X: PolarisedTorus, Y: PolarisedTorus, _py=None):
     """Basis of Hom(X, Y) as verified HomGenerators (may be empty).
 
     One integer row per (entry (i, j) of P_Y (M_R W - M_L), monomial),
@@ -159,6 +160,7 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     P_Y @ (M_R @ D_X^-1), checked against the periods sliced once here.
     A codomain whose periods are linearly dependent over Q is a
     PreconditionError; a dependent domain only shrinks the module.
+    isom_search hands over Y's periods already flattened as ``_py``.
     """
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
@@ -171,7 +173,8 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
         DI, dI = rat_inverse(R)  # D_X^-1 = DI / dI
     except ValueError:
         raise PreconditionError("right period block is singular over Q") from None
-    px, py = monomial_flatten(X.periods), monomial_flatten(Y.periods)
+    px = monomial_flatten(X.periods)
+    py = monomial_flatten(Y.periods) if _py is None else _py
     # P_Y @ v = 0 for a rational v != 0 would put nonzero M with F = 0 in the kernel
     if rank([[p.get(mono, 0) for p in PY_row]
              for PY_row in py[1] for mono in set().union(*PY_row)]) < 2 * m:
@@ -274,20 +277,20 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
 
 # -- bounded isomorphism search ------------------------------------------------
 
-def _analytic_pencil(gens, Y):
+def _analytic_pencil(gens, py):
     """The generators' F as integer matrices over one denominator, when every
-    F is constant and Y's periods span a lattice; else None."""
-    const = (0,) * len(Y.gens)
+    F is constant and the codomain's periods, flattened as py, span a
+    lattice; else None."""
+    const = (0,) * len(gens[0].codomain.gens)
     scale = lcm(*(g._slice[0] for g in gens))
     out = []
     for g in gens:
         d, FS = g._slice
         # a slice's coefficient may be 0
-        if not set().union(*(p for row in FS for p in row)) <= {const} and any(
-                x for row in FS for p in row for mono, x in p.items() if mono != const):
+        if any(x for row in FS for p in row for mono, x in p.items() if mono != const):
             return None
         out.append([[scale // d * p.get(const, 0) for p in row] for row in FS])
-    return out if spans_a_lattice(monomial_flatten(Y.periods)[1]) else None
+    return out if spans_a_lattice(py[1]) else None
 
 
 def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
@@ -304,9 +307,9 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     M^T E_Y M - E_X, which must vanish; both are built over integer
     polynomials (intlinalg.det_polynomial, pullback_polynomials).  When
     every generator's F is constant and Y's periods span a lattice
-    (intlinalg.spans_a_lattice), the Pencil also gets the F, the slices
-    the generators were checked on put over one denominator, and reads
-    the determinant from det(sum(c_i * F_i)), n x n.  Returns
+    (intlinalg.spans_a_lattice), the F are the slices the generators were
+    checked on, put over one denominator, and the Pencil reads the
+    determinant from det(sum(c_i * F_i)), n x n (Pencil._analytic).  Returns
     the engine's Found, with the first witness in the deterministic
     coefficient order, or NotFoundUpToBound; NoHoms when the homomorphism
     module is trivial.  A polarised witness is checked to pull the form
@@ -316,14 +319,17 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     before any work.
     """
     check_int("search bound", bound, 1)
-    gens = hom_module(X, Y)
+    py = monomial_flatten(Y.periods)
+    gens = hom_module(X, Y, py)
     if not gens:
         return NoHoms()
     if X.dim != Y.dim:
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
     zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
-    res = Pencil(mats, zero=zero, analytic=_analytic_pencil(gens, Y)).search(bound)
+    F = _analytic_pencil(gens, py)
+    f = None if F is None else det_polynomial(F)
+    res = Pencil._analytic(mats, f, zero=zero).search(bound)
     if polarised and isinstance(res, Found):
         M = res.witness
         if not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):

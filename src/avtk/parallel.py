@@ -9,16 +9,16 @@ matrix are positive.  A Pencil computes det(sum(c_i * C_i)) once, not
 once per search, as a polynomial with integer coefficients taken by
 Bareiss elimination over integer polynomials (intlinalg.det_polynomial).
 
-A pencil of maps between tori may also hand over its analytic
-representations (``analytic``): integer n x n matrices F_i with
-F_i @ periods_X = periods_Y @ C_i, up to one scale.  Read at two points z
-and w of the formal generators, that identity stacks to
+A pencil of maps between tori may also come with the determinant f of
+its analytic representations (Pencil._analytic), integer n x n matrices
+F_i with F_i @ periods_X = periods_Y @ C_i, up to one scale.  Read at two
+points z and w of the formal generators, that identity stacks to
 diag(F, F) @ [P_X(z); P_X(w)] = [P_Y(z); P_Y(w)] @ C, the formal form of
 rho_r (x) C = rho_a + conj(rho_a) (Birkenhake-Lange 1.2).  Where
 [P_Y(z); P_Y(w)] is nonsingular at one point (intlinalg.spans_a_lattice,
 which the callers check), det(sum(c_i * C_i)) = kappa * f**2 as
 polynomials, with f = det(sum(c_i * F_i)) and a rational constant kappa.
-The Pencil then takes the n x n determinant f in place of the 2n x 2n
+The Pencil then uses the n x n determinant f in place of the 2n x 2n
 one.  It reads kappa at a seeded member with f(c) != 0 and confirms it at
 a second one, not proportional to the first, by exact integer
 determinants.  By Gauss's lemma the determinant's content is
@@ -157,14 +157,9 @@ class Pencil(Immutable):
     them, and later searches reuse them.  homs.isom_search builds one
     Pencil per call and AdmissibleFamily.pencil one per family.
 
-    ``analytic``, when given, holds one integer n x n matrix F_i per
-    2n x 2n mats[i]: the analytic representations of a pencil of maps,
-    checked by the caller against the periods, into a torus whose periods
-    span a lattice.  ``analytic_det`` may hand over
-    f = det_polynomial(analytic) when the caller has it.  The first search
-    then takes f, not the 2n x 2n determinant, and searches its primitive
-    part (the module docstring says why that gives the same verdicts),
-    unless two seeded members disagree about kappa.
+    Pencil._analytic builds one that reads its determinant from that of
+    its analytic pencil; this constructor takes no analytic pencil, since
+    the verdicts drawn from one hold only once the caller has checked it.
 
     >>> p = Pencil([[[2]], [[5]]])  # the 1 x 1 members (2*c_0 + 5*c_1)
     >>> p.search(1)
@@ -173,29 +168,31 @@ class Pencil(Immutable):
     Found(witness=((-1,),), coefficients=(2, -1), tested=18)
     """
 
-    __slots__ = ("mats", "positive", "zero", "analytic", "_analytic_det", "_plan")
+    __slots__ = ("mats", "positive", "zero", "_analytic_det", "_plan")
 
-    def __init__(self, mats, positive=(), zero=(), analytic=None, analytic_det=None):
-        mats = tuple(tuple(map(tuple, M)) for M in mats)
-        if analytic is not None:
-            analytic = tuple(tuple(map(tuple, F)) for F in analytic)
-            size = len(mats[0]) if mats else 0
-            if len(analytic) != len(mats) or size % 2 or any(
-                    2 * len(F) != size or any(2 * len(row) != size for row in F)
-                    for F in analytic):
-                raise PreconditionError(
-                    "one n x n analytic matrix per 2n x 2n pencil matrix required")
-            if analytic_det is not None:
-                analytic_det = tuple((coeff, tuple(mono)) for coeff, mono in analytic_det)
-        elif analytic_det is not None:
-            raise PreconditionError("an analytic determinant needs its analytic matrices")
-        object.__setattr__(self, "mats", mats)
+    def __init__(self, mats, positive=(), zero=()):
+        object.__setattr__(self, "mats", tuple(tuple(map(tuple, M)) for M in mats))
         # _sparse copies each polynomial into tuples
         object.__setattr__(self, "positive", tuple(map(_sparse, positive)))
         object.__setattr__(self, "zero", tuple(map(_sparse, zero)))
-        object.__setattr__(self, "analytic", analytic)
-        object.__setattr__(self, "_analytic_det", analytic_det)
+        object.__setattr__(self, "_analytic_det", None)
         object.__setattr__(self, "_plan", None)
+
+    @classmethod
+    def _analytic(cls, mats, f, positive=(), zero=()):
+        """The Pencil of mats whose first search takes f = det(sum(c_i * F_i)),
+        in det_polynomial's form, in place of the 2n x 2n determinant and
+        searches its primitive part, unless two seeded members disagree
+        about kappa (the module docstring says why); f = None gives the
+        plain Pencil.  Only for F that the caller has checked against the
+        periods, into a torus whose periods span a lattice:
+        homs.isom_search and AdmissibleFamily.pencil.
+        """
+        pencil = cls(mats, positive, zero)
+        if f is not None:
+            object.__setattr__(pencil, "_analytic_det",
+                               tuple((coeff, tuple(mono)) for coeff, mono in f))
+        return pencil
 
     def search(self, bound: int):
         """Found for the first c whose member is unimodular and meets the side
@@ -235,9 +232,8 @@ class Pencil(Immutable):
         square root that _square_root reads from the analytic pencil.
         """
         det_p = None
-        if self.analytic is not None:
-            f = self._analytic_det
-            det_p = _square_root(self.mats, det_polynomial(self.analytic) if f is None else f)
+        if self._analytic_det is not None:
+            det_p = _square_root(self.mats, self._analytic_det)
         if det_p is None:
             terms = det_polynomial(self.mats)
             det_p = _sparse(terms) if terms and gcd(*(coeff for coeff, _ in terms)) == 1 else ()

@@ -116,16 +116,15 @@ class AdmissibleFamily(Immutable):
         (basis_i, coordinates_i) satisfies its containment identity, checked
         here because the constructor takes any pairs, the basis is the
         pencil's analytic one and the top minor, det(sum(c_i * basis_i)),
-        its determinant.
+        is the f it hands to Pencil._analytic.
         """
         if self._pencil is None:
             n = len(self.basis[0]) if self.basis else 0
             minors = [det_polynomial([[row[:k] for row in B[:k]] for B in self.basis])
                       for k in range(1, n + 1)]
-            analytic = self.basis if minors and self._checked() else None
-            object.__setattr__(self, "_pencil", Pencil(
-                self.coordinates, positive=minors, analytic=analytic,
-                analytic_det=minors[-1] if analytic else None))
+            f = minors[-1] if minors and self._checked() else None
+            object.__setattr__(self, "_pencil", Pencil._analytic(
+                self.coordinates, f, positive=minors))
         return self._pencil
 
     def _checked(self) -> bool:

@@ -251,7 +251,7 @@ def test_each_pencil_determinant_is_kappa_times_the_analytic_one_squared():
     contents = {}
     for label, X, Y in _demo_hom_pencils():
         gens = hom_module(X, Y)
-        analytic = homs._analytic_pencil(gens, Y)
+        analytic = homs._analytic_pencil(gens, monomial_flatten(Y.periods))
         assert analytic is not None, label  # constant F, periods that span a lattice
         contents[label] = _assert_kappa_times_square(
             [g.rational_rep for g in gens], analytic, label)
@@ -305,10 +305,11 @@ def test_a_synthetic_pencil_searches_alike_on_both_routes(monkeypatch):
                                   + [z + r for r, z in zip(Fi, zero)], T)) for Fi in F]
         positive = [[(rng.choice((-1, 1, 2)), [rng.choice((0, 1, 2)) for _ in range(rank)])]
                     ] if rng.random() < 0.3 else []
+        f = det_polynomial(F)
         sizes.clear()
-        pencil = parallel.Pencil(mats, positive, analytic=F)
+        pencil = parallel.Pencil._analytic(mats, f, positive)
         got = [pencil.search(bound) for bound in (1, 2, 3)]
-        assert sizes == [n], sizes  # only the analytic determinant was taken
+        assert sizes == [], sizes  # no 2n x 2n determinant was taken
         rational = parallel.Pencil(mats, positive)
         assert got == [rational.search(bound) for bound in (1, 2, 3)], (F, T)
         kinds.update(type(r).__name__ for r in got)
@@ -320,7 +321,8 @@ def test_a_changed_analytic_entry_sends_the_pencil_back_to_its_determinant(d, mo
     A, Ahat = swapped_pair(d)
     gens = hom_module(A, Ahat)
     fam = admissible_family(A, Ahat)
-    pencils = [([g.rational_rep for g in gens], homs._analytic_pencil(gens, Ahat)),
+    pencils = [([g.rational_rep for g in gens],
+                homs._analytic_pencil(gens, monomial_flatten(Ahat.periods))),
                (fam.coordinates, fam.basis)]
     calls = []
     _counting(monkeypatch, calls)
@@ -328,10 +330,11 @@ def test_a_changed_analytic_entry_sends_the_pencil_back_to_its_determinant(d, mo
         mutant = [[list(row) for row in F] for F in analytic]
         mutant[0][0][0] += 1
         expected = [parallel.Pencil(mats).search(bound) for bound in (1, 2, 3)]
+        f = det_polynomial(mutant)
         calls.clear()
-        pencil = parallel.Pencil(mats, analytic=mutant)
+        pencil = parallel.Pencil._analytic(mats, f)
         assert [pencil.search(bound) for bound in (1, 2, 3)] == expected
-        assert calls == [4, 8]  # the analytic determinant, then the rational one
+        assert calls == [8]  # its members disagree: the rational determinant is taken
 
 
 def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
@@ -343,7 +346,7 @@ def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
     assert not spans_a_lattice(monomial_flatten(X.periods)[1])
     fam = admissible_family(X, X)
     assert fam.rank == 2 and not fam._checked()
-    assert fam.pencil.analytic is None
+    assert fam.pencil._analytic_det is None
     f = det_polynomial(fam.basis)
     det_c, square = {tuple(m): c for c, m in det_polynomial(fam.coordinates)}, _square(f)
     kappa = Fraction(det_c[max(square)], square[max(square)])
