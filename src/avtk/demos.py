@@ -28,7 +28,7 @@ from .ppsearch import (
     obstruction_report,
     pp_search,
 )
-from .scalars import GeneratorSet, monomial_flatten
+from .scalars import GeneratorSet
 from .torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
@@ -194,7 +194,7 @@ def _display_replay(A, display, checks, payload):
     _check("base change unimodular", abs(det(U)) == 1, checks)
     _check("display entrywise",
            period_identity_holds(constant_slices(Sinv, len(A.gens)), U,
-                                 monomial_flatten(display.periods), monomial_flatten(A.periods)),
+                                 display.period_slice, A.period_slice),
            checks)
     checks["display span"] = True
     gram_t = matmul(transpose(U), matmul(A.gram, U))

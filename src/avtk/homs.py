@@ -13,15 +13,16 @@ W = D_X^-1 @ Z_X, the identity on the left half reads
     periods_Y @ (M_R @ W - M_L) = 0,
 
 linear in the entries of M.  P_X and P_Y are put over one common
-denominator each, once per call, as integer polynomials
-(scalars.monomial_flatten), and W is taken from the slice of Z_X: with
-D_X^-1 = DI / dI for an integer DI, from intlinalg.rat_inverse,
-W = (DI @ dX Z_X) / (dI dX).  Each monomial of each entry of the
-identity is then an integer row in the entries of M, a sparse map
-{column: int} built from sparse products of those slices; no dense row
-is formed.  The kernel of these rows is the whole homomorphism module,
-and intlinalg.sparse_int_kernel returns its canonical Hermite basis
-whatever the order, number or scale of the rows.
+denominator each as integer polynomials (scalars.monomial_flatten), once
+per torus, kept on it (PolarisedTorus.period_slice), and so is W, taken
+from the slice of Z_X (PolarisedTorus.right_frame): with D_X^-1 = DI / dI
+for an integer DI, from intlinalg.rat_inverse, W = (DI @ dX Z_X) / (dI dX).
+Each monomial of each entry of the identity is then an integer row in
+the entries of M, a sparse map {column: int} built from sparse products
+of those slices; no dense row is formed.  The kernel of these rows is
+the whole homomorphism module, and intlinalg.sparse_int_kernel returns
+its canonical Hermite basis whatever the order, number or scale of the
+rows.
 
 Each generator's F is computed as an integer slice, PY @ (M_R @ DI)
 over dY dI, and checked against that identity, F @ P_X == P_Y @ M, by
@@ -49,7 +50,6 @@ from operator import add
 
 from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
-    _add_row_times,
     _divide_exactly,
     _render_slice,
     _slice_product,
@@ -61,18 +61,14 @@ from .intlinalg import (
     matmul,
     period_identity_holds,
     pullback_polynomials,
-    rank,
-    rat_inverse,
     saturate_columns,
     sparse_int_kernel,
-    spans_a_lattice,
     transpose,
 )
 from .scalars import FormalScalar, monomial_flatten
 from .torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
-    constant_right_block,
     restricted_polarisation,
 )
 from .parallel import Pencil
@@ -89,7 +85,7 @@ class HomGenerator(Value):
     kept as the slice (d, FS) of integer polynomials with F = FS / d, the
     integers that the defining identity F @ periods_X == periods_Y @ M is
     verified on at construction: with periods_X and periods_Y each put
-    over one common denominator by monomial_flatten, both sides are
+    over one common denominator, the slices the tori keep, both sides are
     multiplied by the three denominators, so the check is exact for any F.
     analytic_rep renders the slice as FormalScalars on its first read and
     keeps them.  A HomGenerator in hand is proof of itself.
@@ -114,18 +110,18 @@ class HomGenerator(Value):
                     raise PreconditionError(
                         f"cannot combine scalars over {x.gens.names} and {domain.gens.names}")
         d, FS = monomial_flatten(F)
-        self._verify(domain, codomain, M, (d, tuple(map(tuple, FS))),
-                     monomial_flatten(domain.periods), monomial_flatten(codomain.periods))
+        self._verify(domain, codomain, M, (d, tuple(map(tuple, FS))))
 
-    def _verify(self, domain, codomain, M, F, px, py):
+    def _verify(self, domain, codomain, M, F):
         """Fill the slots once F @ periods_X == periods_Y @ M holds.
 
-        F, px and py are slices (d, polys) of integer polynomials over one
-        denominator, as monomial_flatten gives them, so that hom_module
-        slices the periods once for all of its generators and hands each F
-        over as it computed it; F is kept as it is checked.
+        F is a slice (d, polys) of integer polynomials over one denominator,
+        as monomial_flatten gives it, checked against the period slices the
+        tori keep, so that hom_module hands each F over as it computed it;
+        F is kept as it is checked.
         """
-        if domain.gens != codomain.gens or not period_identity_holds(F, M, px, py):
+        if domain.gens != codomain.gens or not period_identity_holds(
+                F, M, domain.period_slice, codomain.period_slice):
             raise PreconditionError(
                 "representations do not satisfy F @ periods = periods @ M"
             )
@@ -150,66 +146,49 @@ class HomGenerator(Value):
         return f"HomGenerator(rational_rep={self.rational_rep!r})"
 
 
-def hom_module(X: PolarisedTorus, Y: PolarisedTorus, _py=None):
+def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     """Basis of Hom(X, Y) as verified HomGenerators (may be empty).
 
     One integer row per (entry (i, j) of P_Y (M_R W - M_L), monomial),
     scaled by the denominators of P_Y and W; the basis is the canonical
     Hermite basis of the saturated integer kernel of those rows, so
     repeated runs agree entry for entry.  Each generator's F is
-    P_Y @ (M_R @ D_X^-1), checked against the periods sliced once here.
-    A codomain whose periods are linearly dependent over Q is a
-    PreconditionError; a dependent domain only shrinks the module.
-    isom_search hands over Y's periods already flattened as ``_py``.
+    P_Y @ (M_R @ D_X^-1), checked against the period slices the tori
+    keep.  A domain whose right period block is not constant or is
+    singular, and a codomain whose periods are linearly dependent over Q,
+    are PreconditionErrors; a dependent domain only shrinks the module.
     """
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
-    R = constant_right_block(X.periods)
-    if R is None:
-        raise PreconditionError("right period block is not constant; bring the torus "
-                                "to a frame with a constant right block first")
-    try:
-        DI, dI = rat_inverse(R)  # D_X^-1 = DI / dI
-    except ValueError:
-        raise PreconditionError("right period block is singular over Q") from None
-    px = monomial_flatten(X.periods)
-    py = monomial_flatten(Y.periods) if _py is None else _py
+    DI, dI, W = X.right_frame()  # D_X^-1 = DI / dI, W = D_X^-1 @ Z_X by columns
     # P_Y @ v = 0 for a rational v != 0 would put nonzero M with F = 0 in the kernel
-    if rank([[p.get(mono, 0) for p in PY_row]
-             for PY_row in py[1] for mono in set().union(*PY_row)]) < 2 * m:
+    if not Y.periods_independent:
         raise PreconditionError("the codomain's periods are linearly dependent over Q")
-    # W = D_X^-1 @ Z_X = DI @ (dX Z_X) / dW, column j of W as Wcols[j]
-    dW, DIt = dI * px[0], transpose(DI)
-    Wcols = []  # the nonzero entries of each column, as (column offset of M_R, polynomial)
-    for j in range(n):
-        acc = [{} for _ in range(n)]
-        _add_row_times(acc, [PX_row[j] for PX_row in px[1]], DIt, 1)
-        Wcols.append([(n + t, w) for t, a in enumerate(acc)
-                      if (w := {mono: c for mono, c in a.items() if c})])
+    dW, (dY, PY) = dI * X.period_slice[0], Y.period_slice
     system = []
-    for PY_row in py[1]:
+    for PY_row in PY:
         nonzero = [(2 * n * r, p) for r, p in enumerate(PY_row) if p]
         for j in range(n):
             rows = {}  # monomial: its row {column: int} in entry (i, j), M[r][c] at r * 2n + c
             for base, p in nonzero:
                 for mono, x in p.items():  # column base + j gets no other term
                     rows.setdefault(mono, {})[base + j] = -dW * x
-                for t, w in Wcols[j]:
-                    col = base + t
+                for t, w in W[j]:
+                    col = base + n + t  # M_R[r][t]
                     for m1, c1 in p.items():
                         for m2, c2 in w.items():
                             row = rows.setdefault(tuple(map(add, m1, m2)), {})
                             row[col] = row.get(col, 0) + c1 * c2
             system += rows.values()
     # F = P_Y @ M_R @ D_X^-1 = PY @ (M_R @ DI) / (dY * dI), DI integer
-    scale = py[0] * dI
+    scale = dY * dI
     gens_out = []
     for vec in sparse_int_kernel(system, 4 * m * n):
         M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
-        FS = _slice_product(py[1], [row[n:] for row in M], DI)
+        FS = _slice_product(PY, [row[n:] for row in M], DI)
         g = object.__new__(HomGenerator)
-        g._verify(X, Y, tuple(map(tuple, M)), (scale, FS), px, py)
+        g._verify(X, Y, tuple(map(tuple, M)), (scale, FS))
         gens_out.append(g)
     return gens_out
 
@@ -277,10 +256,9 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
 
 # -- bounded isomorphism search ------------------------------------------------
 
-def _analytic_pencil(gens, py):
+def _analytic_pencil(gens):
     """The generators' F as integer matrices over one denominator, when every
-    F is constant and the codomain's periods, flattened as py, span a
-    lattice; else None."""
+    F is constant and the codomain's periods span a lattice; else None."""
     const = (0,) * len(gens[0].codomain.gens)
     scale = lcm(*(g._slice[0] for g in gens))
     out = []
@@ -290,7 +268,7 @@ def _analytic_pencil(gens, py):
         if any(x for row in FS for p in row for mono, x in p.items() if mono != const):
             return None
         out.append([[scale // d * p.get(const, 0) for p in row] for row in FS])
-    return out if spans_a_lattice(py[1]) else None
+    return out if gens[0].codomain.periods_span_a_lattice else None
 
 
 def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
@@ -307,9 +285,10 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     M^T E_Y M - E_X, which must vanish; both are built over integer
     polynomials (intlinalg.det_polynomial, pullback_polynomials).  When
     every generator's F is constant and Y's periods span a lattice
-    (intlinalg.spans_a_lattice), the F are the slices the generators were
-    checked on, put over one denominator, and the Pencil reads the
-    determinant from det(sum(c_i * F_i)), n x n (Pencil._analytic).  Returns
+    (PolarisedTorus.periods_span_a_lattice), the F are the slices the
+    generators were checked on, put over one denominator, and the Pencil
+    reads the determinant from det(sum(c_i * F_i)), n x n
+    (Pencil._analytic).  Returns
     the engine's Found, with the first witness in the deterministic
     coefficient order, or NotFoundUpToBound; NoHoms when the homomorphism
     module is trivial.  A polarised witness is checked to pull the form
@@ -319,15 +298,14 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     before any work.
     """
     check_int("search bound", bound, 1)
-    py = monomial_flatten(Y.periods)
-    gens = hom_module(X, Y, py)
+    gens = hom_module(X, Y)
     if not gens:
         return NoHoms()
     if X.dim != Y.dim:
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
     zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
-    F = _analytic_pencil(gens, py)
+    F = _analytic_pencil(gens)
     f = None if F is None else det_polynomial(F)
     res = Pencil._analytic(mats, f, zero=zero).search(bound)
     if polarised and isinstance(res, Found):

@@ -8,9 +8,10 @@ of monomials is a sum of ints, the graded-lex order that of the ints,
 and the exact divisions test divisibility on guard bits.
 scalars.monomial_flatten puts a period matrix over one common
 denominator as integer polynomials {exponent tuple: int}, a slice (d, P),
-from which homs, ppsearch and torus build their sparse systems and
-products (_add_product, _add_row_times, _slice_product), the
-W = D_X^-1 @ Z_X of hom_module and each Hom generator's F, P_Y @ (M_R @ DI),
+once per torus, kept on it (PolarisedTorus.period_slice), from which
+homs, ppsearch and torus build their sparse systems and products
+(_add_product, _add_row_times, _slice_product), the W = D_X^-1 @ Z_X of
+PolarisedTorus.right_frame and each Hom generator's F, P_Y @ (M_R @ DI),
 among them.
 _render_slice turns a slice back into FormalScalars, for a quotient's
 periods and for HomGenerator.analytic_rep.  One check,
@@ -18,9 +19,10 @@ period_identity_holds, verifies L @ P_X == P_Y @ M on those slices (an
 integer L enters as constant_slices) for every Hom generator, every
 admissible family element, every pp_search witness and every display
 frame of the demos.  spans_a_lattice reads a period slice at two fixed
-integer points of the generators, drawn from ``scattered``, and tells
-the pencil engine whether det M = kappa * det(F)**2 holds for the maps
-into that torus (parallel).
+integer points of the generators, drawn from ``scattered``, once per
+torus (PolarisedTorus.periods_span_a_lattice), and tells the pencil
+engine whether det M = kappa * det(F)**2 holds for the maps into that
+torus (parallel).
 flatten_to_int lays one monomial_flatten of several matrices out as
 dense integer matrices for rat_solve, which solves all of a frame's
 vectors, its right-hand sides, in one elimination.  matmul sums entry by
@@ -38,8 +40,9 @@ Conventions:
     sparse_int_kernel; snf, for elementary_divisors.  symplectic_basis is
     built from snf, int_kernel and matmul, and det_mod2 from det.
   * Only _over_common_denominator clears rational rows.  rat_inverse gives
-    M^-1 = N / d as (N, d) to hom_module and to QuotientResult, which
-    keeps it for all its push_point calls; rat_inv is its Fraction view.
+    M^-1 = N / d as (N, d) to PolarisedTorus.right_frame and to
+    QuotientResult, which keep it for all later calls; rat_inv is its
+    Fraction view.
   * hnf(M) returns (H, U) with H = M @ U, U unimodular, H the canonical
     column Hermite form (pivots positive, entries left of a pivot reduced,
     zero columns trailing).

@@ -7,8 +7,9 @@ of Ahat.  Containment of the image lattice is linear in the entries of
 H, so phase one solves it once and for all: the admissible symmetric
 matrices form a lattice, usually of very small rank.  The identity
 H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
-P_Ahat are each put over one common denominator once per call
-(scalars.monomial_flatten), and each monomial of each entry gives one
+P_Ahat are each put over one common denominator
+(scalars.monomial_flatten) once per torus, kept on it
+(PolarisedTorus.period_slice), and each monomial of each entry gives one
 sparse integer row {column: int} in the entries of H and C.  The
 Hermite basis of sparse_int_kernel, read on the entries of H, is already
 that of the family, and each basis element is checked against the
@@ -38,10 +39,8 @@ from .intlinalg import (
     det_polynomial,
     period_identity_holds,
     sparse_int_kernel,
-    spans_a_lattice,
 )
 from .parallel import Pencil
-from .scalars import monomial_flatten
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
 
@@ -136,9 +135,9 @@ class AdmissibleFamily(Immutable):
                 and A.gens == Ahat.gens and A.dim == Ahat.dim == len(self.basis[0])
                 and len(self.coordinates[0]) == 2 * A.dim):
             return False
-        pa, ph = monomial_flatten(A.periods), monomial_flatten(Ahat.periods)
+        pa, ph = A.period_slice, Ahat.period_slice
         nvars = len(A.gens)
-        return spans_a_lattice(ph[1]) and all(
+        return Ahat.periods_span_a_lattice and all(
             period_identity_holds(constant_slices(B, nvars), C, pa, ph)
             for B, C in zip(self.basis, self.coordinates))
 
@@ -173,7 +172,7 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     if A.dim != Ahat.dim:
         raise PreconditionError("tori have different dimensions")
     n = A.dim
-    pa, ph = monomial_flatten(A.periods), monomial_flatten(Ahat.periods)
+    pa, ph = A.period_slice, Ahat.period_slice
     (dA, PA), (dH, PH) = pa, ph
     sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
@@ -243,7 +242,7 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
         raise AssertionError("witness is not positive definite")
     # H @ P_A = P_Ahat @ C with C unimodular: H carries the lattice onto the target's
     if not period_identity_holds(constant_slices(candidate.H, len(A.gens)), res.witness,
-                                 monomial_flatten(A.periods), monomial_flatten(Ahat.periods)):
+                                 A.period_slice, Ahat.period_slice):
         raise AssertionError("witness does not carry the lattice onto the target")
     return Found(witness=candidate, coefficients=res.coefficients, tested=res.tested)
 

@@ -25,6 +25,7 @@ from operator import mul
 
 from .errors import Immutable, PreconditionError, Value
 from .intlinalg import (
+    _add_row_times,
     _divide_exactly,
     _render_slice,
     _slice_product,
@@ -38,11 +39,13 @@ from .intlinalg import (
     int_kernel,
     mat_eq,
     matmul,
+    rank,
     rat_inverse,
     rat_solve,
     saturate_columns,
     shape,
     snf,
+    spans_a_lattice,
     transpose,
 )
 from .scalars import FormalScalar, GeneratorSet, monomial_flatten
@@ -105,9 +108,17 @@ class PolarisedTorus(Value):
     (ints or integral Fractions; any other entry is a PreconditionError),
     alternating and nondegenerate.  Instances are immutable value objects;
     equality compares generators, periods and gram entrywise.
+
+    Four facts of the periods alone are built on first use and kept, once
+    per torus: the slice period_slice, the flags periods_independent and
+    periods_span_a_lattice, and right_frame, the inverse of the right
+    period block with the columns of W = D^-1 @ Z.  They are outside the
+    key, so equality and hash do not see whether they were built; a
+    refusal is never kept and is raised again on every call.
     """
 
-    __slots__ = ("gens", "periods", "gram", "assumptions")
+    __slots__ = ("gens", "periods", "gram", "assumptions",
+                 "_slice", "_independent", "_lattice", "_frame")
 
     def __init__(self, gens: GeneratorSet, periods, gram, assumptions: str = ""):
         n = len(periods)
@@ -138,10 +149,68 @@ class PolarisedTorus(Value):
         object.__setattr__(self, "periods", tuple(rows))
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "assumptions", assumptions)
+        for slot in ("_slice", "_independent", "_lattice", "_frame"):
+            object.__setattr__(self, slot, None)
 
     @property
     def dim(self) -> int:
         return len(self.periods)
+
+    # -- facts of the periods, built on first use and kept -------------------
+
+    @property
+    def period_slice(self):
+        """The periods over one common denominator, (d, P) as
+        scalars.monomial_flatten gives it, rows as tuples.  Every caller
+        reads the same slice and must not change it."""
+        if self._slice is None:
+            d, P = monomial_flatten(self.periods)
+            object.__setattr__(self, "_slice", (d, tuple(map(tuple, P))))
+        return self._slice
+
+    @property
+    def periods_independent(self) -> bool:
+        """Whether the 2n periods are linearly independent over Q: the
+        coefficient rows of the slice, one per (row, monomial), have rank 2n."""
+        if self._independent is None:
+            P = self.period_slice[1]
+            object.__setattr__(self, "_independent", rank(
+                [[p.get(mono, 0) for p in row] for row in P for mono in set().union(*row)]
+            ) == 2 * self.dim)
+        return self._independent
+
+    @property
+    def periods_span_a_lattice(self) -> bool:
+        """intlinalg.spans_a_lattice of the slice: whether det M = kappa *
+        det(F)**2 holds for the maps into this torus (parallel)."""
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", spans_a_lattice(self.period_slice[1]))
+        return self._lattice
+
+    def right_frame(self):
+        """(DI, dI, W) for periods [Z | D]: D^-1 = DI / dI with DI an integer
+        matrix (rat_inverse), and W = D^-1 @ Z = DI @ (d Z) / (dI d), d the
+        slice's denominator, as the nonzero entries (t, polynomial) of
+        DI @ (d Z) in each column.  A right block that is not constant, or
+        is singular over Q, is a PreconditionError on every call."""
+        if self._frame is None:
+            R = constant_right_block(self.periods)
+            if R is None:
+                raise PreconditionError("right period block is not constant; bring the torus "
+                                        "to a frame with a constant right block first")
+            try:
+                DI, dI = rat_inverse(R)
+            except ValueError:
+                raise PreconditionError("right period block is singular over Q") from None
+            n, P = self.dim, self.period_slice[1]
+            DIt, W = transpose(DI), []
+            for j in range(n):
+                acc = [{} for _ in range(n)]
+                _add_row_times(acc, [row[j] for row in P], DIt, 1)
+                W.append(tuple((t, w) for t, a in enumerate(acc)
+                               if (w := {mono: c for mono, c in a.items() if c})))
+            object.__setattr__(self, "_frame", (tuple(map(tuple, DI)), dI, tuple(W)))
+        return self._frame
 
     def _key(self):
         return (self.gens, self.periods, self.gram)
@@ -235,7 +304,7 @@ class PolarisedTorus(Value):
         H = [row[:m] for row in H]
         if abs(det(H)) != k ** (m - 1):
             raise AssertionError("quotient basis has wrong index")
-        dP, P = monomial_flatten(self.periods)
+        dP, P = self.period_slice
         new_gram = _divide_exactly(matmul(transpose(H), matmul(self.gram, H)), k * k)
         if new_gram is None:
             raise AssertionError("induced form is not integral on the new lattice")

@@ -16,13 +16,23 @@ from avtk.homs import (
     idempotent,
     isom_search,
 )
-from avtk.intlinalg import det, flatten_to_int, identity, matmul, mat_eq, transpose
-from avtk.ppsearch import admissible_family
-from avtk.scalars import FormalScalar, GeneratorSet
+from avtk.intlinalg import (
+    det,
+    flatten_to_int,
+    identity,
+    matmul,
+    mat_eq,
+    rat_inverse,
+    spans_a_lattice,
+    transpose,
+)
+from avtk.ppsearch import admissible_family, pp_search
+from avtk.scalars import FormalScalar, GeneratorSet, monomial_flatten
 from avtk.torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
     ambient_to_lattice,
+    constant_right_block,
     product,
     standard_gram,
 )
@@ -293,16 +303,27 @@ def _digest_pairs():
     return tuple(pairs)
 
 
-def test_hom_module_and_admissible_family_digest():
-    # pins every Hom generator (rational and analytic representation) and
-    # every family basis and coordinate matrix across changes to how the
-    # linear systems are built
+def _homs_digest():
     records = [[tag, _outcome(lambda: hom_module(X, Y), _hom_record),
                 _outcome(lambda: admissible_family(X, Y), _family_record)]
                for tag, X, Y in _digest_pairs()]
     assert len(records) == 101
-    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == HOMS_DIGEST
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_hom_module_and_admissible_family_digest():
+    # pins every Hom generator (rational and analytic representation) and
+    # every family basis and coordinate matrix across changes to how the
+    # linear systems are built
+    assert _homs_digest() == HOMS_DIGEST
+
+
+def test_the_digest_is_the_same_on_tori_that_kept_their_facts():
+    # the first pass builds the facts each torus keeps (or finds them built
+    # by an earlier test); the second reads them and must agree entry for entry
+    first = _homs_digest()
+    assert all(T._slice is not None for T in _digest_tori())
+    assert first == _homs_digest() == HOMS_DIGEST
 
 
 def test_each_digest_generator_is_rebuilt_from_its_rendered_analytic_rep():
@@ -488,3 +509,102 @@ def test_hom_generator_refuses_an_analytic_representation_over_other_generators(
                            match=r"cannot combine scalars over \('x', 'y'\) and "
                                  r"\('tau_E', 'tau_F'\)"):
             HomGenerator(g.domain, g.codomain, g.rational_rep, F)
+
+
+# -- the facts each torus keeps -------------------------------------------------------
+
+def _digest_tori():
+    """Every distinct torus object of the digest pairs, the demo documents among them."""
+    return list({id(T): T for _, X, Y in _digest_pairs() for T in (X, Y)}.values())
+
+
+def _search_record(res):
+    witness = getattr(res, "witness", None)
+    return (type(res).__name__, res.tested, getattr(res, "coefficients", None),
+            getattr(witness, "H", witness))
+
+
+def _searches(X, Y):
+    """Every search verdict on (X, Y) at bounds 1 and 2, or its refusal."""
+    return [_outcome(search, _search_record) for bound in (1, 2)
+            for search in (lambda: isom_search(X, Y, bound=bound),
+                           lambda: isom_search(X, Y, bound=bound, polarised=True),
+                           lambda: pp_search(X, Y, bound=bound))]
+
+
+def _refusal(call):
+    """The message of the PreconditionError call() raises, or None."""
+    try:
+        call()
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def test_no_caller_changes_the_facts_a_torus_keeps():
+    # every consumer of the kept slice and flags runs on every digest torus;
+    # afterwards each kept fact still equals the one computed afresh
+    for _, X, Y in _digest_pairs():
+        _refusal(lambda: hom_module(X, Y))
+        _refusal(lambda: admissible_family(X, Y).pencil)
+        _searches(X, Y)
+    tori = _digest_tori()
+    quotients = frames = 0
+    for T in tori:
+        for point in T.polarising_kernel()[:1]:
+            T.quotient(point)
+            quotients += 1
+        _refusal(T.right_frame)
+    for T in tori:
+        # every fact was built by the calls above, so each is read as kept
+        assert None not in (T._slice, T._independent, T._lattice)
+        d, P = monomial_flatten(T.periods)
+        assert T._slice[0] == d and [list(row) for row in T._slice[1]] == P
+        assert T._independent == (row_hnf_rank(flatten_to_int(T.periods)[0]) == 2 * T.dim)
+        assert T._lattice == spans_a_lattice(P)
+        if T._frame is not None:
+            DI, dI, _ = T._frame
+            R = constant_right_block(T.periods)
+            assert ([list(r) for r in DI], dI) == tuple(rat_inverse(R))
+            fresh = PolarisedTorus(T.gens, T.periods, T.gram)
+            assert fresh._frame is None and fresh.right_frame() == T._frame
+            frames += 1
+    assert quotients > 0 and frames > 0
+
+
+def test_a_refusal_is_raised_again_on_every_call():
+    t = GeneratorSet(("t",)).scalar("t")
+    E = PolarisedTorus(t.gens, [[t, 1]], standard_gram([1]))
+    moving = PolarisedTorus(t.gens, [[1, t]], standard_gram([1]))  # right block t
+    singular = PolarisedTorus(t.gens, [[t, 0]], standard_gram([1]))  # right block 0
+    dependent = PolarisedTorus(t.gens, [[2, 1]], standard_gram([1]))  # 2 - 2 * 1 = 0
+    cases = [(moving, E, "right period block is not constant"),
+             (singular, E, "right period block is singular over Q"),
+             (E, dependent, "the codomain's periods are linearly dependent over Q")]
+    for X, Y, message in cases:
+        for call in (lambda: hom_module(X, Y), lambda: isom_search(X, Y, bound=1)):
+            first = _refusal(call)
+            assert first is not None and first.startswith(message)
+            assert _refusal(call) == first
+        if X is not E:
+            assert X._frame is None  # a refused frame is not kept
+    # a dependent target of a family is refused on every call, too
+    for call in (lambda: admissible_family(E, dependent), lambda: pp_search(E, dependent)):
+        first = _refusal(call)
+        assert first == "the target's periods are linearly dependent over Q"
+        assert _refusal(call) == first
+    assert dependent.periods_independent is False and E.periods_independent is True
+
+
+def test_searches_on_tori_that_kept_their_facts_match_those_on_fresh_tori():
+    def fresh(T):
+        return PolarisedTorus(T.gens, T.periods, T.gram, T.assumptions)
+
+    found = 0
+    for tag, X, Y in _digest_pairs():
+        _searches(X, Y)  # builds the facts, if no earlier test did
+        warm = _searches(X, Y)
+        cold = _searches(fresh(X), fresh(Y))
+        assert warm == cold, tag
+        found += sum(r[0] == "Found" for r in warm)
+    assert found > 0

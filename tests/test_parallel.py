@@ -251,7 +251,7 @@ def test_each_pencil_determinant_is_kappa_times_the_analytic_one_squared():
     contents = {}
     for label, X, Y in _demo_hom_pencils():
         gens = hom_module(X, Y)
-        analytic = homs._analytic_pencil(gens, monomial_flatten(Y.periods))
+        analytic = homs._analytic_pencil(gens)
         assert analytic is not None, label  # constant F, periods that span a lattice
         contents[label] = _assert_kappa_times_square(
             [g.rational_rep for g in gens], analytic, label)
@@ -322,7 +322,7 @@ def test_a_changed_analytic_entry_sends_the_pencil_back_to_its_determinant(d, mo
     gens = hom_module(A, Ahat)
     fam = admissible_family(A, Ahat)
     pencils = [([g.rational_rep for g in gens],
-                homs._analytic_pencil(gens, monomial_flatten(Ahat.periods))),
+                homs._analytic_pencil(gens)),
                (fam.coordinates, fam.basis)]
     calls = []
     _counting(monkeypatch, calls)

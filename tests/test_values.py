@@ -159,3 +159,40 @@ def test_a_hom_generator_copies_whether_or_not_its_analytic_rep_was_rendered(how
         with pytest.raises(AttributeError, match="^HomGenerator is immutable$"):
             obj._analytic = None
         assert obj._analytic is not None
+
+
+def warm(T):
+    """T with every fact of its periods built and kept."""
+    T.period_slice, T.periods_independent, T.periods_span_a_lattice, T.right_frame()
+    return T
+
+
+FACTS = ("_slice", "_independent", "_lattice", "_frame")
+
+
+def test_a_warm_torus_equals_and_hashes_like_a_cold_one():
+    # the kept facts are outside the key: building them changes no comparison
+    cold, hot = curve(), warm(curve())
+    assert all(getattr(cold, slot) is None for slot in FACTS)
+    assert all(getattr(hot, slot) is not None for slot in FACTS)
+    assert hot == cold and cold == hot and hash(hot) == hash(cold)
+    assert len({hot, cold}) == 1 and hot != warm(curve(2)) and hot != warm(opposite(curve()))
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_polarised_torus_copies_whether_or_not_its_facts_were_built(how, built):
+    T = warm(curve()) if built else curve()
+    dup = COPIES[how](T)
+    for slot in PolarisedTorus.__slots__:
+        assert getattr(dup, slot) == getattr(T, slot)
+    assert all((getattr(dup, slot) is not None) == built for slot in FACTS)
+    assert dup == T and hash(dup) == hash(T) and dup == curve()
+    assert (dup.period_slice, dup.right_frame()) == (T.period_slice, T.right_frame())
+    for obj in (T, dup):
+        for slot in FACTS:
+            with pytest.raises(AttributeError, match="^PolarisedTorus is immutable$"):
+                setattr(obj, slot, None)
+            with pytest.raises(AttributeError, match="^PolarisedTorus is immutable$"):
+                delattr(obj, slot)
+        assert obj._slice is not None  # read above, so built on either side
