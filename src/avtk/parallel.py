@@ -29,11 +29,16 @@ and g(c) is odd exactly where it is, so hits, counts and witnesses are
 those of the determinant, at half its degree.  Members that disagree
 about kappa send the pencil back to the 2n x 2n determinant.
 
-Before any enumeration it rules out whole searches: when the coefficients
-of the determinant have a common factor above 1 no member is unimodular,
-and a table of the parity vectors at which the determinant is odd skips
-most candidates without evaluating anything else.  A search that is not
-ruled out and has more than MAX_CANDIDATES coefficient vectors is refused.
+Before any enumeration it makes three checks, once per pencil.  Two are
+refuters, which end every search at any bound: when the coefficients of
+the determinant have a common factor above 1 no member is unimodular; and,
+for a pencil with ``positive`` conditions, certify.norm_certificate may
+prove that no c makes the determinant +-1 with every condition positive,
+a proof that certify.check_norm_certificate re-derives before it is used.
+The third, a table of the parity vectors at which the determinant is odd,
+skips most candidates without evaluating anything else.  A search that no
+refuter ends and that has more than MAX_CANDIDATES coefficient vectors is
+refused.
 
 Coefficient vectors are enumerated with each coordinate running through
 0, 1, -1, 2, -2, ..., bound, -bound, lexicographically, by one loop in
@@ -60,6 +65,7 @@ from __future__ import annotations
 from itertools import islice, product as iter_product
 from math import gcd
 
+from .certify import check_norm_certificate, norm_certificate
 from .errors import Immutable, PreconditionError, check_int
 from .intlinalg import combination, det, det_polynomial, scattered
 from .verdicts import Found, NotFoundUpToBound
@@ -152,10 +158,11 @@ class Pencil(Immutable):
     positive and zero are polynomials in c as (coefficient, exponents)
     pairs, the form det_polynomial returns: a hit must make every
     ``positive`` one > 0 and every ``zero`` one vanish.  The inputs are
-    copied into tuples.  The determinant polynomial, its content verdict
-    and its parity table depend on no bound: the first search computes
-    them, and later searches reuse them.  homs.isom_search builds one
-    Pencil per call and AdmissibleFamily.pencil one per family.
+    copied into tuples.  The determinant polynomial, its content verdict,
+    its norm certificate and its parity table depend on no bound: the
+    first search computes them, and later searches reuse them.
+    homs.isom_search builds one Pencil per call and AdmissibleFamily.pencil
+    one per family.
 
     Pencil._analytic builds one that reads its determinant from that of
     its analytic pencil; this constructor takes no analytic pencil, since
@@ -198,9 +205,9 @@ class Pencil(Immutable):
         """Found for the first c whose member is unimodular and meets the side
         conditions (witness: the member's rows; tested: its position in the
         enumeration order plus one), else NotFoundUpToBound over the whole
-        box.  A box of more than MAX_CANDIDATES vectors that the content does
-        not rule out, and a bound that is not an int >= 1, raise
-        PreconditionError."""
+        box.  A box of more than MAX_CANDIDATES vectors that no refuter ends
+        (the content, or a norm certificate), and a bound that is not an
+        int >= 1, raise PreconditionError."""
         check_int("search bound", bound, 1)
         rank = len(self.mats)
         box = (2 * bound + 1) ** rank
@@ -225,7 +232,8 @@ class Pencil(Immutable):
         return Found(witness=tuple(map(tuple, M)), coefficients=c, tested=index + 1)
 
     def _build_plan(self):
-        """(det_p, parities), or () when the content rules every member out.
+        """(det_p, parities), or () when the content or a checked norm
+        certificate (positive conditions only) rules every member out.
 
         det_p is a polynomial that is +-1 exactly where the determinant
         is, and odd exactly where it is: the determinant itself, or the
@@ -239,6 +247,12 @@ class Pencil(Immutable):
             det_p = _sparse(terms) if terms and gcd(*(coeff for coeff, _ in terms)) == 1 else ()
         if not det_p:
             return ()
+        if self.positive:
+            cert = norm_certificate(det_p, self.positive)
+            if cert is not None:
+                if not check_norm_certificate(cert, det_p, self.positive):
+                    raise AssertionError("norm certificate fails its check")
+                return ()
         rank = len(self.mats)
         # 3**rank > MAX_CANDIDATES refuses every search: no 2**rank table then
         parities = None if 3 ** rank > MAX_CANDIDATES else frozenset(

@@ -25,7 +25,14 @@ returns the verdict.  The coordinate determinant is kappa * det(H)**2,
 with det H the top minor (parallel says why), so the family hands its
 basis and that minor to the Pencil as its analytic pencil, once it has
 checked every pair (H, C) against the periods and the target's periods
-to span a lattice, and no 2n x 2n determinant is taken.
+to span a lattice, and no 2n x 2n determinant is taken.  Before it
+enumerates, the Pencil tries to prove the whole search empty: the content
+of that determinant, then a norm certificate on the minors
+(certify.norm_certificate).  On S x S^, with S of type (1, d), minor 3 is
+q times minor 1 up to content and det H = q**2, with q = d*c0*c2 - c1**2,
+so a hit needs q = 1; where -1 is not a square mod d, q = 1 has no root
+modulo 4 or a prime dividing d, and every search of that family reports
+the whole box at once, at any bound.
 """
 
 from __future__ import annotations
@@ -222,7 +229,8 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     coefficients as a PPCandidate and re-verified before being returned:
     its leading minors as integers, and H @ P_A = P_Ahat @ C, for the
     hit's unimodular coordinate matrix C, by period_identity_holds.  A
-    search that the determinant does not rule out and that has more than
+    search that no refuter ends (the determinant's content, or a norm
+    certificate on the minors) and that has more than
     parallel.MAX_CANDIDATES vectors raises PreconditionError, and so do a
     bound that is not an int of at least 1 (errors.check_int) and a
     ``family`` built for other tori than A and Ahat, before any work.

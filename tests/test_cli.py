@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avtk import cli
-from avtk.demos import demo_list
+from avtk.demos import demo_list, surface_pair
 from avtk.documents import Report, canonical_json, point_to_doc, torus_from_doc, torus_to_doc
 from avtk.intlinalg import snf
 from avtk.parallel import MAX_CANDIDATES
@@ -343,6 +343,19 @@ def test_a_proven_negative_is_not_held_to_the_candidate_cap(capsys):
     assert run_cli(["demo", "ex-4.1", "--n", "3", "--bound", "10", "--json"]) == 3
     search = json.loads(capsys.readouterr().out)["payload"]["isom_search"]
     assert search == {"bound": 10, "found": False, "tested": 21 ** 5}
+
+
+def test_a_certified_negative_is_not_held_to_the_candidate_cap(tmp_path, capsys):
+    # S x S^ at d = 3: 101**3 candidates at bound 50, ruled out by the norm
+    # certificate (minor 3 = q * minor 1 / 3, det H = q**2, and q = 3*c0*c2 - c1**2
+    # = 1 has no root mod 3)
+    S, Sd = surface_pair(GeneratorSet(("a", "b", "c")), 3)
+    a = write_doc(tmp_path / "product.json", torus_to_doc(product([S, Sd])))
+    b = write_doc(tmp_path / "product-dual.json", torus_to_doc(product([Sd, S])))
+    assert 101 ** 3 > MAX_CANDIDATES
+    assert run_cli(["pp-search", a, b, "--bound", "50", "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload == {"bound": 50, "family_rank": 3, "found": False, "tested": 101 ** 3}
 
 
 def test_elliptic_subcommand(capsys):

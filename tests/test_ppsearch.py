@@ -159,7 +159,7 @@ def test_pp_search_obstructed_at_d_three():
     res = pp_search(A, Ahat, bound=4)
     assert isinstance(res, NotFoundUpToBound)
     assert res.bound == 4
-    assert res.tested == 9 ** 3  # every coefficient vector was enumerated
+    assert res.tested == 9 ** 3  # the count is the whole box
 
 
 @pytest.mark.parametrize(
