@@ -20,13 +20,14 @@ for an integer DI, from intlinalg.rat_inverse, W = (DI @ dX Z_X) / (dI dX).
 Each monomial of each entry of the identity is then an integer row in
 the entries of M, a sparse map {column: int} built from sparse products
 of those slices; no dense row is formed.  The kernel of these rows is
-the whole homomorphism module, and intlinalg.sparse_int_kernel returns
-its canonical Hermite basis whatever the order, number or scale of the
-rows.
+the whole homomorphism module, and intlinalg._kernel_maps returns its
+canonical Hermite basis, as sparse maps {index: int}, whatever the order,
+number or scale of the rows.
 
-Each generator's F is computed as an integer slice, PY @ (M_R @ DI)
-over dY dI, and checked against that identity, F @ P_X == P_Y @ M, by
-intlinalg.period_identity_holds on the same integer slices.  The
+Each generator's M is filled from its map, and its F is an integer
+slice, PY @ (M_R @ DI) over dY dI, summed over the nonzero entries of
+M_R, DI and PY only; intlinalg.period_identity_holds checks it against
+that identity, F @ P_X == P_Y @ M, on the same integer slices.  The
 generator keeps that slice; HomGenerator.analytic_rep renders it as
 FormalScalars on its first read, so F is never flattened twice and a
 caller that reads only M never builds it.
@@ -51,8 +52,8 @@ from operator import add
 from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
     _divide_exactly,
+    _kernel_maps,
     _render_slice,
-    _slice_product,
     as_int,
     det,
     det_polynomial,
@@ -62,7 +63,6 @@ from .intlinalg import (
     period_identity_holds,
     pullback_polynomials,
     saturate_columns,
-    sparse_int_kernel,
     transpose,
 )
 from .scalars import FormalScalar, monomial_flatten
@@ -181,14 +181,27 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
                             row = rows.setdefault(tuple(map(add, m1, m2)), {})
                             row[col] = row.get(col, 0) + c1 * c2
             system += rows.values()
-    # F = P_Y @ M_R @ D_X^-1 = PY @ (M_R @ DI) / (dY * dI), DI integer
+    # F = P_Y @ M_R @ D_X^-1 = PY @ K / (dY * dI), K = M_R @ DI, DI integer
     scale = dY * dI
+    DI_rows = [[(j, x) for j, x in enumerate(row) if x] for row in DI]
+    PY_cols = [[(i, p) for i, p in enumerate(col) if p] for col in zip(*PY)]
     gens_out = []
-    for vec in sparse_int_kernel(system, 4 * m * n):
-        M = [vec[r * 2 * n : (r + 1) * 2 * n] for r in range(2 * m)]
-        FS = _slice_product(PY, [row[n:] for row in M], DI)
+    for vec in _kernel_maps(system, 4 * m * n):
+        M = [[0] * (2 * n) for _ in range(2 * m)]
+        K = {}  # (r, j): the nonzero entries of K, and perhaps some zeros
+        for index, x in vec.items():
+            r, c = divmod(index, 2 * n)
+            M[r][c] = x
+            for j, y in DI_rows[c - n] if c >= n else ():
+                K[r, j] = K.get((r, j), 0) + x * y
+        FS = [[{} for _ in range(n)] for _ in range(m)]
+        for (r, j), k in K.items():
+            for i, p in PY_cols[r] if k else ():
+                acc = FS[i][j]
+                for mono, y in p.items():
+                    acc[mono] = acc.get(mono, 0) + k * y
         g = object.__new__(HomGenerator)
-        g._verify(X, Y, tuple(map(tuple, M)), (scale, FS))
+        g._verify(X, Y, tuple(map(tuple, M)), (scale, tuple(map(tuple, FS))))
         gens_out.append(g)
     return gens_out
 

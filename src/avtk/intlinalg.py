@@ -10,9 +10,8 @@ scalars.monomial_flatten puts a period matrix over one common
 denominator as integer polynomials {exponent tuple: int}, a slice (d, P),
 once per torus, kept on it (PolarisedTorus.period_slice), from which
 homs, ppsearch and torus build their sparse systems and products
-(_add_product, _add_row_times, _slice_product), the W = D_X^-1 @ Z_X of
-PolarisedTorus.right_frame and each Hom generator's F, P_Y @ (M_R @ DI),
-among them.
+(_add_row_times, _slice_product), the W = D_X^-1 @ Z_X of
+PolarisedTorus.right_frame and a quotient's periods among them.
 _render_slice turns a slice back into FormalScalars, for a quotient's
 periods and for HomGenerator.analytic_rep.  One check,
 period_identity_holds, verifies L @ P_X == P_Y @ M on those slices (an
@@ -28,7 +27,8 @@ dense integer matrices for rat_solve, which solves all of a frame's
 vectors, its right-hand sides, in one elimination.  matmul sums entry by
 entry in the operands' own arithmetic.  Matrices are dense lists of
 rows, except the sparse rows {column: int} of the Hom and family systems
-that sparse_int_kernel takes; every result is canonical.
+and the sparse kernel vectors {index: int} that _kernel_maps gives back
+for them; every result is canonical.
 
 Conventions:
   * Five eliminations remain, one per job: fraction-free Bareiss for det
@@ -69,6 +69,9 @@ from .scalars import FormalScalar, _grlex_key, monomial_flatten
 # -- basic matrix helpers ----------------------------------------------------
 
 def shape(M):
+    """(rows, columns); rows of different lengths are a PreconditionError."""
+    if len(set(map(len, M))) > 1:
+        raise PreconditionError("matrix rows have different lengths")
     return (len(M), len(M[0]) if M else 0)
 
 
@@ -287,20 +290,10 @@ def _int_pencil(mats, degree):
               for entries in zip(*rows)] for rows in zip(*mats)], unpack, guard)
 
 
-def _slice_product(P, K, B=None):
-    """P @ K for integer polynomials P and an integer matrix K, or P @ (K @ B)
-    for a second integer matrix B, each row of K @ B summed over the
-    nonzero entries of K's row; a tuple of rows of integer polynomials (a
-    coefficient may be 0)."""
-    if B is not None:
-        KB = []
-        for K_row in K:
-            acc = [0] * len(B[0])
-            for x, B_row in zip(K_row, B):
-                if x:
-                    acc = [a + x * b for a, b in zip(acc, B_row)]
-            KB.append(acc)
-        K = KB
+def _slice_product(P, K):
+    """P @ K for integer polynomials P and an integer matrix K, over the
+    nonzero entries of K, for PolarisedTorus.quotient's periods; a tuple of
+    rows of integer polynomials (a coefficient may be 0)."""
     out = []
     for row in P:
         acc = [{} for _ in K[0]]
@@ -329,20 +322,38 @@ def period_identity_holds(L, M, px, py):
 
     L, P_X and P_Y come as monomial_flatten slices (d, polys): L = LS / dL,
     P_X = PX / dX and P_Y = PY / dY.  The identity times dL * dX * dY reads
-    dY * LS @ PX == dL * dX * PY @ M, and is checked entry by entry.
+    dY * LS @ PX == dL * dX * PY @ M: the difference, summed over the nonzero
+    entries of LS and M only in one map keyed by (row, column, monomial),
+    is 0 in every value (a slice's coefficient may be 0).  Shapes that do
+    not fit make it False.
     """
     (dL, LS), (dX, PX), (dY, PY) = L, px, py
-    for L_row, PY_row in zip(LS, PY):
-        acc = [{} for _ in M[0]]  # entry (i, j) of the difference, j by j
-        for f, PX_row in zip(L_row, PX):
-            if f:
-                for a, q in zip(acc, PX_row):
-                    if q:
-                        _add_product(a, f, q, dY)
-        _add_row_times(acc, PY_row, M, -dL * dX)
-        if any(x for a in acc for x in a.values()):
-            return False
-    return True
+    w = len(PX[0]) if PX else 0
+    if not (len(LS) == len(PY) and set(map(len, LS)) <= {len(PX)}
+            and set(map(len, PY)) <= {len(M)} and set(map(len, (*M, *PX))) <= {w}):
+        return False
+    acc = {}
+    get = acc.get
+    for i, L_row in enumerate(LS):
+        for t in compress(range(len(L_row)), L_row):
+            f, PX_row = L_row[t].items(), PX[t]
+            for j in compress(range(w), PX_row):
+                q = PX_row[j].items()
+                for m1, c1 in f:
+                    c1 *= dY
+                    for m2, c2 in q:
+                        key = (i, j, tuple(map(add, m1, m2)))
+                        acc[key] = get(key, 0) + c1 * c2
+    nonzero = [[(j, -dL * dX * row[j]) for j in compress(range(w), row)] for row in M]
+    for i, PY_row in enumerate(PY):
+        for r in compress(range(len(PY_row)), PY_row):
+            if nonzero[r]:
+                p = PY_row[r].items()
+                for j, x in nonzero[r]:
+                    for mono, y in p:
+                        key = (i, j, mono)
+                        acc[key] = get(key, 0) + x * y
+    return not any(acc.values())
 
 
 def spans_a_lattice(P):
@@ -381,17 +392,6 @@ def _evaluate_at(p, point):
                 c *= x ** e
         total += c
     return total
-
-
-def _add_product(acc, p, q, sign):
-    """acc += sign * p * q for integer polynomials {exponent tuple: int}."""
-    get = acc.get
-    q_items = q.items()
-    for m1, c1 in p.items():
-        c1 *= sign
-        for m2, c2 in q_items:
-            mono = tuple(map(add, m1, m2))
-            acc[mono] = get(mono, 0) + c1 * c2
 
 
 def _add_packed_product(acc, p, q, sign):
@@ -575,11 +575,18 @@ def int_kernel(M):
 
 
 def sparse_int_kernel(rows, n):
-    """int_kernel of the rows {column: int}, a list, over n columns, with no dense
-    row; the Hermite step runs on the sparse kernel combinations, tracking no U."""
+    """int_kernel of the rows {column: int}, a list, over n columns, with no
+    dense row: _kernel_maps's basis, each vector laid out as a dense list."""
+    return [[v.get(i, 0) for i in range(n)] for v in _kernel_maps(rows, n)]
+
+
+def _kernel_maps(rows, n):
+    """The Hermite basis of int_kernel of the rows {column: int}, a list, over
+    n columns, as maps {index: nonzero int}, for hom_module and
+    admissible_family; the Hermite step tracks no U."""
     combos = [{j: 1} for j in range(n)]
     basis = [combos[j] for j in _column_echelon(_columns(rows, n), len(rows), combos)[1]]
-    return [[basis[k].get(i, 0) for i in range(n)] for k in _hermite(basis, n)]
+    return [basis[k] for k in _hermite(basis, n)]
 
 
 def _add_multiple(dst, src, q):

@@ -11,12 +11,14 @@ P_Ahat are each put over one common denominator
 (scalars.monomial_flatten) once per torus, kept on it
 (PolarisedTorus.period_slice), and each monomial of each entry gives one
 sparse integer row {column: int} in the entries of H and C.  The
-Hermite basis of sparse_int_kernel, read on the entries of H, is already
-that of the family, and each basis element is checked against the
-identity by intlinalg.period_identity_holds, the check every Hom
-generator passes, and so is each search hit.  Positivity and
-surjectivity are not linear, so phase two enumerates bounded integer
-combinations of that family on the pencil engine of ``parallel``: the
+Hermite basis of the kernel, sparse maps {index: int} from
+intlinalg._kernel_maps, read on the entries of H, is already that of
+the family; H and C are filled from each map's nonzero entries, and
+each element is checked against the identity by
+intlinalg.period_identity_holds, the check every Hom generator passes,
+and so is each search hit.  Positivity and surjectivity are not
+linear, so phase two enumerates bounded integer combinations of that
+family on the pencil engine of ``parallel``: the
 coordinate determinant (surjectivity) and the leading principal minors
 (positivity) are computed once per family as polynomials in the
 coefficients, in its Pencil; the engine evaluates the determinant a row
@@ -39,13 +41,13 @@ from __future__ import annotations
 
 from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
+    _kernel_maps,
     as_int,
     combination,
     constant_slices,
     det,
     det_polynomial,
     period_identity_holds,
-    sparse_int_kernel,
 )
 from .parallel import Pencil
 from .torus import PolarisedTorus
@@ -97,17 +99,14 @@ class AdmissibleFamily(Immutable):
     __slots__ = ("source", "target", "basis", "coordinates", "_pencil")
 
     def __init__(self, source, target, basis, coordinates):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(
-            self, "basis", tuple(tuple(tuple(map(as_int, row)) for row in B) for B in basis)
-        )
-        object.__setattr__(
-            self,
-            "coordinates",
-            tuple(tuple(tuple(map(as_int, row)) for row in C) for C in coordinates),
-        )
-        object.__setattr__(self, "_pencil", None)
+        self._fill(source, target, *(
+            tuple(tuple(tuple(map(as_int, row)) for row in B) for B in mats)
+            for mats in (basis, coordinates)))
+
+    def _fill(self, source, target, basis, coordinates):
+        """Set the slots; admissible_family hands over tuples of int matrices."""
+        for name, value in zip(self.__slots__, (source, target, basis, coordinates, None)):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -149,9 +148,11 @@ class AdmissibleFamily(Immutable):
             for B, C in zip(self.basis, self.coordinates))
 
     def member(self, coefficients):
-        """The symmetric matrix sum(c_i * basis_i)."""
+        """The symmetric matrix sum(c_i * basis_i), each c_i an int (errors.check_int)."""
         if len(coefficients) != self.rank:
             raise PreconditionError("one coefficient per basis element required")
+        for c in coefficients:
+            check_int("family coefficient", c)
         return combination(coefficients, self.basis)
 
 
@@ -164,8 +165,9 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     the common denominators of the two period matrices, gives one integer
     row, a sparse map {column: int}; the kernel of those rows projects
     bijectively onto the family (the coordinates C are determined by H).
-    The basis returned is sparse_int_kernel's, whose entries of H are
-    already the Hermite basis of the projection, and every element is
+    The basis returned is that of intlinalg._kernel_maps, whose entries of
+    H are already the Hermite basis of the projection; H and C are filled
+    from the nonzero entries of each kernel map, and every element is
     re-verified against the containment it encodes, over the same integer
     polynomials.  A solution with H = 0 means that Ahat's periods are
     linearly dependent over Q, which is a PreconditionError.
@@ -183,35 +185,43 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     (dA, PA), (dH, PH) = pa, ph
     sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
+    # touch[i]: (u, b) for each entry u = (i, b) or (b, i) of H on or above the diagonal
+    touch = [[(u, a + b - i) for u, (a, b) in enumerate(sym) if i in (a, b)] for i in range(n)]
     system = []
     for i in range(n):
         for j in range(2 * n):
             # columns: the entries of H on and above the diagonal, then
             # C[r][c] column by column
             rows = {}
-            for u, (a, b) in enumerate(sym):
-                if i in (a, b):
-                    for mono, x in PA[b if a == i else a][j].items():
-                        rows.setdefault(mono, {})[u] = dH * x
+            for u, b in touch[i]:
+                for mono, x in PA[b][j].items():
+                    rows.setdefault(mono, {})[u] = dH * x
             for r, p in enumerate(PH[i]):
                 for mono, x in p.items():
                     rows.setdefault(mono, {})[s + 2 * n * j + r] = -dA * x
             system += rows.values()
     basis = []
     coords = []
-    for v in sparse_int_kernel(system, s + 4 * n * n):
-        if not any(v[:s]):
+    for v in _kernel_maps(system, s + 4 * n * n):
+        if min(v) >= s:
             # H = 0 and C != 0 with P_Ahat @ C = 0
             raise PreconditionError("the target's periods are linearly dependent over Q")
         H = [[0] * n for _ in range(n)]
-        for u, (i, j) in enumerate(sym):
-            H[i][j] = H[j][i] = v[u]
-        C = [[v[s + j * 2 * n + row] for j in range(2 * n)] for row in range(2 * n)]
+        C = [[0] * (2 * n) for _ in range(2 * n)]
+        for index, x in v.items():
+            if index < s:
+                a, b = sym[index]
+                H[a][b] = H[b][a] = x
+            else:
+                j, r = divmod(index - s, 2 * n)
+                C[r][j] = x
         if not period_identity_holds(constant_slices(H, len(A.gens)), C, pa, ph):
             raise AssertionError("family element fails its containment identity")
-        basis.append(H)
-        coords.append(C)
-    return AdmissibleFamily(A, Ahat, basis, coords)
+        basis.append(tuple(map(tuple, H)))
+        coords.append(tuple(map(tuple, C)))
+    family = object.__new__(AdmissibleFamily)
+    family._fill(A, Ahat, tuple(basis), tuple(coords))
+    return family
 
 
 def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,

@@ -17,11 +17,13 @@ from avtk.homs import (
     isom_search,
 )
 from avtk.intlinalg import (
+    constant_slices,
     det,
     flatten_to_int,
     identity,
     matmul,
     mat_eq,
+    period_identity_holds,
     rat_inverse,
     spans_a_lattice,
     transpose,
@@ -37,7 +39,13 @@ from avtk.torus import (
     standard_gram,
 )
 from avtk.verdicts import Found, NoHoms, NotFoundUpToBound
-from oracles import dual_hom, row_hnf_rank, symbolic_admissible_family, symbolic_hom_module
+from oracles import (
+    dual_hom,
+    formal_identity_holds,
+    row_hnf_rank,
+    symbolic_admissible_family,
+    symbolic_hom_module,
+)
 
 G2 = GeneratorSet(("tau_E", "tau_F"))
 TAU_E = G2.scalar("tau_E")
@@ -446,6 +454,77 @@ def test_sparse_systems_of_the_alternating_products_match_the_symbolic_ones(k, d
 
 
 # -- the self-check refuses every wrong identity ------------------------------------
+
+@functools.cache
+def _identity_cases():
+    """(X, Y, M, L) for each Hom generator (L its F slice) and each family
+    element (L its constant H) of the digest pairs: the identities
+    period_identity_holds checks in the library.  Their F are constant, so
+    the generators from each "end" torus X to X with its periods times
+    a + 2, whose F are not, are added."""
+    cases = []
+    for tag, X, Y in _digest_pairs():
+        if tag.endswith(" end"):
+            scaled = [[(X.gens.scalar("a") + 2) * x for x in row] for row in X.periods]
+            Z = PolarisedTorus(X.gens, scaled, X.gram)
+            cases += [(X, Z, g.rational_rep, g._slice) for g in hom_module(X, Z)]
+        try:
+            cases += [(X, Y, g.rational_rep, g._slice) for g in hom_module(X, Y)]
+            fam = admissible_family(X, Y)
+        except PreconditionError:
+            continue
+        cases += [(X, Y, C, constant_slices(B, len(X.gens)))
+                  for B, C in zip(fam.basis, fam.coordinates)]
+    return cases
+
+
+def _with_zero_terms(data, P, monos):
+    """A copy of the integer polynomials P with up to four explicit 0 terms added."""
+    P = [[dict(p) for p in row] for row in P]
+    for _ in range(data.draw(st.integers(0, 4))):
+        row = data.draw(st.sampled_from(P))
+        row[data.draw(st.integers(0, len(row) - 1))].setdefault(data.draw(st.sampled_from(monos)), 0)
+    return P
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_period_identity_holds_matches_the_formal_oracle(data):
+    # the sparse check on integer slices against two formal matmuls, on the
+    # real identities, on each with one entry of M or L changed, with rows of
+    # M set to zero, on the zero map, and with explicit 0 coefficients in L,
+    # P_X and P_Y; L and the periods hold empty polynomials throughout
+    cases = _identity_cases()
+    X, Y, M, (d, LS) = cases[data.draw(st.integers(0, len(cases) - 1))]
+    M = [list(r) for r in M]
+    (dX, PX), (dY, PY) = X.period_slice, Y.period_slice
+    monos = sorted({mono for P in (LS, PX, PY) for row in P for p in row for mono in p})
+    LS = _with_zero_terms(data, LS, monos)
+    PX, PY = (_with_zero_terms(data, P, monos) if data.draw(st.booleans()) else P
+              for P in (PX, PY))
+    change = data.draw(st.sampled_from(["none", "M", "L", "zero rows", "zero map"]))
+    delta = data.draw(st.sampled_from([-2, -1, 1, 3]))
+    if change == "M":
+        row = data.draw(st.sampled_from(M))
+        row[data.draw(st.integers(0, len(row) - 1))] += delta
+    elif change == "L":
+        row = data.draw(st.sampled_from(LS))
+        p = row[data.draw(st.integers(0, len(row) - 1))]
+        mono = data.draw(st.sampled_from(monos))
+        p[mono] = p.get(mono, 0) + delta
+    elif change == "zero rows":
+        for r in data.draw(st.sets(st.integers(0, len(M) - 1), min_size=1)):
+            M[r] = [0] * len(M[r])
+    elif change == "zero map":
+        M = [[0] * len(row) for row in M]
+        LS = [[{mono: 0 for mono in p} for p in row] for row in LS]
+    L = [[FormalScalar(X.gens, {mono: Fraction(c, d) for mono, c in p.items()}) for p in row]
+         for row in LS]
+    expected = formal_identity_holds(L, X.periods, Y.periods, M)
+    assert expected or change not in ("none", "zero map")
+    assert period_identity_holds((d, LS), M, (dX, PX), (dY, PY)) == expected
+
+
 
 def _ex41_standard_and_dual(n=3):
     """ex-4.1's quotient in its standard frame (D_X = diag(1, 3, ...)) and its dual."""

@@ -755,6 +755,24 @@ def test_int_kernel_and_the_integer_routines_refuse_bools():
             call([[True, False], [False, True]])
 
 
+_RAGGED = [[1, 2], [3]]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: int_kernel(_RAGGED), id="int_kernel"),  # returned []
+    pytest.param(lambda: hnf(_RAGGED), id="hnf"),  # the form of [[1, 2], [3, 0]]
+    pytest.param(lambda: rank([[1], [2, 3]]), id="rank"),  # returned 1
+    pytest.param(lambda: matmul(_RAGGED, [[1], [1]]), id="matmul"),  # [[3], [3]]
+    pytest.param(lambda: matmul([[1, 1]], _RAGGED), id="matmul-right"),
+    pytest.param(lambda: det(_RAGGED), id="det"),  # IndexError
+    pytest.param(lambda: snf(_RAGGED), id="snf"),  # IndexError
+    pytest.param(lambda: elementary_divisors(_RAGGED), id="elementary_divisors"),
+])
+def test_ragged_matrices_are_refused_in_one_line(call):
+    with pytest.raises(PreconditionError, match=r"\Amatrix rows have different lengths\Z"):
+        call()
+
+
 def test_rat_inv_and_rat_solve_refuse_bools():
     with pytest.raises(PreconditionError, match="inverse entry True is not an int or a Fraction"):
         rat_inv([[True]])

@@ -123,6 +123,9 @@ def test_containment_check_takes_h_as_it_is():
     C = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     assert period_identity_holds(_constant(H), C, slices, slices)
     assert not period_identity_holds(_constant(transpose(H)), C, slices, slices)
+    # C without its zero last row, or with a row cut short, does not fit
+    assert not period_identity_holds(_constant(H), C[:3], slices, slices)
+    assert not period_identity_holds(_constant(H), C[:3] + [[0, 0, 0]], slices, slices)
 
 
 def test_family_member_builds_combinations():
@@ -132,6 +135,20 @@ def test_family_member_builds_combinations():
     assert M == [list(r) for r in fam.basis[0]]
     with pytest.raises(PreconditionError):
         fam.member([1, 2])
+    # admissible_family fills the slots itself, as the constructor would
+    rebuilt = AdmissibleFamily(A, Ahat, fam.basis, fam.coordinates)
+    assert (rebuilt.basis, rebuilt.coordinates) == (fam.basis, fam.coordinates)
+    assert all(type(row) is tuple and all(type(x) is int for x in row)
+               for mats in (fam.basis, fam.coordinates) for M in mats for row in M)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, Fraction(1), "1"], ids=["float", "bool", "Fraction", "str"])
+def test_family_member_refuses_coefficients_that_are_not_ints(bad):
+    # 0.5 made a float matrix and True counted as 1
+    fam = admissible_family(*swapped_pair(3))
+    name = type(bad).__name__
+    with pytest.raises(PreconditionError, match=rf"\Afamily coefficient must be an int, not {name}\Z"):
+        fam.member([bad, 0, 0])
 
 
 def test_family_shape_for_the_obstructed_surface():
