@@ -14,6 +14,7 @@ json's own encoder runs in pure Python whenever it indents.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote  # json's C escaper, when built
@@ -34,19 +35,26 @@ def fraction_str(x) -> str:
     return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 
+# an optional sign and ASCII digits, then "/" or "." and ASCII digits; Fraction
+# alone also reads exponents, underscores, spaces and non-ASCII digits
+_FRACTION = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
+
+
 def parse_fraction(value) -> Fraction:
-    """A JSON string such as "-3/4", or a JSON integer, as a Fraction.  The
-    refusal of any other value names its type, or quotes the string once,
-    cut to 60 characters, so that it is one short line."""
+    """A JSON string such as "-3/4", "7" or "0.25", or a JSON integer, as a
+    Fraction.  The refusal of any other value names its type, or quotes the
+    string once, cut to 60 characters, so that it is one short line."""
     if type(value) is int:  # bool is an int subclass
         return Fraction(value)
     if not isinstance(value, str):
         kind = {dict: "object", type(None): "null"}.get(type(value), type(value).__name__)
         raise DocumentError(f"not a fraction: a JSON {kind}, not a string or an integer")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"not a fraction: {quoted(value)}") from None
+    if _FRACTION.fullmatch(value):
+        try:
+            return Fraction(value)  # ValueError: more digits than int() reads
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DocumentError(f"not a fraction: {quoted(value)}")
 
 
 def canonical_json(obj) -> str:

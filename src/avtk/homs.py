@@ -38,9 +38,10 @@ with the pencil engine of ``parallel``, which computes the determinant
 of the combination once per call, as a polynomial in its coefficients,
 and returns the verdict.  When every generator's F is constant, as on
 every Hom(A, Ahat) of the demos, and Y's periods span a lattice, the
-engine gets the checked slices of F over one denominator as well, and
-takes the n x n determinant of F in place of the 2n x 2n one of M
-(parallel says why: det M = kappa * det(F)**2).
+engine gets the checked slices of F over one denominator as well, with
+the constant kappa of det M = kappa * det(F)**2 that the two tori's
+kept lattice determinants give (parallel.kappa), and takes the n x n
+determinant of F in place of the 2n x 2n one of M.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .torus import (
     SubvarietyEmbedding,
     restricted_polarisation,
 )
-from .parallel import Pencil
+from .parallel import Pencil, kappa
 from .verdicts import Found, NoHoms, NotFoundUpToBound
 
 
@@ -270,9 +271,11 @@ def idempotent(emb: SubvarietyEmbedding) -> IdempotentData:
 # -- bounded isomorphism search ------------------------------------------------
 
 def _analytic_pencil(gens):
-    """The generators' F as integer matrices over one denominator, when every
-    F is constant and the codomain's periods span a lattice; else None."""
-    const = (0,) * len(gens[0].codomain.gens)
+    """(F, kappa): the generators' F as integer matrices over one denominator
+    s, and parallel.kappa of the domain and codomain at that scale, when
+    every F is constant and the codomain's lattice_det is not 0; else None."""
+    X, Y = gens[0].domain, gens[0].codomain
+    const = (0,) * len(Y.gens)
     scale = lcm(*(g._slice[0] for g in gens))
     out = []
     for g in gens:
@@ -281,7 +284,7 @@ def _analytic_pencil(gens):
         if any(x for row in FS for p in row for mono, x in p.items() if mono != const):
             return None
         out.append([[scale // d * p.get(const, 0) for p in row] for row in FS])
-    return out if gens[0].codomain.periods_span_a_lattice else None
+    return (out, kappa(X, Y, scale)) if Y.lattice_det else None
 
 
 def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
@@ -298,10 +301,10 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
     M^T E_Y M - E_X, which must vanish; both are built over integer
     polynomials (intlinalg.det_polynomial, pullback_polynomials).  When
     every generator's F is constant and Y's periods span a lattice
-    (PolarisedTorus.periods_span_a_lattice), the F are the slices the
+    (PolarisedTorus.lattice_det != 0), the F are the slices the
     generators were checked on, put over one denominator, and the Pencil
-    reads the determinant from det(sum(c_i * F_i)), n x n
-    (Pencil._analytic).  Returns
+    reads the determinant from det(sum(c_i * F_i)), n x n, times the
+    kappa that X's and Y's lattice_det give (Pencil._analytic).  Returns
     the engine's Found, with the first witness in the deterministic
     coefficient order, or NotFoundUpToBound; NoHoms when the homomorphism
     module is trivial.  A polarised witness is checked to pull the form
@@ -318,9 +321,9 @@ def isom_search(X: PolarisedTorus, Y: PolarisedTorus, bound: int = 10,
         return NotFoundUpToBound(bound=bound, tested=0)
     mats = [g.rational_rep for g in gens]
     zero = pullback_polynomials(mats, Y.gram, X.gram) if polarised else ()
-    F = _analytic_pencil(gens)
+    F, k = _analytic_pencil(gens) or (None, None)
     f = None if F is None else det_polynomial(F)
-    res = Pencil._analytic(mats, f, zero=zero).search(bound)
+    res = Pencil._analytic(mats, f, k, zero=zero).search(bound)
     if polarised and isinstance(res, Found):
         M = res.witness
         if not mat_eq(matmul(transpose(M), matmul(Y.gram, M)), X.gram):

@@ -17,11 +17,12 @@ periods and for HomGenerator.analytic_rep.  One check,
 period_identity_holds, verifies L @ P_X == P_Y @ M on those slices (an
 integer L enters as constant_slices) for every Hom generator, every
 admissible family element, every pp_search witness and every display
-frame of the demos.  spans_a_lattice reads a period slice at two fixed
-integer points of the generators, drawn from ``scattered``, once per
-torus (PolarisedTorus.periods_span_a_lattice), and tells the pencil
-engine whether det M = kappa * det(F)**2 holds for the maps into that
-torus (parallel).
+frame of the demos.  lattice_det reads a period slice at two fixed
+integer points of the generators, drawn from ``scattered``, as one
+integer determinant, once per torus (PolarisedTorus.lattice_det): it is
+nonzero where the periods span a lattice, and the values of two tori
+give the constant kappa of det M = kappa * det(F)**2 for the maps
+between them (parallel.kappa).
 flatten_to_int lays one monomial_flatten of several matrices out as
 dense integer matrices for rat_solve, which solves all of a frame's
 vectors, its right-hand sides, in one elimination.  matmul sums entry by
@@ -37,7 +38,7 @@ Conventions:
     rat_solve, all right-hand sides at once, and int_inverse, the adjugate
     and determinant; one unimodular column reduction on sparse columns
     (_column_echelon) for hnf, rank, saturate_columns, int_kernel and
-    sparse_int_kernel; snf, for elementary_divisors.  symplectic_basis is
+    _kernel_maps; snf, for elementary_divisors.  symplectic_basis is
     built from snf, int_kernel and matmul, and det_mod2 from det.
   * Only _over_common_denominator clears rational rows.  rat_inverse gives
     M^-1 = N / d as (N, d) to PolarisedTorus.right_frame and to
@@ -356,22 +357,22 @@ def period_identity_holds(L, M, px, py):
     return not any(acc.values())
 
 
-def spans_a_lattice(P):
-    """Whether the stacked periods [P(z); P(w)] are nonsingular at two fixed
-    integer points z and w, for the integer polynomials P of an n x 2n
-    period slice.
+def lattice_det(P):
+    """det [P(z); P(w)] for the integer polynomials P of an n x 2n period
+    slice, read at two fixed integer points z and w of the generators, drawn
+    from ``scattered``: the same two for every slice over one generator set.
 
-    A nonzero determinant at one point makes [P(z); P(w)] nonsingular for
-    independent generic z and w, so also at w = conj(z): the 2n periods,
-    at a general point, are linearly independent over R and span a
-    lattice.  Periods that are dependent over Q never pass; periods that
-    span a lattice but meet a zero at these points are only sent down
-    the slower route by the callers.
+    Where it is nonzero, [P(z); P(w)] is nonsingular for independent generic
+    z and w, so also at w = conj(z): the 2n periods, at a general point, are
+    linearly independent over R and span a lattice.  Periods that are
+    dependent over Q give 0; periods that span a lattice but meet a zero at
+    these points are only sent down the slower route by the callers.  Two
+    tori's values give the kappa of their maps (parallel.kappa).
     """
     k = len(next((mono for row in P for p in row for mono in p), ()))
     values = scattered(k + 1, 50)
     z, w = tuple(islice(values, k)), tuple(islice(values, k))
-    return det([[_evaluate_at(p, point) for p in row] for point in (z, w) for row in P]) != 0
+    return det([[_evaluate_at(p, point) for p in row] for point in (z, w) for row in P])
 
 
 def scattered(seed, spread):
@@ -571,13 +572,8 @@ def int_kernel(M):
     returns them with U = I), the Hermite basis of the kernel's projection:
     admissible_family and symplectic_complement read their bases off them.
     """
-    return sparse_int_kernel(_dense_rows(M), shape(M)[1])
-
-
-def sparse_int_kernel(rows, n):
-    """int_kernel of the rows {column: int}, a list, over n columns, with no
-    dense row: _kernel_maps's basis, each vector laid out as a dense list."""
-    return [[v.get(i, 0) for i in range(n)] for v in _kernel_maps(rows, n)]
+    n = shape(M)[1]
+    return [[v.get(i, 0) for i in range(n)] for v in _kernel_maps(_dense_rows(M), n)]
 
 
 def _kernel_maps(rows, n):

@@ -11,23 +11,25 @@ Bareiss elimination over integer polynomials (intlinalg.det_polynomial).
 
 A pencil of maps between tori may also come with the determinant f of
 its analytic representations (Pencil._analytic), integer n x n matrices
-F_i with F_i @ periods_X = periods_Y @ C_i, up to one scale.  Read at two
-points z and w of the formal generators, that identity stacks to
-diag(F, F) @ [P_X(z); P_X(w)] = [P_Y(z); P_Y(w)] @ C, the formal form of
-rho_r (x) C = rho_a + conj(rho_a) (Birkenhake-Lange 1.2).  Where
-[P_Y(z); P_Y(w)] is nonsingular at one point (intlinalg.spans_a_lattice,
-which the callers check), det(sum(c_i * C_i)) = kappa * f**2 as
-polynomials, with f = det(sum(c_i * F_i)) and a rational constant kappa.
-The Pencil then uses the n x n determinant f in place of the 2n x 2n
-one.  It reads kappa at a seeded member with f(c) != 0 and confirms it at
-a second one, not proportional to the first, by exact integer
-determinants.  By Gauss's lemma the determinant's content is
-|kappa| * content(f)**2, so the content verdict below needs no 2n x 2n
-work; when it is 1, the determinant is +-g**2 with g = f / content(f), and
-the search runs on g: g(c) = +-1 exactly where the determinant is +-1,
-and g(c) is odd exactly where it is, so hits, counts and witnesses are
-those of the determinant, at half its degree.  Members that disagree
-about kappa send the pencil back to the 2n x 2n determinant.
+F_i with F_i @ periods_X = s * periods_Y @ C_i for one integer scale s.
+Read at two points z and w of the formal generators, that identity
+stacks to diag(F, F) @ Pi_X = s * Pi_Y @ C with Pi_X = [P_X(z); P_X(w)],
+the formal form of rho_r (x) C = rho_a + conj(rho_a) (Birkenhake-Lange
+1.2).  Taking determinants, det(sum(c_i * C_i)) = kappa * f**2 as
+polynomials, with f = det(sum(c_i * F_i)) and the rational constant
+kappa = det(Pi_X) / (det(Pi_Y) * s**(2n)) wherever det(Pi_Y) != 0.  Each
+torus keeps det Pi, times its slice denominator to the 2n, as one
+integer (PolarisedTorus.lattice_det, read at the same z and w for every
+torus over one generator set), so kappa is worked out from the two tori
+(kappa below), not estimated.  The Pencil then uses the n x n determinant
+f in place of the 2n x 2n one.  By Gauss's lemma the determinant's
+content is |kappa| * content(f)**2, so the content verdict below needs
+no 2n x 2n work; when it is 1, the determinant is +-g**2 with
+g = f / content(f), and the search runs on g: g(c) = +-1 exactly where
+the determinant is +-1, and g(c) is odd exactly where it is, so hits,
+counts and witnesses are those of the determinant, at half its degree.
+One seeded member checks det = kappa * f**2 by an exact integer
+determinant; a mismatch is an AssertionError, never a fallback.
 
 Before any enumeration it makes three checks, once per pencil.  Two are
 refuters, which end every search at any bound: when the coefficients of
@@ -62,6 +64,7 @@ them up.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice, product as iter_product
 from math import gcd
 
@@ -186,19 +189,19 @@ class Pencil(Immutable):
         object.__setattr__(self, "_plan", None)
 
     @classmethod
-    def _analytic(cls, mats, f, positive=(), zero=()):
+    def _analytic(cls, mats, f, kappa, positive=(), zero=()):
         """The Pencil of mats whose first search takes f = det(sum(c_i * F_i)),
-        in det_polynomial's form, in place of the 2n x 2n determinant and
-        searches its primitive part, unless two seeded members disagree
-        about kappa (the module docstring says why); f = None gives the
-        plain Pencil.  Only for F that the caller has checked against the
-        periods, into a torus whose periods span a lattice:
+        in det_polynomial's form, with det(sum(c_i * mats[i])) = kappa * f**2,
+        in place of the 2n x 2n determinant, and searches the primitive part
+        of f (the module docstring says why); f = None gives the plain Pencil.
+        Only for F that the caller has checked against the periods, into a
+        torus whose lattice_det is not 0, with kappa from ``kappa``:
         homs.isom_search and AdmissibleFamily.pencil.
         """
         pencil = cls(mats, positive, zero)
         if f is not None:
             object.__setattr__(pencil, "_analytic_det",
-                               tuple((coeff, tuple(mono)) for coeff, mono in f))
+                               (tuple((coeff, tuple(mono)) for coeff, mono in f), kappa))
         return pencil
 
     def search(self, bound: int):
@@ -233,18 +236,8 @@ class Pencil(Immutable):
 
     def _build_plan(self):
         """(det_p, parities), or () when the content or a checked norm
-        certificate (positive conditions only) rules every member out.
-
-        det_p is a polynomial that is +-1 exactly where the determinant
-        is, and odd exactly where it is: the determinant itself, or the
-        square root that _square_root reads from the analytic pencil.
-        """
-        det_p = None
-        if self._analytic_det is not None:
-            det_p = _square_root(self.mats, self._analytic_det)
-        if det_p is None:
-            terms = det_polynomial(self.mats)
-            det_p = _sparse(terms) if terms and gcd(*(coeff for coeff, _ in terms)) == 1 else ()
+        certificate (positive conditions only) rules every member out."""
+        det_p = self._search_polynomial()
         if not det_p:
             return ()
         if self.positive:
@@ -259,56 +252,37 @@ class Pencil(Immutable):
             e for e in iter_product((0, 1), repeat=rank) if _evaluate(det_p, e) & 1)
         return det_p, parities
 
+    def _search_polynomial(self):
+        """det_p, sparse, +-1 and odd exactly where the determinant is: the
+        determinant, or g = f / content(f) for an analytic pencil (f, kappa),
+        first checked at one seeded member c != 0 to give det = kappa * f(c)**2;
+        () when f, kappa or the content rules every member out."""
+        if self._analytic_det is None:
+            terms = det_polynomial(self.mats)
+            return _sparse(terms) if terms and gcd(*(coeff for coeff, _ in terms)) == 1 else ()
+        f, kappa = self._analytic_det
+        rank = len(self.mats)
+        values, c = scattered(rank, 2), (0,) * rank
+        while not any(c):
+            c = tuple(islice(values, rank))
+        fc = _evaluate(_sparse(f), c)
+        if det(combination(c, self.mats)) != kappa * fc * fc:
+            raise AssertionError("the determinant is not kappa * f**2 at a seeded member")
+        if not (f and kappa):
+            return ()
+        content_f = gcd(*(coeff for coeff, _ in f))
+        content = abs(kappa) * content_f * content_f
+        if content.denominator != 1:
+            raise AssertionError("kappa * f**2 does not have integer coefficients")
+        if content != 1:
+            return ()
+        return _sparse([(coeff // content_f, mono) for coeff, mono in f])
 
-# At most this many seeded members are drawn to read kappa (_square_root).
-KAPPA_DRAWS = 32
 
-
-def _proportional(a, b):
-    """Whether the vectors a and b, of one length > 1, are proportional; two
-    members of a rank-1 pencil always are, and its determinant is kappa * f**2
-    whatever kappa is."""
-    return len(a) > 1 and all(a[i] * b[j] == a[j] * b[i] for j in range(len(a)) for i in range(j))
-
-
-def _square_root(mats, f):
-    """g, sparse, with det(sum(c_i * mats[i])) = +-g**2, from f = det(sum(c_i * F_i)).
-
-    kappa = det(member) / f(c)**2 is read at a seeded member with
-    f(c) != 0 and confirmed at a second one not proportional to it, by
-    exact integer determinants.  By Gauss's lemma the content of the
-    determinant is |kappa| * content(f)**2: when it is 1, g is
-    f / content(f); when it is another integer, or kappa is 0, no member
-    is unimodular and the result is ().  f = 0 gives () once both members
-    are singular.  Members that disagree, a content that is not an
-    integer, or too few members give None: the caller takes the 2n x 2n
-    determinant instead.
-    """
-    rank = len(mats)
-    f_sparse = _sparse(f)
-    values = scattered(rank, 2)
-    members = []  # (c, det at c, f(c)**2), f(c)**2 read as 1 when f = 0
-    for _ in range(KAPPA_DRAWS):
-        c = tuple(islice(values, rank))
-        fc = _evaluate(f_sparse, c)
-        if not any(c) or (f and not fc) or (members and _proportional(members[0][0], c)):
-            continue
-        members.append((c, det(combination(c, mats)), fc * fc or 1))
-        if len(members) == 2:
-            break
-    else:
-        return None
-    (_, d1, f1), (_, d2, f2) = members
-    if d1 * f2 != d2 * f1:
-        return None
-    if not d1:  # kappa = 0, or f = 0 with both members singular
-        return ()
-    if not f:
-        return None
-    content_f = gcd(*(coeff for coeff, _ in f))
-    content = abs(d1) * content_f * content_f  # |kappa| * content(f)**2 == content / f1
-    if content % f1:
-        return None
-    if content != f1:
-        return ()
-    return _sparse([(coeff // content_f, mono) for coeff, mono in f])
+def kappa(X, Y, scale=1):
+    """det(Pi_X) / (det(Pi_Y) * scale**(2n)) (the module docstring) for tori X
+    and Y of one dimension n, Y.lattice_det != 0: det(Pi_X) is
+    X.lattice_det / dX**(2n), with dX the denominator of X's slice."""
+    (dX, _), (dY, _) = X.period_slice, Y.period_slice
+    e = 2 * X.dim
+    return Fraction(X.lattice_det * dY ** e, Y.lattice_det * (dX * scale) ** e)

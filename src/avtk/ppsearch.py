@@ -24,10 +24,12 @@ coordinate determinant (surjectivity) and the leading principal minors
 coefficients, in its Pencil; the engine evaluates the determinant a row
 of candidates at a time and the minors only where it is +-1, and
 returns the verdict.  The coordinate determinant is kappa * det(H)**2,
-with det H the top minor (parallel says why), so the family hands its
-basis and that minor to the Pencil as its analytic pencil, once it has
-checked every pair (H, C) against the periods and the target's periods
-to span a lattice, and no 2n x 2n determinant is taken.  Before it
+with det H the top minor and kappa worked out from the lattice
+determinants the two tori keep (parallel says why), so the family hands
+its basis, that minor and kappa to the Pencil as its analytic pencil,
+once it has checked every pair (H, C) against the periods and the
+target's periods to span a lattice, and no 2n x 2n determinant is
+taken beyond the one member that checks kappa.  Before it
 enumerates, the Pencil tries to prove the whole search empty: the content
 of that determinant, then a norm certificate on the minors
 (certify.norm_certificate).  On S x S^, with S of type (1, d), minor 3 is
@@ -49,7 +51,7 @@ from .intlinalg import (
     det_polynomial,
     period_identity_holds,
 )
-from .parallel import Pencil
+from .parallel import Pencil, kappa
 from .torus import PolarisedTorus
 from .verdicts import Found, NotFoundUpToBound
 
@@ -120,20 +122,23 @@ class AdmissibleFamily(Immutable):
         When the target's periods span a lattice and every pair
         (basis_i, coordinates_i) satisfies its containment identity, checked
         here because the constructor takes any pairs, the basis is the
-        pencil's analytic one and the top minor, det(sum(c_i * basis_i)),
-        is the f it hands to Pencil._analytic.
+        pencil's analytic one: the top minor, det(sum(c_i * basis_i)), is
+        the f it hands to Pencil._analytic, with the kappa of
+        det C = kappa * f**2 that the two tori's lattice_det give
+        (parallel.kappa, at scale 1).
         """
         if self._pencil is None:
             n = len(self.basis[0]) if self.basis else 0
             minors = [det_polynomial([[row[:k] for row in B[:k]] for B in self.basis])
                       for k in range(1, n + 1)]
-            f = minors[-1] if minors and self._checked() else None
+            f, k = ((minors[-1], kappa(self.source, self.target))
+                    if minors and self._checked() else (None, None))
             object.__setattr__(self, "_pencil", Pencil._analytic(
-                self.coordinates, f, positive=minors))
+                self.coordinates, f, k, positive=minors))
         return self._pencil
 
     def _checked(self) -> bool:
-        """Whether the target's periods span a lattice and
+        """Whether the target's lattice_det is not 0 and
         B @ periods_A = periods_Ahat @ C for every basis element B and its
         coordinates C."""
         A, Ahat = self.source, self.target
@@ -143,7 +148,7 @@ class AdmissibleFamily(Immutable):
             return False
         pa, ph = A.period_slice, Ahat.period_slice
         nvars = len(A.gens)
-        return Ahat.periods_span_a_lattice and all(
+        return Ahat.lattice_det != 0 and all(
             period_identity_holds(constant_slices(B, nvars), C, pa, ph)
             for B, C in zip(self.basis, self.coordinates))
 

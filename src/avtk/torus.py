@@ -37,6 +37,7 @@ from .intlinalg import (
     identity,
     int_inverse,
     int_kernel,
+    lattice_det,
     mat_eq,
     matmul,
     rank,
@@ -45,7 +46,6 @@ from .intlinalg import (
     saturate_columns,
     shape,
     snf,
-    spans_a_lattice,
     transpose,
 )
 from .scalars import FormalScalar, GeneratorSet, monomial_flatten
@@ -110,9 +110,9 @@ class PolarisedTorus(Value):
     equality compares generators, periods and gram entrywise.
 
     Four facts of the periods alone are built on first use and kept, once
-    per torus: the slice period_slice, the flags periods_independent and
-    periods_span_a_lattice, and right_frame, the inverse of the right
-    period block with the columns of W = D^-1 @ Z.  They are outside the
+    per torus: the slice period_slice, the flag periods_independent, the
+    integer lattice_det, and right_frame, the inverse of the right period
+    block with the columns of W = D^-1 @ Z.  They are outside the
     key, so equality and hash do not see whether they were built; a
     refusal is never kept and is raised again on every call.
     """
@@ -180,11 +180,12 @@ class PolarisedTorus(Value):
         return self._independent
 
     @property
-    def periods_span_a_lattice(self) -> bool:
-        """intlinalg.spans_a_lattice of the slice: whether det M = kappa *
-        det(F)**2 holds for the maps into this torus (parallel)."""
+    def lattice_det(self) -> int:
+        """intlinalg.lattice_det of the slice: nonzero where the periods span
+        a lattice, and with the value of another torus the kappa of
+        det M = kappa * det(F)**2 for the maps between them (parallel.kappa)."""
         if self._lattice is None:
-            object.__setattr__(self, "_lattice", spans_a_lattice(self.period_slice[1]))
+            object.__setattr__(self, "_lattice", lattice_det(self.period_slice[1]))
         return self._lattice
 
     def right_frame(self):

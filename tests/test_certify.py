@@ -29,7 +29,7 @@ def _search_polynomials(d):
     pencil searches, and the leading minors of H."""
     S, Sd = surface_pair(G, d)
     pencil = admissible_family(product([S, Sd]), product([Sd, S])).pencil
-    return parallel._square_root(pencil.mats, pencil._analytic_det), pencil.positive
+    return pencil._search_polynomial(), pencil.positive
 
 
 @pytest.fixture(scope="module")

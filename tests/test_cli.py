@@ -551,6 +551,9 @@ def test_demo_refuses_an_option_it_does_not_take(argv, flag, capsys):
 @pytest.mark.parametrize("coord", [
     pytest.param(json.loads("[" * 899 + "]" * 899), id="list-900-deep"),
     pytest.param("1" * 5_000 + "/x" + "2" * 4_998, id="string-10000"),
+    # Fraction read this one for 12.8 s, and "\u0663/4" as 3/4 (exit 2, not in the kernel)
+    pytest.param("1e10000000", id="exponent"),
+    pytest.param("\u0663/4", id="arabic-indic-digit"),
 ])
 def test_a_bad_point_coordinate_gets_one_short_line(coord, curve_doc, tmp_path, capsys):
     # the value was printed twice: about 3,600 characters for the nested list

@@ -106,8 +106,27 @@ def test_fraction_strings():
     assert fraction_str(Fraction(-2)) == "-2"
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("-7") == Fraction(-7)
+    # a sign, ASCII digits, then "/" or "." and ASCII digits
+    assert parse_fraction("+2") == Fraction(2)
+    assert parse_fraction("-1.50") == Fraction(-3, 2)
+    assert parse_fraction("007/014") == Fraction(1, 2)
     with pytest.raises(DocumentError):
         parse_fraction("x")
+
+
+@pytest.mark.parametrize("text", [
+    # an exponent: 1e10000000 took 12.8 s and larger ones minutes and GBs
+    "1e10000000", "1E5", "2.5e-3",
+    "\u0663/4", "\uff13", "1_000", "1/2_0",  # non-ASCII digits and underscores
+    " 3", "3 ", "3\n", "- 3", "3/0", "3.", ".5", "1/2/3", "1.5/2", "3/-4",
+    "inf", "nan", "", "+", "0x10", "1" * 5000,
+])
+def test_parse_fraction_refuses_every_other_string_in_one_line(text):
+    with pytest.raises(DocumentError) as info:
+        parse_fraction(text)
+    message = str(info.value)
+    assert message.startswith("not a fraction: ") and "\n" not in message
+    assert len(message) < 100
 
 
 # -- torus documents ------------------------------------------------------------

@@ -21,11 +21,11 @@ from avtk.intlinalg import (
     det,
     flatten_to_int,
     identity,
+    lattice_det,
     matmul,
     mat_eq,
     period_identity_holds,
     rat_inverse,
-    spans_a_lattice,
     transpose,
 )
 from avtk.ppsearch import admissible_family, pp_search
@@ -640,7 +640,7 @@ def test_no_caller_changes_the_facts_a_torus_keeps():
         d, P = monomial_flatten(T.periods)
         assert T._slice[0] == d and [list(row) for row in T._slice[1]] == P
         assert T._independent == (row_hnf_rank(flatten_to_int(T.periods)[0]) == 2 * T.dim)
-        assert T._lattice == spans_a_lattice(P)
+        assert T._lattice == lattice_det(P)
         if T._frame is not None:
             DI, dI, _ = T._frame
             R = constant_right_block(T.periods)

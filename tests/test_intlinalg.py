@@ -15,6 +15,7 @@ from avtk.documents import torus_from_doc
 from avtk.errors import GeneratorMismatchError, PreconditionError
 from avtk.homs import hom_module
 from avtk.intlinalg import (
+    _kernel_maps,
     _packing,
     _poly_div,
     combination,
@@ -36,7 +37,6 @@ from avtk.intlinalg import (
     rat_solve,
     saturate_columns,
     snf,
-    sparse_int_kernel,
     symplectic_basis,
     transpose,
     zeros,
@@ -568,7 +568,9 @@ def sparse_systems(draw):
 def test_sparse_int_kernel_matches_the_dense_oracle(system):
     rows, n = system
     dense = [[row.get(j, 0) for j in range(n)] for row in rows]
-    kern = sparse_int_kernel(rows, n)
+    maps = _kernel_maps(rows, n)
+    assert all(all(v.values()) for v in maps)  # only nonzero entries are kept
+    kern = [[v.get(i, 0) for i in range(n)] for v in maps]
     assert kern == (dense_int_kernel(dense) if dense else identity(n))
     assert kern == int_kernel(dense or [[0] * n])
 

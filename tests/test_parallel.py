@@ -15,7 +15,7 @@ from avtk.demos import run_demo, surface_pair
 from avtk.documents import torus_from_doc
 from avtk.errors import PreconditionError
 from avtk.homs import hom_module, isom_search
-from avtk.intlinalg import det_polynomial, identity, matmul, spans_a_lattice
+from avtk.intlinalg import det_polynomial, identity, lattice_det, matmul
 from avtk.ppsearch import admissible_family, pp_search
 from avtk.scalars import GeneratorSet, monomial_flatten
 from avtk.torus import PolarisedTorus, product, standard_gram
@@ -231,34 +231,38 @@ def _demo_hom_pencils():
         yield f"S x S^ -> S^ x S d={d}", A, Ahat
 
 
-def _assert_kappa_times_square(mats, analytic, label):
+def _assert_kappa_times_square(mats, analytic, kappa, label):
+    """That det(sum(c_i * mats[i])) is kappa * f**2, f = det(sum(c_i * analytic[i])),
+    for the kappa the tori give, and that the pencil's plan agrees with its content."""
     det_p = {tuple(mono): c for c, mono in det_polynomial(mats)}
     f = det_polynomial(analytic)
     square = _square(f)
     assert det_p.keys() == square.keys(), label
-    lead = max(square)
-    kappa = Fraction(det_p[lead], square[lead])
     assert all(det_p[mono] == kappa * c for mono, c in square.items()), label
-    # the members the pencil reads kappa at give the same verdict
-    root = parallel._square_root(mats, f)
     content = abs(kappa) * gcd(*(c for c, _ in f)) ** 2
-    assert root is not None, label
-    assert (root != ()) == (content == 1), label
+    assert content.denominator == 1, label
+    # the content the pencil reads from kappa gives the same verdict
+    plan = parallel.Pencil._analytic(mats, f, kappa)._search_polynomial()
+    assert (plan != ()) == (content == 1), label
     return content
 
 
 def test_each_pencil_determinant_is_kappa_times_the_analytic_one_squared():
+    # kappa comes from the lattice determinants the two tori keep; the oracle
+    # is det M / f**2, both expanded as polynomials
     contents = {}
     for label, X, Y in _demo_hom_pencils():
         gens = hom_module(X, Y)
         analytic = homs._analytic_pencil(gens)
         assert analytic is not None, label  # constant F, periods that span a lattice
         contents[label] = _assert_kappa_times_square(
-            [g.rational_rep for g in gens], analytic, label)
+            [g.rational_rep for g in gens], *analytic, label)
     for d in range(2, 14):
-        fam = admissible_family(*swapped_pair(d))
+        A, Ahat = swapped_pair(d)
+        fam = admissible_family(A, Ahat)
         assert fam._checked()
-        contents[f"family d={d}"] = _assert_kappa_times_square(fam.coordinates, fam.basis, d)
+        contents[f"family d={d}"] = _assert_kappa_times_square(
+            fam.coordinates, fam.basis, parallel.kappa(A, Ahat), d)
     # the self-dual searches end at the content; the swap and the families do not
     assert all(contents[f"{name} n={n}"] > 1 for name in ("ex-4.1", "ex-4.2") for n in (2, 3, 4))
     assert contents["ex-4.1 n=5"] > 1
@@ -307,7 +311,7 @@ def test_a_synthetic_pencil_searches_alike_on_both_routes(monkeypatch):
                     ] if rng.random() < 0.3 else []
         f = det_polynomial(F)
         sizes.clear()
-        pencil = parallel.Pencil._analytic(mats, f, positive)
+        pencil = parallel.Pencil._analytic(mats, f, 1, positive)
         got = [pencil.search(bound) for bound in (1, 2, 3)]
         assert sizes == [], sizes  # no 2n x 2n determinant was taken
         rational = parallel.Pencil(mats, positive)
@@ -317,24 +321,27 @@ def test_a_synthetic_pencil_searches_alike_on_both_routes(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [3, 5])
-def test_a_changed_analytic_entry_sends_the_pencil_back_to_its_determinant(d, monkeypatch):
+def test_a_changed_analytic_entry_is_refused_at_the_seeded_member(d, monkeypatch):
     A, Ahat = swapped_pair(d)
     gens = hom_module(A, Ahat)
     fam = admissible_family(A, Ahat)
-    pencils = [([g.rational_rep for g in gens],
-                homs._analytic_pencil(gens)),
-               (fam.coordinates, fam.basis)]
+    pencils = [([g.rational_rep for g in gens], *homs._analytic_pencil(gens)),
+               (fam.coordinates, fam.basis, parallel.kappa(A, Ahat))]
     calls = []
     _counting(monkeypatch, calls)
-    for mats, analytic in pencils:
+    for mats, analytic, kappa in pencils:
         mutant = [[list(row) for row in F] for F in analytic]
         mutant[0][0][0] += 1
-        expected = [parallel.Pencil(mats).search(bound) for bound in (1, 2, 3)]
         f = det_polynomial(mutant)
         calls.clear()
-        pencil = parallel.Pencil._analytic(mats, f)
-        assert [pencil.search(bound) for bound in (1, 2, 3)] == expected
-        assert calls == [8]  # its members disagree: the rational determinant is taken
+        pencil = parallel.Pencil._analytic(mats, f, kappa)
+        with pytest.raises(AssertionError, match="kappa"):
+            pencil.search(1)
+        assert calls == []  # no fallback: the rational determinant is not taken
+        # the unchanged analytic pencil passes its check and searches alike
+        pencil = parallel.Pencil._analytic(mats, det_polynomial(analytic), kappa)
+        assert [pencil.search(b) for b in (1, 2)] == [
+            parallel.Pencil(mats).search(b) for b in (1, 2)]
 
 
 def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
@@ -343,7 +350,7 @@ def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
     G2 = GeneratorSet(("a", "b"))
     a, b = G2.scalar("a"), G2.scalar("b")
     X = PolarisedTorus(G2, [[a, b, 1, 0], [2 * a, 2 * b, 0, 1]], standard_gram([1, 1]))
-    assert not spans_a_lattice(monomial_flatten(X.periods)[1])
+    assert lattice_det(monomial_flatten(X.periods)[1]) == 0
     fam = admissible_family(X, X)
     assert fam.rank == 2 and not fam._checked()
     assert fam.pencil._analytic_det is None
@@ -351,9 +358,8 @@ def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
     det_c, square = {tuple(m): c for c, m in det_polynomial(fam.coordinates)}, _square(f)
     kappa = Fraction(det_c[max(square)], square[max(square)])
     assert any(det_c.get(mono, 0) != kappa * c for mono, c in square.items())
-    assert parallel._square_root(fam.coordinates, f) is None  # its members disagree, too
     S, Sd = surface_pair(G, 3)
-    assert spans_a_lattice(monomial_flatten(product([S, Sd]).periods)[1])
+    assert lattice_det(monomial_flatten(product([S, Sd]).periods)[1])
 
 
 def _random_pencil(rng):

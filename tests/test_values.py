@@ -163,7 +163,7 @@ def test_a_hom_generator_copies_whether_or_not_its_analytic_rep_was_rendered(how
 
 def warm(T):
     """T with every fact of its periods built and kept."""
-    T.period_slice, T.periods_independent, T.periods_span_a_lattice, T.right_frame()
+    T.period_slice, T.periods_independent, T.lattice_det, T.right_frame()
     return T
 
 
