@@ -23,7 +23,7 @@ exists exactly where -1 is not a square mod d;
 m is the least of 4, if 4 divides d, and the primes = 3 mod 4 dividing d.
 
 norm_certificate divides the primitive parts pairwise (intlinalg._poly_div
-on monomials packed by intlinalg._packing), takes det_p's root by
+on monomials packed by scalars._packing), takes det_p's root by
 repeated division, and tries the prime powers m of the primes dividing
 h's coefficients, smallest first.  Both it and the checker spend at most
 MAX_RESIDUES evaluations of h modulo m; a modulus whose residues would
@@ -36,7 +36,8 @@ from itertools import product as iter_product
 from math import gcd
 
 from .errors import Value
-from .intlinalg import _packing, _poly_div
+from .intlinalg import _poly_div
+from .scalars import _packing
 
 # The residue work of one norm_certificate call, and of one check: at most
 # this many evaluations of h modulo m, over every h and m tried.

@@ -193,7 +193,7 @@ def _display_replay(A, display, checks, payload):
     U = transpose([[int(x) for x in col] for col in cols])
     _check("base change unimodular", abs(det(U)) == 1, checks)
     _check("display entrywise",
-           period_identity_holds(constant_slices(Sinv, len(A.gens)), U,
+           period_identity_holds(constant_slices(Sinv), U,
                                  display.period_slice, A.period_slice),
            checks)
     checks["display span"] = True

@@ -13,16 +13,18 @@ W = D_X^-1 @ Z_X, the identity on the left half reads
     periods_Y @ (M_R @ W - M_L) = 0,
 
 linear in the entries of M.  P_X and P_Y are put over one common
-denominator each as integer polynomials (scalars.monomial_flatten), once
-per torus, kept on it (PolarisedTorus.period_slice), and so is W, taken
-from the slice of Z_X (PolarisedTorus.right_frame): with D_X^-1 = DI / dI
-for an integer DI, from intlinalg.rat_inverse, W = (DI @ dX Z_X) / (dI dX).
-Each monomial of each entry of the identity is then an integer row in
-the entries of M, a sparse map {column: int} built from sparse products
-of those slices; no dense row is formed.  The kernel of these rows is
-the whole homomorphism module, and intlinalg._kernel_maps returns its
-canonical Hermite basis, as sparse maps {index: int}, whatever the order,
-number or scale of the rows.
+denominator each as integer polynomials on packed monomials
+(scalars.monomial_flatten), once per torus, kept on it
+(PolarisedTorus.period_slice), and so is W, taken from the slice of Z_X
+(PolarisedTorus.right_frame): with D_X^-1 = DI / dI for an integer DI,
+from intlinalg.rat_inverse, W = (DI @ dX Z_X) / (dI dX).  Each monomial
+of each entry of the identity is then an integer row in the entries of
+M, a sparse map {column: int} built from sparse products of those
+slices, each monomial product a sum of ints; no dense row is formed.
+The kernel of these rows is the whole homomorphism module, and
+intlinalg._kernel_maps returns its canonical Hermite basis, as sparse
+maps {index: int}, whatever the order, number or scale of the rows.
+Most rows pin an entry of M to 0, and the kernel drops them first.
 
 Each generator's M is filled from its map, and its F is an integer
 slice, PY @ (M_R @ DI) over dY dI, summed over the nonzero entries of
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
@@ -179,7 +180,7 @@ def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
                     col = base + n + t  # M_R[r][t]
                     for m1, c1 in p.items():
                         for m2, c2 in w.items():
-                            row = rows.setdefault(tuple(map(add, m1, m2)), {})
+                            row = rows.setdefault(m1 + m2, {})
                             row[col] = row.get(col, 0) + c1 * c2
             system += rows.values()
     # F = P_Y @ M_R @ D_X^-1 = PY @ K / (dY * dI), K = M_R @ DI, DI integer
@@ -275,15 +276,14 @@ def _analytic_pencil(gens):
     s, and parallel.kappa of the domain and codomain at that scale, when
     every F is constant and the codomain's lattice_det is not 0; else None."""
     X, Y = gens[0].domain, gens[0].codomain
-    const = (0,) * len(Y.gens)
     scale = lcm(*(g._slice[0] for g in gens))
     out = []
     for g in gens:
         d, FS = g._slice
-        # a slice's coefficient may be 0
-        if any(x for row in FS for p in row for mono, x in p.items() if mono != const):
+        # a slice's coefficient may be 0; 0 packs the constant monomial
+        if any(x for row in FS for p in row for mono, x in p.items() if mono):
             return None
-        out.append([[scale // d * p.get(const, 0) for p in row] for row in FS])
+        out.append([[scale // d * p.get(0, 0) for p in row] for row in FS])
     return (out, kappa(X, Y, scale)) if Y.lattice_det else None
 
 

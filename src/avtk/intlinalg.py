@@ -1,14 +1,15 @@
 """Exact linear algebra over Z and Q on plain list-of-list matrices; no floats.
 
 Rational matrices are worked on as integers over one denominator per
-row, and Fractions are built only for results.  det_polynomial and
-pullback_polynomials run on integer polynomials of one pencil of integer
-maps whose monomials are packed into single ints (_packing): a product
-of monomials is a sum of ints, the graded-lex order that of the ints,
-and the exact divisions test divisibility on guard bits.
-scalars.monomial_flatten puts a period matrix over one common
-denominator as integer polynomials {exponent tuple: int}, a slice (d, P),
-once per torus, kept on it (PolarisedTorus.period_slice), from which
+row, and Fractions are built only for results.  Integer polynomials key
+their terms by monomials packed into ints, scalars._packing's one layout:
+a product of monomials is a sum of ints, graded-lex order that of the
+ints.  det_polynomial and pullback_polynomials run on one pencil of
+integer maps, fields sized to its degree, and the exact divisions test
+divisibility on guard bits.  scalars.monomial_flatten puts a period
+matrix over one common denominator, in 33-bit fields, a slice (d, P),
+once per torus, kept on it (PolarisedTorus.period_slice); only
+_render_slice and lattice_det unpack it.  From the slices
 homs, ppsearch and torus build their sparse systems and products
 (_add_row_times, _slice_product), the W = D_X^-1 @ Z_X of
 PolarisedTorus.right_frame and a quotient's periods among them.
@@ -29,7 +30,8 @@ vectors, its right-hand sides, in one elimination.  matmul sums entry by
 entry in the operands' own arithmetic.  Matrices are dense lists of
 rows, except the sparse rows {column: int} of the Hom and family systems
 and the sparse kernel vectors {index: int} that _kernel_maps gives back
-for them; every result is canonical.
+for them, after dropping the rows that pin an unknown to 0; every
+result is canonical.
 
 Conventions:
   * Five eliminations remain, one per job: fraction-free Bareiss for det
@@ -61,10 +63,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, islice
 from math import lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .errors import GeneratorMismatchError, PreconditionError
-from .scalars import FormalScalar, _grlex_key, monomial_flatten
+from .scalars import FormalScalar, _packing, _slice_packing, monomial_flatten
 
 
 # -- basic matrix helpers ----------------------------------------------------
@@ -266,23 +268,6 @@ def pullback_polynomials(mats, gram_y, gram_x):
     return out
 
 
-def _packing(r, degree):
-    """(units, unpack, guard) for monomials in r variables of degree <= degree.
-
-    A packed monomial is one int of r + 1 fields of w bits: the total
-    degree, then e0 ... e_{r-1}, each below a guard bit that stays 0.  So
-    x^a * x^b packs as a + b, ints compare as _grlex_key does, and, with
-    guard holding every guard bit, x^a divides x^b iff ((b | guard) - a)
-    keeps them all: only a field of b below a's borrows, its own guard bit.
-    """
-    w = degree.bit_length() + 1
-    mask = (1 << w) - 1
-    shifts = range((r - 1) * w, -1, -w)
-    return ([1 << r * w | 1 << s for s in shifts],
-            lambda m: tuple(m >> s & mask for s in shifts),
-            sum(1 << (k * w + w - 1) for k in range(r + 1)))
-
-
 def _int_pencil(mats, degree):
     """(sum(c_g * mats[g]) as integer polynomials {packed monomial: int},
     unpack, guard), packed by _packing(len(mats), degree)."""
@@ -306,16 +291,16 @@ def _slice_product(P, K):
 def _render_slice(gens, d, P):
     """The slice P / d, integer polynomials over one denominator, as rows of
     FormalScalars over gens."""
-    return tuple(tuple(FormalScalar._trusted(gens, {mono: Fraction(c, d)
+    unpack = _slice_packing(len(gens))[1]
+    return tuple(tuple(FormalScalar._trusted(gens, {unpack(mono): Fraction(c, d)
                                                     for mono, c in p.items() if c})
                        for p in row) for row in P)
 
 
-def constant_slices(M, nvars):
-    """An integer matrix as monomial_flatten slices over nvars generators:
-    constant integer polynomials over the denominator 1."""
-    const = (0,) * nvars
-    return 1, [[{const: x} if x else {} for x in row] for row in M]
+def constant_slices(M):
+    """An integer matrix as a monomial_flatten slice: constant integer
+    polynomials (0 packs the constant monomial) over the denominator 1."""
+    return 1, [[{0: x} if x else {} for x in row] for row in M]
 
 
 def period_identity_holds(L, M, px, py):
@@ -343,7 +328,7 @@ def period_identity_holds(L, M, px, py):
                 for m1, c1 in f:
                     c1 *= dY
                     for m2, c2 in q:
-                        key = (i, j, tuple(map(add, m1, m2)))
+                        key = (i, j, m1 + m2)
                         acc[key] = get(key, 0) + c1 * c2
     nonzero = [[(j, -dL * dX * row[j]) for j in compress(range(w), row)] for row in M]
     for i, PY_row in enumerate(PY):
@@ -357,10 +342,11 @@ def period_identity_holds(L, M, px, py):
     return not any(acc.values())
 
 
-def lattice_det(P):
+def lattice_det(P, k):
     """det [P(z); P(w)] for the integer polynomials P of an n x 2n period
-    slice, read at two fixed integer points z and w of the generators, drawn
-    from ``scattered``: the same two for every slice over one generator set.
+    slice over k generators, read at two fixed integer points z and w of the
+    generators, drawn from ``scattered``: the same two for every slice over
+    one generator set.
 
     Where it is nonzero, [P(z); P(w)] is nonsingular for independent generic
     z and w, so also at w = conj(z): the 2n periods, at a general point, are
@@ -369,10 +355,9 @@ def lattice_det(P):
     these points are only sent down the slower route by the callers.  Two
     tori's values give the kappa of their maps (parallel.kappa).
     """
-    k = len(next((mono for row in P for p in row for mono in p), ()))
-    values = scattered(k + 1, 50)
+    values, unpack = scattered(k + 1, 50), _slice_packing(k)[1]
     z, w = tuple(islice(values, k)), tuple(islice(values, k))
-    return det([[_evaluate_at(p, point) for p in row] for point in (z, w) for row in P])
+    return det([[_evaluate_at(p, point, unpack) for p in row] for point in (z, w) for row in P])
 
 
 def scattered(seed, spread):
@@ -384,11 +369,11 @@ def scattered(seed, spread):
         yield seed % (2 * spread + 1) - spread
 
 
-def _evaluate_at(p, point):
-    """The integer polynomial p {exponent tuple: int} at an integer point."""
+def _evaluate_at(p, point, unpack):
+    """The integer polynomial p {packed monomial: int} at an integer point."""
     total = 0
     for mono, c in p.items():
-        for x, e in zip(point, mono):
+        for x, e in zip(point, unpack(mono)):
             if e:
                 c *= x ** e
         total += c
@@ -579,10 +564,30 @@ def int_kernel(M):
 def _kernel_maps(rows, n):
     """The Hermite basis of int_kernel of the rows {column: int}, a list, over
     n columns, as maps {index: nonzero int}, for hom_module and
-    admissible_family; the Hermite step tracks no U."""
-    combos = [{j: 1} for j in range(n)]
-    basis = [combos[j] for j in _column_echelon(_columns(rows, n), len(rows), combos)[1]]
-    return [basis[k] for k in _hermite(basis, n)]
+    admissible_family; the Hermite step tracks no U.  Until none is left, a
+    row with one live entry, nonzero and not pinned, pins that unknown to 0
+    and is dropped; the echelon and the Hermite step run on the rest, in
+    index order, and the canonical basis is mapped back, 0 where pinned.
+    """
+    pinned, count = set(), None
+    while count != len(pinned):
+        count, kept = len(pinned), []
+        for row in rows:
+            live = None
+            for j, x in row.items():
+                if x and j not in pinned:
+                    if live is not None:  # a second live entry: the row stays
+                        kept.append(row)
+                        break
+                    live = j
+            else:
+                if live is not None:
+                    pinned.add(live)
+        rows = kept
+    free = [j for j in range(n) if j not in pinned]
+    cols, combos = _columns(rows, n), [{k: 1} for k in range(len(free))]
+    basis = [combos[k] for k in _column_echelon([cols[j] for j in free], len(rows), combos)[1]]
+    return [{free[k]: x for k, x in basis[b].items()} for b in _hermite(basis, len(free))]
 
 
 def _add_multiple(dst, src, q):
@@ -876,7 +881,7 @@ def flatten_to_int(*matrices):
     if len({x.gens for row in combined for x in row}) > 1:
         raise GeneratorMismatchError("matrix mixes generator sets")
     _, P = monomial_flatten(combined)
-    monomials = sorted({mono for row in P for p in row for mono in p}, key=_grlex_key)
+    monomials = sorted({mono for row in P for p in row for mono in p})
     index = {mono: k for k, mono in enumerate(monomials)}
     count = len(index)
     flat = zeros(nrows * count or max(nrows, 1), len(combined[0]) if nrows else 0)

@@ -7,16 +7,16 @@ of Ahat.  Containment of the image lattice is linear in the entries of
 H, so phase one solves it once and for all: the admissible symmetric
 matrices form a lattice, usually of very small rank.  The identity
 H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
-P_Ahat are each put over one common denominator
-(scalars.monomial_flatten) once per torus, kept on it
+P_Ahat are each put over one common denominator, their monomials packed
+into ints (scalars.monomial_flatten), once per torus, kept on it
 (PolarisedTorus.period_slice), and each monomial of each entry gives one
-sparse integer row {column: int} in the entries of H and C.  The
-Hermite basis of the kernel, sparse maps {index: int} from
-intlinalg._kernel_maps, read on the entries of H, is already that of
-the family; H and C are filled from each map's nonzero entries, and
-each element is checked against the identity by
-intlinalg.period_identity_holds, the check every Hom generator passes,
-and so is each search hit.  Positivity and surjectivity are not
+sparse integer row {column: int} in the entries of H and C; most rows
+pin an entry to 0, and the kernel drops them first.  The Hermite basis
+of the kernel, sparse maps {index: int} from intlinalg._kernel_maps,
+read on the entries of H, is already that of the family; H and C are
+filled from each map's nonzero entries, and each element is checked
+against the identity by intlinalg.period_identity_holds, the check every
+Hom generator passes, and so is each search hit.  Positivity and surjectivity are not
 linear, so phase two enumerates bounded integer combinations of that
 family on the pencil engine of ``parallel``: the
 coordinate determinant (surjectivity) and the leading principal minors
@@ -147,9 +147,8 @@ class AdmissibleFamily(Immutable):
                 and len(self.coordinates[0]) == 2 * A.dim):
             return False
         pa, ph = A.period_slice, Ahat.period_slice
-        nvars = len(A.gens)
         return Ahat.lattice_det != 0 and all(
-            period_identity_holds(constant_slices(B, nvars), C, pa, ph)
+            period_identity_holds(constant_slices(B), C, pa, ph)
             for B, C in zip(self.basis, self.coordinates))
 
     def member(self, coefficients):
@@ -220,7 +219,7 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
             else:
                 j, r = divmod(index - s, 2 * n)
                 C[r][j] = x
-        if not period_identity_holds(constant_slices(H, len(A.gens)), C, pa, ph):
+        if not period_identity_holds(constant_slices(H), C, pa, ph):
             raise AssertionError("family element fails its containment identity")
         basis.append(tuple(map(tuple, H)))
         coords.append(tuple(map(tuple, C)))
@@ -264,7 +263,7 @@ def pp_search(A: PolarisedTorus, Ahat: PolarisedTorus, bound: int = 10,
     if not candidate.is_positive_definite():
         raise AssertionError("witness is not positive definite")
     # H @ P_A = P_Ahat @ C with C unimodular: H carries the lattice onto the target's
-    if not period_identity_holds(constant_slices(candidate.H, len(A.gens)), res.witness,
+    if not period_identity_holds(constant_slices(candidate.H), res.witness,
                                  A.period_slice, Ahat.period_slice):
         raise AssertionError("witness does not carry the lattice onto the target")
     return Found(witness=candidate, coefficients=res.coefficients, tested=res.tested)

@@ -14,11 +14,15 @@ exponents).  That order fixes leading terms, canonical string rendering and
 the row layout of ``intlinalg.flatten_to_int``: one row per (matrix row,
 monomial), monomials ascending.
 
+Outside a scalar a monomial is packed into one int (_packing), so a
+product of monomials is a sum of ints and int order is graded-lex order;
+the fields are laid out here only.
+
 :func:`monomial_flatten` is the one way from formal matrices to integers:
 it puts a matrix over its least common denominator as integer polynomials
-``{exponent tuple: int}``.  The systems of ``homs`` and ``ppsearch``, the
-quotients of ``torus`` and ``flatten_to_int`` all start from it, so no
-other module reads a scalar's term map.
+``{packed monomial: int}``, a slice.  The systems of ``homs`` and
+``ppsearch``, the quotients of ``torus`` and ``flatten_to_int`` all start
+from it, so no other module reads a scalar's term map.
 
 Every scalar is canonical: each monomial is a tuple of non-negative ints
 as long as the generator tuple, each coefficient is a nonzero
@@ -40,10 +44,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import GeneratorMismatchError, Immutable, ScalarParseError, Value, check_int, quoted
+from .errors import (GeneratorMismatchError, Immutable, PreconditionError, ScalarParseError,
+                     Value, check_int, quoted)
 
 Monomial = tuple  # tuple[int, ...], one exponent per generator
 Rat = Union[int, Fraction]
@@ -463,16 +468,50 @@ def parse_scalar(gens: GeneratorSet, text: str) -> FormalScalar:
     return _Parser(gens, text).parse()
 
 
-# -- matrix flattening ------------------------------------------------------
+# -- packed monomials and matrix flattening -----------------------------------
+
+def _packing(r, degree):
+    """(units, unpack, guard) for monomials in r variables of degree <= degree.
+
+    A packed monomial is one int of r + 1 fields of w bits: the total
+    degree, then e0 ... e_{r-1}, each below a guard bit that stays 0.  So
+    x^a * x^b packs as a + b, ints compare as _grlex_key does, and, with
+    guard holding every guard bit, x^a divides x^b iff ((b | guard) - a)
+    keeps them all: only a field of b below a's borrows, its own guard bit.
+    """
+    w = degree.bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = range((r - 1) * w, -1, -w)
+    return ([1 << r * w | 1 << s for s in shifts],
+            lambda m: tuple(m >> s & mask for s in shifts),
+            sum(1 << (k * w + w - 1) for k in range(r + 1)))
+
+
+SLICE_DEGREE = 2 ** 31  # a flattened term's total degree stays below this
+
+
+def _slice_packing(r):
+    """(pack, unpack) of slice monomials in r generators: _packing's fields
+    of 33 bits, so two monomials of total degree below SLICE_DEGREE multiply
+    as a sum of ints without a carry."""
+    units, unpack, _ = _packing(r, 2 * SLICE_DEGREE - 1)
+    return (lambda mono: sum(map(mul, mono, units))), unpack
+
 
 def monomial_flatten(matrix: Sequence[Sequence[FormalScalar]]):
     """A matrix of FormalScalars as (d, P): d the least common denominator
-    of its coefficients, P[i][j] the integer polynomial {exponent tuple: int}
-    of d * matrix[i][j], empty for a zero entry.
+    of its coefficients, P[i][j] the integer polynomial {packed monomial: int}
+    (_slice_packing) of d * matrix[i][j], empty for a zero entry.  A term
+    of total degree SLICE_DEGREE or more is a PreconditionError.
 
     The entries are not checked to share one generator set; the callers
     that combine matrices from outside check that themselves.
     """
     d = lcm(*{c.denominator for row in matrix for x in row for c in x.terms.values()})
-    return d, [[{mono: c.numerator * (d // c.denominator) for mono, c in x.terms.items()}
+    monos = {mono for row in matrix for x in row for mono in x.terms}
+    if any(sum(mono) >= SLICE_DEGREE for mono in monos):
+        raise PreconditionError("a term of total degree 2**31 or more cannot be flattened")
+    pack = _slice_packing(len(next(iter(monos), ())))[0]
+    key = {mono: pack(mono) for mono in monos}
+    return d, [[{key[mono]: c.numerator * (d // c.denominator) for mono, c in x.terms.items()}
                 for x in row] for row in matrix]

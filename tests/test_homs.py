@@ -29,7 +29,7 @@ from avtk.intlinalg import (
     transpose,
 )
 from avtk.ppsearch import admissible_family, pp_search
-from avtk.scalars import FormalScalar, GeneratorSet, monomial_flatten
+from avtk.scalars import FormalScalar, GeneratorSet, _slice_packing, monomial_flatten
 from avtk.torus import (
     PolarisedTorus,
     SubvarietyEmbedding,
@@ -473,7 +473,7 @@ def _identity_cases():
             fam = admissible_family(X, Y)
         except PreconditionError:
             continue
-        cases += [(X, Y, C, constant_slices(B, len(X.gens)))
+        cases += [(X, Y, C, constant_slices(B))
                   for B, C in zip(fam.basis, fam.coordinates)]
     return cases
 
@@ -518,8 +518,9 @@ def test_period_identity_holds_matches_the_formal_oracle(data):
     elif change == "zero map":
         M = [[0] * len(row) for row in M]
         LS = [[{mono: 0 for mono in p} for p in row] for row in LS]
-    L = [[FormalScalar(X.gens, {mono: Fraction(c, d) for mono, c in p.items()}) for p in row]
-         for row in LS]
+    unpack = _slice_packing(len(X.gens))[1]
+    L = [[FormalScalar(X.gens, {unpack(mono): Fraction(c, d) for mono, c in p.items()})
+          for p in row] for row in LS]
     expected = formal_identity_holds(L, X.periods, Y.periods, M)
     assert expected or change not in ("none", "zero map")
     assert period_identity_holds((d, LS), M, (dX, PX), (dY, PY)) == expected
@@ -640,7 +641,7 @@ def test_no_caller_changes_the_facts_a_torus_keeps():
         d, P = monomial_flatten(T.periods)
         assert T._slice[0] == d and [list(row) for row in T._slice[1]] == P
         assert T._independent == (row_hnf_rank(flatten_to_int(T.periods)[0]) == 2 * T.dim)
-        assert T._lattice == lattice_det(P)
+        assert T._lattice == lattice_det(P, len(T.gens))
         if T._frame is not None:
             DI, dI, _ = T._frame
             R = constant_right_block(T.periods)

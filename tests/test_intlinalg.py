@@ -16,7 +16,6 @@ from avtk.errors import GeneratorMismatchError, PreconditionError
 from avtk.homs import hom_module
 from avtk.intlinalg import (
     _kernel_maps,
-    _packing,
     _poly_div,
     combination,
     det,
@@ -41,7 +40,8 @@ from avtk.intlinalg import (
     transpose,
     zeros,
 )
-from avtk.scalars import FormalScalar, GeneratorSet, _grlex_key, monomial_flatten
+from avtk.scalars import (FormalScalar, GeneratorSet, _grlex_key, _packing, _slice_packing,
+                          monomial_flatten)
 from avtk.torus import pairing_type, standard_gram
 from oracles import (
     RankDeficiencyError,
@@ -565,6 +565,10 @@ def sparse_systems(draw):
 @example(([], 3))  # no row: the kernel is all of Z^3
 @example(([{0: 0, 2: 0}, {}], 3))  # only zero entries
 @example(([{0: 2, 1: 3, 2: 4}, {0: 1, 3: 5}, {1: 1, 2: 1, 3: 1}, {}], 4))
+@example(([{1: 0}, {0: 3}], 2))  # a lone explicit 0 pins nothing: the kernel is Z e1
+# each row has one live entry only once the rows before it pin theirs
+@example(([{0: 3}, {0: 5, 1: 2}, {1: 4, 2: 0, 3: 7}, {3: 1, 4: 2}], 5))
+@example(([{2: -4}, {0: 1}, {2: 9}, {4: 2}], 6))  # every row a singleton
 def test_sparse_int_kernel_matches_the_dense_oracle(system):
     rows, n = system
     dense = [[row.get(j, 0) for j in range(n)] for row in rows]
@@ -1043,8 +1047,9 @@ def test_monomial_flatten_round_trips_through_its_denominator(group):
         assert len(P) == len(M) and [len(r) for r in P] == [len(r) for r in M]
         for row, P_row in zip(M, P):
             for x, p in zip(row, P_row):
-                assert all(type(c) is int and c for c in p.values())
-                assert FormalScalar(x.gens, {m: Fraction(c, d) for m, c in p.items()}) == x
+                assert all(type(m) is int and type(c) is int and c for m, c in p.items())
+                unpack = _slice_packing(len(x.gens))[1]
+                assert FormalScalar(x.gens, {unpack(m): Fraction(c, d) for m, c in p.items()}) == x
 
 
 def test_flatten_to_int_and_span_equal_refuse_mixed_generator_sets():

@@ -350,7 +350,7 @@ def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
     G2 = GeneratorSet(("a", "b"))
     a, b = G2.scalar("a"), G2.scalar("b")
     X = PolarisedTorus(G2, [[a, b, 1, 0], [2 * a, 2 * b, 0, 1]], standard_gram([1, 1]))
-    assert lattice_det(monomial_flatten(X.periods)[1]) == 0
+    assert lattice_det(monomial_flatten(X.periods)[1], len(G2)) == 0
     fam = admissible_family(X, X)
     assert fam.rank == 2 and not fam._checked()
     assert fam.pencil._analytic_det is None
@@ -359,7 +359,7 @@ def test_a_family_whose_periods_span_no_lattice_keeps_the_rational_route():
     kappa = Fraction(det_c[max(square)], square[max(square)])
     assert any(det_c.get(mono, 0) != kappa * c for mono, c in square.items())
     S, Sd = surface_pair(G, 3)
-    assert lattice_det(monomial_flatten(product([S, Sd]).periods)[1])
+    assert lattice_det(monomial_flatten(product([S, Sd]).periods)[1], len(G))
 
 
 def _random_pencil(rng):

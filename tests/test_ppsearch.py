@@ -94,8 +94,9 @@ def test_family_members_map_source_into_target():
 
 
 def _constant(H):
-    """H as constant integer polynomials over G, over the denominator 1."""
-    return 1, [[{(0,) * len(G): h} if h else {} for h in row] for row in H]
+    """H as constant integer polynomials over G, over the denominator 1; the
+    constant monomial packs as 0."""
+    return 1, [[{0: h} if h else {} for h in row] for row in H]
 
 
 def test_containment_check_refuses_every_changed_entry():

@@ -2,13 +2,16 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from avtk.errors import GeneratorMismatchError, ScalarParseError
+from avtk.errors import GeneratorMismatchError, PreconditionError, ScalarParseError
 from avtk.scalars import (
     MAX_NESTING,
+    SLICE_DEGREE,
     FormalScalar,
     GeneratorSet,
+    _grlex_key,
+    _slice_packing,
     monomial_flatten,
     parse_scalar,
     render_scalar,
@@ -164,14 +167,53 @@ def test_monomial_flatten_round_trip():
     M = [[X * Y + 2, Y], [G.zero(), X - Fraction(1, 2)]]
     d, P = monomial_flatten(M)
     assert d == 2  # the one common denominator
-    # d * M[i][j] as {exponent tuple: int}, nonzero terms only
+    # d * M[i][j] as {packed monomial: int}, nonzero terms only; a packed
+    # monomial is x^i y^j as (i + j, i, j) in fields of 33 bits
+    xy, x, y = 2 << 66 | 1 << 33 | 1, 1 << 66 | 1 << 33, 1 << 66 | 1
     assert P == [
-        [{(1, 1): 2, (0, 0): 4}, {(0, 1): 2}],
-        [{}, {(1, 0): 2, (0, 0): -1}],
+        [{xy: 2, 0: 4}, {y: 2}],
+        [{}, {x: 2, 0: -1}],
     ]
     assert all(type(c) is int for row in P for p in row for c in p.values())
-    assert monomial_flatten([[X, Y]]) == (1, [[{(1, 0): 1}, {(0, 1): 1}]])
+    assert monomial_flatten([[X, Y]]) == (1, [[{x: 1}, {y: 1}]])
     assert monomial_flatten([]) == (1, [])
+
+
+def test_monomial_flatten_refuses_a_term_at_the_degree_cap():
+    below = FormalScalar(G, {(2 ** 31 - 1, 0): 1})
+    assert monomial_flatten([[below]])[1][0][0] == {2 ** 31 - 1 << 66 | 2 ** 31 - 1 << 33: 1}
+    for mono in ((2 ** 31, 0), (2 ** 30, 2 ** 30), (10 ** 40, 1)):
+        with pytest.raises(PreconditionError) as err:
+            monomial_flatten([[X, FormalScalar(G, {mono: 1})]])
+        assert "\n" not in str(err.value)
+
+
+@st.composite
+def exponent_tuples(draw, r, cap):
+    """An exponent tuple in r generators of total degree below cap: the
+    total, cut at r - 1 points."""
+    if not r:
+        return ()
+    total = draw(st.integers(0, cap - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=r - 1, max_size=r - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda r: st.tuples(
+    st.just(r), *(exponent_tuples(r, cap) for cap in (SLICE_DEGREE, SLICE_DEGREE, 4)))))
+def test_slice_packing_round_trips_orders_and_adds_like_exponent_tuples(case):
+    r, a, b, small = case
+    pack, unpack = _slice_packing(r)
+    for m in (a, b, small):
+        assert type(pack(m)) is int and unpack(pack(m)) == m
+    # int order is graded-lex order, also between a wide and a narrow monomial
+    for m1, m2 in ((a, b), (a, small), (small, b)):
+        assert (pack(m1) < pack(m2)) == (_grlex_key(m1) < _grlex_key(m2))
+    # below the cap, x^a * x^b packs as pack(a) + pack(b), without a carry
+    assert pack(a) + pack(b) == pack(tuple(x + y for x, y in zip(a, b)))
+    assert unpack(pack(a) + pack(b)) == tuple(x + y for x, y in zip(a, b))
+    assert pack((0,) * r) == 0
 
 
 @st.composite

@@ -7,7 +7,9 @@ a deletion leaves no dead import or helper behind.  A public one may
 instead be listed in UNREFERENCED_PUBLIC, with the caller outside
 src/avtk that keeps it.  Only scalars.py reads the term map of a
 FormalScalar, so formal matrices reach integers by one route,
-scalars.monomial_flatten.
+scalars.monomial_flatten, and only scalars.py adds exponent tuples or
+shifts bit fields, so every monomial outside a scalar is packed and
+unpacked by one layout, scalars._packing.
 Only scalars.py and torus.py ask whether a scalar is constant, so the
 right period block of a frame is read by one set of helpers in torus.py,
 and only torus.py calls standard_gram, so a standard frame's form is
@@ -161,6 +163,24 @@ def test_only_intlinalg_clears_rational_rows(path):
                                                      getattr(node, "name", None)))
     assert not lines, (f"{path.name} refers to _over_common_denominator on lines {lines}; "
                        "use intlinalg.rat_inverse, rat_solve or det")
+
+
+def _is_tuple_map_add(node):
+    """Whether node is tuple(map(add, ...)): exponent tuples added entry by entry."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "map" and node.args[0].args
+            and getattr(node.args[0].args[0], "id", None) == "add")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
+                         ids=lambda p: p.name)
+def test_only_scalars_packs_monomials(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if _is_tuple_map_add(node)
+                   or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)))
+    assert not lines, (f"{path.name} adds exponent tuples or shifts bit fields on lines {lines}; "
+                       "use scalars._packing or scalars._slice_packing")
 
 
 # The only classes that state immutability or equality; a value class gets
