@@ -16,9 +16,9 @@ of the kernel, sparse maps {index: int} from intlinalg._kernel_maps,
 read on the entries of H, is already that of the family; H and C are
 filled from each map's nonzero entries, and each element is checked
 against the identity by intlinalg.period_identity_holds, the check every
-Hom generator passes, and so is each search hit.  Positivity and surjectivity are not
-linear, so phase two enumerates bounded integer combinations of that
-family on the pencil engine of ``parallel``: the
+Hom generator passes, and so is each search hit.  Positivity and
+surjectivity are not linear, so phase two enumerates bounded integer
+combinations of that family on the pencil engine of ``parallel``: the
 coordinate determinant (surjectivity) and the leading principal minors
 (positivity) are computed once per family as polynomials in the
 coefficients, in its Pencil; the engine evaluates the determinant a row

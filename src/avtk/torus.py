@@ -185,7 +185,8 @@ class PolarisedTorus(Value):
         a lattice, and with the value of another torus the kappa of
         det M = kappa * det(F)**2 for the maps between them (parallel.kappa)."""
         if self._lattice is None:
-            object.__setattr__(self, "_lattice", lattice_det(self.period_slice[1], len(self.gens)))
+            object.__setattr__(self, "_lattice",
+                               lattice_det(self.period_slice[1], len(self.gens)))
         return self._lattice
 
     def right_frame(self):

@@ -181,7 +181,7 @@ def test_monomial_flatten_round_trip():
 
 def test_monomial_flatten_refuses_a_term_at_the_degree_cap():
     below = FormalScalar(G, {(2 ** 31 - 1, 0): 1})
-    assert monomial_flatten([[below]])[1][0][0] == {2 ** 31 - 1 << 66 | 2 ** 31 - 1 << 33: 1}
+    assert monomial_flatten([[below]])[1][0][0] == {(2 ** 31 - 1) << 66 | (2 ** 31 - 1) << 33: 1}
     for mono in ((2 ** 31, 0), (2 ** 30, 2 ** 30), (10 ** 40, 1)):
         with pytest.raises(PreconditionError) as err:
             monomial_flatten([[X, FormalScalar(G, {mono: 1})]])

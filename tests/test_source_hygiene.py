@@ -165,20 +165,23 @@ def test_only_intlinalg_clears_rational_rows(path):
                        "use intlinalg.rat_inverse, rat_solve or det")
 
 
-def _is_tuple_map_add(node):
-    """Whether node is tuple(map(add, ...)): exponent tuples added entry by entry."""
-    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
-            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
-            and getattr(node.args[0].func, "id", None) == "map" and node.args[0].args
-            and getattr(node.args[0].args[0], "id", None) == "add")
+def _packs_monomials(node):
+    """Whether node shifts bit fields (<< or >>) or is tuple(map(add, ...)),
+    exponent tuples added entry by entry."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, (ast.LShift, ast.RShift))
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)):
+        return False
+    inner = node.args[0]
+    return (getattr(inner.func, "id", None) == "map" and bool(inner.args)
+            and getattr(inner.args[0], "id", None) == "add")
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
                          ids=lambda p: p.name)
 def test_only_scalars_packs_monomials(path):
-    lines = sorted(node.lineno for node in ast.walk(_tree(path))
-                   if _is_tuple_map_add(node)
-                   or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)))
+    lines = sorted(node.lineno for node in ast.walk(_tree(path)) if _packs_monomials(node))
     assert not lines, (f"{path.name} adds exponent tuples or shifts bit fields on lines {lines}; "
                        "use scalars._packing or scalars._slice_packing")
 
