@@ -18,7 +18,12 @@ are the report's inputs.  The report goes to --out before any output.
 The bounded searches run in the calling process.  The argument parser
 is built by the first main() call and reused by every later call in the
 same process, so an in-process call pays only for its own command;
-importing this module builds no parser.
+importing this module builds no parser.  So are the tori: every torus
+document goes through documents.torus_from_doc, which keeps the last
+tori it built by their documents' content, so a later call on an equal
+document reuses the torus and the facts it keeps (its period slice, its
+gram's Smith form) after the same document checks.  No result or
+verdict is kept; every command's checks run on every call.
 """
 
 from __future__ import annotations
@@ -112,11 +117,8 @@ def _type(a):
 def _kernel(a):
     T = torus_from_doc(a.torus)
     pts = T.polarising_kernel()
-    # the generators' orders are the type's entries above 1, each twice,
-    # so the type needs no second Smith form of the gram
-    divisors = [p.order for p in pts[::2]]
     return {
-        "type": [1] * (T.dim - len(divisors)) + divisors,
+        "type": list(T.polarisation_type()),
         "order": prod(p.order for p in pts),
         "generators": [dict(point_to_doc(p), order=p.order) for p in pts],
     }, EXIT_OK

@@ -144,10 +144,29 @@ def _is_matrix(value, m, n) -> bool:
     )
 
 
+# the tori torus_from_doc built, keyed by the validated content of their
+# documents, least recently asked for first; at most _TORI_CAP of them
+_TORI: dict = {}
+_TORI_CAP = 64
+
+
 def torus_from_doc(doc: dict) -> PolarisedTorus:
     """Build a torus from its document, inferring the standard pairing
     from a [Z | D] frame when no gram matrix is given.  The optional
-    ``assumptions`` string is carried over unchanged."""
+    ``assumptions`` string is carried over unchanged.
+
+    The _TORI_CAP tori last asked for are kept, keyed by what the build
+    reads of the document: the generator names, dim, the period texts,
+    the gram as int rows (or None) and the assumptions.  A document with
+    the content of a kept torus gets that torus, with the facts it keeps,
+    in place of a new parse and gram check; the key is the content, not
+    the dict, so a dict changed in place gets the torus of its new
+    content.  The shape, generator, gram and assumptions checks run on
+    every document before a kept torus is returned, and a document that
+    any check refuses is never kept, so every refusal is raised again with
+    the same message and precedence.  Tori are immutable, so sharing one
+    is safe.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("torus document must be a JSON object")
     for key in ("generators", "dim", "periods"):
@@ -167,17 +186,28 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
         raise DocumentError(
             f"periods must be a {quoted(n)} x {quoted(2 * n)} matrix of expressions"
         )
+    texts = tuple(tuple(map(str, row)) for row in rows)
+    gram = doc.get("gram")
+    # bool is an int subclass, and int() would truncate floats and parse strings
+    gram_ok = gram is None or (_is_matrix(gram, 2 * n, 2 * n)
+                               and all(type(x) is int for row in gram for x in row))
+    assumptions = doc.get("assumptions", "")
+    key = None
+    if gram_ok and isinstance(assumptions, str):
+        key = (gens.names, n, texts, gram if gram is None else tuple(map(tuple, gram)),
+               assumptions)
+        kept = _TORI.pop(key, None)
+        if kept is not None:
+            _TORI[key] = kept  # now the newest
+            return kept
+    # not kept: the checks below refuse in their own order, and a document
+    # that passes them all has a key
     # each distinct entry is parsed once, in reading order; equal entries
     # share one scalar, which is immutable
-    texts = [list(map(str, row)) for row in rows]
     parsed = {t: parse_scalar(gens, t) for t in dict.fromkeys(t for row in texts for t in row)}
     periods = [[parsed[t] for t in row] for row in texts]
-    gram = doc.get("gram")
     if gram is not None:
-        # bool is an int subclass, and int() would truncate floats and parse strings
-        if not _is_matrix(gram, 2 * n, 2 * n) or any(
-            type(x) is not int for row in gram for x in row
-        ):
+        if not gram_ok:
             raise DocumentError(f"gram must be a {2 * n} x {2 * n} integer matrix")
     else:
         D = standard_diagonal(periods)
@@ -186,12 +216,16 @@ def torus_from_doc(doc: dict) -> PolarisedTorus:
                 "cannot infer the pairing: right period block is not a diagonal of "
                 "positive integers; supply a gram matrix"
             )
-    assumptions = doc.get("assumptions", "")
     if not isinstance(assumptions, str):
         raise DocumentError("assumptions must be a string")
     if gram is None:
-        return standard_torus(gens, [row[:n] for row in periods], D, assumptions)
-    return PolarisedTorus(gens, periods, gram, assumptions)
+        torus = standard_torus(gens, [row[:n] for row in periods], D, assumptions)
+    else:
+        torus = PolarisedTorus(gens, periods, gram, assumptions)
+    if len(_TORI) >= _TORI_CAP:
+        del _TORI[next(iter(_TORI))]
+    _TORI[key] = torus
+    return torus
 
 
 # -- points --------------------------------------------------------------------

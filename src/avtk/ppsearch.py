@@ -193,16 +193,17 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     touch = [[(u, a + b - i) for u, (a, b) in enumerate(sym) if i in (a, b)] for i in range(n)]
     system = []
     for i in range(n):
+        nonzero = [(s + r, p) for r, p in enumerate(PH[i]) if p]
         for j in range(2 * n):
             # columns: the entries of H on and above the diagonal, then
-            # C[r][c] column by column
+            # C[r][c] column by column, C[r][j] at s + 2n * j + r
             rows = {}
             for u, b in touch[i]:
                 for mono, x in PA[b][j].items():
                     rows.setdefault(mono, {})[u] = dH * x
-            for r, p in enumerate(PH[i]):
+            for base, p in nonzero:
                 for mono, x in p.items():
-                    rows.setdefault(mono, {})[s + 2 * n * j + r] = -dA * x
+                    rows.setdefault(mono, {})[base + 2 * n * j] = -dA * x
             system += rows.values()
     basis = []
     coords = []

@@ -112,13 +112,15 @@ class PolarisedTorus(Value):
     Four facts of the periods alone are built on first use and kept, once
     per torus: the slice period_slice, the flag periods_independent, the
     integer lattice_det, and right_frame, the inverse of the right period
-    block with the columns of W = D^-1 @ Z.  They are outside the
-    key, so equality and hash do not see whether they were built; a
-    refusal is never kept and is raised again on every call.
+    block with the columns of W = D^-1 @ Z.  So is one fact of the gram,
+    its Smith data (_kernel_basis), which polarisation_type and the
+    polarising kernel read.  They are outside the key, so equality and
+    hash do not see whether they were built; a refusal is never kept and
+    is raised again on every call.
     """
 
     __slots__ = ("gens", "periods", "gram", "assumptions",
-                 "_slice", "_independent", "_lattice", "_frame")
+                 "_slice", "_independent", "_lattice", "_frame", "_smith")
 
     def __init__(self, gens: GeneratorSet, periods, gram, assumptions: str = ""):
         n = len(periods)
@@ -149,7 +151,7 @@ class PolarisedTorus(Value):
         object.__setattr__(self, "periods", tuple(rows))
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "assumptions", assumptions)
-        for slot in ("_slice", "_independent", "_lattice", "_frame"):
+        for slot in ("_slice", "_independent", "_lattice", "_frame", "_smith"):
             object.__setattr__(self, slot, None)
 
     @property
@@ -245,7 +247,9 @@ class PolarisedTorus(Value):
     # -- the polarisation -------------------------------------------------
 
     def polarisation_type(self):
-        return pairing_type([list(r) for r in self.gram])
+        """The type (d_1, ..., d_n): the kept Smith diagonal of the gram,
+        whose pairing up is checked on every call (_paired_divisors)."""
+        return _paired_divisors(self._kernel_basis()[1])
 
     def polarising_kernel(self):
         """Generators of the kernel of the isogeny induced by the form.
@@ -263,9 +267,15 @@ class PolarisedTorus(Value):
         return points
 
     def _kernel_basis(self):
-        """(V, s): V diag(1/s) is a basis of the dual lattice, s a divisibility chain."""
-        S, U, V = snf([list(r) for r in self.gram])
-        return V, [S[i][i] for i in range(2 * self.dim)]
+        """(V, s): V diag(1/s) is a basis of the dual lattice, s a divisibility
+        chain, the gram's elementary divisors; from one snf of the gram on
+        first use, kept as tuples.  Every caller reads the same V and s and
+        must not change them."""
+        if self._smith is None:
+            S, U, V = snf([list(r) for r in self.gram])
+            object.__setattr__(self, "_smith", (tuple(map(tuple, V)),
+                                                tuple(S[i][i] for i in range(2 * self.dim))))
+        return self._smith
 
     def kernel_elements(self):
         """Every element of the polarising kernel, as a set of points.
@@ -546,17 +556,23 @@ def pairing_type(E):
     m, n = shape(E)
     if len(divs) != m or m != n:
         raise PreconditionError("form must be square and nondegenerate")
+    return _paired_divisors(divs)
+
+
+def _paired_divisors(divs):
+    """The type of a nondegenerate form with elementary divisors divs, a
+    divisibility chain: each pair of equal divisors once.  An odd count,
+    or a divisor of odd multiplicity, is a PreconditionError."""
+    m = len(divs)
     if m % 2:
         raise PreconditionError("form must have even rank")
-    out = []
     for i in range(0, m, 2):
         if divs[i] != divs[i + 1]:
             raise PreconditionError(
-                f"elementary divisors {divs} do not pair up; "
+                f"elementary divisors {list(divs)} do not pair up; "
                 "a divisor occurs with odd multiplicity"
             )
-        out.append(divs[i])
-    return tuple(out)
+    return tuple(divs[::2])
 
 
 def restricted_polarisation(T: PolarisedTorus, emb: SubvarietyEmbedding):

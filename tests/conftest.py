@@ -1,7 +1,17 @@
 import pytest
 
+from avtk import documents
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, standard_gram
+
+
+@pytest.fixture(autouse=True)
+def no_kept_tori():
+    """Each test starts with no tori kept by torus_from_doc, so a count of
+    calls or a patched function never depends on the tests run before."""
+    documents._TORI.clear()
+    yield
+    documents._TORI.clear()
 
 
 @pytest.fixture

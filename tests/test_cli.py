@@ -75,45 +75,47 @@ def _curve_doc(**changes):
     return doc
 
 
-@pytest.mark.parametrize(
-    "argv,contents",
-    [
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, 1.5], [-1.5, 0]])),
-                     id="gram-float"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, True], [-1, 0]])),
-                     id="gram-bool"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, "3"], [-3, 0]])),
-                     id="gram-string"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=5)), id="periods-int"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[5])),
-                     id="periods-row-int"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(assumptions=7)),
-                     id="assumptions-int"),
-        pytest.param(["type", "BAD"], b"\xff\xfe not utf-8", id="not-utf8"),
-        # a directory where a document is expected
-        pytest.param(["type", "BAD"], None, id="directory"),
-        pytest.param(["sub", "SQUARE", "BAD"],
-                     canonical_json({"columns": [[1, 0], [0, 0], [0, 1.5], [0, 0]]}),
-                     id="embedding-float"),
-        # rows of no columns: a subtorus of dimension 0 crashed restricted_polarisation
-        pytest.param(["sub", "SQUARE", "BAD"], canonical_json({"columns": [[], [], [], []]}),
-                     id="embedding-no-columns"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(dim=True)), id="dim-bool"),
-        pytest.param(["degree", "BAD"], "5", id="degree-int"),
-        pytest.param(["quotient", "SQUARE", "BAD"], canonical_json({"coords": 5}),
-                     id="point-coords-int"),
-        # a string of generators used to be read as one-letter names t, a, u
-        pytest.param(["type", "BAD"],
-                     canonical_json({"generators": "tau", "dim": 1, "periods": [["t*a", "1"]],
-                                     "gram": [[0, 1], [-1, 0]]}),
-                     id="generators-str"),
-        # "²" reached int() and raised ValueError; "٣" was read as 3 and written back "3"
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[["tau", "\u00b2"]])),
-                     id="period-superscript-digit"),
-        pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[["tau", "\u0663"]])),
-                     id="period-arabic-indic-digit"),
-    ],
-)
+# (argv, contents of BAD): one malformed document each; SQUARE is a valid
+# torus document.  test_documents runs them again after a valid twin
+MALFORMED_INPUTS = [
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, 1.5], [-1.5, 0]])),
+                 id="gram-float"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, True], [-1, 0]])),
+                 id="gram-bool"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(gram=[[0, "3"], [-3, 0]])),
+                 id="gram-string"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=5)), id="periods-int"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[5])),
+                 id="periods-row-int"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(assumptions=7)),
+                 id="assumptions-int"),
+    pytest.param(["type", "BAD"], b"\xff\xfe not utf-8", id="not-utf8"),
+    # a directory where a document is expected
+    pytest.param(["type", "BAD"], None, id="directory"),
+    pytest.param(["sub", "SQUARE", "BAD"],
+                 canonical_json({"columns": [[1, 0], [0, 0], [0, 1.5], [0, 0]]}),
+                 id="embedding-float"),
+    # rows of no columns: a subtorus of dimension 0 crashed restricted_polarisation
+    pytest.param(["sub", "SQUARE", "BAD"], canonical_json({"columns": [[], [], [], []]}),
+                 id="embedding-no-columns"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(dim=True)), id="dim-bool"),
+    pytest.param(["degree", "BAD"], "5", id="degree-int"),
+    pytest.param(["quotient", "SQUARE", "BAD"], canonical_json({"coords": 5}),
+                 id="point-coords-int"),
+    # a string of generators used to be read as one-letter names t, a, u
+    pytest.param(["type", "BAD"],
+                 canonical_json({"generators": "tau", "dim": 1, "periods": [["t*a", "1"]],
+                                 "gram": [[0, 1], [-1, 0]]}),
+                 id="generators-str"),
+    # "²" reached int() and raised ValueError; "٣" was read as 3 and written back "3"
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[["tau", "\u00b2"]])),
+                 id="period-superscript-digit"),
+    pytest.param(["type", "BAD"], canonical_json(_curve_doc(periods=[["tau", "\u0663"]])),
+                 id="period-arabic-indic-digit"),
+]
+
+
+@pytest.mark.parametrize("argv,contents", MALFORMED_INPUTS)
 def test_malformed_input_exits_one_without_traceback(argv, contents, square_doc, tmp_path,
                                                       capsys):
     path = tmp_path / "bad.json"
@@ -219,7 +221,7 @@ def test_kernel_reports_generators(curve_doc, capsys):
 
 
 def test_kernel_takes_one_smith_form_of_the_gram(tmp_path, monkeypatch, capsys):
-    # the type is read off the generators' orders, with no second snf
+    # the type and the generators read the one Smith form the torus keeps
     monkeypatch.chdir(tmp_path)
     run_cli(["demo", "ex-4.2", "--n", "3", "--out", "ex42"])
     capsys.readouterr()
@@ -242,6 +244,35 @@ def test_kernel_takes_one_smith_form_of_the_gram(tmp_path, monkeypatch, capsys):
         assert payload["type"] == list(dtype) == expected
         assert payload["order"] == prod(d * d for d in dtype)
         assert sorted(g["order"] for g in payload["generators"]) == 2 * [d for d in dtype if d > 1]
+
+
+def test_kernel_type_and_complement_take_one_smith_form_of_the_gram(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the three commands load one kept torus, which keeps its gram's Smith form
+    monkeypatch.chdir(tmp_path)
+    run_cli(["demo", "ex-4.2", "--n", "3", "--out", "ex42"])
+    capsys.readouterr()
+    for name, dtype in (("product", [3, 3, 3]), ("dual", [1, 1, 3])):
+        doc = f"ex42/{name}.json"
+        gram = json.loads(Path(doc).read_text())["gram"]
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return snf(M)
+
+        with monkeypatch.context() as spies:
+            spies.setattr("avtk.intlinalg.snf", counted)
+            spies.setattr("avtk.torus.snf", counted)
+            assert run_cli(["kernel", doc, "--json"]) == 0
+            generators = json.loads(capsys.readouterr().out)["payload"]["generators"]
+            points = [write_doc(tmp_path / f"{name}-{j}.json", {"coords": g["coords"]})
+                      for j, g in enumerate(generators[:2])]
+            assert run_cli(["type", doc, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["payload"]["type"] == dtype
+            assert run_cli(["complement", doc, *points, "--json"]) == 0
+            capsys.readouterr()
+        assert [M for M in calls if M == gram] == [gram]
 
 
 def test_quotient_through_cli(tmp_path, capsys):

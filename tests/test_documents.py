@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from avtk import documents
 from avtk.demos import demo_list, run_demo
 from avtk.documents import (
     Report,
@@ -21,10 +22,11 @@ from avtk.documents import (
     torus_from_doc,
     torus_to_doc,
 )
-from avtk.errors import DocumentError, quoted
+from avtk.errors import DocumentError, PreconditionError, quoted
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, SubvarietyEmbedding, TorsionPoint, product, standard_gram
 from oracles import embedding_to_doc
+from test_cli import MALFORMED_INPUTS, _curve_doc, _in_process
 
 G = GeneratorSet(("tau",))
 TAU = G.scalar("tau")
@@ -193,6 +195,97 @@ def test_standard_torus_doc_without_gram_loads_equal_to_one_with_it():
            "gram": standard_gram([1, 3])}
     without = {key: value for key, value in doc.items() if key != "gram"}
     assert torus_from_doc(without) == torus_from_doc(doc)
+
+
+# -- kept tori ------------------------------------------------------------------
+
+def test_equal_documents_get_the_same_torus():
+    doc = torus_to_doc(curve(3))
+    T = torus_from_doc(doc)
+    assert torus_from_doc(json.loads(canonical_json(doc))) is T  # another dict, equal content
+    assert torus_from_doc(dict(doc, periods=[["tau", 3]])) is T  # the period text of 3 is "3"
+    assert T.polarisation_type() == (3,)
+
+
+@pytest.mark.parametrize("change", [
+    {"gram": standard_gram([1])},
+    {"gram": None},  # inferred: the same form, another key
+    {"assumptions": "Im tau > 0"},
+    {"generators": ["tau", "s"]},
+])
+def test_a_document_of_other_content_gets_another_torus(change):
+    T = torus_from_doc(torus_to_doc(curve(3)))
+    other = torus_from_doc(dict(torus_to_doc(curve(3)), **change))
+    assert other is not T
+    assert (other.gram, other.assumptions, other.gens.names) == (
+        tuple(map(tuple, standard_gram([1 if change.get("gram") else 3]))),
+        change.get("assumptions", ""), tuple(change.get("generators", ["tau"])))
+
+
+def test_the_cap_evicts_the_torus_asked_for_least_recently():
+    docs = [torus_to_doc(curve(d)) for d in range(1, documents._TORI_CAP + 2)]
+    kept = [torus_from_doc(doc) for doc in docs[:-1]]
+    assert torus_from_doc(docs[0]) is kept[0]  # now the most recent
+    torus_from_doc(docs[-1])
+    assert len(documents._TORI) == documents._TORI_CAP
+    assert torus_from_doc(docs[0]) is kept[0]
+    again = torus_from_doc(docs[1])
+    assert again is not kept[1] and again == kept[1]
+
+
+def test_a_document_changed_in_place_gets_the_torus_of_its_new_content():
+    doc = torus_to_doc(curve(2))
+    assert torus_from_doc(doc).polarisation_type() == (2,)
+    doc["periods"][0][1] = "5"
+    doc["gram"][0][1], doc["gram"][1][0] = 5, -5
+    T = torus_from_doc(doc)
+    assert T == curve(5) and T.polarisation_type() == (5,)
+    doc["assumptions"] = 5
+    with pytest.raises(DocumentError, match="assumptions must be a string"):
+        torus_from_doc(doc)
+
+
+def test_a_refused_document_is_never_kept():
+    doc = dict(torus_to_doc(curve(2)), gram=[[0, 0], [0, 0]])
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="degenerate"):
+            torus_from_doc(doc)
+    assert not documents._TORI
+
+
+# the valid document a malformed one is a variant of, where it is not
+# _curve_doc() or its argv's SQUARE: each of these has a key that Python
+# finds equal to the malformed one's (True == 1, tuple("tau")), were it
+# taken before the checks
+_TWINS = {"generators-str": {"generators": ["t", "a", "u"], "dim": 1,
+                             "periods": [["t*a", "1"]], "gram": [[0, 1], [-1, 0]]},
+          "gram-bool": _curve_doc(gram=[[0, 1], [-1, 0]])}
+
+
+@pytest.mark.parametrize("argv,contents", MALFORMED_INPUTS)
+def test_a_malformed_document_is_refused_alike_after_its_valid_twin(
+        argv, contents, request, tmp_path, capsys):
+    square = tmp_path / "square.json"
+    square.write_text(canonical_json(torus_to_doc(product([curve(), curve()]))))
+    bad = tmp_path / "bad.json"
+    if contents is None:
+        bad.mkdir()
+    elif isinstance(contents, bytes):
+        bad.write_bytes(contents)
+    else:
+        bad.write_text(contents)
+    twin = square
+    if "SQUARE" not in argv:
+        twin = tmp_path / "twin.json"
+        twin.write_text(canonical_json(_TWINS.get(request.node.callspec.id, _curve_doc())))
+    argv = [{"BAD": str(bad), "SQUARE": str(square)}.get(a, a) for a in argv]
+    cold = _in_process(argv, capsys)
+    documents._TORI.clear()
+    assert _in_process(["type", str(twin)], capsys)[0] == 0
+    assert len(documents._TORI) == 1
+    warm = _in_process(argv, capsys)
+    assert warm == cold
+    assert cold[0] == 1 and cold[2].startswith("avtk: ") and cold[2].count("\n") == 1
 
 
 # -- point documents --------------------------------------------------------------
