@@ -7,24 +7,17 @@ identity F @ periods_X = periods_Y @ M.  Since the right period block D_X
 of X is constant and invertible over Q in the frames used here, F is
 determined by the right half M_R of M: F = periods_Y @ M_R @ D_X^-1.  The
 inverse is a constant rational matrix, so F is a matrix of polynomials,
-never of rational functions.  With periods_X = [Z_X | D_X] and
-W = D_X^-1 @ Z_X, the identity on the left half reads
+never of rational functions.  With P_X = periods_X = [Z_X | D_X] and
+P_Y = periods_Y, the identity on the left half reads
 
-    periods_Y @ (M_R @ W - M_L) = 0,
+    P_Y @ M @ K_X = 0,    K_X = dI dX [-I ; D_X^-1 @ Z_X],
 
-linear in the entries of M.  P_X and P_Y are put over one common
-denominator each as integer polynomials on packed monomials
-(scalars.monomial_flatten), once per torus, kept on it
-(PolarisedTorus.period_slice), and so is W, taken from the slice of Z_X
-(PolarisedTorus.right_frame): with D_X^-1 = DI / dI for an integer DI,
-from intlinalg.rat_inverse, W = (DI @ dX Z_X) / (dI dX).  Each monomial
-of each entry of the identity is then an integer row in the entries of
-M, a sparse map {column: int} built from sparse products of those
-slices, each monomial product a sum of ints; no dense row is formed.
-The kernel of these rows is the whole homomorphism module, and
-intlinalg._kernel_maps returns its canonical Hermite basis, as sparse
-maps {index: int}, whatever the order, number or scale of the rows.
-Most rows pin an entry of M to 0, and the kernel drops them first.
+linear in the entries of M, with D_X^-1 = DI / dI for an integer DI and
+dX the denominator of X's period slice; the columns of K_X span the
+kernel of P_X, and X keeps DI, dI and K_X (PolarisedTorus.right_frame).
+intlinalg.bilinear_kernel returns the canonical Hermite basis of its
+integer kernel on the period slices, the whole homomorphism module, as
+sparse maps {unknown: int}, M[r][c] at r * 2n + c.
 
 Each generator's M is filled from its map, and its F is an integer
 slice, PY @ (M_R @ DI) over dY dI, summed over the nonzero entries of
@@ -54,9 +47,9 @@ from math import lcm
 from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
     _divide_exactly,
-    _kernel_maps,
     _render_slice,
     as_int,
+    bilinear_kernel,
     det,
     det_polynomial,
     int_inverse,
@@ -151,53 +144,39 @@ class HomGenerator(Value):
 def hom_module(X: PolarisedTorus, Y: PolarisedTorus):
     """Basis of Hom(X, Y) as verified HomGenerators (may be empty).
 
-    One integer row per (entry (i, j) of P_Y (M_R W - M_L), monomial),
-    scaled by the denominators of P_Y and W; the basis is the canonical
-    Hermite basis of the saturated integer kernel of those rows, so
-    repeated runs agree entry for entry.  Each generator's F is
-    P_Y @ (M_R @ D_X^-1), checked against the period slices the tori
-    keep.  A domain whose right period block is not constant or is
-    singular, and a codomain whose periods are linearly dependent over Q,
-    are PreconditionErrors; a dependent domain only shrinks the module.
+    The basis is intlinalg.bilinear_kernel's of {M : P_Y @ M @ K_X = 0},
+    K_X from X.right_frame(): the canonical Hermite basis of the saturated
+    integer kernel, so repeated runs agree entry for entry.  Each
+    generator's F is P_Y @ (M_R @ D_X^-1), checked against the period
+    slices the tori keep.  A domain whose right period block is not
+    constant or is singular, and a codomain whose periods are linearly
+    dependent over Q, are PreconditionErrors; a dependent domain only
+    shrinks the module.
     """
     if X.gens != Y.gens:
         raise PreconditionError("tori live over different generator sets")
     n, m = X.dim, Y.dim
-    DI, dI, W = X.right_frame()  # D_X^-1 = DI / dI, W = D_X^-1 @ Z_X by columns
+    DI, dI, K = X.right_frame()  # D_X^-1 = DI / dI, P_X @ K = 0
     # P_Y @ v = 0 for a rational v != 0 would put nonzero M with F = 0 in the kernel
     if not Y.periods_independent:
         raise PreconditionError("the codomain's periods are linearly dependent over Q")
-    dW, (dY, PY) = dI * X.period_slice[0], Y.period_slice
-    system = []
-    for PY_row in PY:
-        nonzero = [(2 * n * r, p) for r, p in enumerate(PY_row) if p]
-        for j in range(n):
-            rows = {}  # monomial: its row {column: int} in entry (i, j), M[r][c] at r * 2n + c
-            for base, p in nonzero:
-                for mono, x in p.items():  # column base + j gets no other term
-                    rows.setdefault(mono, {})[base + j] = -dW * x
-                for t, w in W[j]:
-                    col = base + n + t  # M_R[r][t]
-                    for m1, c1 in p.items():
-                        for m2, c2 in w.items():
-                            row = rows.setdefault(m1 + m2, {})
-                            row[col] = row.get(col, 0) + c1 * c2
-            system += rows.values()
-    # F = P_Y @ M_R @ D_X^-1 = PY @ K / (dY * dI), K = M_R @ DI, DI integer
+    dY, PY = Y.period_slice
+    index = [range(r * 2 * n, (r + 1) * 2 * n) for r in range(2 * m)]  # M[r][c]
+    # F = P_Y @ M_R @ D_X^-1 = PY @ (M_R @ DI) / (dY * dI), DI integer
     scale = dY * dI
     DI_rows = [[(j, x) for j, x in enumerate(row) if x] for row in DI]
     PY_cols = [[(i, p) for i, p in enumerate(col) if p] for col in zip(*PY)]
     gens_out = []
-    for vec in _kernel_maps(system, 4 * m * n):
+    for vec in bilinear_kernel(PY, index, K, 4 * m * n):
         M = [[0] * (2 * n) for _ in range(2 * m)]
-        K = {}  # (r, j): the nonzero entries of K, and perhaps some zeros
-        for index, x in vec.items():
-            r, c = divmod(index, 2 * n)
+        MD = {}  # (r, j): the nonzero entries of M_R @ DI, and perhaps some zeros
+        for u, x in vec.items():
+            r, c = divmod(u, 2 * n)
             M[r][c] = x
             for j, y in DI_rows[c - n] if c >= n else ():
-                K[r, j] = K.get((r, j), 0) + x * y
+                MD[r, j] = MD.get((r, j), 0) + x * y
         FS = [[{} for _ in range(n)] for _ in range(m)]
-        for (r, j), k in K.items():
+        for (r, j), k in MD.items():
             for i, p in PY_cols[r] if k else ():
                 acc = FS[i][j]
                 for mono, y in p.items():

@@ -9,10 +9,10 @@ integer maps, fields sized to its degree, and the exact divisions test
 divisibility on guard bits.  scalars.monomial_flatten puts a period
 matrix over one common denominator, in 33-bit fields, a slice (d, P),
 once per torus, kept on it (PolarisedTorus.period_slice); only
-_render_slice and lattice_det unpack it.  From the slices
-homs, ppsearch and torus build their sparse systems and products
-(_add_row_times, _slice_product), the W = D_X^-1 @ Z_X of
-PolarisedTorus.right_frame and a quotient's periods among them.
+_render_slice and lattice_det unpack it.  Every integer system on the
+slices is one {X : A @ X @ B = 0}, built and solved by bilinear_kernel:
+the Hom module and the admissible family.  _slice_product gives the
+kernel basis K of PolarisedTorus.right_frame and a quotient's periods.
 _render_slice turns a slice back into FormalScalars, for a quotient's
 periods and for HomGenerator.analytic_rep.  One check,
 period_identity_holds, verifies L @ P_X == P_Y @ M on those slices (an
@@ -28,8 +28,8 @@ flatten_to_int lays one monomial_flatten of several matrices out as
 dense integer matrices for rat_solve, which solves all of a frame's
 vectors, its right-hand sides, in one elimination.  matmul sums entry by
 entry in the operands' own arithmetic.  Matrices are dense lists of
-rows, except the sparse rows {column: int} of the Hom and family systems
-and the sparse kernel vectors {index: int} that _kernel_maps gives back
+rows, except the sparse rows {unknown: int} that bilinear_kernel builds
+and the sparse kernel vectors {unknown: int} that _kernel_maps gives back
 for them, after dropping the rows that pin an unknown to 0; every
 result is canonical.
 
@@ -278,13 +278,19 @@ def _int_pencil(mats, degree):
 
 def _slice_product(P, K):
     """P @ K for integer polynomials P and an integer matrix K, over the
-    nonzero entries of K, for PolarisedTorus.quotient's periods; a tuple of
-    rows of integer polynomials (a coefficient may be 0)."""
+    nonzero entries of K, for a quotient's periods and the kernel basis of
+    PolarisedTorus.right_frame; a tuple of rows of integer polynomials
+    without zero coefficients."""
     out = []
     for row in P:
         acc = [{} for _ in K[0]]
-        _add_row_times(acc, row, K, 1)
-        out.append(tuple(acc))
+        for p, K_row in zip(row, K):
+            if p:
+                for a, c in zip(acc, K_row):
+                    if c:
+                        for mono, x in p.items():
+                            a[mono] = a.get(mono, 0) + c * x
+        out.append(tuple({mono: x for mono, x in a.items() if x} for a in acc))
     return tuple(out)
 
 
@@ -389,18 +395,6 @@ def _add_packed_product(acc, p, q, sign):
         for m2, c2 in q_items:
             mono = m1 + m2
             acc[mono] = get(mono, 0) + c1 * c2
-
-
-def _add_row_times(acc, row, K, scale):
-    """acc[j] += scale * sum(row[r] * K[r][j]) for integer polynomials row[r]
-    and an integer matrix K."""
-    for p, K_row in zip(row, K):
-        if p:
-            for a, c in zip(acc, K_row):
-                if c:
-                    k = scale * c
-                    for mono, x in p.items():
-                        a[mono] = a.get(mono, 0) + k * x
 
 
 def _poly_div(f, g, guard):
@@ -561,10 +555,47 @@ def int_kernel(M):
     return [[v.get(i, 0) for i in range(n)] for v in _kernel_maps(_dense_rows(M), n)]
 
 
+def bilinear_kernel(A, index, B, n):
+    """The Hermite basis of {X : A @ X @ B = 0} in n integer unknowns, as
+    maps {unknown: nonzero int} (_kernel_maps).
+
+    A and B are tables of integer polynomials {packed monomial: int}, as
+    period slices are (a coefficient may be 0); index[k][l] is the unknown
+    of entry (k, l) of X, or None where X is 0, and entries may share one,
+    as a symmetric matrix's do.  Each monomial of each entry of A @ X @ B
+    gives one sparse row, summed over the nonzero entries of A and B only.
+    For 2x = y, and for x = z from [1, -1] @ [[x, y], [y, z]] @ [1 ; 1]
+    (0 packs the constant monomial):
+
+    >>> bilinear_kernel([[{0: 2}, {0: -1}]], [[0], [1]], [[{0: 1}]], 2)
+    [{0: 1, 1: 2}]
+    >>> K = bilinear_kernel([[{0: 1}, {0: -1}]], [[0, 1], [1, 2]], [[{0: 1}], [{0: 1}]], 3)
+    >>> [[v.get(u, 0) for u in range(3)] for v in K]
+    [[1, 0, 1], [0, 1, 0]]
+    """
+    # the terms (l, monomial, coefficient) of each column of B, and
+    # (monomial, coefficient, row k of index) of each row of A
+    B_cols = [[(l, m2, c2) for l, b in enumerate(col) if b for m2, c2 in b.items()]
+              for col in zip(*B)]
+    rows = []
+    for A_row in A:
+        terms = [(m1, c1, X_row) for a, X_row in zip(A_row, index) if a for m1, c1 in a.items()]
+        for B_col in B_cols:
+            acc = {}  # monomial: its row {unknown: int} in entry (i, j)
+            for m1, c1, X_row in terms:
+                for l, m2, c2 in B_col:
+                    u = X_row[l]
+                    if u is not None:
+                        row = acc.setdefault(m1 + m2, {})
+                        row[u] = row.get(u, 0) + c1 * c2
+            rows += acc.values()
+    return _kernel_maps(rows, n)
+
+
 def _kernel_maps(rows, n):
     """The Hermite basis of int_kernel of the rows {column: int}, a list, over
-    n columns, as maps {index: nonzero int}, for hom_module and
-    admissible_family; the Hermite step tracks no U.  Until none is left, a
+    n columns, as maps {index: nonzero int}, for bilinear_kernel and
+    int_kernel; the Hermite step tracks no U.  Until none is left, a
     row with one live entry, nonzero and not pinned, pins that unknown to 0
     and is dropped; the echelon and the Hermite step run on the rest, in
     index order, and the canonical basis is mapped back, 0 where pinned.

@@ -5,18 +5,15 @@ model Ahat of its dual comes down to an integer symmetric positive
 definite matrix H whose action sends the lattice of A onto the lattice
 of Ahat.  Containment of the image lattice is linear in the entries of
 H, so phase one solves it once and for all: the admissible symmetric
-matrices form a lattice, usually of very small rank.  The identity
-H @ P_A = P_Ahat @ C is flattened over integer polynomials: P_A and
-P_Ahat are each put over one common denominator, their monomials packed
-into ints (scalars.monomial_flatten), once per torus, kept on it
-(PolarisedTorus.period_slice), and each monomial of each entry gives one
-sparse integer row {column: int} in the entries of H and C; most rows
-pin an entry to 0, and the kernel drops them first.  The Hermite basis
-of the kernel, sparse maps {index: int} from intlinalg._kernel_maps,
-read on the entries of H, is already that of the family; H and C are
-filled from each map's nonzero entries, and each element is checked
-against the identity by intlinalg.period_identity_holds, the check every
-Hom generator passes, and so is each search hit.  Positivity and
+matrices form a lattice, usually of very small rank.  On the period
+slices the tori keep, P_A = PA / dA and P_Ahat = PH / dH, the identity
+H @ P_A = P_Ahat @ C reads [dH I | PH] @ diag(H, C) @ [PA ; -dA I] = 0,
+H symmetric, and intlinalg.bilinear_kernel gives the Hermite basis of
+its integer kernel as sparse maps {unknown: int}; read on the entries of
+H, it is already that of the family.  H and C are filled from each map's
+nonzero entries, and each element is checked against the identity by
+intlinalg.period_identity_holds, the check every Hom generator passes,
+and so is each search hit.  Positivity and
 surjectivity are not linear, so phase two enumerates bounded integer
 combinations of that family on the pencil engine of ``parallel``: the
 coordinate determinant (surjectivity) and the leading principal minors
@@ -43,8 +40,8 @@ from __future__ import annotations
 
 from .errors import Immutable, PreconditionError, Value, check_int
 from .intlinalg import (
-    _kernel_maps,
     as_int,
+    bilinear_kernel,
     combination,
     constant_slices,
     det,
@@ -164,13 +161,12 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     """All integer symmetric H whose image of A's lattice lies in Ahat's.
 
     The n(n+1)/2 independent entries of H and the target-lattice
-    coordinates of each image column are integer unknowns.  Each monomial
-    of each entry of dA * dH * (H @ P_A - P_Ahat @ C), where dA and dH are
-    the common denominators of the two period matrices, gives one integer
-    row, a sparse map {column: int}; the kernel of those rows projects
+    coordinates of each image column are the integer unknowns of
+    dA * dH * (H @ P_A - P_Ahat @ C) = 0, where dA and dH are the common
+    denominators of the two period matrices; its kernel projects
     bijectively onto the family (the coordinates C are determined by H).
-    The basis returned is that of intlinalg._kernel_maps, whose entries of
-    H are already the Hermite basis of the projection; H and C are filled
+    The basis returned is that of intlinalg.bilinear_kernel, whose entries
+    of H are already the Hermite basis of the projection; H and C are filled
     from the nonzero entries of each kernel map, and every element is
     re-verified against the containment it encodes, over the same integer
     polynomials.  A solution with H = 0 means that Ahat's periods are
@@ -189,36 +185,32 @@ def admissible_family(A: PolarisedTorus, Ahat: PolarisedTorus) -> AdmissibleFami
     (dA, PA), (dH, PH) = pa, ph
     sym = [(a, b) for a in range(n) for b in range(a, n)]
     s = len(sym)
-    # touch[i]: (u, b) for each entry u = (i, b) or (b, i) of H on or above the diagonal
-    touch = [[(u, a + b - i) for u, (a, b) in enumerate(sym) if i in (a, b)] for i in range(n)]
-    system = []
-    for i in range(n):
-        nonzero = [(s + r, p) for r, p in enumerate(PH[i]) if p]
-        for j in range(2 * n):
-            # columns: the entries of H on and above the diagonal, then
-            # C[r][c] column by column, C[r][j] at s + 2n * j + r
-            rows = {}
-            for u, b in touch[i]:
-                for mono, x in PA[b][j].items():
-                    rows.setdefault(mono, {})[u] = dH * x
-            for base, p in nonzero:
-                for mono, x in p.items():
-                    rows.setdefault(mono, {})[base + 2 * n * j] = -dA * x
-            system += rows.values()
+    # [dH I | PH] @ diag(H, C) @ [PA ; -dA I] = dH H PA - dA PH C; the unknowns
+    # are the entries of H on and above the diagonal, then C[r][c] at s + 2n c + r
+    index = [[None] * (3 * n) for _ in range(3 * n)]
+    left = [[{}] * n + list(row) for row in PH]  # 0 packs the constant monomial
+    right = list(PA) + [[{}] * (2 * n) for _ in range(2 * n)]
+    for u, (a, b) in enumerate(sym):
+        index[a][b] = index[b][a] = u
+        if a == b:
+            left[a][a] = {0: dH}
+    for r in range(2 * n):
+        index[n + r][n:] = range(s + r, s + 4 * n * n, 2 * n)
+        right[n + r][r] = {0: -dA}
     basis = []
     coords = []
-    for v in _kernel_maps(system, s + 4 * n * n):
+    for v in bilinear_kernel(left, index, right, s + 4 * n * n):
         if min(v) >= s:
             # H = 0 and C != 0 with P_Ahat @ C = 0
             raise PreconditionError("the target's periods are linearly dependent over Q")
         H = [[0] * n for _ in range(n)]
         C = [[0] * (2 * n) for _ in range(2 * n)]
-        for index, x in v.items():
-            if index < s:
-                a, b = sym[index]
+        for u, x in v.items():
+            if u < s:
+                a, b = sym[u]
                 H[a][b] = H[b][a] = x
             else:
-                j, r = divmod(index - s, 2 * n)
+                j, r = divmod(u - s, 2 * n)
                 C[r][j] = x
         if not period_identity_holds(constant_slices(H), C, pa, ph):
             raise AssertionError("family element fails its containment identity")

@@ -25,11 +25,11 @@ from operator import mul
 
 from .errors import Immutable, PreconditionError, Value
 from .intlinalg import (
-    _add_row_times,
     _divide_exactly,
     _render_slice,
     _slice_product,
     as_int,
+    bilinear_kernel,
     det,
     elementary_divisors,
     flatten_to_int,
@@ -40,7 +40,6 @@ from .intlinalg import (
     lattice_det,
     mat_eq,
     matmul,
-    rank,
     rat_inverse,
     rat_solve,
     saturate_columns,
@@ -112,11 +111,11 @@ class PolarisedTorus(Value):
     Four facts of the periods alone are built on first use and kept, once
     per torus: the slice period_slice, the flag periods_independent, the
     integer lattice_det, and right_frame, the inverse of the right period
-    block with the columns of W = D^-1 @ Z.  So is one fact of the gram,
-    its Smith data (_kernel_basis), which polarisation_type and the
-    polarising kernel read.  They are outside the key, so equality and
-    hash do not see whether they were built; a refusal is never kept and
-    is raised again on every call.
+    block D with the kernel basis K = dI d [-I ; D^-1 @ Z] of the periods.
+    So is one fact of the gram, its Smith data (_kernel_basis), which
+    polarisation_type and the polarising kernel read.  They are outside
+    the key, so equality and hash do not see whether they were built; a
+    refusal is never kept and is raised again on every call.
     """
 
     __slots__ = ("gens", "periods", "gram", "assumptions",
@@ -172,13 +171,12 @@ class PolarisedTorus(Value):
 
     @property
     def periods_independent(self) -> bool:
-        """Whether the 2n periods are linearly independent over Q: the
-        coefficient rows of the slice, one per (row, monomial), have rank 2n."""
+        """Whether the 2n periods are linearly independent over Q: no
+        integer v != 0 has P @ v = 0 (bilinear_kernel, with X = v)."""
         if self._independent is None:
-            P = self.period_slice[1]
-            object.__setattr__(self, "_independent", rank(
-                [[p.get(mono, 0) for p in row] for row in P for mono in set().union(*row)]
-            ) == 2 * self.dim)
+            m = 2 * self.dim
+            object.__setattr__(self, "_independent", not bilinear_kernel(
+                self.period_slice[1], [[j] for j in range(m)], [[{0: 1}]], m))
         return self._independent
 
     @property
@@ -192,11 +190,12 @@ class PolarisedTorus(Value):
         return self._lattice
 
     def right_frame(self):
-        """(DI, dI, W) for periods [Z | D]: D^-1 = DI / dI with DI an integer
-        matrix (rat_inverse), and W = D^-1 @ Z = DI @ (d Z) / (dI d), d the
-        slice's denominator, as the nonzero entries (t, polynomial) of
-        DI @ (d Z) in each column.  A right block that is not constant, or
-        is singular over Q, is a PreconditionError on every call."""
+        """(DI, dI, K) for periods [Z | D]: D^-1 = DI / dI with DI an integer
+        matrix (rat_inverse), and K = dI d [-I ; D^-1 Z], d the slice's
+        denominator, a 2n x n table of integer polynomials without zero
+        coefficients: periods @ K = 0, and K has rank n.  A right block that
+        is not constant, or is singular over Q, is a PreconditionError on
+        every call."""
         if self._frame is None:
             R = constant_right_block(self.periods)
             if R is None:
@@ -206,14 +205,12 @@ class PolarisedTorus(Value):
                 DI, dI = rat_inverse(R)
             except ValueError:
                 raise PreconditionError("right period block is singular over Q") from None
-            n, P = self.dim, self.period_slice[1]
-            DIt, W = transpose(DI), []
-            for j in range(n):
-                acc = [{} for _ in range(n)]
-                _add_row_times(acc, [row[j] for row in P], DIt, 1)
-                W.append(tuple((t, w) for t, a in enumerate(acc)
-                               if (w := {mono: c for mono, c in a.items() if c})))
-            object.__setattr__(self, "_frame", (tuple(map(tuple, DI)), dI, tuple(W)))
+            n, (d, P) = self.dim, self.period_slice
+            # (DI @ d Z)^T from the columns of d Z; 0 packs the constant monomial
+            ZT = _slice_product([[row[j] for row in P] for j in range(n)], transpose(DI))
+            K = tuple(tuple({0: -dI * d} if t == j else {} for j in range(n)) for t in range(n))
+            K += tuple(zip(*ZT))
+            object.__setattr__(self, "_frame", (tuple(map(tuple, DI)), dI, K))
         return self._frame
 
     def _key(self):

@@ -202,6 +202,23 @@ def dense_int_kernel(M):
     return [[K[i][j] for i in range(n)] for j in range(len(cols))]
 
 
+def dense_bilinear_kernel(gens, A, index, B, n):
+    """bilinear_kernel through FormalScalars and dense integer matrices.
+
+    A and B are FormalScalar matrices over gens.  Row (i, j) of the system
+    holds, for each unknown u, the FormalScalar sum of A[i][k] * B[l][j]
+    over the entries (k, l) of X that index gives u; flatten_to_int
+    flattens it monomial by monomial and dense_int_kernel takes its
+    kernel.  With no row, the kernel is all of Z^n.
+    """
+    if not n:
+        return []
+    cells = [[sum((A[i][k] * B[l][j] for k, row in enumerate(index)
+                   for l, v in enumerate(row) if v == u), gens.zero()) for u in range(n)]
+             for i in range(len(A)) for j in range(len(B[0]) if B else 0)]
+    return dense_int_kernel(flatten_to_int(cells)[0]) if cells else identity(n)
+
+
 def dense_flatten_to_int(*matrices):
     """flatten_to_int through a dense coefficient list per entry.
 

@@ -643,9 +643,16 @@ def test_no_caller_changes_the_facts_a_torus_keeps():
         assert T._independent == (row_hnf_rank(flatten_to_int(T.periods)[0]) == 2 * T.dim)
         assert T._lattice == lattice_det(P, len(T.gens))
         if T._frame is not None:
-            DI, dI, _ = T._frame
+            DI, dI, K = T._frame
             R = constant_right_block(T.periods)
             assert ([list(r) for r in DI], dI) == tuple(rat_inverse(R))
+            # P_X @ K_X = 0 by a formal matmul, and K_X has rank n: it does
+            # at the origin of the generators, where its entries are constants
+            unpack = _slice_packing(len(T.gens))[1]
+            KF = [[FormalScalar(T.gens, {unpack(mono): c for mono, c in p.items()}) for p in row]
+                  for row in K]
+            assert all(x.is_zero() for row in matmul([list(r) for r in T.periods], KF) for x in row)
+            assert row_hnf_rank([[p.get(0, 0) for p in row] for row in K]) == T.dim
             fresh = PolarisedTorus(T.gens, T.periods, T.gram)
             assert fresh._frame is None and fresh.right_frame() == T._frame
             frames += 1

@@ -17,6 +17,7 @@ from avtk.homs import hom_module
 from avtk.intlinalg import (
     _kernel_maps,
     _poly_div,
+    bilinear_kernel,
     combination,
     det,
     det_mod2,
@@ -45,6 +46,7 @@ from avtk.scalars import (FormalScalar, GeneratorSet, _grlex_key, _packing, _sli
 from avtk.torus import pairing_type, standard_gram
 from oracles import (
     RankDeficiencyError,
+    dense_bilinear_kernel,
     dense_flatten_to_int,
     dense_hnf,
     dense_int_kernel,
@@ -577,6 +579,46 @@ def test_sparse_int_kernel_matches_the_dense_oracle(system):
     kern = [[v.get(i, 0) for i in range(n)] for v in maps]
     assert kern == (dense_int_kernel(dense) if dense else identity(n))
     assert kern == int_kernel(dense or [[0] * n])
+
+
+BILINEAR_GENS = GeneratorSet(("a", "b"))
+
+
+@st.composite
+def bilinear_systems(draw):
+    """(A, index, B, n): A (p x q) and B (r x s) tables of polynomials
+    {exponent tuple: int} in a and b, coefficients 0 among them, and index,
+    q x r, unknowns below n or None, ties and all."""
+    p, q, r, s = (draw(st.integers(0, 3)) for _ in range(4))
+    n = draw(st.integers(0, 5))
+    poly = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.integers(-3, 3), max_size=3)
+    table = lambda m, w: draw(st.lists(st.lists(poly, min_size=w, max_size=w),
+                                       min_size=m, max_size=m))
+    unknown = st.none() | st.integers(0, n - 1) if n else st.none()
+    index = draw(st.lists(st.lists(unknown, min_size=r, max_size=r), min_size=q, max_size=q))
+    return table(p, q), index, table(r, s), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(bilinear_systems())
+# a symmetric X = [[x, y], [y, z]], y tied across the diagonal: x = z
+@example(([[{(0, 0): 1}, {(0, 0): -1}]], [[0, 1], [1, 2]], [[{(0, 0): 1}], [{(0, 0): 1}]], 3))
+# None blocks: X = diag(x, y), a * x - b * y = 0 has no integer solution but 0
+@example(([[{(1, 0): 1}, {(0, 1): -1}]], [[0, None], [None, 1]], [[{(0, 0): 1}], [{(0, 0): 1}]], 2))
+# zero coefficients in the slices: 0 * a + 2 and 0 * b - 1
+@example(([[{(1, 0): 0, (0, 0): 2}, {(0, 1): 0, (0, 0): -1}]], [[0], [1]], [[{(0, 0): 1}]], 2))
+@example(([], [[0]], [[{(0, 0): 1}]], 1))  # no rows at all: the kernel is Z
+@example(([[{(0, 0): 1}]], [[0]], [[{(1, 1): 2}]], 1))  # 2 a b x = 0: an empty kernel
+def test_bilinear_kernel_matches_the_dense_oracle(system):
+    A, index, B, n = system
+    pack = _slice_packing(2)[0]
+    packed = lambda T: [[{pack(mono): c for mono, c in p.items()} for p in row] for row in T]
+    formal = lambda T: [[FormalScalar(BILINEAR_GENS, p) for p in row] for row in T]
+    maps = bilinear_kernel(packed(A), index, packed(B), n)
+    assert all(all(v.values()) for v in maps)  # only nonzero entries are kept
+    assert ([[v.get(u, 0) for u in range(n)] for v in maps]
+            == dense_bilinear_kernel(BILINEAR_GENS, formal(A), index, formal(B), n))
 
 
 @settings(max_examples=400, deadline=None)

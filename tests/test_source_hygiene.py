@@ -15,9 +15,11 @@ right period block of a frame is read by one set of helpers in torus.py,
 and only torus.py calls standard_gram, so a standard frame's form is
 built in one place.  Only intlinalg.py refers to _over_common_denominator,
 so rational rows are cleared in one place, and rational matrices are
-inverted by intlinalg.rat_inverse.  Only the bases errors.Immutable and
-errors.Value, and FormalScalar, define assignment, deletion, equality or
-hash, so the value-object rules are stated once.
+inverted by intlinalg.rat_inverse.  Only intlinalg.py refers to
+_kernel_maps, so every integer system on the period slices is built and
+solved by one builder, intlinalg.bilinear_kernel.  Only the bases
+errors.Immutable and errors.Value, and FormalScalar, define assignment,
+deletion, equality or hash, so the value-object rules are stated once.
 """
 
 import ast
@@ -163,6 +165,16 @@ def test_only_intlinalg_clears_rational_rows(path):
                                                      getattr(node, "name", None)))
     assert not lines, (f"{path.name} refers to _over_common_denominator on lines {lines}; "
                        "use intlinalg.rat_inverse, rat_solve or det")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "intlinalg.py"],
+                         ids=lambda p: p.name)
+def test_only_intlinalg_refers_to_the_kernel_maps(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if "_kernel_maps" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         getattr(node, "name", None)))
+    assert not lines, (f"{path.name} refers to _kernel_maps on lines {lines}; "
+                       "use intlinalg.bilinear_kernel")
 
 
 def _packs_monomials(node):
