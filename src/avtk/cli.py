@@ -15,15 +15,19 @@ the parsed arguments, documents (_DOCUMENTS) loaded, and returns
 (payload, exit code); the arguments it leaves, all but --json and --out,
 are the report's inputs.  The report goes to --out before any output.
 
-The bounded searches run in the calling process.  The argument parser
-is built by the first main() call and reused by every later call in the
-same process, so an in-process call pays only for its own command;
-importing this module builds no parser.  So are the tori: every torus
-document goes through documents.torus_from_doc, which keeps the last
-tori it built by their documents' content, so a later call on an equal
-document reuses the torus and the facts it keeps (its period slice, its
-gram's Smith form) after the same document checks.  No result or
-verdict is kept; every command's checks run on every call.
+The bounded searches run in the calling process.  The argument parsers
+are built by the first main() call and reused by every later call in the
+same process; importing this module builds no parser.  A command line
+naming a subcommand is parsed by that subcommand's parser alone, and the
+top-level parser refuses what it leaves, as its own parse_args would.
+The tori are kept too: every torus document goes through
+documents.torus_from_doc, which keeps the last tori it built by their
+documents' content, so a later call on an equal document reuses the
+torus and the facts it keeps (its period slice, its gram's Smith form)
+after the same document checks.  Every document is read and parsed
+afresh on every call; the report's inputs digest reads its canonical
+encoding, kept by its file text.  No result or verdict is kept; every
+command's checks run on every call.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 
 from .demos import demo_list, run_demo
 from .documents import (
+    Encoded,
     Report,
     canonical_json,
     embedding_from_doc,
@@ -75,15 +80,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
+    """(document, file text) of the JSON file at path, parsed afresh."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            return json.loads(text), text
         except RecursionError:
             raise DocumentError("document is nested too deeply") from None
         except json.JSONDecodeError:
             raise
         except ValueError:  # an integer literal past int's digit limit
             raise DocumentError("document holds an integer with too many digits") from None
+
+
+# the canonical encodings of the documents last recorded as inputs, keyed by
+# their file text, least recently recorded first; at most _ENCODINGS_CAP
+_ENCODINGS: dict = {}
+_ENCODINGS_CAP = 64
+
+
+def _encoding(doc, text: str) -> Encoded:
+    """doc's canonical encoding, kept by its file text as the newest."""
+    encoded = _ENCODINGS.pop(text, None) or Encoded(canonical_json(doc)[:-1])
+    if len(_ENCODINGS) >= _ENCODINGS_CAP:
+        del _ENCODINGS[next(iter(_ENCODINGS))]
+    _ENCODINGS[text] = encoded
+    return encoded
 
 
 _DOCUMENTS = ("torus", "point", "points", "embedding", "domain", "codomain", "dual", "matrix")
@@ -100,14 +122,26 @@ _BOUND = _arg("--bound", type=int, default=10)
 
 def _run_command(args):
     """Load every document args names, then run its handler; returns
-    (payload, inputs, exit_code), the inputs read from args afterwards."""
+    (payload, inputs, exit_code), the inputs read from args afterwards: a
+    document the handler left bound, by its kept encoding."""
+    loaded = {}  # id -> (document, file text); held, so no other object takes the id
+
+    def load(path):
+        doc, text = _load_json(path)
+        loaded[id(doc)] = doc, text
+        return doc
+
+    def recorded(value):
+        if id(value) in loaded:
+            return _encoding(*loaded[id(value)])
+        return [recorded(v) for v in value] if isinstance(value, list) else value
+
     for key in _DOCUMENTS:
         path = getattr(args, key, None)
         if path is not None:
-            setattr(args, key, [_load_json(p) for p in path] if isinstance(path, list)
-                    else _load_json(path))
+            setattr(args, key, [load(p) for p in path] if isinstance(path, list) else load(path))
     payload, code = args.run(args)
-    return payload, {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}, code
+    return payload, {k: recorded(v) for k, v in vars(args).items() if k not in _NOT_INPUTS}, code
 
 
 def _type(a):
@@ -243,7 +277,8 @@ def _demo(a):
     return res.payload, EXIT_NOT_FOUND if res.bounded else EXIT_OK
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The top-level parser, and its subcommands' parsers by name."""
     parser = _Parser(prog="avtk", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the canonical JSON report")
@@ -285,15 +320,15 @@ def _build_parser() -> _Parser:
             _arg("--list", action="store_true", help="list demo names"), _arg("--n", type=int),
             _arg("--type"), _arg("--bound", type=int), _arg("--max-d", type=int),
             bounded="pass")
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser of this process, built on first use.
+def _parser() -> tuple:
+    """The parsers of this process, built on first use.
 
-    parse_args leaves the parser unchanged and returns a fresh Namespace,
-    so one parser serves every main() call.
+    Parsing leaves a parser unchanged and returns a fresh Namespace, so
+    one set of parsers serves every main() call.
     """
     return _build_parser()
 
@@ -317,14 +352,21 @@ def _emit_human(payload, indent=""):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    if argv and argv[0] in commands:  # what the top-level parser would hand it
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:  # refused as the top-level parse_args refuses them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:  # no subcommand named: the top-level usage and errors
+        args = parser.parse_args(argv)
     started = time.monotonic()
     try:
         payload, inputs, code = _run_command(args)
         elapsed = time.monotonic() - started
         verdict = args.bounded if code == EXIT_NOT_FOUND else "pass"
-        report = Report(command=list(argv) if argv is not None else sys.argv[1:],
-                        inputs=inputs, payload=payload, verdict=verdict, timing_seconds=elapsed)
+        report = Report(command=list(argv), inputs=inputs, payload=payload, verdict=verdict,
+                        timing_seconds=elapsed)
         text = report.to_json() if args.json or args.out else None  # serialised once
         if args.out:  # before any output: a report that cannot be written is not shown
             Path(args.out).write_text(text, encoding="utf-8")

@@ -8,7 +8,8 @@ identical inputs except for the timing field.
 
 canonical_json is an encoder specialised to the types that documents and
 reports hold, and equals the stdlib's indented json.dumps byte for byte;
-json's own encoder runs in pure Python whenever it indents.
+json's own encoder runs in pure Python whenever it indents.  An Encoded
+text, a value's encoding made once and kept, is spliced in re-indented.
 """
 
 from __future__ import annotations
@@ -57,13 +58,24 @@ def parse_fraction(value) -> Fraction:
     raise DocumentError(f"not a fraction: {quoted(value)}")
 
 
+class Encoded(str):
+    """canonical_json(x) without its final newline, standing for x.
+
+    canonical_json writes an Encoded value as the JSON text of x, not as a
+    string: every line break in canonical text is structural, since a
+    string's own line breaks are escaped, so the text is re-indented by
+    replacing each "\\n" with the line break and indent of its place.
+    """
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline.
 
     Byte for byte ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``, for dicts with str keys, lists, tuples,
     str, int, bool, None and float; any other key or value raises
-    TypeError.  A row of only str or only int is joined in one step.
+    TypeError.  A row of only str or only int is joined in one step, and
+    an Encoded text is written as the value it encodes.
     """
     out = []
     _encode(obj, "\n", out)
@@ -78,7 +90,7 @@ def _encode(value, newline: str, out: list) -> None:
     """Append the JSON text of value to out; newline is a line break plus
     the indent of value's own line.  One frame per level of nesting."""
     if isinstance(value, str):
-        out.append(_quote(value))
+        out.append(_quote(value) if type(value) is not Encoded else value.replace("\n", newline))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):

@@ -39,7 +39,7 @@ Conventions:
     fraction-free Gauss-Jordan on integer rows (_gauss_jordan) for
     rat_solve, all right-hand sides at once, and int_inverse, the adjugate
     and determinant; one unimodular column reduction on sparse columns
-    (_column_echelon) for hnf, rank, saturate_columns, int_kernel and
+    (_column_echelon) for hnf, saturate_columns, int_kernel and
     _kernel_maps; snf, for elementary_divisors.  symplectic_basis is
     built from snf, int_kernel and matmul, and det_mod2 from det.
   * Only _over_common_denominator clears rational rows.  rat_inverse gives
@@ -51,10 +51,10 @@ Conventions:
     zero columns trailing).
   * snf(M) returns (S, U, V) with S = U @ M @ V and s_i | s_{i+1}.
   * symplectic_basis(E) returns (U, D) with U^T E U = [[0, D], [-D, 0]].
-  * The integer routines (hnf, rank, int_kernel, snf and the pencils)
-    read entries through as_int: ints and integral Fractions are
-    accepted, any other entry (a bool too) is a PreconditionError; det,
-    rat_inverse and rat_solve refuse all but ints and Fractions, bools too.
+  * The integer routines (hnf, int_kernel, snf and the pencils) read
+    entries through as_int: ints and integral Fractions are accepted, any
+    other entry (a bool too) is a PreconditionError; det, rat_inverse and
+    rat_solve refuse all but ints and Fractions, bools too.
 """
 
 from __future__ import annotations
@@ -533,11 +533,6 @@ def hnf(M):
     order = _hermite(cols, m, combos)
     return ([[cols[j].get(i, 0) for j in order] for i in range(m)],
             [[combos[j].get(r, 0) for j in order] for r in range(n)])
-
-
-def rank(M):
-    """Rank of an integer matrix: the pivot count of its column reduction."""
-    return len(_column_echelon(_columns(_dense_rows(M), shape(M)[1]), len(M))[0])
 
 
 def int_kernel(M):

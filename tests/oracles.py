@@ -19,7 +19,6 @@ from avtk.intlinalg import (
     int_kernel,
     mat_eq,
     matmul,
-    rank,
     saturate_columns,
     shape,
     snf,
@@ -537,6 +536,23 @@ def row_hnf_rank(M):
     """The rank as the count of nonzero rows of the row Hermite form."""
     H, _ = row_hnf(M)
     return sum(1 for row in H if any(row))
+
+
+def rank(M):
+    """The rank over Q, by Gaussian elimination on Fractions: independent of
+    the library's integer column reduction."""
+    rows = [[Fraction(x) for x in row] for row in M]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 # -- lattice equality by Hermite forms, independent of period_identity_holds ----

@@ -24,7 +24,6 @@ from avtk.intlinalg import (
     identity,
     matmul,
     mat_eq,
-    rank,
     snf,
     symplectic_basis,
     transpose,
@@ -33,7 +32,7 @@ from avtk.ppsearch import obstruction_report, pp_search
 from avtk.scalars import GeneratorSet
 from avtk.torus import PolarisedTorus, ambient_to_lattice, pairing_type, product, standard_gram
 from avtk.verdicts import Found
-from oracles import span_equal
+from oracles import rank, span_equal
 
 
 @pytest.fixture

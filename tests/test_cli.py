@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from avtk import cli
 from avtk.demos import demo_list, surface_pair
-from avtk.documents import Report, canonical_json, point_to_doc, torus_from_doc, torus_to_doc
+from avtk.documents import (Report, canonical_json, digest, point_to_doc, torus_from_doc,
+                            torus_to_doc)
 from avtk.intlinalg import snf
 from avtk.parallel import MAX_CANDIDATES
 from avtk.ppsearch import MAX_MODULUS
@@ -635,10 +636,22 @@ def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, c
         ["type", "--json"],  # usage error: the torus is missing
         ["type", a],
         ["demo", "--list"],
+        # no subcommand named: the top-level parser alone
+        [], ["-h"], ["frobnicate"], ["--json", "type", a],
+        # what the subcommand's parser leaves, refused by the top level
+        ["type", a, "extra"], ["type", a, "--bogus"],
+        ["type", a, "--he"],  # a prefix of the subcommand's --help
+        ["obstruction", "x"], ["obstruction", "--", "7"],
+        ["isom-search", a, b, "--bou", "1", "--json"],
     ]
     got = [_in_process(argv, capsys) for argv in calls]
     assert got == [_fresh_process(argv) for argv in calls]
-    assert [code for code, _, _ in got] == [3, 3, 3, 1, 0, 0]
+    assert [code for code, _, _ in got] == [3, 3, 3, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 3]
+    assert got[8][2].splitlines()[-1].startswith("avtk: error: argument command: invalid choice")
+    for k, left in ((9, "--json"), (10, "extra"), (11, "--bogus")):  # top-level usage
+        lines = got[k][2].splitlines()
+        assert lines[0].startswith("usage: avtk [-h]")
+        assert lines[-1] == f"avtk: error: unrecognized arguments: {left}"
     usage_error = got[3][2].splitlines()
     assert len(usage_error) == 2 and usage_error[0].startswith("usage: avtk type")
 
@@ -909,8 +922,9 @@ POSITIONALS = {
 
 
 def test_the_subcommands_are_the_fourteen_with_help():
-    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(POSITIONALS)
+    parser, commands = cli._parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands) == list(sub.choices) == list(POSITIONALS)
 
 
 @pytest.mark.parametrize("command", list(POSITIONALS))
@@ -925,6 +939,85 @@ def test_help_of_each_subcommand_exits_zero_and_names_its_positionals(command, m
     section = out.split("\npositional arguments:\n")[1].split("\n\n")[0]
     names = [line.split()[0] for line in section.splitlines() if not line.startswith("   ")]
     assert names == POSITIONALS[command]
+
+
+# -- the inputs digest, from the kept encodings of the documents loaded --------------
+
+def _load(path):
+    return json.loads(Path(path).read_text())
+
+
+def test_the_inputs_digest_is_that_of_the_inputs_rebuilt_from_the_files(tmp_path, monkeypatch,
+                                                                         capsys):
+    # every subcommand, on a first call, which encodes each document, and on
+    # a second, which reads the kept encodings
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_ENCODINGS", {})
+    curve = write_doc(Path("curve.json"),
+                      torus_to_doc(PolarisedTorus(G, [[TAU, 3]], standard_gram([3]))))
+    E = PolarisedTorus(G, [[TAU, 1]], standard_gram([1]))
+    square = write_doc(Path("square.json"), torus_to_doc(product([E, E])))
+    p, q = (write_doc(Path(f"point-{k}.json"), {"coords": coords})
+            for k, coords in enumerate((["1/3", "0"], ["0", "1/3"])))
+    emb = write_doc(Path("embedding.json"), _factor_embeddings(2)[0])
+    matrix = write_doc(Path("matrix.json"), [[2, 1], [0, 3]])
+    dual = torus_to_doc(torus_from_doc(_load(square)).dual().torus)
+    no_options = {"n": None, "type": None, "bound": None, "max_d": None}
+    cases = [
+        (["type", curve], {"torus": _load(curve)}),
+        (["kernel", curve], {"torus": _load(curve)}),
+        (["quotient", curve, p], {"torus": _load(curve), "point": _load(p)}),
+        (["complement", curve, p, q], {"torus": _load(curve), "points": [_load(p), _load(q)]}),
+        (["dual", curve], {"torus": _load(curve)}),
+        (["sub", square, emb], {"torus": _load(square), "embedding": _load(emb)}),
+        (["idempotent", square, emb], {"torus": _load(square), "embedding": _load(emb)}),
+        (["hom", square, square], {"domain": _load(square), "codomain": _load(square)}),
+        (["isom-search", square, square, "--bound", "1"],
+         {"domain": _load(square), "codomain": _load(square), "bound": 1, "polarised": False}),
+        (["pp-search", square, "--bound", "1"], {"torus": _load(square), "dual": dual, "bound": 1}),
+        (["pp-search", square, square, "--bound", "1"],
+         {"torus": _load(square), "dual": _load(square), "bound": 1}),
+        (["elliptic", "sqrt(-2)", "2"], {"tau": "sqrt(-2)", "n": 2, "formal": False}),
+        (["degree", matrix], {"matrix": _load(matrix)}),
+        (["obstruction", "7"], {"d": 7}),
+        (["demo", "obstruction-table"], dict(no_options, demo="obstruction-table")),
+        (["demo", "--list"], {"list": True}),
+    ]
+    assert {argv[0] for argv, _ in cases} == set(POSITIONALS)
+    for _ in range(2):
+        for argv, inputs in cases:
+            code, report, err = _in_process(argv + ["--json"], capsys)
+            assert (code, err) == (0, ""), argv
+            assert report["inputs_digest"] == digest(inputs), argv
+
+
+def test_a_document_rewritten_between_calls_gets_the_digest_of_its_new_text(tmp_path,
+                                                                            monkeypatch, capsys):
+    path = tmp_path / "torus.json"
+    seen = []  # the document each call's handler was given
+    monkeypatch.setattr(cli, "torus_from_doc", lambda doc: seen.append(doc) or torus_from_doc(doc))
+    digests = []
+    # the last text is another spelling of the first document
+    for d, dump in ((1, canonical_json), (1, canonical_json), (2, canonical_json), (1, json.dumps)):
+        doc = torus_to_doc(PolarisedTorus(G, [[TAU, d]], standard_gram([d])))
+        path.write_text(dump(doc))
+        code, report, _ = _in_process(["type", str(path), "--json"], capsys)
+        assert code == 0 and report["payload"]["type"] == [d]
+        assert report["inputs_digest"] == digest({"torus": doc})
+        digests.append(report["inputs_digest"])
+    assert digests[0] == digests[1] == digests[3] != digests[2]
+    assert seen[0] == seen[1] and seen[0] is not seen[1]  # parsed afresh on every call
+
+
+def test_at_most_the_cap_of_encodings_is_kept(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ENCODINGS", {})
+    texts = [json.dumps([[k]]) for k in range(1, cli._ENCODINGS_CAP + 2)]
+    for k, text in enumerate(texts):
+        path = tmp_path / f"matrix-{k}.json"
+        path.write_text(text)
+        assert cli.main(["degree", str(path)]) == 0
+    capsys.readouterr()
+    assert list(cli._ENCODINGS) == texts[1:]  # the least recently recorded went first
 
 
 def test_a_json_integer_past_the_digit_limit_exits_one_with_one_short_line(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from avtk import documents
 from avtk.demos import demo_list, run_demo
 from avtk.documents import (
+    Encoded,
     Report,
     canonical_json,
     digest,
@@ -93,6 +94,20 @@ def test_canonical_json_of_a_900_deep_list_equals_the_stdlib_encoder():
     # by its JSON type, after the document was written
     value = _nested_list(900)
     assert canonical_json(value) == _stdlib_json(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+@example("a\nb")
+@example({"a\nb": ["\n", "c\n\n", {}, [], ""], "": {"\n": [[]]}})
+@example(_nested_list(300))
+@example({"k": [{"k": [{}]}] * 3})
+def test_an_encoded_value_is_written_as_the_value_it_encodes(value):
+    encoded = Encoded(canonical_json(value)[:-1])
+    assert canonical_json({"k": encoded}) == canonical_json({"k": value})
+    # deeper, and beside the value itself
+    deeper = [[{"k": encoded, "v": value}], [encoded]]
+    assert canonical_json(deeper) == canonical_json([[{"k": value, "v": value}], [value]])
 
 
 @pytest.mark.parametrize("value", [

@@ -31,7 +31,6 @@ from avtk.intlinalg import (
     matmul,
     mat_eq,
     pullback_polynomials,
-    rank,
     rat_inv,
     rat_inverse,
     rat_solve,
@@ -56,8 +55,8 @@ from oracles import (
     fraction_gauss_jordan,
     gauss_jordan_inverse,
     gauss_jordan_solve,
+    rank,
     row_hnf,
-    row_hnf_rank,
     snf_saturate_columns,
     span_equal,
 )
@@ -650,7 +649,7 @@ def test_leading_rows_of_the_int_kernel_basis_are_their_own_hermite_form(M):
 
 
 def test_integer_routines_refuse_non_integral_entries():
-    for call in (int_kernel, hnf, rank, snf, saturate_columns):
+    for call in (int_kernel, hnf, snf, saturate_columns):
         with pytest.raises(PreconditionError):
             call([[Fraction(3, 2), 2]])
     # integral Fractions are integers
@@ -798,7 +797,7 @@ def test_det_refuses_bools():
 def test_int_kernel_and_the_integer_routines_refuse_bools():
     with pytest.raises(PreconditionError, match="integer matrix entry True is not an integer"):
         int_kernel([[True, True]])
-    for call in (hnf, rank, snf, saturate_columns, int_inverse):
+    for call in (hnf, snf, saturate_columns, int_inverse):
         with pytest.raises(PreconditionError, match="entry (True|False) is not an integer"):
             call([[True, False], [False, True]])
 
@@ -809,7 +808,6 @@ _RAGGED = [[1, 2], [3]]
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: int_kernel(_RAGGED), id="int_kernel"),  # returned []
     pytest.param(lambda: hnf(_RAGGED), id="hnf"),  # the form of [[1, 2], [3, 0]]
-    pytest.param(lambda: rank([[1], [2, 3]]), id="rank"),  # returned 1
     pytest.param(lambda: matmul(_RAGGED, [[1], [1]]), id="matmul"),  # [[3], [3]]
     pytest.param(lambda: matmul([[1, 1]], _RAGGED), id="matmul-right"),
     pytest.param(lambda: det(_RAGGED), id="det"),  # IndexError
@@ -961,13 +959,6 @@ def test_saturate_columns_matches_the_snf_oracle_in_value_and_type(M):
     assert got == snf_saturate_columns(M)
     assert all(type(x) is int for row in got for x in row)
     assert len(got) == len(M)
-
-
-@settings(max_examples=400, deadline=None)
-@given(integer_or_integral_fraction_matrices())
-def test_rank_matches_the_row_hnf_oracle(M):
-    got = rank(M)
-    assert got == row_hnf_rank(M) and type(got) is int
 
 
 # -- span comparison ------------------------------------------------------------

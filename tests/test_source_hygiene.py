@@ -3,7 +3,9 @@
 Every module may import only standard-library modules or avtk itself,
 every name a module imports must be used in it, and every module-level
 function or class must be referred to outside its own definition, so that
-a deletion leaves no dead import or helper behind.  A public one may
+a deletion leaves no dead import or helper behind.  Another module refers
+to it only by ``from .module import name`` or ``module.name``, so an
+attribute of the same name elsewhere does not count.  A public one may
 instead be listed in UNREFERENCED_PUBLIC, with the caller outside
 src/avtk that keeps it.  Only scalars.py reads the term map of a
 FormalScalar, so formal matrices reach integers by one route,
@@ -87,24 +89,38 @@ def _referenced_names(node):
     return names
 
 
+def _imported_names(tree):
+    """(module, name) of each ``from .module import name`` and each
+    ``module.name`` in tree: the only ways one module refers to a
+    definition of another."""
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level == 1 or node.module.startswith("avtk.")):
+            pairs |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pairs.add((node.value.id, node.attr))
+    return pairs
+
+
 def _unreferenced(public):
     """module:name of each module-level function or class, public or private
-    as asked, that no module refers to outside the definition itself."""
-    # the names each top-level node refers to, collected once per module
-    nodes = {path.name: [(node, _referenced_names(node)) for node in _tree(path).body]
-             for path in SOURCES}
-    per_module = {name: set().union(*(names for _, names in body))
-                  for name, body in nodes.items()}
+    as asked, that no other module imports or looks up on the module, and
+    that its own module refers to only inside the definition itself."""
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    imported = {stem: _imported_names(tree) for stem, tree in trees.items()}
     out = []
-    for name, body in nodes.items():
-        elsewhere = set().union(*(names for other, names in per_module.items() if other != name))
+    for stem, tree in trees.items():
+        elsewhere = set().union(*(pairs for other, pairs in imported.items() if other != stem))
+        # the names each top-level node refers to, collected once per module
+        body = [(node, _referenced_names(node)) for node in tree.body]
         for definition, _ in body:
             if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and definition.name.startswith("_") != public
-                    and definition.name not in elsewhere
+                    and (stem, definition.name) not in elsewhere
                     and not any(definition.name in names
                                 for node, names in body if node is not definition)):
-                out.append(f"{name}:{definition.name}")
+                out.append(f"{stem}.py:{definition.name}")
     return sorted(out)
 
 
